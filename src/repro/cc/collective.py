@@ -62,16 +62,18 @@ def pointer_jump_to_stars(
     n = d.size
     rounds = 0
     hot = 0 if opts.offload else None
+    # One partition of the label array per call; every round's request
+    # buffer is a sibling that shares its layout (thread ids, sizes).
+    verts = PartitionedArray(d.data, vert_offsets)
     while True:
         rounds += 1
         check_converged(rounds, n, "collective pointer jumping")
-        idxp = PartitionedArray(rt.owner_block_read(d), vert_offsets)
+        idxp = verts.with_data(rt.owner_block_read(d))
         grand = getd(
             rt, d, idxp, opts, ctx=None, cache_key=None,
             tprime=tprime, sort_method=sort_method, hot_value=hot,
         )
-        moved = grand != d.data
-        moved_per_thread = PartitionedArray(moved.astype(np.int64), vert_offsets).segment_sums()
+        moved_per_thread = verts.segment_counts_where(grand != d.data)
         rt.owner_block_write(d, grand)
         if not rt.allreduce_flag(moved_per_thread > 0):
             return rounds
@@ -177,9 +179,11 @@ def solve_cc_collective(
                 keep = du != dv
                 rt.local_ops(u_part.sizes().astype(np.float64))
                 if not keep.all():
-                    u_part = u_part.filter(keep)
-                    v_part = v_part.filter(keep)
-                    du, dv = du[keep], dv[keep]
+                    # One selection serves all four payloads of the mask.
+                    sel = np.flatnonzero(keep)
+                    u_part = u_part.take_sorted(sel)
+                    v_part = u_part.with_data(v_part.data.take(sel))
+                    du, dv = du.take(sel), dv.take(sel)
                     ctx.invalidate()
 
             ddu = getd(

@@ -22,6 +22,7 @@ from ..errors import CollectiveError
 from ..perf import state as perf_state
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
+from ..runtime.shared_array import out_of_range
 from ..runtime.trace import Category
 
 __all__ = ["send_matrix", "position_matrix", "charge_setup", "exchange_counts"]
@@ -33,16 +34,19 @@ def send_matrix(
     """``SMatrix[i][j]``: number of elements thread ``i`` (owner) sends to
     thread ``j`` (requester) — equivalently, how many of ``j``'s requests
     target ``i``'s local block."""
+    requesters = np.asarray(requesters, dtype=np.int64)
+    owners = np.asarray(owners, dtype=np.int64)
     if requesters.shape != owners.shape:
         raise CollectiveError("requesters/owners shape mismatch")
     if requesters.size == 0:
         return np.zeros((s, s), dtype=np.int64)
-    if owners.min() < 0 or owners.max() >= s or requesters.min() < 0 or requesters.max() >= s:
+    if out_of_range(owners, s) or out_of_range(requesters, s):
         raise CollectiveError("thread id out of range in send matrix")
     if perf_state.fast_engine_enabled():
         # Pair-count packing is the active kernel backend's
-        # `exchange_matrix` (fused keys + bincount on numpy, a compiled
-        # counting loop on numba, a COO coincidence matrix on scipy).
+        # `exchange_matrix` (fused requester-major keys + bincount on
+        # numpy, a compiled counting loop on numba, a COO coincidence
+        # matrix on scipy).
         return kernels.active_backend().exchange_matrix(requesters, owners, s)
     keys = owners * np.int64(s) + requesters
     return np.bincount(keys, minlength=s * s).reshape(s, s)

@@ -84,18 +84,19 @@ class OffloadResult:
 
     indices: PartitionedArray
     owners: np.ndarray
-    #: Boolean mask over the *original* flat request array: True = kept.
-    kept_mask: np.ndarray
+    #: Ascending flat positions, in the *original* request array, of the
+    #: kept requests; ``None`` when nothing was dropped.  Computed once
+    #: and shared by every payload that rides the same requests.
+    kept: Optional[np.ndarray]
     dropped: int
 
     def expand(self, served: np.ndarray, fill_value) -> np.ndarray:
         """Re-inflate served values to the original request order,
         filling dropped positions with the known constant."""
-        if self.dropped == 0:
+        if self.kept is None:
             return served
-        out = np.empty(self.kept_mask.shape[0], dtype=served.dtype)
-        out[self.kept_mask] = served
-        out[~self.kept_mask] = fill_value
+        out = np.full(self.kept.size + self.dropped, fill_value, dtype=served.dtype)
+        out[self.kept] = served
         return out
 
 
@@ -115,13 +116,11 @@ def apply_offload(
     """
     if owners.shape[0] != indices.total:
         raise CollectiveError("owners array must align with the request partition")
-    kept_mask = np.ones(indices.total, dtype=bool)
     if not opts.offload or indices.total == 0:
-        return OffloadResult(indices, owners, kept_mask, 0)
+        return OffloadResult(indices, owners, None, 0)
     rt.charge(Category.WORK, rt.cost.op_time(indices.sizes().astype(np.float64)))
-    kept_mask = indices.data != hot_index
-    dropped = int(indices.total - np.count_nonzero(kept_mask))
+    kept = np.flatnonzero(indices.data != hot_index)
+    dropped = indices.total - kept.size
     if dropped == 0:
-        return OffloadResult(indices, owners, kept_mask, 0)
-    filtered = indices.filter(kept_mask)
-    return OffloadResult(filtered, owners[kept_mask], kept_mask, dropped)
+        return OffloadResult(indices, owners, None, 0)
+    return OffloadResult(indices.take_sorted(kept), owners.take(kept), kept, dropped)

@@ -34,6 +34,7 @@ from ..core.optimizations import OptimizationFlags
 from ..errors import CollectiveError
 from ..integrity.monitor import guard_payload
 from ..perf import state as perf_state
+from ..perf.derived import freeze, memoized
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
 from ..runtime.shared_array import SharedArray
@@ -61,6 +62,17 @@ class TransferPlan:
     self_elems: np.ndarray
 
 
+@memoized(maxsize=64, name="transfer_pair_masks")
+def _pair_masks(s: int, t: int) -> tuple:
+    """``(remote, peer, self)`` boolean ``s x s`` masks over (owner,
+    requester) pairs of a machine with ``t`` threads per node — pure
+    geometry, so built once per machine shape instead of per call."""
+    node = np.arange(s) // t
+    same_node = node[:, None] == node[None, :]
+    same_thread = np.eye(s, dtype=bool)
+    return freeze(~same_node), freeze(same_node & ~same_thread), freeze(same_thread)
+
+
 def build_transfer_plan(
     rt: PGASRuntime,
     smat: np.ndarray,
@@ -83,11 +95,7 @@ def build_transfer_plan(
     if smat.shape != (s, s):
         raise CollectiveError(f"SMatrix must be ({s},{s}), got {smat.shape}")
     t = rt.machine.threads_per_node
-    owner_node = np.arange(s) // t
-    same_node = owner_node[:, None] == owner_node[None, :]
-    same_thread = np.eye(s, dtype=bool)
-    remote = ~same_node
-    peer = same_node & ~same_thread
+    remote, peer, same_thread = _pair_masks(s, t)
 
     axis = 1 if charge_to_owner else 0
     remote_elems = np.where(remote, smat, 0).sum(axis=axis)
@@ -192,7 +200,7 @@ def owner_distinct_counts(array: SharedArray, indices: np.ndarray, s: int) -> np
         return np.zeros(s, dtype=np.int64)
     if perf_state.fast_engine_enabled():
         # Distinct-per-owner counting is the active kernel backend's
-        # `owner_distinct` (presence mask + prefix sums on numpy, a
+        # `owner_distinct` (presence mask + per-row counts on numpy, a
         # compiled scan on numba, indicator-CSR row nnz on scipy) —
         # always cheaper than sorting the much larger request vector.
         return kernels.active_backend().owner_distinct(idx, array.size, array.block, s)

@@ -74,7 +74,7 @@ def _scatter_collective(
     owners = compute_owner_threads(rt, array, indices, opts, ctx, cache_key)
     if opts.offload and drop_hot:
         off = apply_offload(rt, indices, owners, opts, hot_index)
-        values = values[off.kept_mask] if off.dropped else values
+        values = values.take(off.kept) if off.dropped else values
     else:
         off = apply_offload(rt, indices, owners, OptimizationFlags.none(), hot_index)
 

@@ -65,7 +65,7 @@ class EdgePartition:
     def edge_ids(self) -> PartitionedArray:
         """Global edge indices, partitioned identically (used by MST to
         report which input edges are in the forest)."""
-        return PartitionedArray(np.arange(self.m, dtype=np.int64), self.offsets)
+        return self.u.with_data(np.arange(self.m, dtype=np.int64))
 
     def to_edgelist(self) -> EdgeList:
         w = self.w.data if self.w is not None else None
@@ -77,7 +77,8 @@ def distribute_edges(graph: EdgeList, threads: int) -> EdgePartition:
     if threads < 1:
         raise DistributionError(f"need at least one thread, got {threads}")
     offsets = even_offsets(graph.m, threads)
+    # One validated layout, shared: siblings reuse its thread ids and sizes.
     u = PartitionedArray(graph.u.copy(), offsets)
-    v = PartitionedArray(graph.v.copy(), offsets)
-    w = PartitionedArray(graph.w.copy(), offsets) if graph.w is not None else None
+    v = u.with_data(graph.v.copy())
+    w = u.with_data(graph.w.copy()) if graph.w is not None else None
     return EdgePartition(graph.n, u, v, w)

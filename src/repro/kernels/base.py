@@ -58,11 +58,15 @@ class KernelBackend:
     # -- dispatchable operations ------------------------------------------
 
     def group_minima(self, idx: np.ndarray, vals: np.ndarray):
-        """Sort-reduce duplicate scatter targets.
+        """Min-reduce duplicate scatter targets.
 
         Returns ``(targets, minima)``: ascending unique target indices
         and the minimum value proposed for each — the adjudication core
-        of ``SharedArray.scatter_min`` / ``scatter_store_min``.
+        of ``SharedArray.scatter_min`` / ``scatter_store_min``.  ``idx``
+        is non-negative int64 (callers bounds-check it against their
+        array); how a backend groups the proposals — a streaming
+        ``minimum.at`` on numpy, sort + compiled scan on numba — is its
+        own business.
         """
         raise NotImplementedError
 

@@ -147,18 +147,18 @@ def _shortcut_phase(
     n = d.size
     moved_total = 0
     rounds = 0
+    # One partition of the label array per call; every round's request
+    # buffer is a sibling that shares its layout (thread ids, sizes).
+    verts = PartitionedArray(d.data, vert_offsets)
     while True:
         rounds += 1
         check_converged(rounds, n, "lt shortcut pointer jumping")
-        idxp = PartitionedArray(rt.owner_block_read(d), vert_offsets)
+        idxp = verts.with_data(rt.owner_block_read(d))
         grand = getd(
             rt, d, idxp, opts, ctx=None, cache_key=None,
             tprime=tprime, sort_method=sort_method, hot_value=hot,
         )
-        moved = grand != d.data
-        moved_per_thread = PartitionedArray(
-            moved.astype(np.int64), vert_offsets
-        ).segment_sums()
+        moved_per_thread = verts.segment_counts_where(grand != d.data)
         rt.owner_block_write(d, grand)
         moved_total += int(moved_per_thread.sum())
         if not full:
@@ -239,9 +239,11 @@ def solve_cc_lt(
                 keep = du != dv
                 rt.local_ops(u_part.sizes().astype(np.float64))
                 if not keep.all():
-                    u_part = u_part.filter(keep)
-                    v_part = v_part.filter(keep)
-                    du, dv = du[keep], dv[keep]
+                    # One selection serves all four payloads of the mask.
+                    sel = np.flatnonzero(keep)
+                    u_part = u_part.take_sorted(sel)
+                    v_part = u_part.with_data(v_part.data.take(sel))
+                    du, dv = du.take(sel), dv.take(sel)
                     ctx.invalidate()
             ddu = ddv = None
             # The connect rule is fixed per run, so every simulated

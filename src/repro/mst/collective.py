@@ -171,24 +171,20 @@ def solve_mst_collective(
             if not rt.allreduce_flag(cross_per_thread > 0):
                 break
 
-            if opts.compact and not cross.all():
-                u_part = u_part.filter(cross)
-                v_part = v_part.filter(cross)
-                w_part = w_part.filter(cross)
-                id_part = id_part.filter(cross)
-                du, dv = du[cross], dv[cross]
-                ctx.invalidate()
-                live = u_part
-                du_c, dv_c = du, dv
-                w_c, id_c = w_part.data, id_part.data
-            elif cross.all():
+            if cross.all():
                 live = u_part
                 du_c, dv_c = du, dv
                 w_c, id_c = w_part.data, id_part.data
             else:
-                live = u_part.filter(cross)
-                du_c, dv_c = du[cross], dv[cross]
-                w_c, id_c = w_part.data[cross], id_part.data[cross]
+                # One selection serves every payload that shares the mask.
+                sel = np.flatnonzero(cross)
+                live = u_part.take_sorted(sel)
+                du_c, dv_c = du.take(sel), dv.take(sel)
+                w_c, id_c = w_part.data.take(sel), id_part.data.take(sel)
+                if opts.compact:
+                    u_part, v_part = live, live.with_data(v_part.data.take(sel))
+                    w_part, id_part = live.with_data(w_c), live.with_data(id_c)
+                    ctx.invalidate()
 
             # Candidate keys: (weight, live position) packed for min-reduction.
             positions = np.arange(live.total, dtype=np.int64)

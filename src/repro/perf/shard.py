@@ -103,8 +103,9 @@ def _worker_range(
 
 
 def _apply_scatter_min(data: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> int:
-    """The serial fast-path scatter_min, restricted to one block range
-    (bit-identical: grouping and adjudication are per-target)."""
+    """The serial fast-path scatter_min on one worker's block range:
+    ``data`` is that slice and ``idx`` is local to it (bit-identical:
+    grouping and adjudication are per-target)."""
     if idx.size == 0:
         return 0
     targets, minima = group_minima_numpy(idx, vals)
@@ -159,11 +160,14 @@ def _worker_main(rank: int, nworkers: int, pipe, barrier) -> None:
                 lo, hi = _worker_range(rank, nworkers, size, block, tpn, nodes)
                 idx = scratch[("idx", _I8)][0][:n]
                 vals = scratch[("val", val_dtype)][0][:n]
-                mask = (idx >= lo) & (idx < hi)
-                if op == "scatter_min":
-                    changed = _apply_scatter_min(view, idx[mask], vals[mask])
-                else:
-                    changed = _apply_scatter_store_min(view, idx[mask], vals[mask])
+                mine = np.flatnonzero((idx >= lo) & (idx < hi))
+                # Owner-computes on the local block: indices relative to
+                # this worker's range, so the adjudication scratch is
+                # sized by the range, not by the whole array.
+                local_idx = idx.take(mine)
+                local_idx -= lo
+                apply = _apply_scatter_min if op == "scatter_min" else _apply_scatter_store_min
+                changed = apply(view[lo:hi], local_idx, vals.take(mine))
                 scratch[("res", _I8)][0][rank] = changed
             elif op == "gather":
                 _, key, n, out_dtype = cmd
@@ -421,7 +425,7 @@ class ShardedSession:
         key = self._request_key(arr, idx.size)
         if key is None:
             return None
-        vals64 = np.asarray(vals).astype(np.int64)
+        vals64 = np.asarray(vals).astype(np.int64, copy=False)
         n = int(idx.size)
         self._ensure_scratch("idx", np.dtype(np.int64), n)[:n] = idx
         self._ensure_scratch("val", vals64.dtype, n)[:n] = vals64

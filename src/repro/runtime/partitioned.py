@@ -17,7 +17,6 @@ import numpy as np
 
 from .. import kernels
 from ..errors import DistributionError
-from ..perf import arena
 from ..perf import state as perf_state
 from ..perf.derived import freeze, memoized
 
@@ -49,10 +48,24 @@ def even_offsets(total: int, parts: int) -> np.ndarray:
     return _even_offsets(int(total), int(parts))
 
 
+class _Layout:
+    """Vectors derived from one validated ``offsets`` object.  Computed
+    at most once, read-only, and shared by reference between every
+    :class:`PartitionedArray` built on that object (``with_data`` and
+    friends), so a round that wraps ten payloads in one partitioning
+    pays for one ``thread_ids`` vector, not ten."""
+
+    __slots__ = ("sizes", "tids")
+
+    def __init__(self, sizes: np.ndarray | None = None) -> None:
+        self.sizes = sizes
+        self.tids = None
+
+
 class PartitionedArray:
     """A flat array split into ``s`` contiguous per-thread segments."""
 
-    __slots__ = ("data", "offsets", "_tids")
+    __slots__ = ("data", "offsets", "_layout")
 
     def __init__(self, data: np.ndarray, offsets: np.ndarray) -> None:
         data = np.asarray(data)
@@ -64,11 +77,24 @@ class PartitionedArray:
                 f"offsets must start at 0 and end at len(data)={data.shape[0]}, got "
                 f"[{offsets[0]}, ..., {offsets[-1]}]"
             )
-        if np.any(np.diff(offsets) < 0):
+        sizes = np.diff(offsets)
+        if np.any(sizes < 0):
             raise DistributionError("offsets must be non-decreasing")
         self.data = data
         self.offsets = offsets
-        self._tids = None
+        self._layout = _Layout(freeze(sizes))
+
+    @classmethod
+    def _trusted(
+        cls, data: np.ndarray, offsets: np.ndarray, layout: _Layout
+    ) -> "PartitionedArray":
+        """An instance on offsets that are valid for ``data`` by
+        construction, so nothing is re-validated or re-derived."""
+        new = object.__new__(cls)
+        new.data = data
+        new.offsets = offsets
+        new._layout = layout
+        return new
 
     # -- constructors ---------------------------------------------------------
 
@@ -103,9 +129,9 @@ class PartitionedArray:
         if not perf_state.fast_engine_enabled():
             segs = [np.concatenate([a.segment(i), b.segment(i)]) for i in range(a.parts)]
             return cls.from_segments(segs)
-        # Interleaved scatter instead of a Python loop of per-segment
-        # concatenations; the placement itself is the active kernel
-        # backend's `concat_segments`.
+        # One output buffer filled once, instead of a concatenation per
+        # segment plus one over the results; the placement itself is
+        # the active kernel backend's `concat_segments`.
         offsets = np.zeros(a.parts + 1, dtype=np.int64)
         np.cumsum(a.sizes() + b.sizes(), out=offsets[1:])
         out = kernels.active_backend().concat_segments(
@@ -124,8 +150,12 @@ class PartitionedArray:
         return int(self.offsets[-1])
 
     def sizes(self) -> np.ndarray:
-        """Per-thread segment lengths."""
-        return np.diff(self.offsets)
+        """Per-thread segment lengths (read-only; shared with every
+        instance on the same offsets object)."""
+        layout = self._layout
+        if layout.sizes is None:
+            layout.sizes = freeze(np.diff(self.offsets))
+        return layout.sizes
 
     def segment(self, i: int) -> np.ndarray:
         """View of thread ``i``'s segment."""
@@ -141,15 +171,15 @@ class PartitionedArray:
         """For every flat position, the owning thread id.
 
         The partitioning is immutable, so the fast engine computes this
-        once per instance and returns the cached (read-only) vector.
+        once per offsets object and returns the cached (read-only)
+        vector to every instance that shares it.
         """
         if not perf_state.fast_engine_enabled():
             return np.repeat(np.arange(self.parts, dtype=np.int64), self.sizes())
-        if self._tids is None:
-            tids = np.repeat(np.arange(self.parts, dtype=np.int64), self.sizes())
-            tids.setflags(write=False)
-            self._tids = tids
-        return self._tids
+        layout = self._layout
+        if layout.tids is None:
+            layout.tids = freeze(np.repeat(np.arange(self.parts, dtype=np.int64), self.sizes()))
+        return layout.tids
 
     # -- transformations ---------------------------------------------------------
 
@@ -160,7 +190,24 @@ class PartitionedArray:
             raise DistributionError(
                 f"payload length {data.shape[0]} != partition total {self.total}"
             )
-        return PartitionedArray(data, self.offsets)
+        return self._trusted(data, self.offsets, self._layout)
+
+    def take_sorted(self, sel: np.ndarray) -> "PartitionedArray":
+        """Keep the flat positions listed in ``sel``, which must be
+        strictly ascending (``np.flatnonzero`` of a mask): the selection
+        behind :meth:`filter`, for callers that compact several payloads
+        with one mask and derive ``sel`` once.  Siblings of the result
+        are ``result.with_data(payload.take(sel))``."""
+        if perf_state.fast_engine_enabled():
+            # sel is ascending, so the kept count before each old
+            # boundary is a binary search.
+            offsets = np.searchsorted(sel, self.offsets)
+        else:
+            kept_per_thread = np.bincount(self.thread_ids()[sel], minlength=self.parts)
+            offsets = np.zeros(self.parts + 1, dtype=np.int64)
+            np.cumsum(kept_per_thread, out=offsets[1:])
+        # Either way the offsets are valid for the taken data by construction.
+        return self._trusted(self.data.take(sel), offsets, _Layout())
 
     def filter(self, mask: np.ndarray) -> "PartitionedArray":
         """Keep only positions where ``mask`` is True, compacting each
@@ -169,19 +216,7 @@ class PartitionedArray:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape[0] != self.total:
             raise DistributionError("mask length mismatch")
-        if perf_state.fast_engine_enabled():
-            # Per-thread kept counts straight from the mask's prefix
-            # sums (one cumsum instead of bincount over thread ids).
-            offsets = np.zeros(self.parts + 1, dtype=np.int64)
-            with arena.lease(self.total + 1, np.int64) as cum:
-                cum[0] = 0
-                np.cumsum(mask, out=cum[1:])
-                np.cumsum(cum[self.offsets[1:]] - cum[self.offsets[:-1]], out=offsets[1:])
-        else:
-            kept_per_thread = np.bincount(self.thread_ids()[mask], minlength=self.parts)
-            offsets = np.zeros(self.parts + 1, dtype=np.int64)
-            np.cumsum(kept_per_thread, out=offsets[1:])
-        return PartitionedArray(self.data[mask], offsets)
+        return self.take_sorted(np.flatnonzero(mask))
 
     def segment_sums(self, values: np.ndarray | None = None) -> np.ndarray:
         """Per-thread sum of ``values`` (or of the payload itself)."""
@@ -218,7 +253,9 @@ class PartitionedArray:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape[0] != self.total:
             raise DistributionError("mask length mismatch")
-        return np.bincount(self.thread_ids()[mask], minlength=self.parts)
+        # flatnonzero is ascending, so the count below each boundary is a
+        # binary search (no thread-id gather, no bincount).
+        return np.diff(np.searchsorted(np.flatnonzero(mask), self.offsets))
 
     def concat_payloads(self, others: Iterable["PartitionedArray"]) -> List[np.ndarray]:
         """Convenience for tests: materialize each thread's segment."""

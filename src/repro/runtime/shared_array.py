@@ -21,9 +21,24 @@ from .. import kernels
 from ..errors import DistributionError
 from ..perf import shard as perf_shard
 from ..perf import state as perf_state
+from ..perf.derived import freeze, memoized
 from .machine import MachineConfig
 
-__all__ = ["SharedArray"]
+__all__ = ["SharedArray", "out_of_range"]
+
+
+def out_of_range(indices: np.ndarray, bound: int) -> bool:
+    """True when any entry of the int64 vector ``indices`` falls outside
+    ``[0, bound)``.  One reduction catches both ends: through the
+    unsigned view a negative index reads as ``>= 2**63``."""
+    return bool(indices.size) and int(indices.view(np.uint64).max()) >= bound
+
+
+@memoized(maxsize=256, name="blocked_local_sizes")
+def _blocked_local_sizes(size: int, block: int, s: int) -> np.ndarray:
+    bounds = np.minimum(np.arange(s + 1, dtype=np.int64) * block, size)
+    bounds[-1] = size  # the last thread also owns whatever is past its block
+    return freeze(np.diff(bounds))
 
 
 class SharedArray:
@@ -69,10 +84,11 @@ class SharedArray:
 
     def owner_thread(self, indices: np.ndarray) -> np.ndarray:
         """Thread with affinity to each index (blocked layout)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        owners = idx // self.block
-        # Indices past the last full block belong to the last thread.
-        return np.minimum(owners, self.machine.total_threads - 1)
+        owners = np.floor_divide(np.asarray(indices, dtype=np.int64), self.block)
+        # Indices past the last full block belong to the last thread
+        # (clamped in place; a scalar index has no buffer to reuse).
+        out = owners if isinstance(owners, np.ndarray) else None
+        return np.minimum(owners, self.machine.total_threads - 1, out=out)
 
     def owner_node(self, indices: np.ndarray) -> np.ndarray:
         """Node hosting each index."""
@@ -95,12 +111,9 @@ class SharedArray:
         return self.data[lo:hi]
 
     def local_sizes(self) -> np.ndarray:
-        """Number of elements with affinity to each thread."""
-        s = self.machine.total_threads
-        ends = np.minimum((np.arange(s, dtype=np.int64) + 1) * self.block, self.size)
-        ends[-1] = self.size
-        starts = np.minimum(np.arange(s, dtype=np.int64) * self.block, self.size)
-        return np.maximum(ends - starts, 0)
+        """Number of elements with affinity to each thread (read-only:
+        a pure function of the geometry, memoized by it)."""
+        return _blocked_local_sizes(self.size, self.block, self.machine.total_threads)
 
     def node_working_set_bytes(self) -> float:
         """Bytes of this array resident on one node (the working set a
@@ -112,7 +125,7 @@ class SharedArray:
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Raw ``data[indices]``; bounds-checked."""
         idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.size):
+        if out_of_range(idx, self.size):
             raise DistributionError("shared array index out of range")
         if perf_state.fast_engine_enabled():
             session = perf_shard.current_session()
@@ -134,7 +147,7 @@ class SharedArray:
             raise DistributionError("indices/values shape mismatch")
         if idx.size == 0:
             return 0
-        if idx.min() < 0 or idx.max() >= self.size:
+        if out_of_range(idx, self.size):
             raise DistributionError("shared array index out of range")
         if perf_state.fast_engine_enabled():
             session = perf_shard.current_session()
@@ -170,7 +183,7 @@ class SharedArray:
             raise DistributionError("indices/values shape mismatch")
         if idx.size == 0:
             return 0
-        if idx.min() < 0 or idx.max() >= self.size:
+        if out_of_range(idx, self.size):
             raise DistributionError("shared array index out of range")
         if perf_state.fast_engine_enabled():
             session = perf_shard.current_session()
@@ -178,7 +191,9 @@ class SharedArray:
                 changed = session.try_scatter_store_min(self, idx, vals)
                 if changed is not None:
                     return changed
-            targets, minima = kernels.active_backend().group_minima(idx, vals.astype(np.int64))
+            targets, minima = kernels.active_backend().group_minima(
+                idx, vals.astype(np.int64, copy=False)
+            )
             # Match the sentinel path exactly: a proposal equal to the
             # sentinel is indistinguishable from "untouched" there.
             keep = minima != np.iinfo(np.int64).max
