@@ -33,9 +33,9 @@ WHITELIST_PARTS = (
     "repro/faults/",
     "repro/integrity/",
     # Wall-clock machinery: the arena, the memoized derived-artifact
-    # caches, the kernel backends, and the golden/bench harnesses operate
-    # on raw buffers by design and never produce charged time (the golden
-    # suite exists to prove exactly that).
+    # caches, the kernels, and the golden harness operate on raw buffers
+    # by design and never produce charged time (the golden suite exists
+    # to prove exactly that).
     "repro/perf/",
     "repro/kernels/",
 )

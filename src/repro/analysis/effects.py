@@ -52,7 +52,6 @@ _OWNERS = (
     "checkpoint",
     "resilience",
     "kernels",
-    "shard",
 )
 
 
@@ -104,10 +103,6 @@ def _res(**kw) -> Effect:
 
 def _kern(**kw) -> Effect:
     return Effect(owner="kernels", **kw)
-
-
-def _shard(**kw) -> Effect:
-    return Effect(owner="shard", **kw)
 
 
 #: name -> Effect.  Names are matched on the *last* component of a call
@@ -204,38 +199,15 @@ EFFECTS: dict[str, Effect] = {
     "on_loss": _res(charges=True, faultable=True),
     "recover_loss": _res(charges=True, comm=True, faultable=True, taints=True),
     # -- repro.kernels (wall-clock machinery: pure array->array functions
-    # on their arguments, bit-identical across backends; taint flows
-    # through arguments, nothing here touches the modeled clocks or the
-    # collective sequence) -------------------------------------------------
+    # on their arguments; taint flows through arguments, nothing here
+    # touches the modeled clocks or the collective sequence) --------------
     "active_backend": _kern(),
-    "available_backends": _kern(),
-    "backend_capabilities": _kern(),
     "backend_name": _kern(),
-    "calibrate_backends": _kern(),
-    "missing_reason": _kern(),
-    "recommend_backend": _kern(),
-    "resolve_backend": _kern(),
-    "set_backend": _kern(),
-    "use_backend": _kern(),
-    "available": _kern(),
     "group_minima": _kern(),
     "exchange_matrix": _kern(),
     "owner_distinct": _kern(),
     "segment_distinct": _kern(),
     "concat_segments": _kern(),
-    # -- repro.perf.shard (host-side shared-memory pool: the try_* ops are
-    # wall-clock replicas of SharedArray's raw primitives — the charged /
-    # raw_comm accounting stays on the SharedArray records above, which
-    # are the only entry points algorithm modules call) --------------------
-    "current_session": _shard(),
-    "sharded_session": _shard(),
-    "adopt": _shard(),
-    "covers": _shard(),
-    "try_gather": _shard(),
-    "try_scatter_min": _shard(),
-    "try_scatter_store_min": _shard(),
-    "shutdown": _shard(),
-    "stats": _shard(),
 }
 
 
@@ -270,8 +242,7 @@ def registry_drift() -> list[str]:
     import repro.kernels as kernels
     from repro.faults.checkpoint import RoundCheckpointer
     from repro.integrity.monitor import IntegrityMonitor, guard_payload  # noqa: F401
-    from repro.kernels.base import KernelBackend
-    from repro.perf.shard import ShardedSession
+    from repro.kernels.numpy_backend import NumpyKernels
     from repro.resilience.session import ResilientSession
     from repro.runtime.runtime import PGASRuntime
     from repro.runtime.shared_array import SharedArray
@@ -289,15 +260,13 @@ def registry_drift() -> list[str]:
             if callable(getattr(collectives, name))
             and not isinstance(getattr(collectives, name), type)
         },
-        "kernels": _public_routines(KernelBackend)
+        "kernels": _public_routines(NumpyKernels)
         | {
             name
             for name in kernels.__all__
             if callable(getattr(kernels, name))
             and not isinstance(getattr(kernels, name), type)
         },
-        "shard": _public_routines(ShardedSession)
-        | {"current_session", "sharded_session"},
     }
     for owner, live in surfaces.items():
         registered = {name for name, eff in EFFECTS.items() if eff.owner == owner}

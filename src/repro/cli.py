@@ -11,8 +11,6 @@ Commands
 ``tune``      run the autotuner and print its predicted-vs-measured table
 ``soak``      composed chaos campaign: silent corruption + fail-stop faults,
               every result networkx-verified, report in ``BENCH_soak.json``
-``perf``      wall-clock benchmark of the fast engine vs the legacy engine
-              (bit-identical modeled time), report in ``BENCH_wallclock.json``
 ``serve``     run the multi-tenant graph-analytics service (JSON over HTTP:
               admission control, quotas, deadlines, circuit breakers,
               graceful degradation, crash-safe job journal)
@@ -150,43 +148,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--analyze",
         action="store_true",
         help="run the epoch race detector on this solve (exit 3 if races found)",
-    )
-    _add_backend(parser)
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend for the fast engine's hot loops:"
-        " numpy|numba|scipy|auto (default: $REPRO_PERF_BACKEND or numpy;"
-        " an installed-but-missing backend falls back to numpy with a"
-        " warning, an unknown name exits 2; results are bit-identical"
-        " across backends)",
-    )
-
-
-def _shard_session(args: argparse.Namespace):
-    """The ``--shard-workers`` context: a live ShardedSession (>= 2
-    workers), or a null context yielding ``None``."""
-    workers = getattr(args, "shard_workers", None)
-    if workers is None:
-        return contextlib.nullcontext(None)
-    from .perf.fanout import resolve_workers
-    from .perf.shard import sharded_session
-
-    return sharded_session(resolve_workers(workers, source="--shard-workers"))
-
-
-def _print_shard_stats(shard_sess) -> None:
-    if shard_sess is None:
-        return
-    st = shard_sess.stats()
-    note = f" ({st['note']})" if st["note"] else ""
-    print(
-        f"sharding: {st['requested_workers']} worker(s),"
-        f" {st['adopted_arrays']} shm-backed array(s),"
-        f" {st['pool_ops']} pooled op(s){note}"
     )
 
 
@@ -348,14 +309,13 @@ def _cmd_cc(args: argparse.Namespace) -> int:
     machine = _parse_machine(args.machine, args.n, not args.no_calibrate)
     opts = _parse_opts(args.opts, args.hierarchical)
     print(banner(f"connected components — {args.kind} n={g.n:,} m={g.m:,}"))
-    with _shard_session(args) as shard_sess, _maybe_analyzed(args) as session:
+    with _maybe_analyzed(args) as session:
         res = connected_components(
             g, machine, impl=args.impl, opts=opts, tprime=args.tprime, validate=args.validate,
             faults=_fault_plan(args, machine), graph_kind=args.kind,
             integrity=True if args.integrity else None,
             resilience=_resilience_config(args),
         )
-    _print_shard_stats(shard_sess)
     print(f"\ncomponents: {res.num_components}")
     _print_info(res.info)
     return _sanitizer_exit(session)
@@ -366,14 +326,13 @@ def _cmd_mst(args: argparse.Namespace) -> int:
     machine = _parse_machine(args.machine, args.n, not args.no_calibrate)
     opts = _parse_opts(args.opts, args.hierarchical)
     print(banner(f"minimum spanning forest — {args.kind} n={g.n:,} m={g.m:,}"))
-    with _shard_session(args) as shard_sess, _maybe_analyzed(args) as session:
+    with _maybe_analyzed(args) as session:
         res = minimum_spanning_forest(
             g, machine, impl=args.impl, opts=opts, tprime=args.tprime, validate=args.validate,
             faults=_fault_plan(args, machine), graph_kind=args.kind,
             integrity=True if args.integrity else None,
             resilience=_resilience_config(args),
         )
-    _print_shard_stats(shard_sess)
     print(f"\nforest: {res.num_edges:,} edges, total weight {res.total_weight:,}")
     _print_info(res.info)
     return _sanitizer_exit(session)
@@ -598,46 +557,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from .perf.bench import check_against_baseline, run_wallclock_bench
-
-    print(banner(f"wall-clock bench — scale={args.scale:g} repeats={args.repeats}"))
-    payload = run_wallclock_bench(
-        out_dir=args.out_dir, scale=args.scale, repeats=args.repeats, workers=args.workers
-    )
-    serial = payload["serial"]
-    fan = payload["fanout"]
-    print(f"\ncpus    : {payload['cpus']}")
-    print(f"serial  : fast {serial['fast_seconds']:.3f}s vs legacy"
-          f" {serial['legacy_seconds']:.3f}s -> {serial['speedup']:.2f}x")
-    print(f"fanout  : {fan['serial']['iterations_per_second']:.2f} it/s serial vs"
-          f" {fan['parallel']['iterations_per_second']:.2f} it/s with"
-          f" {fan['parallel']['workers']} worker(s) -> {fan['throughput_speedup']:.2f}x")
-    if "note" in fan["parallel"]:
-        print(f"note    : {fan['parallel']['note']}")
-    print(f"report  : {payload['path']}")
-    failed = False
-    if args.min_speedup is not None and serial["speedup"] < args.min_speedup:
-        print(
-            f"\nFAIL: serial speedup {serial['speedup']:.2f}x below"
-            f" required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if args.baseline is not None:
-        import json
-        from pathlib import Path
-
-        baseline = json.loads(Path(args.baseline).read_text())
-        message = check_against_baseline(payload, baseline)
-        if message is not None:
-            print(f"\nFAIL: {message}", file=sys.stderr)
-            failed = True
-        else:
-            print(f"baseline: within tolerance of {args.baseline}")
-    return 5 if failed else 0
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     from .tuning import PlanCache, Workload, calibrate_profile
 
@@ -660,35 +579,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     profile = calibrate_profile(calibrated)
     for line in profile.summary_lines():
         print(line)
-
-    from . import kernels
-
-    print(banner("kernel backends"))
-    rows = []
-    for cap in kernels.backend_capabilities():
-        rows.append(
-            [
-                cap["backend"],
-                "yes" if cap["available"] else f"no — {cap['reason']}",
-                cap["requires"] or "-",
-                ", ".join(cap["native_ops"]),
-            ]
-        )
-    print(format_table(["backend", "available", "requires", "native ops"], rows))
-    rows = []
-    for rec in kernels.calibrate_backends(repeats=2, scale=0.25):
-        if rec["seconds"] is None:
-            rows.append([rec["backend"], "-", "-"])
-        else:
-            rows.append(
-                [
-                    rec["backend"],
-                    f"{rec['seconds'] * 1e3:.2f}",
-                    f"{rec.get('speedup_vs_numpy', 1.0):.2f}x",
-                ]
-            )
-    print(format_table(["backend", "probe ms", "vs numpy"], rows))
-    print(f"recommended: {kernels.recommend_backend()} (active: {kernels.backend_name()})")
 
     cache = PlanCache()
     print(f"\ntuning-plan cache: {cache.path} ({len(cache)} plan(s))")
@@ -745,23 +635,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     print(_plan_table(plan))
     sel = plan.selected
     print(f"\nselected: {sel.config_label()} ({sel.best_ms:.3f} ms modeled at n={args.n:,})")
-
-    # The kernel backend is the plan's wall-clock dimension: calibrated
-    # per host, reported next to the plan, but never cached inside it
-    # (TuningPlan files are byte-deterministic; wall-clock probes are
-    # not — see docs/performance.md).
-    from . import kernels
-
-    print("\nkernel-backend calibration (wall-clock; not part of the cached plan):")
-    for rec in kernels.calibrate_backends(repeats=2, scale=0.5):
-        if rec["seconds"] is None:
-            print(f"  {rec['backend']:<6} unavailable — {rec['reason']}")
-        else:
-            print(
-                f"  {rec['backend']:<6} {rec['seconds'] * 1e3:8.2f} ms"
-                f"  ({rec.get('speedup_vs_numpy', 1.0):.2f}x vs numpy)"
-            )
-    print(f"  recommended: {kernels.recommend_backend()} (active: {kernels.backend_name()})")
 
     # Demonstrate the pick against the paper's default on the real input.
     g = _build_graph(args, weighted=args.algo == "mst")
@@ -853,25 +726,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc = sub.add_parser("cc", help="connected components")
     _add_common(p_cc)
     p_cc.add_argument("--impl", choices=CC_IMPLS, default="collective")
-    p_cc.add_argument(
-        "--shard-workers",
-        default=None,
-        help="intra-run sharding: back owner blocks with shared memory and"
-        " spread this solve's scatter/gather phases over N worker"
-        " processes ('auto' = one per CPU); results are bit-identical",
-    )
     p_cc.set_defaults(func=_cmd_cc)
 
     p_mst = sub.add_parser("mst", help="minimum spanning forest")
     _add_common(p_mst)
     p_mst.add_argument("--impl", choices=MST_IMPLS, default="collective")
-    p_mst.add_argument(
-        "--shard-workers",
-        default=None,
-        help="intra-run sharding: back owner blocks with shared memory and"
-        " spread this solve's scatter/gather phases over N worker"
-        " processes ('auto' = one per CPU); results are bit-identical",
-    )
     p_mst.set_defaults(func=_cmd_mst)
 
     p_bfs = sub.add_parser("bfs", help="breadth-first search")
@@ -950,7 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="16x8",
         help="cluster shape NODESxTHREADS (e.g. 16x8), 'smp' (1x16) or 'seq'",
     )
-    _add_backend(p_info)
     p_info.set_defaults(func=_cmd_info)
 
     p_tune = sub.add_parser(
@@ -966,27 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool workers for probe solves: an int or 'auto' (default: serial)",
     )
     p_tune.set_defaults(func=_cmd_tune)
-
-    p_perf = sub.add_parser(
-        "perf", help="wall-clock bench: fast vs legacy engine, fan-out throughput"
-    )
-    _add_backend(p_perf)
-    p_perf.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
-    p_perf.add_argument("--repeats", type=int, default=2, help="best-of-N timing repeats")
-    p_perf.add_argument(
-        "--workers", default=None,
-        help="fan-out workers for the soak-throughput leg: int or 'auto' (default: auto)",
-    )
-    p_perf.add_argument("--out-dir", default=None, help="directory for BENCH_wallclock.json")
-    p_perf.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="fail (exit 5) when the serial fast-vs-legacy speedup is below this",
-    )
-    p_perf.add_argument(
-        "--baseline", default=None,
-        help="previous BENCH_wallclock.json to gate against (>25%% slower fails, exit 5)",
-    )
-    p_perf.set_defaults(func=_cmd_perf)
 
     p_serve = sub.add_parser(
         "serve", help="run the multi-tenant graph-analytics service (JSON over HTTP)"
@@ -1080,12 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "backend", None):
-            # Resolve eagerly so a typo exits 2 before any work and an
-            # unavailable backend warns exactly once, up front.
-            from . import kernels
-
-            kernels.set_backend(args.backend, source="--backend")
         return args.func(args)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .. import kernels
 from ..errors import CollectiveError
-from ..perf import state as perf_state
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
 from ..runtime.shared_array import out_of_range
@@ -42,14 +41,7 @@ def send_matrix(
         return np.zeros((s, s), dtype=np.int64)
     if out_of_range(owners, s) or out_of_range(requesters, s):
         raise CollectiveError("thread id out of range in send matrix")
-    if perf_state.fast_engine_enabled():
-        # Pair-count packing is the active kernel backend's
-        # `exchange_matrix` (fused requester-major keys + bincount on
-        # numpy, a compiled counting loop on numba, a COO coincidence
-        # matrix on scipy).
-        return kernels.active_backend().exchange_matrix(requesters, owners, s)
-    keys = owners * np.int64(s) + requesters
-    return np.bincount(keys, minlength=s * s).reshape(s, s)
+    return kernels.active_backend().exchange_matrix(requesters, owners, s)
 
 
 def position_matrix(smatrix: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from .. import kernels
 from ..core.optimizations import OptimizationFlags
 from ..errors import CollectiveError
 from ..integrity.monitor import guard_payload
-from ..perf import state as perf_state
 from ..perf.derived import freeze, memoized
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
@@ -198,14 +197,7 @@ def owner_distinct_counts(array: SharedArray, indices: np.ndarray, s: int) -> np
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return np.zeros(s, dtype=np.int64)
-    if perf_state.fast_engine_enabled():
-        # Distinct-per-owner counting is the active kernel backend's
-        # `owner_distinct` (presence mask + per-row counts on numpy, a
-        # compiled scan on numba, indicator-CSR row nnz on scipy) —
-        # always cheaper than sorting the much larger request vector.
-        return kernels.active_backend().owner_distinct(idx, array.size, array.block, s)
-    uniq = np.unique(idx)
-    return np.bincount(array.owner_thread(uniq), minlength=s)
+    return kernels.active_backend().owner_distinct(idx, array.size, array.block, s)
 
 
 def charge_shared_memory_serve(

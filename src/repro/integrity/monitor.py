@@ -37,7 +37,6 @@ import numpy as np
 
 from ..errors import IntegrityError
 from ..perf import arena
-from ..perf import state as perf_state
 from ..runtime.trace import Category
 from .config import IntegrityConfig
 from .invariants import (
@@ -136,14 +135,11 @@ class IntegrityMonitor:
         damaged = []
         for arr, shadow in self._tracked.values():
             self._charge_digest(arr.local_sizes(), arr.nbytes_per_elem)
-            if perf_state.fast_engine_enabled():
-                # Digest verification runs at every barrier; compare into
-                # a pooled buffer instead of allocating a fresh mask.
-                with arena.lease(arr.data.shape[0], np.bool_) as diff:
-                    np.not_equal(arr.data, shadow, out=diff)
-                    bad = int(np.count_nonzero(diff))
-            else:
-                bad = int(np.count_nonzero(arr.data != shadow))
+            # Digest verification runs at every barrier; compare into
+            # a pooled buffer instead of allocating a fresh mask.
+            with arena.lease(arr.data.shape[0], np.bool_) as diff:
+                np.not_equal(arr.data, shadow, out=diff)
+                bad = int(np.count_nonzero(diff))
             if bad:
                 detected += bad
                 damaged.append(f"{arr.name or 'array'}:{bad}")

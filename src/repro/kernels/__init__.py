@@ -1,278 +1,38 @@
-"""Pluggable kernel backends for the fast engine's hot loops.
+"""The kernel ops under the collective data plane.
 
-DART-MPI layers a PGAS runtime over an interchangeable host transport;
-this package is the same split one level down: the algorithm-facing
-runtime (``SharedArray``, the collectives) stays put, while the compute
-kernels underneath it — grouped minima, exchange-matrix packing,
-distinct counts — dispatch to an interchangeable backend:
-
-``numpy``
-    the PR 5 vectorized baseline, always available, the reference;
-``numba``
-    ``@njit`` scalar loops (optional — falls back when not installed);
-``scipy``
-    sparse-matrix formulations of the collective exchanges.
-
-Selection is process-global: ``REPRO_PERF_BACKEND`` in the environment
-(resolved lazily on first use) or ``--backend`` on every CLI command
-(resolved eagerly, so a typo exits 2 before any work).  Unknown names
-raise :class:`~repro.errors.UsageError`; a *known but unavailable*
-backend (numba/scipy not importable) falls back to ``numpy`` with a
-one-line stderr warning — never a crash.  ``auto`` picks the fastest
-available backend by wall-clock micro-probe (:func:`recommend_backend`).
-
-Every backend is bound by the golden bit-identity contract
-(:mod:`repro.perf.golden`): modeled times, counters, and result bytes
-must match the baseline exactly.  Backends therefore never feed the
-cost model — they are wall-clock machinery, like the rest of
-:mod:`repro.perf`, and the choice of backend is invisible to everything
-the simulation reports except the time it takes to report it.
+Five array primitives dominate the simulator's wall-clock profile —
+grouped minima for the CRCW scatters, the pair-count SMatrix of the
+all-to-all setup, presence-mask distinct counts for the cost model's
+cold-miss bounds, and the per-thread payload interleave.
+:class:`~repro.kernels.numpy_backend.NumpyKernels` implements them;
+``SharedArray``, ``PartitionedArray`` and the collectives reach them
+through :func:`active_backend`.  They are wall-clock machinery, like
+the rest of :mod:`repro.perf`: pure compute on plain arrays that never
+feeds the cost model, pinned by ``tests/golden/fingerprints.json``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-import sys
-import time
+from .numpy_backend import NumpyKernels
 
-import numpy as np
+__all__ = ["KERNEL_OPS", "active_backend", "backend_name"]
 
-from ..errors import UsageError
-from . import state as _state
-from .base import KERNEL_OPS, KernelBackend
+KERNEL_OPS = (
+    "group_minima",
+    "exchange_matrix",
+    "owner_distinct",
+    "segment_distinct",
+    "concat_segments",
+)
 
-__all__ = [
-    "KERNEL_OPS",
-    "KernelBackend",
-    "active_backend",
-    "available_backends",
-    "backend_capabilities",
-    "backend_name",
-    "calibrate_backends",
-    "missing_reason",
-    "recommend_backend",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
-]
-
-#: Registry: backend name -> (module, class) loaded on first use, so
-#: importing this package never imports numba/scipy.
-_REGISTRY = {
-    "numpy": (".numpy_backend", "NumpyKernels"),
-    "numba": (".numba_backend", "NumbaKernels"),
-    "scipy": (".scipy_backend", "ScipyKernels"),
-}
-BACKENDS = tuple(_REGISTRY)
-
-_instances: "dict[str, KernelBackend]" = {}
-_warned: "set[str]" = set()
-_recommended: "str | None" = None
+_KERNELS = NumpyKernels()
 
 
-def _load(name: str) -> KernelBackend:
-    backend = _instances.get(name)
-    if backend is None:
-        import importlib
-
-        module, cls = _REGISTRY[name]
-        backend = getattr(importlib.import_module(module, __package__), cls)()
-        _instances[name] = backend
-    return backend
-
-
-def _warn_once(message: str) -> None:
-    if message not in _warned:
-        _warned.add(message)
-        sys.stderr.write(f"repro: {message}\n")
-
-
-def missing_reason(name: str) -> "str | None":
-    """Why backend ``name`` cannot run on this host (``None`` = it can)."""
-    if name not in _REGISTRY:
-        raise UsageError(f"unknown kernel backend {name!r}")
-    module, cls = _REGISTRY[name]
-    import importlib
-
-    return getattr(importlib.import_module(module, __package__), cls).missing_reason()
-
-
-def available_backends() -> tuple:
-    """Backend names importable on this host (always includes numpy)."""
-    return tuple(n for n in BACKENDS if missing_reason(n) is None)
-
-
-def resolve_backend(value, source: "str | None" = None) -> str:
-    """Normalize a backend selection to a concrete available name.
-
-    Mirrors the strictness contract of
-    :func:`repro.perf.fanout.resolve_workers`: ``None``/empty means the
-    default (``numpy``), ``auto`` means the probe-measured
-    recommendation, an unknown name raises
-    :class:`~repro.errors.UsageError` naming ``source`` (the flag or
-    environment variable it came from, so the error says where to fix
-    it), and a known-but-unavailable backend returns ``numpy`` after a
-    one-line stderr warning with the skip reason.
-    """
-    if value is None:
-        return "numpy"
-    where = f" (from {source})" if source else ""
-    text = str(value).strip().lower()
-    if not text:
-        return "numpy"
-    if text == "auto":
-        return recommend_backend()
-    if text not in _REGISTRY:
-        choices = "|".join(BACKENDS)
-        raise UsageError(
-            f"unknown kernel backend {text!r}{where}: use {choices} or 'auto'"
-        )
-    reason = missing_reason(text)
-    if reason is not None:
-        _warn_once(
-            f"kernel backend '{text}' skipped — {reason}; falling back to 'numpy'"
-        )
-        return "numpy"
-    return text
+def active_backend() -> NumpyKernels:
+    """The instance whose methods are the five :data:`KERNEL_OPS`."""
+    return _KERNELS
 
 
 def backend_name() -> str:
-    """The active backend's name, resolving ``REPRO_PERF_BACKEND`` on
-    first use (lazy, so library imports never pay a probe or a crash —
-    the CLI resolves eagerly instead)."""
-    name = _state.current_name()
-    if name is None:
-        env = os.environ.get("REPRO_PERF_BACKEND", "")
-        name = resolve_backend(env, source="REPRO_PERF_BACKEND")
-        _state.set_current(name)
-    return name
-
-
-def active_backend() -> KernelBackend:
-    """The active :class:`KernelBackend` instance."""
-    return _load(backend_name())
-
-
-def set_backend(value, source: "str | None" = None) -> str:
-    """Install a backend selection process-wide (validated immediately);
-    returns the previous effective name."""
-    previous = _state.current_name() or "numpy"
-    _state.set_current(resolve_backend(value, source=source))
-    return previous
-
-
-@contextlib.contextmanager
-def use_backend(value, source: "str | None" = None):
-    """Run the body under a specific backend, restoring the previous
-    selection (including "unresolved") on exit.  Used by the golden
-    cross-backend suite and the kernel benchmark."""
-    previous = _state.current_name()
-    _state.set_current(resolve_backend(value, source=source))
-    try:
-        yield active_backend()
-    finally:
-        _state.set_current(previous)
-
-
-def backend_capabilities() -> tuple:
-    """One record per registered backend: availability, the optional
-    package it needs, and which ops are native vs delegated to the
-    NumPy baseline.  Rendered by ``repro info`` and the docs table."""
-    records = []
-    for name in BACKENDS:
-        module, cls = _REGISTRY[name]
-        import importlib
-
-        kind = getattr(importlib.import_module(module, __package__), cls)
-        reason = kind.missing_reason()
-        records.append(
-            {
-                "backend": name,
-                "available": reason is None,
-                "reason": reason,
-                "requires": kind.requires,
-                "native_ops": tuple(kind.native_ops),
-                "delegated_ops": tuple(
-                    op for op in KERNEL_OPS if op not in kind.native_ops
-                ),
-            }
-        )
-    return tuple(records)
-
-
-def _probe_workload(backend: KernelBackend, scale: float) -> None:
-    """One pass of every kernel op on synthetic data shaped like a
-    mid-size solve round (seeded — identical inputs for every backend)."""
-    rng = np.random.default_rng(12345)
-    n = max(1024, int(200_000 * scale))
-    size = max(256, int(50_000 * scale))
-    s = 64
-    block = -(-size // s)
-    idx = rng.integers(0, size, size=n, dtype=np.int64)
-    vals = rng.integers(0, size, size=n, dtype=np.int64)
-    tids = np.sort(rng.integers(0, s, size=n, dtype=np.int64))
-    owners = np.minimum(idx // block, s - 1)
-    backend.group_minima(idx, vals)
-    backend.exchange_matrix(tids, owners, s)
-    backend.owner_distinct(idx, size, block, s)
-    vrange = int(vals.max()) + 1
-    backend.segment_distinct(tids, vals, s, 0, vrange)
-
-
-def calibrate_backends(repeats: int = 3, scale: float = 1.0) -> tuple:
-    """Wall-clock micro-probe of every backend on this host.
-
-    Returns one record per backend: availability, best-of-``repeats``
-    seconds for the fused kernel workload, and the speedup over the
-    NumPy baseline.  **Wall-clock, not modeled**: the numbers vary by
-    host and must never enter a :class:`~repro.tuning.TuningPlan` (the
-    PlanCache is byte-deterministic); the tuner reports them alongside
-    the plan instead, and ``auto`` selection consumes them via
-    :func:`recommend_backend`.
-    """
-    records = []
-    baseline = None
-    for name in BACKENDS:
-        reason = missing_reason(name)
-        if reason is not None:
-            records.append(
-                {"backend": name, "available": False, "reason": reason, "seconds": None}
-            )
-            continue
-        backend = _load(name)
-        _probe_workload(backend, scale)  # warm: JIT compile, pool scratch
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            _probe_workload(backend, scale)
-            best = min(best, time.perf_counter() - start)
-        record = {"backend": name, "available": True, "reason": None, "seconds": best}
-        if name == "numpy":
-            baseline = best
-        records.append(record)
-    for record in records:
-        if record["seconds"] is not None and baseline:
-            record["speedup_vs_numpy"] = baseline / record["seconds"]
-    return tuple(records)
-
-
-def recommend_backend(repeats: int = 2, scale: float = 0.25) -> str:
-    """The fastest available backend by micro-probe (cached per process).
-
-    This is what ``--backend auto`` resolves to.  With only the NumPy
-    baseline importable the probe is skipped entirely.
-    """
-    global _recommended
-    if _recommended is None:
-        names = available_backends()
-        if len(names) == 1:
-            _recommended = names[0]
-        else:
-            timed = [
-                r
-                for r in calibrate_backends(repeats=repeats, scale=scale)
-                if r["seconds"] is not None
-            ]
-            _recommended = min(timed, key=lambda r: r["seconds"])["backend"]
-    return _recommended
+    """Name of the (only) kernel implementation, for host records."""
+    return "numpy"

@@ -1,14 +1,20 @@
-"""The NumPy baseline backend: the fast engine's hot loops, sort-free.
+"""The NumPy kernels: the data plane's hot loops, sort-free.
 
-This is the reference implementation every other backend is compared
-against (and falls back to, per-op, for anything outside its
-``native_ops``).  Each op makes the fewest passes over its request
-vector that plain NumPy allows: CRCW adjudication is a presence mask
-plus a streaming ``np.minimum.at`` into pooled scratch (the paper's
-owner-side min-reduction; no sort), the pair-count SMatrix is one fused
+Each op makes the fewest passes over its request vector that plain
+NumPy allows: CRCW adjudication is a presence mask plus a streaming
+``np.minimum.at`` into pooled scratch (the paper's owner-side
+min-reduction; no sort), the pair-count SMatrix is one fused
 requester-major key pass through the pooled arena, distinct counts are
 presence masks, and the per-thread interleave is one ``concatenate`` of
 segment views.
+
+The ops traffic in plain arrays and scalars, never in
+:class:`~repro.runtime.shared_array.SharedArray` or
+:class:`~repro.runtime.partitioned.PartitionedArray` objects: argument
+validation and cost accounting stay at the call sites.  Each has an
+op-level reference (``np.minimum.at``, a histogram, ``np.unique`` per
+block, a per-segment loop) in ``tests/test_kernels.py`` and
+``tests/test_data_plane.py``.
 """
 
 from __future__ import annotations
@@ -16,50 +22,45 @@ from __future__ import annotations
 import numpy as np
 
 from ..perf import arena
-from .base import KERNEL_OPS, KernelBackend
 
-__all__ = ["NumpyKernels", "group_minima_numpy"]
-
-
-def group_minima_numpy(idx: np.ndarray, vals: np.ndarray):
-    """Adjudicate duplicate targets without sorting: returns ``(targets,
-    minima)`` with ``targets`` the ascending unique indices and
-    ``minima`` the minimum value proposed for each — ``np.minimum.at``
-    streamed into a proposal buffer over ``[0, idx.max()]`` (``idx`` is
-    non-negative: callers bounds-check against their array).  Targets
-    come from a presence mask, never from a sentinel, so a proposal
-    equal to the dtype's maximum survives.  Module-level so the sharding
-    workers can call it, on indices local to their node range, without
-    instantiating a backend."""
-    if idx.size == 0:
-        return idx[:0], vals[:0]
-    span = int(idx.max()) + 1
-    with arena.lease(span, np.bool_, clear=True) as present:
-        present[idx] = True
-        targets = np.flatnonzero(present)
-    with arena.lease(span, vals.dtype) as best:
-        if vals.dtype.kind in "iu":
-            best[targets] = np.iinfo(vals.dtype).max
-        else:
-            # Any proposal is a valid start; NaN still propagates, since
-            # minimum.at sees every proposal of the group.
-            best[idx] = vals
-        with np.errstate(invalid="ignore"):  # minimum.at flags a NaN proposal; np.minimum does not
-            np.minimum.at(best, idx, vals)
-        return targets, best[targets]
+__all__ = ["NumpyKernels"]
 
 
-class NumpyKernels(KernelBackend):
-    """Pure-NumPy kernels — always available, the bit-identity reference."""
+class NumpyKernels:
+    """The five kernel ops (:data:`repro.kernels.KERNEL_OPS`)."""
 
-    name = "numpy"
-    requires = None
-    native_ops = KERNEL_OPS
+    def group_minima(self, idx: np.ndarray, vals: np.ndarray):
+        """Min-reduce duplicate scatter targets without sorting.
 
-    def group_minima(self, idx, vals):
-        return group_minima_numpy(idx, vals)
+        Returns ``(targets, minima)``: ascending unique target indices
+        and the minimum value proposed for each — the adjudication core
+        of ``SharedArray.scatter_min`` / ``scatter_store_min``.
+        ``np.minimum.at`` is streamed into a proposal buffer over
+        ``[0, idx.max()]`` (``idx`` is non-negative int64: callers
+        bounds-check it against their array).  Targets come from a
+        presence mask, never from a sentinel, so a proposal equal to
+        the dtype's maximum survives.
+        """
+        if idx.size == 0:
+            return idx[:0], vals[:0]
+        span = int(idx.max()) + 1
+        with arena.lease(span, np.bool_, clear=True) as present:
+            present[idx] = True
+            targets = np.flatnonzero(present)
+        with arena.lease(span, vals.dtype) as best:
+            if vals.dtype.kind in "iu":
+                best[targets] = np.iinfo(vals.dtype).max
+            else:
+                # Any proposal is a valid start; NaN still propagates, since
+                # minimum.at sees every proposal of the group.
+                best[idx] = vals
+            with np.errstate(invalid="ignore"):  # minimum.at flags a NaN proposal; np.minimum does not
+                np.minimum.at(best, idx, vals)
+            return targets, best[targets]
 
-    def exchange_matrix(self, requesters, owners, s):
+    def exchange_matrix(self, requesters: np.ndarray, owners: np.ndarray, s: int) -> np.ndarray:
+        """The ``(s, s)`` SMatrix: counts of (owner, requester) pairs in
+        a request vector (``collectives.alltoall.send_matrix`` core)."""
         # Fused key build into pooled scratch (this runs once per
         # collective call on a vector the size of the request buffer).
         # Keys are requester-major: a partition's requesters are sorted,
@@ -71,7 +72,10 @@ class NumpyKernels(KernelBackend):
             by_requester = np.bincount(keys, minlength=s * s).reshape(s, s)
         return np.ascontiguousarray(by_requester.T)
 
-    def owner_distinct(self, idx, size, block, s):
+    def owner_distinct(self, idx: np.ndarray, size: int, block: int, s: int) -> np.ndarray:
+        """Distinct requested indices per owning thread of a blocked
+        shared array (``collectives.getd.owner_distinct_counts`` core).
+        ``idx`` is already validated to ``[0, size)``."""
         # Presence mask over the blocked layout instead of sorting the
         # (much larger) request vector with np.unique: the distinct
         # count for thread t is the number of marked slots in its
@@ -94,7 +98,13 @@ class NumpyKernels(KernelBackend):
                 ends[-1] = size
                 return cum[ends] - cum[starts]
 
-    def segment_distinct(self, tids, vals, parts, vmin, vrange):
+    def segment_distinct(
+        self, tids: np.ndarray, vals: np.ndarray, parts: int, vmin: int, vrange: int
+    ) -> np.ndarray:
+        """Distinct values per segment of a partitioned array
+        (``PartitionedArray.segment_distinct`` core).  Only called when
+        ``parts * vrange`` fits the presence-mask slot cap; ``vals`` is
+        int64 with values in ``[vmin, vmin + vrange)``."""
         # Presence mask instead of sorting: mark each (thread, value)
         # slot, then count marks per thread row.
         with arena.lease(parts * vrange, np.int8, clear=True) as present:
@@ -102,7 +112,17 @@ class NumpyKernels(KernelBackend):
             present[key] = 1
             return present.reshape(parts, vrange).sum(axis=1, dtype=np.int64)
 
-    def concat_segments(self, a_data, a_offsets, b_data, b_offsets, offsets):
+    def concat_segments(
+        self,
+        a_data: np.ndarray,
+        a_offsets: np.ndarray,
+        b_data: np.ndarray,
+        b_offsets: np.ndarray,
+        offsets: np.ndarray,
+    ) -> np.ndarray:
+        """Interleave two partitioned payloads segment-by-segment into
+        one flat array laid out by ``offsets``
+        (``PartitionedArray.concat_pairwise`` core)."""
         # One concatenate over the 2s segment views, in output order: a
         # block copy per segment instead of per-element index arithmetic
         # and two fancy scatters.

@@ -2,26 +2,22 @@
 
 Everything in this package makes the *simulator* faster while leaving
 the *simulation* untouched: modeled times, category breakdowns,
-counters, and algorithm results are bit-identical with the package's
-optimizations on or off (see :mod:`repro.perf.golden` for the enforced
-contract and ``docs/performance.md`` for the inventory).
+counters, and algorithm results are pinned bit-for-bit by
+``tests/golden/fingerprints.json`` (see :mod:`repro.perf.golden` for
+the contract and ``docs/performance.md`` for the inventory).
 
-* :mod:`~repro.perf.state` — the fast/legacy engine switch;
 * :mod:`~repro.perf.arena` — pooled scratch buffers for hot loops;
 * :mod:`~repro.perf.derived` — memoized pure derived artifacts
   (schedules, level splits, t' grids, distribution offsets);
 * :mod:`~repro.perf.fanout` — deterministic process-pool fan-out for
   soak iterations, tuner probes, and benchmark grids;
-* :mod:`~repro.perf.golden` — pinned-scenario fingerprints for the
-  bit-identity regression suite;
-* :mod:`~repro.perf.bench` — the ``BENCH_wallclock.json`` harness
-  behind ``python -m repro perf``.
+* :mod:`~repro.perf.golden` — pinned-scenario fingerprints and the
+  writer of the golden file.
 """
 
 from .arena import BufferArena, global_arena
 from .derived import clear_derived_caches, derived_cache_stats
 from .fanout import available_cpus, fanout_map, resolve_workers
-from .state import fast_engine_enabled, legacy_engine, set_fast_engine
 
 __all__ = [
     "BufferArena",
@@ -31,7 +27,4 @@ __all__ = [
     "available_cpus",
     "fanout_map",
     "resolve_workers",
-    "fast_engine_enabled",
-    "legacy_engine",
-    "set_fast_engine",
 ]

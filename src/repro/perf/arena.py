@@ -4,21 +4,14 @@ The collectives and the integrity monitor burn a surprising share of
 their wall time in the NumPy allocator: every round re-creates the same
 presence masks, cumulative-sum scratch, and key buffers, page-faults
 them in, and throws them away.  :class:`BufferArena` keeps those arrays
-alive across rounds, keyed by ``(backend, dtype, size-class)`` — the
-size class is the next power of two, so a request for 80 001 elements
-reuses the buffer leased for 70 000 a round earlier.  The backend
-component is the active kernel backend (:mod:`repro.kernels`): backends
-own their scratch pools outright, so a mid-process backend switch (the
-golden cross-backend suite does this constantly) can never be served a
-buffer shaped by another backend's take/give pattern — the stale-dtype
-reuse bug class is keyed away rather than policed.
+alive across rounds, keyed by ``(dtype, size-class)`` — the size class
+is the next power of two, so a request for 80 001 elements reuses the
+buffer leased for 70 000 a round earlier.
 
 Strictly wall-clock machinery: leased buffers never hold modeled state,
 never feed the cost model, and every user overwrites the slice it takes
-(or asks for ``clear=True``), so modeled times and results are
-bit-identical with the arena on or off.  With the legacy engine active
-(:mod:`repro.perf.state`) every lease falls back to a fresh allocation,
-reproducing the pre-optimization allocation pattern exactly.
+(or asks for ``clear=True``), so modeled times and results do not
+depend on what the pool holds.
 """
 
 from __future__ import annotations
@@ -27,9 +20,6 @@ import contextlib
 from typing import Dict, List
 
 import numpy as np
-
-from ..kernels import state as kernel_state
-from . import state
 
 __all__ = ["BufferArena", "global_arena", "lease"]
 
@@ -63,15 +53,15 @@ class BufferArena:
         n = int(n)
         dt = np.dtype(dtype)
         self.leases += 1
-        if not state.fast_engine_enabled() or n * dt.itemsize > _MAX_POOLED_BYTES:
+        if n * dt.itemsize > _MAX_POOLED_BYTES:
             return np.zeros(n, dtype=dt) if clear else np.empty(n, dtype=dt)
-        key = (kernel_state.current_name() or "numpy", dt.str, _size_class(n))
-        pool = self._pools.get(key)
+        size = _size_class(n)
+        pool = self._pools.get((dt.str, size))
         if pool:
             base = pool.pop()
             self.reuses += 1
         else:
-            base = np.empty(key[2], dtype=dt)
+            base = np.empty(size, dtype=dt)
         view = base[:n]
         if clear:
             view.fill(0)
@@ -82,14 +72,10 @@ class BufferArena:
         base = buf.base if buf.base is not None else buf
         if not isinstance(base, np.ndarray) or base.ndim != 1:
             return
-        # Returned to the *currently active* backend's pool: take and
-        # give always agree because a lease never outlives a backend
-        # switch (the context managers guarantee it).
-        backend = kernel_state.current_name() or "numpy"
-        key = (backend, base.dtype.str, base.shape[0])
-        if key[2] != _size_class(key[2]):
-            return  # not one of ours (e.g. legacy-engine fresh allocation)
-        pool = self._pools.setdefault(key, [])
+        size = base.shape[0]
+        if size != _size_class(size) or base.nbytes > _MAX_POOLED_BYTES:
+            return  # not one of ours: an oversize lease take() allocated fresh
+        pool = self._pools.setdefault((base.dtype.str, size), [])
         if len(pool) < _MAX_PER_BUCKET:
             pool.append(base)
 

@@ -13,14 +13,11 @@ Rules (documented in ``docs/performance.md``):
   data, clocks, RNG streams, or fault state is recomputed every time;
 * cached arrays are returned **read-only** (``writeable=False``) so an
   aliasing bug surfaces as an immediate ``ValueError`` instead of silent
-  cross-run corruption; callers that need to mutate must copy;
-* every cache honors the legacy engine: with
-  :func:`repro.perf.state.fast_engine_enabled` off, the underlying
-  builder runs unconditionally, reproducing pre-optimization behaviour
-  (the artifacts are value-identical either way).
+  cross-run corruption; callers that need to mutate must copy.
 
-Use :func:`memoized` to register a builder; :func:`clear_derived_caches`
-drops everything (the golden suite calls it when switching engines).
+Use :func:`memoized` to register a builder (the uncached builder stays
+reachable as ``__wrapped__``); :func:`clear_derived_caches` drops
+everything.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ import functools
 from typing import Callable, Dict, List
 
 import numpy as np
-
-from . import state
 
 __all__ = ["memoized", "clear_derived_caches", "derived_cache_stats", "freeze"]
 
@@ -45,27 +40,15 @@ def freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def memoized(maxsize: int = 256, name: str | None = None) -> Callable:
-    """Decorator: lru-cache a pure derived-artifact builder.
-
-    The wrapper bypasses the cache entirely while the legacy engine is
-    active, so the memoization layer is invisible to golden comparisons
-    of the pre-optimization engine.
-    """
+    """Decorator: lru-cache a pure derived-artifact builder and
+    register the cache for :func:`clear_derived_caches` and
+    :func:`derived_cache_stats`."""
 
     def deco(fn: Callable) -> Callable:
         cached = functools.lru_cache(maxsize=maxsize)(fn)
         _REGISTRY.append(cached)
         _NAMES[id(cached)] = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args):
-            if not state.fast_engine_enabled():
-                return fn(*args)
-            return cached(*args)
-
-        wrapper.cache_clear = cached.cache_clear  # type: ignore[attr-defined]
-        wrapper.cache_info = cached.cache_info  # type: ignore[attr-defined]
-        return wrapper
+        return cached
 
     return deco
 

@@ -15,16 +15,25 @@ structure:
   an unprotected corrupted run) is itself part of the fingerprint.
 
 ``SCENARIOS`` spans ``{cc, mst} × {faults, analyze, integrity} ×
-{on, off}``.  The regression suite runs each scenario under the legacy
-engine and the fast engine and asserts the fingerprints are equal —
-which is the whole contract: wall-clock optimizations never alter
-charged time, counters, or answers.
+{on, off}``.  Their fingerprints are pinned in
+``tests/golden/fingerprints.json`` (first written from the pre-perf
+legacy engine, before it was deleted) and ``tests/test_perf_golden.py``
+asserts every run still equals the file — which is the whole contract:
+wall-clock optimizations never alter charged time, counters, or
+answers.
 
 ``REDUNDANCY_SCENARIOS`` is a separate tuple (the 16-scenario pin on
 ``SCENARIOS`` is itself a contract) covering owner-block redundancy:
 buddy and parity modes, with and without transient faults, but with
 **no node loss firing** — replication and round-commit charges are part
-of the modeled time, so they too must be bit-identical across engines.
+of the modeled time, so they are pinned too.
+
+This module is the file's only writer::
+
+    python -m repro.perf.golden > tests/golden/fingerprints.json
+
+A change that moves a modeled number on purpose regenerates the file in
+the same diff and says why.
 """
 
 from __future__ import annotations
@@ -75,7 +84,7 @@ SCENARIOS = tuple(
 
 #: Redundancy-on scenarios, kept out of ``SCENARIOS`` so its 16-entry
 #: pin survives.  No node loss fires in any of these: the point is that
-#: replication/commit charges are themselves engine-invariant.
+#: replication/commit charges are themselves pinned.
 REDUNDANCY_SCENARIOS = tuple(
     Scenario(algo=algo, faults=f, analyze=False, integrity=False, redundancy=mode)
     for algo, mode, f in product(("cc", "mst"), ("buddy", "parity"), (False, True))
@@ -107,7 +116,7 @@ def _fault_plan(scenario: Scenario):
 
 
 def scenario_fingerprint(scenario: Scenario) -> dict:
-    """Run the scenario under the *current* engine and fingerprint it."""
+    """Run the scenario and fingerprint it."""
     from ..core.pipeline import connected_components, minimum_spanning_forest
     from ..graph.generators import random_graph, with_random_weights
     from ..integrity import IntegrityConfig
@@ -166,3 +175,20 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
     fp["breakdown"] = {c: _hex(v) for c, v in trace.breakdown(machine.total_threads).items()}
     fp["counters"] = trace.counters.as_dict()
     return fp
+
+
+if __name__ == "__main__":
+    import json
+    import platform
+    import sys
+
+    # The header names the producing host for diagnosing a mismatch; it
+    # is never compared.
+    header = {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+    fingerprints = {s.name: scenario_fingerprint(s) for s in SCENARIOS + REDUNDANCY_SCENARIOS}
+    json.dump({"header": header, "fingerprints": fingerprints}, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

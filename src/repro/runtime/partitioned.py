@@ -11,13 +11,12 @@ NumPy operation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .. import kernels
 from ..errors import DistributionError
-from ..perf import state as perf_state
 from ..perf.derived import freeze, memoized
 
 __all__ = ["PartitionedArray", "even_offsets"]
@@ -126,12 +125,8 @@ class PartitionedArray:
         ``a.segment(i)`` followed by ``b.segment(i)``."""
         if a.parts != b.parts:
             raise DistributionError("cannot concat partitions with different part counts")
-        if not perf_state.fast_engine_enabled():
-            segs = [np.concatenate([a.segment(i), b.segment(i)]) for i in range(a.parts)]
-            return cls.from_segments(segs)
         # One output buffer filled once, instead of a concatenation per
-        # segment plus one over the results; the placement itself is
-        # the active kernel backend's `concat_segments`.
+        # segment plus one over the results.
         offsets = np.zeros(a.parts + 1, dtype=np.int64)
         np.cumsum(a.sizes() + b.sizes(), out=offsets[1:])
         out = kernels.active_backend().concat_segments(
@@ -170,12 +165,10 @@ class PartitionedArray:
     def thread_ids(self) -> np.ndarray:
         """For every flat position, the owning thread id.
 
-        The partitioning is immutable, so the fast engine computes this
-        once per offsets object and returns the cached (read-only)
-        vector to every instance that shares it.
+        The partitioning is immutable, so this is computed once per
+        offsets object and the cached (read-only) vector is returned to
+        every instance that shares it.
         """
-        if not perf_state.fast_engine_enabled():
-            return np.repeat(np.arange(self.parts, dtype=np.int64), self.sizes())
         layout = self._layout
         if layout.tids is None:
             layout.tids = freeze(np.repeat(np.arange(self.parts, dtype=np.int64), self.sizes()))
@@ -198,15 +191,10 @@ class PartitionedArray:
         behind :meth:`filter`, for callers that compact several payloads
         with one mask and derive ``sel`` once.  Siblings of the result
         are ``result.with_data(payload.take(sel))``."""
-        if perf_state.fast_engine_enabled():
-            # sel is ascending, so the kept count before each old
-            # boundary is a binary search.
-            offsets = np.searchsorted(sel, self.offsets)
-        else:
-            kept_per_thread = np.bincount(self.thread_ids()[sel], minlength=self.parts)
-            offsets = np.zeros(self.parts + 1, dtype=np.int64)
-            np.cumsum(kept_per_thread, out=offsets[1:])
-        # Either way the offsets are valid for the taken data by construction.
+        # sel is ascending, so the kept count before each old boundary
+        # is a binary search, and the offsets are valid for the taken
+        # data by construction.
+        offsets = np.searchsorted(sel, self.offsets)
         return self._trusted(self.data.take(sel), offsets, _Layout())
 
     def filter(self, mask: np.ndarray) -> "PartitionedArray":
@@ -238,9 +226,9 @@ class PartitionedArray:
         vmin = int(vals.min())
         vrange = int(vals.max()) - vmin + 1
         slots = self.parts * vrange
-        if perf_state.fast_engine_enabled() and slots <= _DISTINCT_SLOT_CAP:
-            # Presence-mask counting (backend-dispatched): mark each
-            # (thread, value) slot, then count marks per thread row.
+        if slots <= _DISTINCT_SLOT_CAP:
+            # Presence-mask counting: mark each (thread, value) slot,
+            # then count marks per thread row.
             return kernels.active_backend().segment_distinct(
                 self.thread_ids(), vals, self.parts, vmin, vrange
             )
@@ -256,10 +244,6 @@ class PartitionedArray:
         # flatnonzero is ascending, so the count below each boundary is a
         # binary search (no thread-id gather, no bincount).
         return np.diff(np.searchsorted(np.flatnonzero(mask), self.offsets))
-
-    def concat_payloads(self, others: Iterable["PartitionedArray"]) -> List[np.ndarray]:
-        """Convenience for tests: materialize each thread's segment."""
-        return [seg.copy() for seg in self.segments()]
 
     def __len__(self) -> int:
         return self.total

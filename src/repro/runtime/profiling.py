@@ -24,7 +24,7 @@ __all__ = [
     "PhaseProfiler",
     "ProfileSession",
     "RoundWindow",
-    "current_session",
+    "current_profile_session",
     "profiled",
     "render_phases",
 ]
@@ -158,7 +158,7 @@ class ProfileSession:
 _ACTIVE_SESSIONS: List[ProfileSession] = []
 
 
-def current_session() -> "ProfileSession | None":
+def current_profile_session() -> "ProfileSession | None":
     """The innermost active :func:`profiled` session, if any."""
     return _ACTIVE_SESSIONS[-1] if _ACTIVE_SESSIONS else None
 

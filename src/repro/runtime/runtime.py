@@ -25,8 +25,6 @@ from typing import Callable
 import numpy as np
 
 from ..errors import CollectiveError, FaultError, ThreadCrash, UnrecoverableLossError
-from ..perf import shard as perf_shard
-from ..perf import state as perf_state
 from .clocks import ThreadClocks
 from .cost import CostModel
 from .machine import MachineConfig
@@ -146,9 +144,9 @@ class PGASRuntime:
                 rcfg = RedundancyConfig() if resilience is True else resilience
                 self.resilience = ResilientSession(rcfg, self)
         self.profiler = None
-        from .profiling import PhaseProfiler, current_session
+        from .profiling import PhaseProfiler, current_profile_session
 
-        session = current_session()
+        session = current_profile_session()
         if profile or session is not None:
             self.profiler = PhaseProfiler()
             if session is not None:
@@ -212,14 +210,6 @@ class PGASRuntime:
         """Allocate and distribute a shared array, charging each thread
         for touching (initializing) its local portion."""
         arr = SharedArray(self.machine, data, block, name=name)
-        if perf_state.fast_engine_enabled():
-            session = perf_shard.current_session()
-            if session is not None:
-                # Back the owner blocks with a real shared-memory
-                # segment so the shard pool's workers can serve them.
-                # Pure wall-clock machinery: contents, charges, and
-                # digests are unchanged (arr.data *is* the segment).
-                session.adopt(arr)
         init = self.cost.seq_access_time(arr.local_sizes(), arr.nbytes_per_elem)
         self.charge(Category.WORK, init)
         self.counters.add(local_seq_elements=arr.size)

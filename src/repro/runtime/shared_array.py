@@ -19,8 +19,6 @@ import numpy as np
 
 from .. import kernels
 from ..errors import DistributionError
-from ..perf import shard as perf_shard
-from ..perf import state as perf_state
 from ..perf.derived import freeze, memoized
 from .machine import MachineConfig
 
@@ -127,12 +125,6 @@ class SharedArray:
         idx = np.asarray(indices, dtype=np.int64)
         if out_of_range(idx, self.size):
             raise DistributionError("shared array index out of range")
-        if perf_state.fast_engine_enabled():
-            session = perf_shard.current_session()
-            if session is not None:
-                served = session.try_gather(self, idx)
-                if served is not None:
-                    return served
         return self.data[idx]
 
     def scatter_min(self, indices: np.ndarray, values: np.ndarray) -> int:
@@ -149,22 +141,12 @@ class SharedArray:
             return 0
         if out_of_range(idx, self.size):
             raise DistributionError("shared array index out of range")
-        if perf_state.fast_engine_enabled():
-            session = perf_shard.current_session()
-            if session is not None:
-                changed = session.try_scatter_min(self, idx, vals)
-                if changed is not None:
-                    return changed
-            targets, minima = kernels.active_backend().group_minima(idx, vals)
-            before = self.data[targets]
-            new = np.minimum(before, minima)
-            changed = int(np.count_nonzero(new != before))
-            self.data[targets] = new
-            return changed
-        uniq = np.unique(idx)
-        before = self.data[uniq].copy()
-        np.minimum.at(self.data, idx, vals)
-        return int(np.count_nonzero(self.data[uniq] != before))
+        targets, minima = kernels.active_backend().group_minima(idx, vals)
+        before = self.data[targets]
+        new = np.minimum(before, minima)
+        changed = int(np.count_nonzero(new != before))
+        self.data[targets] = new
+        return changed
 
     def scatter_store_min(self, indices: np.ndarray, values: np.ndarray) -> int:
         """Unconditional store with deterministic adjudication: each
@@ -185,28 +167,16 @@ class SharedArray:
             return 0
         if out_of_range(idx, self.size):
             raise DistributionError("shared array index out of range")
-        if perf_state.fast_engine_enabled():
-            session = perf_shard.current_session()
-            if session is not None:
-                changed = session.try_scatter_store_min(self, idx, vals)
-                if changed is not None:
-                    return changed
-            targets, minima = kernels.active_backend().group_minima(
-                idx, vals.astype(np.int64, copy=False)
-            )
-            # Match the sentinel path exactly: a proposal equal to the
-            # sentinel is indistinguishable from "untouched" there.
-            keep = minima != np.iinfo(np.int64).max
-            targets, minima = targets[keep], minima[keep]
-            changed = int(np.count_nonzero(self.data[targets] != minima))
-            self.data[targets] = minima.astype(self.data.dtype)
-            return changed
-        sentinel = np.iinfo(np.int64).max
-        proposal = np.full(self.size, sentinel, dtype=np.int64)
-        np.minimum.at(proposal, idx, vals.astype(np.int64))
-        touched = np.flatnonzero(proposal != sentinel)
-        changed = int(np.count_nonzero(self.data[touched] != proposal[touched]))
-        self.data[touched] = proposal[touched].astype(self.data.dtype)
+        targets, minima = kernels.active_backend().group_minima(
+            idx, vals.astype(np.int64, copy=False)
+        )
+        # A location whose only proposals equal the int64 maximum is
+        # left untouched (the sentinel-buffer semantics this op is
+        # pinned to by tests/test_data_plane.py).
+        keep = minima != np.iinfo(np.int64).max
+        targets, minima = targets[keep], minima[keep]
+        changed = int(np.count_nonzero(self.data[targets] != minima))
+        self.data[targets] = minima.astype(self.data.dtype)
         return changed
 
     def scatter(self, indices: np.ndarray, values: np.ndarray) -> int:

@@ -43,7 +43,6 @@ from .planner import (
 )
 from .probes import (
     MachineProfile,
-    calibrate_backends,
     calibrate_profile,
     machine_fingerprint,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Workload",
     "autotune",
     "build_plan",
-    "calibrate_backends",
     "calibrate_profile",
     "default_cache_path",
     "expected_rounds",

@@ -41,7 +41,6 @@ from ..runtime.runtime import PGASRuntime
 
 __all__ = [
     "MachineProfile",
-    "calibrate_backends",
     "calibrate_profile",
     "machine_fingerprint",
 ]
@@ -220,18 +219,3 @@ def calibrate_profile(machine: MachineConfig) -> MachineProfile:
         allreduce_us=allreduce_us,
     )
 
-
-def calibrate_backends(repeats: int = 3, scale: float = 1.0):
-    """Wall-clock timings of the kernel backends on this host.
-
-    The other half of calibration: :func:`calibrate_profile` measures
-    the *modeled* machine (deterministic, cached in the plan), this
-    measures the *host* executing the simulation (nondeterministic,
-    reported next to the plan but never stored in it — TuningPlan files
-    are byte-compared in CI).  Thin re-export of
-    :func:`repro.kernels.calibrate_backends`; see there for the record
-    format.
-    """
-    from .. import kernels
-
-    return kernels.calibrate_backends(repeats=repeats, scale=scale)

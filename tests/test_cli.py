@@ -36,6 +36,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cc", "--impl", "magic"])
 
+    @pytest.mark.parametrize(
+        "argv", (["cc", "--backend", "numpy"], ["mst", "--shard-workers", "2"], ["perf"])
+    )
+    def test_retired_options_are_plain_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
     def test_tprime_auto_accepted(self):
         args = build_parser().parse_args(["cc", "--tprime", "auto"])
         assert args.tprime == "auto"

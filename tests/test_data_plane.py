@@ -1,13 +1,12 @@
 """The collective data plane, pinned against naive references.
 
-The fast engine adjudicates CRCW writes without sorting, derives one
+The data plane adjudicates CRCW writes without sorting, derives one
 ascending selection per mask, and packs the SMatrix requester-major.
 Each of those is a rewrite of an exact integer/comparison reduction, so
-each has an independent reference here: ``np.minimum.at`` for the
-adjudication, the legacy engine's ``bincount`` path for the selection,
-and plain Python loops for the pair counts and the interleave.  Kernel
-properties run on every backend importable on this host, like
-``tests/test_kernels.py``.
+each has an independent reference here: ``np.minimum.at`` (straight
+into the array, or into a sentinel buffer) for the adjudication,
+``bincount`` offsets for the selection, and plain Python loops for the
+pair counts and the interleave.
 """
 
 from __future__ import annotations
@@ -21,19 +20,12 @@ from repro import kernels
 from repro.collectives.base import OffloadResult
 from repro.collectives.getd import _pair_masks
 from repro.errors import DistributionError
-from repro.perf.state import legacy_engine
 from repro.runtime import hps_cluster
 from repro.runtime.partitioned import PartitionedArray
 from repro.runtime.shared_array import SharedArray, out_of_range
 
 I64_MAX = np.iinfo(np.int64).max
-
-
-def _all_backends():
-    return [kernels._load(n) for n in kernels.available_backends()]
-
-
-backends = pytest.mark.parametrize("backend", _all_backends(), ids=lambda b: b.name)
+backend = kernels.active_backend()
 
 
 # -- CRCW adjudication ----------------------------------------------------------
@@ -61,10 +53,9 @@ def _minimum_at_reference(idx, vals, start):
     return targets, best[targets]
 
 
-@backends
 class TestAdjudication:
     @given(request=scatter_requests())
-    def test_group_minima_matches_minimum_at(self, backend, request):
+    def test_group_minima_matches_minimum_at(self, request):
         idx, vals = request
         want_targets, want_minima = _minimum_at_reference(idx, vals, I64_MAX)
         targets, minima = backend.group_minima(idx, vals)
@@ -72,7 +63,7 @@ class TestAdjudication:
         np.testing.assert_array_equal(minima, want_minima)
         assert minima.dtype == vals.dtype
 
-    def test_proposal_at_dtype_max_survives(self, backend):
+    def test_proposal_at_dtype_max_survives(self):
         # Targets come from the presence mask, not from a sentinel.
         idx = np.array([3, 1, 3], dtype=np.int64)
         vals = np.array([I64_MAX, I64_MAX, 5], dtype=np.int64)
@@ -87,7 +78,7 @@ class TestAdjudication:
         nan_share=st.sampled_from([0.0, 0.2, 1.0]),
     )
     def test_float_values_propagate_nan_like_minimum_at(
-        self, backend, seed, domain, count, nan_share
+        self, seed, domain, count, nan_share
     ):
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, domain, size=count, dtype=np.int64)
@@ -99,28 +90,37 @@ class TestAdjudication:
         np.testing.assert_array_equal(minima, want_minima)  # NaN == NaN here
 
 
+def _reference_scatter(data, idx, vals, store):
+    """``scatter_min`` as ``np.minimum.at`` straight into the array;
+    ``scatter_store_min`` through a sentinel buffer whose untouched
+    slots leave the array alone.  Returns the changed count."""
+    before = data.copy()
+    if store:
+        proposal = np.full(data.size, I64_MAX, dtype=np.int64)
+        np.minimum.at(proposal, idx, vals)
+        touched = np.flatnonzero(proposal != I64_MAX)
+        data[touched] = proposal[touched]
+    else:
+        np.minimum.at(data, idx, vals)
+    return int(np.count_nonzero(data != before))
+
+
 @given(request=scatter_requests(), store=st.booleans())
 def test_scatter_engines_agree(request, store):
-    """Fast and legacy engines leave the same array and changed count;
-    ``scatter_store_min`` still treats an int64-max proposal as absent."""
+    """The sort-free scatters leave the same array and changed count as
+    the reference; ``scatter_store_min`` still treats an int64-max
+    proposal as absent."""
     idx, vals = request
-    machine = hps_cluster(2, 2)
     rng = np.random.default_rng(int(idx.sum()) % 97)
     start = rng.integers(-500, 500, size=int(idx.max()) + 3, dtype=np.int64)
-
-    def run():
-        arr = SharedArray(machine, start.copy())
-        changed = (arr.scatter_store_min if store else arr.scatter_min)(idx, vals)
-        return changed, arr.data
-
-    fast_changed, fast_data = run()
-    with legacy_engine():
-        legacy_changed, legacy_data = run()
-    assert fast_changed == legacy_changed
-    np.testing.assert_array_equal(fast_data, legacy_data)
+    arr = SharedArray(hps_cluster(2, 2), start.copy())
+    changed = (arr.scatter_store_min if store else arr.scatter_min)(idx, vals)
+    want = start.copy()
+    assert changed == _reference_scatter(want, idx, vals, store)
+    np.testing.assert_array_equal(arr.data, want)
     if store:
         only_max = np.setdiff1d(idx[vals == I64_MAX], idx[vals != I64_MAX])
-        np.testing.assert_array_equal(fast_data[only_max], start[only_max])
+        np.testing.assert_array_equal(arr.data[only_max], start[only_max])
 
 
 @pytest.mark.parametrize("bad", [[-1, 2], [0, 10], [np.iinfo(np.int64).min]])
@@ -161,10 +161,8 @@ def masked_partitions(draw):
 def test_filter_matches_legacy_bincount_path(case):
     part, mask = case
     fast = part.filter(mask)
-    with legacy_engine():
-        legacy = part.filter(mask)
-    np.testing.assert_array_equal(fast.offsets, legacy.offsets)
-    np.testing.assert_array_equal(fast.data, legacy.data)
+    kept_per_thread = np.bincount(part.thread_ids()[mask], minlength=part.parts)
+    np.testing.assert_array_equal(fast.offsets, np.concatenate(([0], np.cumsum(kept_per_thread))))
     np.testing.assert_array_equal(fast.data, part.data[mask])
     kept_per_segment = [
         int(mask[part.offsets[i] : part.offsets[i + 1]].sum()) for i in range(part.parts)
@@ -222,7 +220,6 @@ def test_offload_expand_refills_dropped_positions(total, seed, density):
 # -- all-to-all packing, distinct counts, interleave -------------------------------
 
 
-@backends
 class TestPacking:
     @given(
         s=st.sampled_from([1, 3, 8]),
@@ -230,7 +227,7 @@ class TestPacking:
         silent=st.integers(0, 7),
         seed=st.integers(0, 2**16),
     )
-    def test_exchange_matrix_matches_double_loop(self, backend, s, count, silent, seed):
+    def test_exchange_matrix_matches_double_loop(self, s, count, silent, seed):
         rng = np.random.default_rng(seed)
         # Sorted like a partition's thread ids; `silent` issues no requests.
         requesters = np.sort(rng.integers(0, s, size=count, dtype=np.int64))
@@ -255,7 +252,7 @@ class TestPacking:
         seed=st.integers(0, 2**16),
     )
     def test_owner_distinct_matches_unique_per_owner(
-        self, backend, size, s, custom_block, count, seed
+        self, size, s, custom_block, count, seed
     ):
         # `custom_block` below the even split leaves overflow on the last thread.
         block = custom_block or -(-size // s)
@@ -271,7 +268,7 @@ class TestPacking:
             max_size=6,
         )
     )
-    def test_concat_segments_matches_per_segment_concatenate(self, backend, sizes):
+    def test_concat_segments_matches_per_segment_concatenate(self, sizes):
         a_off = np.concatenate(([0], np.cumsum([a for a, _ in sizes]))).astype(np.int64)
         b_off = np.concatenate(([0], np.cumsum([b for _, b in sizes]))).astype(np.int64)
         a = np.arange(a_off[-1], dtype=np.int64)

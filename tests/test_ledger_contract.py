@@ -77,14 +77,13 @@ def test_collectives_take_the_request_partition_third():
         assert params[2] == "indices", f"{module_name}.{name}: third parameter is {params[2]!r}"
 
 
-@pytest.mark.parametrize("backend", kernels.available_backends())
-def test_kernel_ops_resolve_on_the_backend_mro(backend):
+def test_kernel_ops_resolve_on_the_backend_mro():
     ops = _tables()["KERNEL_OPS"]
     assert tuple(ops) == kernels.KERNEL_OPS
-    cls = type(kernels._load(backend))
+    cls = type(kernels.active_backend())
     for op in ops:
         owner = next((k for k in cls.__mro__ if op in vars(k)), None)
-        assert owner is not None, f"{backend}: no class on the MRO defines {op}"
+        assert owner is not None, f"{cls.__name__}: no class on the MRO defines {op}"
         params = _positional(vars(owner)[op])
         # layers sizes a span from args[1] (the index/requester vector);
         # concat_segments from args[1] and args[3] (the two payloads).

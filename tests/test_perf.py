@@ -9,17 +9,15 @@ soak campaign.  The bit-identity contract itself lives in
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
+from repro.collectives import schedule
 from repro.collectives.schedule import circular_schedule, linear_schedule
 from repro.perf import (
     clear_derived_caches,
     derived_cache_stats,
     fanout_map,
-    legacy_engine,
     resolve_workers,
 )
 from repro.perf.arena import BufferArena, _size_class
@@ -27,6 +25,7 @@ from repro.perf.derived import freeze, memoized
 from repro.perf.fanout import available_cpus
 from repro.runtime import PGASRuntime, hps_cluster
 from repro.runtime.trace import DEFAULT_EVENT_CAP, Category, Trace
+from repro.scheduling import access_schedule
 from repro.scheduling.access_schedule import schedule_plan
 
 
@@ -63,20 +62,12 @@ class TestArena:
         assert b.dtype == np.int8
         assert b.base is not a.base
 
-    def test_legacy_engine_disables_pooling(self):
-        arena = BufferArena()
-        with legacy_engine():
-            first = arena.take(100, np.int64, clear=True)
-            arena.give(first)
-            second = arena.take(100, np.int64, clear=True)
-        assert first.base is None and second.base is None  # fresh allocations
-        assert arena.stats()["reuses"] == 0
-
     def test_oversize_requests_are_not_pooled(self):
         arena = BufferArena()
-        huge = arena.take((1 << 26) // 8 + 1, np.int64)  # > 64 MiB
-        arena.give(huge)
-        assert arena.stats()["pooled_buffers"] == 0
+        # Both > 64 MiB; the second is itself a power-of-two size class.
+        for n in ((1 << 26) // 8 + 1, 1 << 24):
+            arena.give(arena.take(n, np.int64))
+            assert arena.stats()["pooled_buffers"] == 0
 
     def test_lease_context_manager_returns_on_exit(self):
         arena = BufferArena()
@@ -99,20 +90,6 @@ class TestDerivedMemoization:
         assert calls == [3]
         assert derived_cache_stats()["test_builder"]["hits"] == 1
 
-    def test_memoized_bypasses_cache_under_legacy_engine(self):
-        calls = []
-
-        @memoized(maxsize=8)
-        def build(x):
-            calls.append(x)
-            return x + 1
-
-        with legacy_engine():
-            assert build(1) == 2
-            assert build(1) == 2
-        assert calls == [1, 1]
-        assert build.cache_info().currsize == 0
-
     def test_clear_derived_caches_resets_registered_caches(self):
         @memoized(maxsize=8)
         def build(x):
@@ -130,13 +107,13 @@ class TestDerivedMemoization:
 
 
 class TestScheduleMemoization:
-    def test_schedules_identical_across_engines(self):
+    def test_cached_schedules_equal_a_fresh_build(self):
         for s in (1, 2, 5, 8):
-            fast_c, fast_l = circular_schedule(s), linear_schedule(s)
-            with legacy_engine():
-                legacy_c, legacy_l = circular_schedule(s), linear_schedule(s)
-            np.testing.assert_array_equal(fast_c, legacy_c)
-            np.testing.assert_array_equal(fast_l, legacy_l)
+            fresh_c = schedule._circular_schedule.__wrapped__(s)
+            fresh_l = schedule._linear_schedule.__wrapped__(s)
+            for _ in range(2):  # a miss, then a hit
+                np.testing.assert_array_equal(circular_schedule(s), fresh_c)
+                np.testing.assert_array_equal(linear_schedule(s), fresh_l)
 
     def test_cached_schedule_is_read_only_and_stable(self):
         a = circular_schedule(6)
@@ -144,11 +121,9 @@ class TestScheduleMemoization:
         assert a is b  # same cached object
         assert not a.flags.writeable
 
-    def test_schedule_plan_identical_across_engines(self):
-        fast = schedule_plan(1000, 4, 2)
-        with legacy_engine():
-            legacy = schedule_plan(1000, 4, 2)
-        assert fast == legacy
+    def test_cached_schedule_plan_equals_a_fresh_build(self):
+        fresh = access_schedule._schedule_plan.__wrapped__(1000, (4, 2))
+        assert schedule_plan(1000, 4, 2) == fresh == schedule_plan(1000, 4, 2)
 
     def test_validation_still_raises_before_the_cache(self):
         from repro.errors import ReproError
@@ -277,19 +252,3 @@ class TestSoakFanoutDeterminism:
         serial = self._report(workers=1)
         fanned = self._report(workers=2)
         assert fanned == serial
-
-
-class TestWallclockBenchPayload:
-    def test_payload_shape_and_baseline_check(self, tmp_path):
-        from repro.perf.bench import check_against_baseline, run_wallclock_bench
-
-        payload = run_wallclock_bench(
-            out_dir=tmp_path, scale=0.02, repeats=1, workers=1
-        )
-        assert payload["serial"]["fast_seconds"] > 0
-        assert payload["serial"]["legacy_seconds"] > 0
-        assert os.path.exists(payload["path"])
-        assert check_against_baseline(payload, payload) is None
-        slower = {"serial": {"fast_seconds": payload["serial"]["fast_seconds"] * 2}}
-        assert check_against_baseline(slower, payload) is not None
-        assert check_against_baseline(payload, {}) is not None

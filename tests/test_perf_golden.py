@@ -1,23 +1,29 @@
-"""Golden-trace bit-identity suite for the wall-clock perf engine.
+"""Golden-trace bit-identity suite: the numbers never move.
 
-The contract of ``repro.perf``: every optimization (pooled scratch
-buffers, memoized derived artifacts, the bincount/cumsum rewrites of
-the ``np.unique``/``ufunc.at`` hot spots, the rewritten Trace
-accumulator) changes *only* wall-clock.  Modeled times, per-category
-seconds, per-thread breakdowns, counters, and algorithm results must be
-**bit**-identical between the fast engine and the legacy engine.
+The contract of ``repro.perf`` and ``repro.kernels``: every wall-clock
+optimization (pooled scratch buffers, memoized derived artifacts, the
+sort-free kernels, the rewritten Trace accumulator) changes *only*
+wall-clock.  Modeled times, per-category seconds, per-thread
+breakdowns, counters, and algorithm results must stay **bit**-identical
+to ``tests/golden/fingerprints.json``, which was written from the
+pre-optimization legacy engine before that engine was deleted.
 
 :func:`repro.perf.golden.scenario_fingerprint` renders every modeled
 float with ``float.hex`` and folds result arrays to SHA-256 digests, so
-plain ``==`` on the fingerprints below means byte equality — no
-tolerances anywhere in this file.
+plain ``==`` below means byte equality — no tolerances anywhere in this
+file.  A change that moves a modeled number on purpose regenerates the
+file in the same diff (``python -m repro.perf.golden >
+tests/golden/fingerprints.json``) and says why.
 """
 
 from __future__ import annotations
 
+import functools
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.perf import clear_derived_caches, global_arena, legacy_engine
 from repro.perf.golden import (
     REDUNDANCY_SCENARIOS,
     SCENARIOS,
@@ -25,9 +31,39 @@ from repro.perf.golden import (
     scenario_fingerprint,
 )
 
+_DOCUMENT = json.loads((Path(__file__).parent / "golden" / "fingerprints.json").read_text())
+GOLDEN = _DOCUMENT["fingerprints"]
+
 
 def _scenario_id(scenario: Scenario) -> str:
     return scenario.name
+
+
+#: One run per scenario for the whole file (a fingerprint is built from
+#: str / int / list / dict only, so it compares with parsed JSON as is).
+_fingerprint = functools.lru_cache(maxsize=None)(scenario_fingerprint)
+
+
+def _leaves(value, path=""):
+    """``(dotted.path, leaf)`` pairs of a nested fingerprint dict."""
+    if isinstance(value, dict):
+        for key in value:
+            yield from _leaves(value[key], f"{path}.{key}" if path else key)
+    else:
+        yield path, value
+
+
+def _assert_matches_file(scenario: Scenario) -> dict:
+    live = _fingerprint(scenario)
+    if live != GOLDEN[scenario.name]:
+        got, pinned = dict(_leaves(live)), dict(_leaves(GOLDEN[scenario.name]))
+        key = next(k for k in sorted(got.keys() | pinned.keys()) if got.get(k) != pinned.get(k))
+        pytest.fail(
+            f"{scenario.name}: first differing key {key!r}:"
+            f" got {got.get(key)!r}, golden file has {pinned.get(key)!r}"
+            f" (file written on {_DOCUMENT['header']})"
+        )
+    return live
 
 
 def test_matrix_spans_the_contract():
@@ -40,22 +76,20 @@ def test_matrix_spans_the_contract():
         assert f"{algo}-FAI" in names
 
 
+def test_file_pins_exactly_the_scenarios():
+    """No stale entry, no missing one."""
+    assert set(GOLDEN) == {s.name for s in SCENARIOS + REDUNDANCY_SCENARIOS}
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=_scenario_id)
 def test_fast_engine_is_bit_identical(scenario):
-    with legacy_engine():
-        golden = scenario_fingerprint(scenario)
-    clear_derived_caches()
-    global_arena().clear()
-    fast = scenario_fingerprint(scenario)
-    assert fast == golden, f"{scenario.name}: fast engine diverged from legacy"
+    _assert_matches_file(scenario)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS[:4], ids=_scenario_id)
 def test_fast_engine_is_deterministic_across_repeats(scenario):
     """Warm caches and a warm arena must not change a single bit either."""
-    first = scenario_fingerprint(scenario)
-    second = scenario_fingerprint(scenario)
-    assert first == second
+    assert scenario_fingerprint(scenario) == scenario_fingerprint(scenario)
 
 
 def test_faulted_unprotected_error_is_part_of_the_fingerprint():
@@ -63,11 +97,7 @@ def test_faulted_unprotected_error_is_part_of_the_fingerprint():
     a corrupted unprotected run that trips the convergence bound is a
     legitimate golden outcome, not a test error."""
     hot = Scenario(algo="cc", faults=True, analyze=False, integrity=False, seed=7)
-    with legacy_engine():
-        golden = scenario_fingerprint(hot)
-    fast = scenario_fingerprint(hot)
-    assert fast == golden
-    assert ("error" in golden) == ("error" in fast)
+    _assert_matches_file(hot)
 
 
 def test_redundancy_matrix_is_separate():
@@ -82,25 +112,19 @@ def test_redundancy_matrix_is_separate():
 
 @pytest.mark.parametrize("scenario", REDUNDANCY_SCENARIOS, ids=_scenario_id)
 def test_redundancy_charges_are_bit_identical(scenario):
-    """Replication / round-commit traffic is modeled time like any other:
-    the fast engine must reproduce it bit-for-bit, and with no loss
-    firing the answer must match the redundancy-off run exactly."""
-    with legacy_engine():
-        golden = scenario_fingerprint(scenario)
-    clear_derived_caches()
-    global_arena().clear()
-    fast = scenario_fingerprint(scenario)
-    assert fast == golden, f"{scenario.name}: fast engine diverged from legacy"
-    if "counters" in fast:
-        assert fast["counters"]["replicas_written"] > 0
-        assert fast["counters"]["node_losses"] == 0
+    """Replication / round-commit traffic is modeled time like any
+    other, and with no loss firing no membership change is counted."""
+    live = _assert_matches_file(scenario)
+    if "counters" in live:
+        assert live["counters"]["replicas_written"] > 0
+        assert live["counters"]["node_losses"] == 0
 
 
 def test_redundancy_never_changes_answers_without_a_loss():
     """Redundancy on, no loss: same labels as the plain run."""
-    plain = scenario_fingerprint(Scenario(algo="cc", faults=False, analyze=False, integrity=False))
+    plain = _fingerprint(Scenario(algo="cc", faults=False, analyze=False, integrity=False))
     for mode in ("buddy", "parity"):
-        red = scenario_fingerprint(
+        red = _fingerprint(
             Scenario(algo="cc", faults=False, analyze=False, integrity=False, redundancy=mode)
         )
         assert red["result"] == plain["result"]

@@ -13,7 +13,7 @@ from repro.runtime import (
     profiled,
     render_phases,
 )
-from repro.runtime.profiling import current_session
+from repro.runtime.profiling import current_profile_session
 
 
 def run_getd(rt, hot=False):
@@ -80,10 +80,10 @@ class TestProfiledContext:
         assert "getd" in session.render()
 
     def test_session_scoped(self):
-        assert current_session() is None
+        assert current_profile_session() is None
         with profiled() as session:
-            assert current_session() is session
-        assert current_session() is None
+            assert current_profile_session() is session
+        assert current_profile_session() is None
 
     def test_nested_sessions(self):
         with profiled() as outer:
