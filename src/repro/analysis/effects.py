@@ -146,13 +146,14 @@ EFFECTS: dict[str, Effect] = {
     ),
     "exchange_counts": _coll(charges=True, comm=True),
     "charge_setup": _coll(charges=True),
+    "offload_hits": _coll(charges=True),
     # Helpers below derive outputs from their *arguments* — taint flows
     # through naturally (tainted args => tainted result), so they carry
     # no intrinsic taint of their own.
     "send_matrix": _coll(),
     "position_matrix": _coll(),
     "build_transfer_plan": _coll(),
-    "apply_offload": _coll(),
+    "check_requests": _coll(),
     "compute_owner_threads": _coll(),
     "linear_schedule": _coll(),
     "circular_schedule": _coll(),

@@ -195,7 +195,7 @@ def solve_cc_collective(
             rt.local_ops(6.0 * u_part.sizes().astype(np.float64))
 
             step = graft_proposals(du, dv, ddu, ddv)
-            targets = u_part.filter(step.mask).with_data(step.targets)
+            targets = u_part.take_sorted(step.sel).with_data(step.targets)
             changed = setd(
                 rt, d, targets, step.values, opts, ctx=None, cache_key=None,
                 tprime=tprime, sort_method=sort_method,

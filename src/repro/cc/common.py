@@ -21,6 +21,7 @@ star (the full loop in CC; a single application in SV).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,21 +36,14 @@ def iteration_bound(n: int) -> int:
     return 4 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
 
 
-class GraftStep:
-    """The write set of one grafting step, computed from a snapshot.
+class GraftStep(NamedTuple):
+    """The write set of one grafting step, computed from a snapshot:
+    edge ``sel[i]`` (ascending edge positions) writes ``values[i]`` to
+    ``targets[i]`` (min-adjudicated)."""
 
-    ``targets[i]`` receives ``values[i]`` (min-adjudicated).  ``live``
-    marks edges whose endpoints are in different components (the
-    ``compact`` optimization keeps exactly these).
-    """
-
-    __slots__ = ("targets", "values", "live", "mask")
-
-    def __init__(self, targets: np.ndarray, values: np.ndarray, live: np.ndarray, mask: np.ndarray):
-        self.targets = targets
-        self.values = values
-        self.live = live
-        self.mask = mask
+    targets: np.ndarray
+    values: np.ndarray
+    sel: np.ndarray
 
 
 def graft_proposals(
@@ -65,11 +59,11 @@ def graft_proposals(
     """
     cond_uv = (du < dv) & (ddv == dv)  # graft v's root onto u's label
     cond_vu = (dv < du) & (ddu == du)  # graft u's root onto v's label
-    mask = cond_uv | cond_vu
-    targets = np.where(cond_uv, dv, du)[mask]
-    values = np.where(cond_uv, du, dv)[mask]
-    live = du != dv
-    return GraftStep(targets, values, live, mask)
+    sel = np.flatnonzero(cond_uv | cond_vu)
+    if sel.size < du.size:  # after compact + full shortcut every live edge proposes
+        du, dv = du.take(sel), dv.take(sel)
+    # Either way round, the larger label's root receives the smaller label.
+    return GraftStep(np.maximum(du, dv), np.minimum(du, dv), sel)
 
 
 def is_all_stars(d: np.ndarray) -> bool:

@@ -101,7 +101,7 @@ def solve_cc_sv(
         rt.local_ops(6.0 * u_part.sizes().astype(np.float64))
         before = d.data.copy()
         step = graft_proposals(du, dv, ddu, ddv)
-        graft_targets = u_part.filter(step.mask).with_data(step.targets)
+        graft_targets = u_part.take_sorted(step.sel).with_data(step.targets)
         changed_graft = setd(
             rt, d, graft_targets, step.values, opts, None, None, tprime, sort_method,
             drop_hot=True, hot_index=0,

@@ -6,7 +6,7 @@ thread pair per call, with the serve phase scheduled for cache residency.
 """
 
 from .alltoall import charge_setup, exchange_counts, position_matrix, send_matrix
-from .base import CollectiveContext, OffloadResult, apply_offload, compute_owner_threads
+from .base import CollectiveContext, check_requests, compute_owner_threads, offload_hits
 from .getd import TransferPlan, build_transfer_plan, getd
 from .schedule import (
     circular_schedule,
@@ -18,11 +18,10 @@ from .setd import setd, setdmin
 
 __all__ = [
     "CollectiveContext",
-    "OffloadResult",
     "TransferPlan",
-    "apply_offload",
     "build_transfer_plan",
     "charge_setup",
+    "check_requests",
     "circular_schedule",
     "compute_owner_threads",
     "exchange_counts",
@@ -30,6 +29,7 @@ __all__ = [
     "is_contention_free",
     "linear_schedule",
     "max_step_contention",
+    "offload_hits",
     "position_matrix",
     "send_matrix",
     "setd",

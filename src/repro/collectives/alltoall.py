@@ -95,7 +95,9 @@ def exchange_counts(
     hierarchical: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build and "exchange" the SMatrix/PMatrix for a request partition,
-    charging the setup phase.  Returns ``(SMatrix, PMatrix)``."""
+    charging the setup phase.  Returns ``(SMatrix, PMatrix)``.  The
+    collectives read only the SMatrix, so they call the kernel and
+    :func:`charge_setup` directly and never build the PMatrix."""
     smat = send_matrix(indices.thread_ids(), owners, rt.s)
     pmat = position_matrix(smat)
     charge_setup(rt, hierarchical=hierarchical)

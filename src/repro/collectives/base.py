@@ -4,9 +4,13 @@ Holds the per-solver :class:`CollectiveContext` (caches target-thread-id
 buffers across iterations for the ``ids`` optimization) and the request
 pre-processing steps common to reads and writes:
 
+* the up-front validation of the request partition;
 * target-id computation (intrinsic vs direct arithmetic vs cached);
-* the ``offload`` filter that drops requests for the known-constant
+* the ``offload`` check that finds requests for the known-constant
   ``D[0]``.
+
+The caller's request vector is read-only throughout: nothing here (or
+in ``GetD``) copies or compacts it.
 """
 
 from __future__ import annotations
@@ -18,12 +22,15 @@ import numpy as np
 
 from ..core.optimizations import OptimizationFlags
 from ..errors import CollectiveError
+from ..perf.derived import freeze
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
-from ..runtime.shared_array import SharedArray
+from ..runtime.shared_array import SharedArray, out_of_range
 from ..runtime.trace import Category
 
-__all__ = ["CollectiveContext", "compute_owner_threads", "OffloadResult", "apply_offload"]
+__all__ = ["CollectiveContext", "check_requests", "compute_owner_threads", "offload_hits"]
+
+_NO_HITS = freeze(np.empty(0, dtype=np.int64))
 
 
 @dataclass
@@ -78,49 +85,31 @@ def compute_owner_threads(
     return owners
 
 
-@dataclass
-class OffloadResult:
-    """Outcome of the ``offload`` filter on one request partition."""
-
-    indices: PartitionedArray
-    owners: np.ndarray
-    #: Ascending flat positions, in the *original* request array, of the
-    #: kept requests; ``None`` when nothing was dropped.  Computed once
-    #: and shared by every payload that rides the same requests.
-    kept: Optional[np.ndarray]
-    dropped: int
-
-    def expand(self, served: np.ndarray, fill_value) -> np.ndarray:
-        """Re-inflate served values to the original request order,
-        filling dropped positions with the known constant."""
-        if self.kept is None:
-            return served
-        out = np.full(self.kept.size + self.dropped, fill_value, dtype=served.dtype)
-        out[self.kept] = served
-        return out
+def check_requests(rt: PGASRuntime, array: SharedArray, indices: PartitionedArray) -> None:
+    """Reject a malformed request partition before anything is charged:
+    one part per thread, every index inside the array."""
+    if indices.parts != rt.s:
+        raise CollectiveError(
+            f"request partition has {indices.parts} parts but the machine has {rt.s} threads"
+        )
+    if out_of_range(np.asarray(indices.data, dtype=np.int64), array.size):
+        raise CollectiveError(f"request index out of range [0, {array.size})")
 
 
-def apply_offload(
-    rt: PGASRuntime,
-    indices: PartitionedArray,
-    owners: np.ndarray,
-    opts: OptimizationFlags,
-    hot_index: int = 0,
-) -> OffloadResult:
-    """Drop requests for the known-constant hot index (vertex 0).
+def offload_hits(
+    rt: PGASRuntime, indices: PartitionedArray, enabled: bool, hot_index: int = 0
+) -> np.ndarray:
+    """Ascending flat positions of the requests for the known-constant
+    hot index (vertex 0); empty when ``offload`` does not apply.
 
     "For each thread issuing a GetD operation, it first checks whether
     the index is 0.  If it is, it knows the value already and drops this
     element from the request list."  The check itself is one pass of
-    vectorizable compares.
+    vectorizable compares; the request vector is only read — what
+    "dropping" means is the caller's business (``GetD`` corrects its
+    counts, ``SetD`` compacts).
     """
-    if owners.shape[0] != indices.total:
-        raise CollectiveError("owners array must align with the request partition")
-    if not opts.offload or indices.total == 0:
-        return OffloadResult(indices, owners, None, 0)
+    if not enabled or indices.total == 0:
+        return _NO_HITS
     rt.charge(Category.WORK, rt.cost.op_time(indices.sizes().astype(np.float64)))
-    kept = np.flatnonzero(indices.data != hot_index)
-    dropped = indices.total - kept.size
-    if dropped == 0:
-        return OffloadResult(indices, owners, None, 0)
-    return OffloadResult(indices.take_sorted(kept), owners.take(kept), kept, dropped)
+    return np.flatnonzero(indices.data == hot_index)

@@ -20,6 +20,11 @@ The simulation executes the data movement with one vectorized gather and
 charges each phase to the clocks/trace exactly as decomposed above, so
 hot spots (all requests hitting the owner of ``D[0]``) show up as real
 clock skew on the owning thread.
+
+The caller's request vector is read, never rewritten: ``offload`` is
+modeled by correcting the integer results the cost model consumes
+(per-requester sizes, the hot owner's SMatrix row and distinct count)
+by the few hot positions and patching the served values there.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from ..runtime.runtime import PGASRuntime
 from ..runtime.shared_array import SharedArray
 from ..runtime.trace import Category
 from ..scheduling.virtual_threads import charge_local_serve
-from .alltoall import exchange_counts
-from .base import CollectiveContext, apply_offload, compute_owner_threads
+from .alltoall import charge_setup
+from .base import CollectiveContext, check_requests, compute_owner_threads, offload_hits
 
 __all__ = ["getd", "TransferPlan", "charge_sort", "charge_transfers", "charge_permute_back"]
 
@@ -203,7 +208,8 @@ def owner_distinct_counts(array: SharedArray, indices: np.ndarray, s: int) -> np
 def charge_shared_memory_serve(
     rt: PGASRuntime,
     array: SharedArray,
-    indices,
+    sizes: np.ndarray,
+    distinct: np.ndarray,
     tprime: int,
     category: str = Category.COPY,
 ) -> None:
@@ -212,17 +218,18 @@ def charge_shared_memory_serve(
     On one SMP node there is no owner side: after grouping, each thread
     gathers (or scatters) its *own* requests directly, visiting the
     shared array one block at a time, so the working set is the smaller
-    of ``block / t'`` and the requests' distinct-target footprint.  No
-    SMatrix, no transfers, no serve hotspot — this is the "shared-memory
-    versions of GetD and SetD" of the paper's Fig. 4 experiment.
+    of ``block / t'`` and the requests' distinct-target footprint
+    (``distinct`` per requester).  No SMatrix, no transfers, no serve
+    hotspot — this is the "shared-memory versions of GetD and SetD" of
+    the paper's Fig. 4 experiment.
     """
-    sizes = indices.sizes().astype(np.float64)
+    sizes = sizes.astype(np.float64)
     bytes_per = array.nbytes_per_elem
     total_bytes = float(array.size * bytes_per)
     if tprime > 1:
         rt.charge(Category.SORT, rt.cost.virtual_scan_time(sizes, tprime, bytes_per))
         rt.counters.add(sorted_elements=int(sizes.sum()))
-    distinct = indices.segment_distinct().astype(np.float64)
+    distinct = distinct.astype(np.float64)
     ws = rt.cost.distinct_working_set(distinct, total_bytes, rt.s * tprime)
     rt.charge(
         category,
@@ -262,35 +269,44 @@ def getd(
         being sent (valid because the caller knows that location is
         constant — ``D[0] == 0`` in CC/MST).
     """
-    if indices.parts != rt.s:
-        raise CollectiveError(
-            f"request partition has {indices.parts} parts but the machine has {rt.s} threads"
-        )
+    check_requests(rt, array, indices)
     rt.counters.add(collective_calls=1)
     _profile_before = rt.phase_start()
 
     owners = compute_owner_threads(rt, array, indices, opts, ctx, cache_key)
-    if opts.offload and hot_value is not None:
-        off = apply_offload(rt, indices, owners, opts, hot_index)
-    else:
-        off = apply_offload(rt, indices, owners, OptimizationFlags.none(), hot_index)
+    # Offloaded requests stay in the vector; they leave the *model*: the
+    # counts the charges consume are corrected by the (few) hot hits.
+    hot = offload_hits(rt, indices, opts.offload and hot_value is not None, hot_index)
+    sizes = indices.sizes()
+    if hot.size:
+        hot_counts = np.diff(np.searchsorted(hot, indices.offsets))
+        hot_owner = int(array.owner_thread(hot_index))
+        sizes = sizes - hot_counts
 
-    charge_sort(rt, off.indices.sizes(), opts, sort_method)
+    charge_sort(rt, sizes, opts, sort_method)
     if rt.analyzer is not None:
         # Coordinated read: the collective's protocol orders it, so the
         # detector tracks it for phase stats but exempts it from races.
         rt.analyzer.record_collective(
-            array, "r", off.indices.total, phase=f"getd[{cache_key or 'dyn'}]"
+            array, "r", indices.total - hot.size, phase=f"getd[{cache_key or 'dyn'}]"
         )
 
     if rt.machine.nodes == 1:
         # Shared-memory GetD: no count exchange, no transfers — each
         # thread walks the shared array block by block itself.
-        charge_shared_memory_serve(rt, array, off.indices, tprime)
-        charge_permute_back(rt, off.indices.sizes(), array.nbytes_per_elem)
-        rt.barrier()
+        distinct = indices.segment_distinct()
+        if hot.size:
+            distinct = distinct - (hot_counts > 0)
+        charge_shared_memory_serve(rt, array, sizes, distinct, tprime)
     else:
-        smat, _pmat = exchange_counts(rt, off.indices, off.owners, opts.hierarchical)
+        # Owners and thread ids are in range by construction, so the
+        # SMatrix kernel is called without send_matrix's re-validation.
+        smat = kernels.active_backend().exchange_matrix(indices.thread_ids(), owners, rt.s)
+        charge_setup(rt, hierarchical=opts.hierarchical)
+        distinct = owner_distinct_counts(array, indices.data, rt.s)
+        if hot.size:
+            smat[hot_owner] -= hot_counts
+            distinct[hot_owner] -= 1
         # Serve phase: each owner thread gathers the requested elements
         # from its local block (working set shrunk by t' and bounded by
         # the distinct-target footprint), then ships them.
@@ -303,21 +319,21 @@ def getd(
             opts.localcpy,
             category=Category.COPY,
             bytes_per=array.nbytes_per_elem,
-            distinct=owner_distinct_counts(array, off.indices.data, rt.s),
+            distinct=distinct,
         )
         plan = build_transfer_plan(rt, smat, charge_to_owner=True, hierarchical=opts.hierarchical)
         charge_transfers(rt, plan, opts, array.nbytes_per_elem)
-        charge_permute_back(rt, off.indices.sizes(), array.nbytes_per_elem)
-        rt.barrier()
+    charge_permute_back(rt, sizes, array.nbytes_per_elem)
+    rt.barrier()
 
     rt.phase_end(f"getd[{cache_key or 'dyn'}]", indices.total, _profile_before)
-    served = array.gather(off.indices.data)
+    served = array.gather(indices.data)
     if rt.machine.nodes > 1:
         # The owner -> requester wire leg: may suffer (seeded) silent
         # payload flips, may be end-to-end checksummed — see guard_payload.
         served = guard_payload(
-            rt, served, off.indices.sizes(), array.nbytes_per_elem, domain=array.size
+            rt, served, sizes, array.nbytes_per_elem, domain=array.size, absent=hot
         )
-    if off.dropped:
-        return off.expand(served, hot_value)
+    if hot.size:
+        served[hot] = hot_value
     return served

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .. import kernels
 from ..core.optimizations import OptimizationFlags
 from ..errors import CollectiveError
 from ..integrity.monitor import guard_payload
@@ -32,8 +33,8 @@ from ..runtime.runtime import PGASRuntime
 from ..runtime.shared_array import SharedArray
 from ..runtime.trace import Category
 from ..scheduling.virtual_threads import charge_local_serve
-from .alltoall import exchange_counts
-from .base import CollectiveContext, apply_offload, compute_owner_threads
+from .alltoall import charge_setup
+from .base import CollectiveContext, check_requests, compute_owner_threads, offload_hits
 from .getd import (
     build_transfer_plan,
     charge_shared_memory_serve,
@@ -61,38 +62,39 @@ def _scatter_collective(
     record_words: int = 2,
     packed_payload: bool = False,
 ) -> int:
-    if indices.parts != rt.s:
-        raise CollectiveError(
-            f"request partition has {indices.parts} parts but the machine has {rt.s} threads"
-        )
+    check_requests(rt, array, indices)
     values = np.asarray(values)
     if values.shape[0] != indices.total:
         raise CollectiveError("values must align with the request partition")
     rt.counters.add(collective_calls=1)
     _profile_before = rt.phase_start()
+    requested = indices.total
 
     owners = compute_owner_threads(rt, array, indices, opts, ctx, cache_key)
-    if opts.offload and drop_hot:
-        off = apply_offload(rt, indices, owners, opts, hot_index)
-        values = values.take(off.kept) if off.dropped else values
-    else:
-        off = apply_offload(rt, indices, owners, OptimizationFlags.none(), hot_index)
+    if offload_hits(rt, indices, opts.offload and drop_hot, hot_index).size:
+        # Unlike a read, a dropped write cannot be patched up afterwards:
+        # it must not reach the array, so the records are really removed.
+        kept = np.flatnonzero(indices.data != hot_index)
+        indices, owners, values = indices.take_sorted(kept), owners.take(kept), values.take(kept)
+    sizes = indices.sizes()
 
-    charge_sort(rt, off.indices.sizes(), opts, sort_method)
+    charge_sort(rt, sizes, opts, sort_method)
     if rt.analyzer is not None:
         # Coordinated write: adjudicated at the owner inside the
         # collective, so it is exempt from the race analysis.
         rt.analyzer.record_collective(
-            array, "w", off.indices.total, phase=f"setd[{cache_key or 'dyn'}]"
+            array, "w", indices.total, phase=f"setd[{cache_key or 'dyn'}]"
         )
 
     if rt.machine.nodes == 1:
         # Shared-memory SetD: each thread applies its own grouped updates
         # directly, block by block.
-        charge_shared_memory_serve(rt, array, off.indices, tprime)
+        charge_shared_memory_serve(rt, array, sizes, indices.segment_distinct(), tprime)
         rt.barrier()
     else:
-        smat, _pmat = exchange_counts(rt, off.indices, off.owners, opts.hierarchical)
+        # As in GetD: the kernel directly, on owners valid by construction.
+        smat = kernels.active_backend().exchange_matrix(indices.thread_ids(), owners, rt.s)
+        charge_setup(rt, hierarchical=opts.hierarchical)
         # Requester -> owner: (index, value) pairs by default; MST ships
         # wider records (key + endpoints + edge id) via record_words.
         pair_bytes = record_words * array.nbytes_per_elem
@@ -108,30 +110,30 @@ def _scatter_collective(
             opts.localcpy,
             category=Category.COPY,
             bytes_per=array.nbytes_per_elem,
-            distinct=owner_distinct_counts(array, off.indices.data, rt.s),
+            distinct=owner_distinct_counts(array, indices.data, rt.s),
         )
         rt.barrier()
 
-    rt.phase_end(f"setd[{cache_key or 'dyn'}]", indices.total, _profile_before)
+    rt.phase_end(f"setd[{cache_key or 'dyn'}]", requested, _profile_before)
     if rt.machine.nodes > 1:
         # The requester -> owner wire leg (indices travel checksummed in
         # the same records; the value/key field is the corruptible part).
         values = guard_payload(
             rt,
             values,
-            off.indices.sizes(),
+            sizes,
             record_words * array.nbytes_per_elem,
             domain=array.size,
             packed=packed_payload,
         )
     if combine == "min":
-        changed = array.scatter_min(off.indices.data, values)
+        changed = array.scatter_min(indices.data, values)
     elif combine == "store_min":
-        changed = array.scatter_store_min(off.indices.data, values)
+        changed = array.scatter_store_min(indices.data, values)
     else:
         raise CollectiveError(f"unknown combine mode {combine!r}; use 'min' or 'store_min'")
     if rt.integrity is not None:
-        rt.integrity.note_write(array, off.indices.data)
+        rt.integrity.note_write(array, indices.data)
     return changed
 
 

@@ -268,20 +268,31 @@ class FaultInjector:
         return (flipped << 32) | position
 
     def corrupt_payload(
-        self, values: np.ndarray, domain: int | None = None, packed: bool = False
+        self,
+        values: np.ndarray,
+        domain: int | None = None,
+        packed: bool = False,
+        absent: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int]:
         """One wire transmission of a collective payload: each record is
         flipped i.i.d. with ``plan.payload_corruption``.  Returns ``(the
         delivered buffer, number of records actually changed)`` — the
         input is never mutated (a retransmission starts from the clean
-        buffer)."""
+        buffer).  Positions listed (ascending) in ``absent`` are not on
+        the wire: draws are made over the remaining records only."""
         p = self.plan.payload_corruption
-        if p <= 0.0 or values.size == 0:
+        wire = values.size if absent is None else values.size - absent.size
+        if p <= 0.0 or wire == 0:
             return values, 0
-        nhit = int(self._corrupt_rng.binomial(values.size, p))
+        nhit = int(self._corrupt_rng.binomial(wire, p))
         if nhit == 0:
             return values, 0
-        positions = np.unique(self._corrupt_rng.integers(0, values.size, size=nhit))
+        positions = np.unique(self._corrupt_rng.integers(0, wire, size=nhit))
+        if wire != values.size:
+            # The k-th record on the wire sits after every absent position
+            # that has at most k records before it.
+            before = absent - np.arange(absent.size)
+            positions += np.searchsorted(before, positions, side="right")
         out = values.copy()
         changed = 0
         for pos in positions:

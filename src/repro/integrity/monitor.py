@@ -210,8 +210,12 @@ class IntegrityMonitor:
             self._invariant_failure("mst selection check", msg)
 
 
-def guard_payload(rt, values, sizes, bytes_per, domain=None, packed=False):
+def guard_payload(rt, values, sizes, bytes_per, domain=None, packed=False, absent=None):
     """The wire leg of a multi-node collective payload.
+
+    ``absent`` lists (ascending) the positions of ``values`` that never
+    travel (offloaded ``GetD`` requests); ``sizes`` counts the records
+    that do, and the injector draws over exactly those.
 
     Composes injection and protection:
 
@@ -242,7 +246,9 @@ def guard_payload(rt, values, sizes, bytes_per, domain=None, packed=False):
         return values
     attempts = 0
     while True:
-        delivered, flipped = inj.corrupt_payload(values, domain=domain, packed=packed)
+        delivered, flipped = inj.corrupt_payload(
+            values, domain=domain, packed=packed, absent=absent
+        )
         if flipped:
             rt.counters.add(corruptions_injected=flipped)
         if not protected:

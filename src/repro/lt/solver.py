@@ -101,7 +101,7 @@ def _connect_proposals(
         # Bader–Cong condition: the larger side's label must be a root.
         step = graft_proposals(du, dv, ddu, ddv)
         rt.local_ops(6.0 * sizes)
-        return u_part.filter(step.mask).with_data(step.targets), step.values
+        return u_part.take_sorted(step.sel).with_data(step.targets), step.values
     cond_uv = du < dv  # lower v's parent (and, extended, v itself)
     cond_vu = dv < du
     mask = cond_uv | cond_vu

@@ -26,7 +26,8 @@ answers.
 ``SCENARIOS`` is itself a contract) covering owner-block redundancy:
 buddy and parity modes, with and without transient faults, but with
 **no node loss firing** — replication and round-commit charges are part
-of the modeled time, so they are pinned too.
+of the modeled time, so they are pinned too.  ``DATA_PLANE_SCENARIOS``
+pins the collective paths neither matrix reaches.
 
 This module is the file's only writer::
 
@@ -47,7 +48,9 @@ import numpy as np
 
 from ..errors import ReproError
 
-__all__ = ["Scenario", "SCENARIOS", "REDUNDANCY_SCENARIOS", "scenario_fingerprint"]
+__all__ = [
+    "Scenario", "SCENARIOS", "REDUNDANCY_SCENARIOS", "DATA_PLANE_SCENARIOS", "scenario_fingerprint",
+]
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ class Scenario:
     threads: int = 2
     #: Owner-block redundancy mode ("" = off, "buddy" | "parity").
     redundancy: str = ""
+    #: ``impl`` handed to the pipeline entry point.
+    impl: str = "collective"
 
     @property
     def name(self) -> str:
@@ -74,6 +79,12 @@ class Scenario:
             ) if on
         )
         base = f"{self.algo}-{flags or 'plain'}"
+        if self.impl != "collective":
+            base += f":{self.impl}"
+        if (self.nodes, self.threads) != (4, 2):
+            base += f"@{self.nodes}x{self.threads}"
+        if self.seed != 7:
+            base += f"~{self.seed}"
         return f"{base}+{self.redundancy}" if self.redundancy else base
 
 
@@ -88,6 +99,16 @@ SCENARIOS = tuple(
 REDUNDANCY_SCENARIOS = tuple(
     Scenario(algo=algo, faults=f, analyze=False, integrity=False, redundancy=mode)
     for algo, mode, f in product(("cc", "mst"), ("buddy", "parity"), (False, True))
+)
+
+#: Collective paths outside both matrices (every solve above runs
+#: ``impl="collective"`` on 4x2): ``cc-plain@1x8`` is the shared-memory
+#: GetD/SetD with ``offload``, ``cc-FI:lt-ps~8`` a Liu–Tarjan solve whose
+#: wire leg is both corrupted and checksummed (seed 8: four payload
+#: flips land and are caught; seed 7 draws none on this solver).
+DATA_PLANE_SCENARIOS = (
+    Scenario(algo="cc", faults=False, analyze=False, integrity=False, nodes=1, threads=8),
+    Scenario(algo="cc", faults=True, analyze=False, integrity=True, impl="lt-ps", seed=8),
 )
 
 
@@ -143,7 +164,7 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
         with ctx:
             if scenario.algo == "cc":
                 res = connected_components(
-                    g, machine, impl="collective", faults=plan,
+                    g, machine, impl=scenario.impl, faults=plan,
                     integrity=integrity, resilience=resilience,
                 )
                 fp["result"] = {
@@ -153,7 +174,7 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
             else:
                 gw = with_random_weights(g, seed=scenario.seed + 1)
                 res = minimum_spanning_forest(
-                    gw, machine, impl="collective", faults=plan,
+                    gw, machine, impl=scenario.impl, faults=plan,
                     integrity=integrity, resilience=resilience,
                 )
                 fp["result"] = {
@@ -189,6 +210,7 @@ if __name__ == "__main__":
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    fingerprints = {s.name: scenario_fingerprint(s) for s in SCENARIOS + REDUNDANCY_SCENARIOS}
+    pinned = SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS
+    fingerprints = {s.name: scenario_fingerprint(s) for s in pinned}
     json.dump({"header": header, "fingerprints": fingerprints}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -191,6 +191,8 @@ class PartitionedArray:
         behind :meth:`filter`, for callers that compact several payloads
         with one mask and derive ``sel`` once.  Siblings of the result
         are ``result.with_data(payload.take(sel))``."""
+        if sel.size == self.total:
+            return self  # strictly ascending and complete: the identity
         # sel is ascending, so the kept count before each old boundary
         # is a binary search, and the offsets are valid for the taken
         # data by construction.
@@ -222,7 +224,7 @@ class PartitionedArray:
         """
         if self.total == 0:
             return np.zeros(self.parts, dtype=np.int64)
-        vals = self.data.astype(np.int64)
+        vals = self.data.astype(np.int64, copy=False)
         vmin = int(vals.min())
         vrange = int(vals.max()) - vmin + 1
         slots = self.parts * vrange

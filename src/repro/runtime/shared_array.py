@@ -81,12 +81,16 @@ class SharedArray:
         return int(self.data.dtype.itemsize)
 
     def owner_thread(self, indices: np.ndarray) -> np.ndarray:
-        """Thread with affinity to each index (blocked layout)."""
+        """Thread with affinity to each index in ``[0, size)`` (blocked
+        layout)."""
         owners = np.floor_divide(np.asarray(indices, dtype=np.int64), self.block)
-        # Indices past the last full block belong to the last thread
-        # (clamped in place; a scalar index has no buffer to reuse).
+        s = self.machine.total_threads
+        if s * self.block >= self.size:
+            return owners  # even blocked layout: no index lies past the last block
+        # Custom block: indices past the last full block belong to the
+        # last thread (clamped in place; a scalar has no buffer to reuse).
         out = owners if isinstance(owners, np.ndarray) else None
-        return np.minimum(owners, self.machine.total_threads - 1, out=out)
+        return np.minimum(owners, s - 1, out=out)
 
     def owner_node(self, indices: np.ndarray) -> np.ndarray:
         """Node hosting each index."""

@@ -49,13 +49,22 @@ class TestGraftProposals:
             np.array([3]), np.array([3]), np.array([3]), np.array([3])
         )
         assert step.targets.size == 0
-        assert not step.live[0]
+        assert step.sel.size == 0
+
+    def test_every_edge_proposing_needs_no_selection(self):
+        # Rooted stars + distinct endpoints (CC after compact): all propose.
+        du, dv = np.array([1, 5]), np.array([4, 2])
+        step = graft_proposals(du, dv, du, dv)
+        assert step.sel.tolist() == [0, 1]
+        assert (step.targets.tolist(), step.values.tolist()) == ([4, 5], [1, 2])
 
     def test_live_marks_cross_edges(self):
+        # Only the cross edge proposes; `sel` names it by position.
         step = graft_proposals(
             np.array([1, 2]), np.array([1, 7]), np.array([1, 2]), np.array([1, 7])
         )
-        assert step.live.tolist() == [False, True]
+        assert step.sel.tolist() == [1]
+        assert (step.targets.tolist(), step.values.tolist()) == ([7], [2])
 
 
 class TestDeterminism:

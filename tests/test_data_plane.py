@@ -1,12 +1,15 @@
 """The collective data plane, pinned against naive references.
 
 The data plane adjudicates CRCW writes without sorting, derives one
-ascending selection per mask, and packs the SMatrix requester-major.
-Each of those is a rewrite of an exact integer/comparison reduction, so
-each has an independent reference here: ``np.minimum.at`` (straight
-into the array, or into a sentinel buffer) for the adjudication,
-``bincount`` offsets for the selection, and plain Python loops for the
-pair counts and the interleave.
+ascending selection per mask, packs the SMatrix requester-major, and
+treats a collective's request vector as read-only (``offload`` corrects
+integer counts instead of compacting).  Each of those is a rewrite of
+an exact integer/comparison reduction, so each has an independent
+reference here: ``np.minimum.at`` (straight into the array, or into a
+sentinel buffer) for the adjudication, ``bincount`` offsets for the
+selection, plain Python loops for the pair counts and the interleave,
+and the filter -> analyse the copy -> re-inflate formulation of
+``GetD`` / ``SetD`` run on a twin runtime.
 """
 
 from __future__ import annotations
@@ -17,12 +20,33 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.collectives.base import OffloadResult
-from repro.collectives.getd import _pair_masks
-from repro.errors import DistributionError
-from repro.runtime import hps_cluster
+from repro.cc.common import graft_proposals
+from repro.collectives import (
+    build_transfer_plan,
+    compute_owner_threads,
+    exchange_counts,
+    getd,
+    setd,
+    setdmin,
+)
+from repro.collectives.getd import (
+    _pair_masks,
+    charge_permute_back,
+    charge_shared_memory_serve,
+    charge_sort,
+    charge_transfers,
+    owner_distinct_counts,
+)
+from repro.core import OptimizationFlags
+from repro.errors import CollectiveError, DistributionError, ReproError
+from repro.faults import FaultPlan
+from repro.integrity import IntegrityConfig
+from repro.integrity.monitor import guard_payload
+from repro.runtime import PGASRuntime, hps_cluster
 from repro.runtime.partitioned import PartitionedArray
 from repro.runtime.shared_array import SharedArray, out_of_range
+from repro.runtime.trace import Category
+from repro.scheduling.virtual_threads import charge_local_serve
 
 I64_MAX = np.iinfo(np.int64).max
 backend = kernels.active_backend()
@@ -192,29 +216,285 @@ def test_siblings_share_one_layout():
     assert not part.thread_ids().flags.writeable
     assert not part.sizes().flags.writeable
     np.testing.assert_array_equal(part.sizes(), [4, 0, 6])
+    # A complete ascending selection is the identity: no take, same layout.
+    assert part.take_sorted(np.arange(10)) is part
     # A new partitioning never inherits the old one's vectors.
     kept = part.take_sorted(np.array([0, 5, 9]))
     np.testing.assert_array_equal(kept.sizes(), [1, 0, 2])
     np.testing.assert_array_equal(kept.thread_ids(), [0, 2, 2])
 
 
+# -- read-only requests: offload by correction, not compaction --------------------
+
+
+def _reference_collective(rt, array, indices, opts, hot, hot_index, values=None, tprime=1):
+    """The pre-rewrite collective body: filter the hot requests out,
+    analyse and serve the compacted copy, re-inflate (reads) — every
+    charge issued from the copy.  ``values=None`` is GetD with
+    ``hot_value=hot``; otherwise SetD with ``drop_hot=hot``."""
+    read = values is None
+    rt.counters.add(collective_calls=1)
+    owners = compute_owner_threads(rt, array, indices, opts)
+    req, kept = indices, None
+    if opts.offload and indices.total and (hot is not None if read else hot):
+        rt.charge(Category.WORK, rt.cost.op_time(indices.sizes().astype(np.float64)))
+        sel = np.flatnonzero(indices.data != hot_index)
+        if sel.size < indices.total:
+            kept, req, owners = sel, indices.take_sorted(sel), owners.take(sel)
+            values = values if read else values.take(sel)
+    bytes_per = array.nbytes_per_elem
+    charge_sort(rt, req.sizes(), opts, "count")
+    if rt.machine.nodes == 1:
+        charge_shared_memory_serve(rt, array, req.sizes(), req.segment_distinct(), tprime)
+    else:
+        smat, _pmat = exchange_counts(rt, req, owners, opts.hierarchical)
+        serve = dict(
+            category=Category.COPY,
+            bytes_per=bytes_per,
+            distinct=owner_distinct_counts(array, req.data, rt.s),
+        )
+        local = array.local_sizes().astype(np.float64)
+        plan = build_transfer_plan(rt, smat, charge_to_owner=read, hierarchical=opts.hierarchical)
+        if read:
+            charge_local_serve(rt, smat.sum(axis=1), local, tprime, opts.localcpy, **serve)
+            charge_transfers(rt, plan, opts, bytes_per)
+        else:
+            charge_transfers(rt, plan, opts, 2 * bytes_per)
+            charge_local_serve(rt, smat.sum(axis=1), local, tprime, opts.localcpy, **serve)
+    if read:
+        charge_permute_back(rt, req.sizes(), bytes_per)
+    rt.barrier()
+    if not read:
+        if rt.machine.nodes > 1:
+            values = guard_payload(rt, values, req.sizes(), 2 * bytes_per, domain=array.size)
+        return array.scatter_min(req.data, values)
+    served = array.gather(req.data)
+    if rt.machine.nodes > 1:
+        served = guard_payload(rt, served, req.sizes(), bytes_per, domain=array.size)
+    if kept is None:
+        return served
+    out = np.full(indices.total, hot, dtype=served.dtype)
+    out[kept] = served
+    return out
+
+
+@st.composite
+def offload_cases(draw, wire=False):
+    """Twin-run inputs: machine shape, array geometry (incl. a custom
+    block with ``s * block < size``), a hot index anywhere in the array,
+    a request partition with empty segments and a chosen hot share, and
+    a wire-fault / checksum setting.  ``wire=True`` narrows to the cases
+    where the injector flips records of a buffer that has hot holes."""
+    shapes = [(2, 2), (2, 3), (4, 1), (4, 2)]
+    nodes, threads = draw(st.sampled_from(shapes if wire else shapes + [(1, 1), (1, 4)]))
+    s = nodes * threads
+    size = draw(st.sampled_from([9, 64, 257] if wire else [1, 2, 9, 64, 257]))
+    block = draw(st.sampled_from([None, None, 1, 3]))
+    if block is not None and s * block >= size:
+        block = None
+    hot_index = draw(st.sampled_from([0, size // 2, size - 1]))
+    seg = draw(st.lists(st.sampled_from([0, 0, 1, 4, 23]), min_size=s, max_size=s))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    total = sum(seg)
+    data = rng.integers(0, size, size=total, dtype=np.int64)
+    share = draw(st.sampled_from(["one", "half"] if wire else ["none", "one", "half", "all"]))
+    if share == "none":
+        data[data == hot_index] = (hot_index + 1) % size
+    elif share == "one" and total:
+        data[data == hot_index] = (hot_index + 1) % size
+        data[rng.integers(0, total)] = hot_index
+    elif share == "half":
+        data[rng.random(total) < 0.5] = hot_index
+    elif share == "all":
+        data[:] = hot_index
+    offsets = np.concatenate(([0], np.cumsum(seg))).astype(np.int64)
+    flags = draw(st.sampled_from(["offload", "all", "all+hierarchical"] + ["none"] * (not wire)))
+    opts = {
+        "offload": OptimizationFlags.only("offload"),
+        "all": OptimizationFlags.all(),
+        "all+hierarchical": OptimizationFlags.all().with_(hierarchical=True),
+        "none": OptimizationFlags.none(),
+    }[flags]
+    return {
+        "machine": hps_cluster(nodes, threads),
+        "size": size,
+        "block": block,
+        "hot_index": hot_index,
+        "data": data,
+        "offsets": offsets,
+        "opts": opts,
+        "flip_rate": draw(st.sampled_from([0.05, 0.4] if wire else [0.0, 0.0, 0.02, 0.4])),
+        "checksums": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**10)),
+    }
+
+
+def _fill(n):
+    return np.arange(n, dtype=np.int64) * 3 + 5
+
+
+def _twin(case):
+    plan = FaultPlan(seed=case["seed"], payload_corruption=case["flip_rate"])
+    rt = PGASRuntime(
+        case["machine"], faults=plan, integrity=IntegrityConfig() if case["checksums"] else None
+    )
+    array = rt.shared_array(_fill(case["size"]), block=case["block"])
+    indices = PartitionedArray(case["data"].copy(), case["offsets"])
+    return rt, array, indices
+
+
+def _outcome(rt, array, call):
+    """Everything a collective call leaves behind, bit-comparable."""
+    try:
+        result = call()
+        result = result.tolist() if isinstance(result, np.ndarray) else result
+    except ReproError as err:  # a wire leg that fails its checksum 8 times
+        result = f"{type(err).__name__}: {err}"
+    return {
+        "result": result,
+        "array": array.data.tolist(),
+        "counters": rt.counters.as_dict(),
+        "clocks": [t.hex() for t in rt.clocks.times.tolist()],
+        "categories": {c: v.hex() for c, v in rt.trace.category_seconds.items()},
+    }
+
+
+@given(case=offload_cases(), tprime=st.sampled_from([1, 3]))
+def test_getd_offload_by_correction_equals_compaction(case, tprime):
+    """Answers, counters and per-thread clocks (``float.hex``) of the
+    read-only GetD equal the compacting formulation's."""
+    _assert_getd_twins_agree(case, tprime)
+
+
+@given(case=offload_cases(wire=True))
+def test_getd_wire_flips_skip_the_hot_holes(case):
+    """A faulted wire leg sees the kept records only: same RNG draws,
+    same flipped records, same injected / detected counts and the same
+    delivered buffer as when the hot requests were physically removed."""
+    got = _assert_getd_twins_agree(case, 1)
+    if not case["checksums"] and got["counters"]["corruptions_injected"]:
+        flipped = np.asarray(got["result"]) != _fill(case["size"])[case["data"]]
+        assert flipped.any() and not flipped[case["data"] == case["hot_index"]].any()
+
+
+def _assert_getd_twins_agree(case, tprime):
+    hot, opts = case["hot_index"], case["opts"]
+    rt, array, indices = _twin(case)
+    hot_value = int(array.data[hot])
+    got = _outcome(rt, array, lambda: getd(
+        rt, array, indices, opts, tprime=tprime, hot_value=hot_value, hot_index=hot
+    ))
+    np.testing.assert_array_equal(indices.data, case["data"])  # read, not rewritten
+    ref_rt, ref_array, ref_indices = _twin(case)
+    want = _outcome(ref_rt, ref_array, lambda: _reference_collective(
+        ref_rt, ref_array, ref_indices, opts, hot_value, hot, tprime=tprime
+    ))
+    assert got == want
+    return got
+
+
+@given(case=offload_cases(), drop_hot=st.booleans())
+def test_setd_drop_hot_equals_compaction(case, drop_hot):
+    values = np.random.default_rng(case["seed"]).integers(0, 80, size=case["data"].size)
+    rt, array, indices = _twin(case)
+    got = _outcome(rt, array, lambda: setd(
+        rt, array, indices, values, case["opts"], drop_hot=drop_hot, hot_index=case["hot_index"]
+    ))
+    ref_rt, ref_array, ref_indices = _twin(case)
+    want = _outcome(ref_rt, ref_array, lambda: _reference_collective(
+        ref_rt, ref_array, ref_indices, case["opts"], drop_hot, case["hot_index"], values=values
+    ))
+    assert got == want
+    if drop_hot and case["opts"].offload:
+        assert array.data[case["hot_index"]] == _fill(case["size"])[case["hot_index"]]  # dropped
+
+
+@pytest.mark.parametrize("machine", [hps_cluster(4, 2), hps_cluster(1, 4)], ids=lambda m: m.name)
+def test_getd_hands_the_callers_vector_to_every_stage(machine, monkeypatch):
+    """No compacted copy: the SMatrix / distinct-count kernels and the
+    gather all receive ``indices.data`` itself, and the requester ids
+    are the partition's cached ``thread_ids()``."""
+    seen = {}
+
+    def spy(owner, name, pick):
+        real = getattr(owner, name)
+
+        def wrapper(self, *args, **kwargs):
+            seen.setdefault(name, []).append(pick(args))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(type(backend), "exchange_matrix", lambda args: args[0])
+    spy(type(backend), "owner_distinct", lambda args: args[0])
+    spy(type(backend), "segment_distinct", lambda args: args[1])
+    spy(SharedArray, "gather", lambda args: args[0])
+    rt = PGASRuntime(machine)
+    array = rt.shared_array(np.arange(100, dtype=np.int64))
+    data = np.random.default_rng(3).integers(0, 100, size=400, dtype=np.int64)
+    data[::3] = 0
+    indices = PartitionedArray.even(data, rt.s)
+    out = getd(rt, array, indices, OptimizationFlags.all(), hot_value=0)
+    np.testing.assert_array_equal(out, data)
+    if machine.nodes > 1:
+        assert seen["exchange_matrix"][0] is indices.thread_ids()
+        assert seen["owner_distinct"][0] is indices.data
+    else:
+        assert seen["segment_distinct"][0] is indices.data
+    assert seen["gather"][0] is indices.data
+
+
+BAD_REQUESTS = [[-1], [100], [10**9], [3, 100, 5]]
+
+
+@pytest.mark.parametrize("bad", BAD_REQUESTS, ids=str)
+@pytest.mark.parametrize("machine", [hps_cluster(2, 2), hps_cluster(1, 4)], ids=lambda m: m.name)
+@pytest.mark.parametrize("collective", [getd, setd, setdmin], ids=lambda f: f.__name__)
+def test_out_of_range_request_is_rejected_before_the_first_charge(collective, machine, bad):
+    """A ``CollectiveError`` (a ``ReproError``: one line from the CLI),
+    not a raw ``IndexError`` two barriers into the call."""
+    rt = PGASRuntime(machine)
+    array = rt.shared_array(np.arange(100, dtype=np.int64))
+    indices = PartitionedArray.even(np.array(bad, dtype=np.int64), rt.s)
+    args = () if collective is getd else (np.zeros(len(bad), dtype=np.int64),)
+    before = _outcome(rt, array, lambda: None)
+    for opts in (OptimizationFlags.none(), OptimizationFlags.all()):
+        with pytest.raises(CollectiveError, match="out of range"):
+            collective(rt, array, indices, *args, opts)
+    assert _outcome(rt, array, lambda: None) == before
+    assert rt.counters.barriers == 0
+
+
+# -- grafting write set -------------------------------------------------------------
+
+
+def _reference_graft(du, dv, ddu, ddv):
+    """The full-length formulation: two ``np.where`` over every edge,
+    then two boolean-mask gathers."""
+    cond_uv = (du < dv) & (ddv == dv)
+    cond_vu = (dv < du) & (ddu == du)
+    mask = cond_uv | cond_vu
+    return np.where(cond_uv, dv, du)[mask], np.where(cond_uv, du, dv)[mask], mask
+
+
 @given(
-    total=st.integers(1, 60),
+    count=st.sampled_from([0, 1, 7, 200]),
+    labels=st.sampled_from([1, 3, 50]),
     seed=st.integers(0, 2**16),
-    density=st.sampled_from([0.0, 0.4, 1.0]),
 )
-def test_offload_expand_refills_dropped_positions(total, seed, density):
+def test_graft_proposals_match_the_full_length_formulation(count, labels, seed):
     rng = np.random.default_rng(seed)
-    kept_mask = rng.random(total) < density
-    kept = np.flatnonzero(kept_mask)
-    served = rng.integers(1, 100, size=kept.size, dtype=np.int64)
-    part = PartitionedArray(np.zeros(kept.size, dtype=np.int64), np.array([0, kept.size]))
-    off = OffloadResult(part, np.zeros(kept.size, dtype=np.int64), kept, total - kept.size)
-    want = np.full(total, -7, dtype=np.int64)
-    want[kept_mask] = served
-    np.testing.assert_array_equal(off.expand(served, -7), want)
-    untouched = OffloadResult(part, np.zeros(kept.size, dtype=np.int64), None, 0)
-    assert untouched.expand(served, -7) is served
+    du, dv, ddu, ddv = rng.integers(0, labels, size=(4, count), dtype=np.int64)
+    # Make a share of the labels roots, as a real snapshot would (all of
+    # them, with distinct endpoints, is the every-edge-proposes case).
+    roots = rng.random(count) < rng.choice([0.6, 1.0])
+    ddu, ddv = np.where(roots, du, ddu), np.where(roots, dv, ddv)
+    targets, values, mask = _reference_graft(du, dv, ddu, ddv)
+    step = graft_proposals(du, dv, ddu, ddv)
+    np.testing.assert_array_equal(step.sel, np.flatnonzero(mask))
+    np.testing.assert_array_equal(step.targets, targets)
+    np.testing.assert_array_equal(step.values, values)
+    assert step.targets.dtype == du.dtype
 
 
 # -- all-to-all packing, distinct counts, interleave -------------------------------

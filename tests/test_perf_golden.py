@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.perf.golden import (
+    DATA_PLANE_SCENARIOS,
     REDUNDANCY_SCENARIOS,
     SCENARIOS,
     Scenario,
@@ -78,7 +79,8 @@ def test_matrix_spans_the_contract():
 
 def test_file_pins_exactly_the_scenarios():
     """No stale entry, no missing one."""
-    assert set(GOLDEN) == {s.name for s in SCENARIOS + REDUNDANCY_SCENARIOS}
+    pinned = SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS
+    assert set(GOLDEN) == {s.name for s in pinned}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=_scenario_id)
@@ -118,6 +120,16 @@ def test_redundancy_charges_are_bit_identical(scenario):
     if "counters" in live:
         assert live["counters"]["replicas_written"] > 0
         assert live["counters"]["node_losses"] == 0
+
+
+@pytest.mark.parametrize("scenario", DATA_PLANE_SCENARIOS, ids=_scenario_id)
+def test_data_plane_paths_are_bit_identical(scenario):
+    """The shared-memory offload path and a corrupted, checksummed
+    Liu–Tarjan wire leg: pinned at the commit before the read-only
+    request rewrite, so that rewrite is proven against its parent."""
+    live = _assert_matches_file(scenario)
+    if scenario.faults:
+        assert live["counters"]["corruptions_injected"] > 0
 
 
 def test_redundancy_never_changes_answers_without_a_loss():
