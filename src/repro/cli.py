@@ -10,7 +10,7 @@ Commands
 ``figures``   run paper-figure reproductions and print their tables
 ``tune``      run the autotuner and print its predicted-vs-measured table
 ``soak``      composed chaos campaign: silent corruption + fail-stop faults,
-              every result networkx-verified, report in ``BENCH_soak.json``
+              every result certificate-verified, report in ``BENCH_soak.json``
 ``serve``     run the multi-tenant graph-analytics service (JSON over HTTP:
               admission control, quotas, deadlines, circuit breakers,
               graceful degradation, crash-safe job journal)
@@ -434,7 +434,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     if bad:
         print(f"\nFAIL: {bad} protected run(s) did not survive", file=sys.stderr)
         return 4
-    print("\nall protected runs verified against networkx")
+    print("\nall protected runs verified by certificate")
     return 0
 
 
@@ -849,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--no-verify", action="store_true",
-        help="skip networkx verification of served results (not recommended;"
+        help="skip the certificate check of served results (not recommended;"
         " results are marked 'unverified')",
     )
     p_serve.set_defaults(func=_cmd_serve)

@@ -33,6 +33,7 @@ from .permutation import (
 )
 from .rmat import DEFAULT_RMAT_PROBS, rmat_edges
 from .validation import (
+    check_bfs_levels,
     check_connected_counts,
     check_simple,
     component_sizes,
@@ -48,6 +49,7 @@ __all__ = [
     "MAX_WEIGHT",
     "block_cyclic_permutation",
     "cached_graph",
+    "check_bfs_levels",
     "check_connected_counts",
     "check_simple",
     "complete_graph",

@@ -1,7 +1,9 @@
-"""Structural checks over edge lists.
+"""Structural checks over edge lists, and the answer certificates.
 
-These are used by tests, by the generators' own self-checks, and by the
-examples to demonstrate input hygiene.  Each check raises
+The structural checks serve tests, the generators' self-checks and the
+examples; the certificates (:func:`check_connected_counts`,
+:func:`check_bfs_levels`) decide in a few O(m) passes whether an answer
+is *the* answer, for ``validate=True``, soak and the service.  Each raises
 :class:`~repro.errors.GraphError` with a specific message, or returns a
 boolean when called through :func:`is_simple` / :func:`has_self_loops`.
 """
@@ -18,6 +20,7 @@ __all__ = [
     "is_simple",
     "has_self_loops",
     "check_connected_counts",
+    "check_bfs_levels",
     "count_components_reference",
     "component_sizes",
 ]
@@ -46,13 +49,16 @@ def check_simple(graph: EdgeList) -> None:
 
 
 def count_components_reference(graph: EdgeList) -> int:
-    """Component count via scipy (the oracle used by tests)."""
+    """Component count via scipy: what :func:`check_connected_counts`
+    compares a labeling against, in tests and in the service alike."""
+    from scipy import sparse
     from scipy.sparse import csgraph
 
     if graph.n == 0:
         return 0
-    ncomp, _ = csgraph.connected_components(graph.to_scipy(), directed=False)
-    return int(ncomp)
+    # Structure only: weights as matrix data would drop zero-weight edges.
+    adjacency = sparse.coo_matrix((np.ones(graph.m), (graph.u, graph.v)), shape=(graph.n,) * 2)
+    return int(csgraph.connected_components(adjacency, directed=False, return_labels=False))
 
 
 def component_sizes(labels: np.ndarray) -> np.ndarray:
@@ -63,18 +69,50 @@ def component_sizes(labels: np.ndarray) -> np.ndarray:
     return np.sort(counts)[::-1]
 
 
-def check_connected_counts(labels: np.ndarray, graph: EdgeList) -> None:
-    """Verify that a CC labeling is consistent with the graph:
+def check_connected_counts(labels, graph: EdgeList, expected: int | None = None) -> None:
+    """Verify that a CC labeling is the graph's component structure:
 
     * endpoints of every edge share a label;
-    * the number of distinct labels equals the reference component count.
+    * the number of distinct labels equals the component count
+      (``expected`` if the caller holds it, else computed here).
     """
     labels = np.asarray(labels)
     if labels.shape != (graph.n,):
         raise GraphError(f"labels must have shape ({graph.n},), got {labels.shape}")
     if graph.m and np.any(labels[graph.u] != labels[graph.v]):
         raise GraphError("labeling splits an edge across components")
-    expected = count_components_reference(graph)
+    if expected is None:
+        expected = count_components_reference(graph)
     actual = int(np.unique(labels).size) if graph.n else 0
     if actual != expected:
         raise GraphError(f"labeling has {actual} components, reference says {expected}")
+
+
+def check_bfs_levels(dist: np.ndarray, graph: EdgeList, source: int, unreached: int) -> None:
+    """Verify that ``dist`` holds every vertex's BFS level from ``source``
+    (``unreached`` where there is no path): the source is at level 0; no
+    edge joins a reached and an unreached vertex; levels differ by at
+    most one along an edge (none exceeds the distance); every reached
+    vertex but the source has a neighbour one level down (none is below
+    it, no other component is reached; int64 wrap cannot forge the chain)."""
+    dist = np.asarray(dist)
+    if dist.shape != (graph.n,):
+        raise GraphError(f"levels must have shape ({graph.n},), got {dist.shape}")
+    if not 0 <= source < graph.n:
+        raise GraphError(f"source {source} out of range for n={graph.n}")
+    if dist[source] != 0:
+        raise GraphError(f"source {source} is at level {int(dist[source])}, not 0")
+    du, dv = dist[graph.u], dist[graph.v]
+    if np.any((du == unreached) != (dv == unreached)):
+        raise GraphError("an edge joins a reached and an unreached vertex")
+    step = du - dv  # 0 where both ends carry the sentinel
+    if np.any((step > 1) | (step < -1)):
+        raise GraphError("levels differ by more than one along an edge")
+    has_parent = np.zeros(graph.n, dtype=bool)
+    has_parent[graph.u[step == 1]] = True
+    has_parent[graph.v[step == -1]] = True
+    has_parent[source] = True
+    orphans = np.flatnonzero((dist != unreached) & ~has_parent)
+    if orphans.size:
+        v = int(orphans[0])
+        raise GraphError(f"vertex {v} at level {int(dist[v])} has no neighbour one level down")

@@ -12,14 +12,14 @@ algorithm:
 * **protected** — same plan plus the full
   :class:`~repro.integrity.IntegrityConfig`.  Every result must verify.
 
-Every result is checked against networkx (components for CC; minimum
-forest weight for MST, plus the scipy structural checker), so "wrong"
+Every result is checked by the certificates the service serves under
+(``check_connected_counts`` for CC, ``check_spanning_forest`` for MST), so "wrong"
 means *provably* wrong, not merely different.  The report — per
 iteration and in aggregate — lands in ``BENCH_soak.json`` via the bench
 harness, and the CI ``soak-smoke`` job fails on any unrepaired wrong
 result.
 
-Heavy imports (solvers, generators, networkx) stay function-local: this
+Heavy imports (solvers, generators, scipy) stay function-local: this
 module is imported by ``repro.integrity.__init__``, which the
 collectives pull in at package-import time.
 """
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ReproError
+from ..errors import ConfigError, GraphError, ReproError, VerificationError
 from ..faults.plan import CrashEvent, FaultPlan, NodeLossEvent
 from .config import IntegrityConfig
 
@@ -120,47 +120,17 @@ def _compose_plan(config: SoakConfig, seed: int, total_threads: int) -> FaultPla
     )
 
 
-def _cc_wrong(labels: np.ndarray, graph) -> "str | None":
-    """Compare a CC labeling against networkx's components."""
-    import networkx as nx
-
-    labels = np.asarray(labels)
-    seen: set = set()
-    for comp in nx.connected_components(graph.to_networkx()):
-        ids = np.fromiter(comp, dtype=np.int64, count=len(comp))
-        lab = np.unique(labels[ids])
-        if lab.size != 1:
-            return "one component carries several labels"
-        root = int(lab[0])
-        if root in seen:
-            return "two components share a label"
-        seen.add(root)
-    return None
-
-
-def _mst_wrong(result, graph) -> "str | None":
-    """Compare an MST result against networkx's minimum forest weight
-    and the scipy structural checker."""
-    import networkx as nx
-
-    from ..errors import VerificationError
+def _defect(algo: str, result, g, gw) -> "str | None":
+    """The certificate's verdict on a finished run: None, or the defect."""
+    from ..graph.validation import check_connected_counts
     from ..mst.verify import check_spanning_forest
 
-    ids = np.asarray(result.edge_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= graph.m):
-        return "forest edge id out of range"
-    # Parallel edges resolved to their minimum weight first, so the
-    # networkx total is the well-defined optimum of the multigraph.
-    dedup = graph.take(graph.dedup_min_weight_index())
-    expected = int(
-        sum(d["weight"] for _, _, d in nx.minimum_spanning_edges(dedup.to_networkx(), data=True))
-    )
-    total = int(graph.w[ids].sum()) if ids.size else 0
-    if total != expected:
-        return f"forest weight {total} != networkx minimum {expected}"
     try:
-        check_spanning_forest(graph, ids)
-    except VerificationError as err:
+        if algo == "cc":
+            check_connected_counts(result.labels, g)
+        else:
+            check_spanning_forest(gw, result.edge_ids)
+    except (GraphError, VerificationError) as err:
         return str(err)
     return None
 
@@ -223,9 +193,8 @@ def _run_iteration(task: "tuple[SoakConfig, int]") -> list:
         except ReproError as err:
             record["protected"] = {"failed": f"{type(err).__name__}: {err}"}
         else:
-            wrong = _cc_wrong(res.labels, g) if algo == "cc" else _mst_wrong(res, gw)
             record["protected"] = {
-                "wrong": wrong,
+                "wrong": _defect(algo, res, g, gw),
                 "sim_time_ms": res.info.sim_time_ms,
                 **_counters(res),
             }
@@ -235,9 +204,8 @@ def _run_iteration(task: "tuple[SoakConfig, int]") -> list:
             except ReproError as err:
                 record["unprotected"] = {"error": f"{type(err).__name__}: {err}"}
             else:
-                wrong = _cc_wrong(res.labels, g) if algo == "cc" else _mst_wrong(res, gw)
                 record["unprotected"] = {
-                    "wrong": wrong,
+                    "wrong": _defect(algo, res, g, gw),
                     "injected": _counters(res)["injected"],
                 }
         records.append(record)

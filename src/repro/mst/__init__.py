@@ -27,7 +27,7 @@ from .naive_upc import solve_mst_naive_upc
 from .reference import reference_kruskal, reference_prim_weight
 from .sequential import SEQUENTIAL_ALGORITHMS, solve_mst_sequential
 from .smp import solve_mst_smp
-from .verify import check_spanning_forest, reference_msf_weight, scipy_msf
+from .verify import check_spanning_forest, msf_reference, scipy_msf
 
 __all__ = [
     "NO_EDGE",
@@ -35,10 +35,10 @@ __all__ = [
     "break_hook_cycles",
     "check_spanning_forest",
     "extract_winners",
+    "msf_reference",
     "pack_candidates",
     "partition_by_owner",
     "reference_kruskal",
-    "reference_msf_weight",
     "reference_prim_weight",
     "scipy_msf",
     "solve_mst_collective",

@@ -21,8 +21,9 @@ from scipy.sparse import csgraph
 
 from ..errors import VerificationError
 from ..graph.edgelist import EdgeList
+from ..graph.validation import count_components_reference
 
-__all__ = ["scipy_msf", "reference_msf_weight", "check_spanning_forest"]
+__all__ = ["scipy_msf", "msf_reference", "check_spanning_forest"]
 
 
 def _shifted_matrix(graph: EdgeList) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -65,14 +66,19 @@ def scipy_msf(graph: EdgeList) -> tuple[np.ndarray, int]:
     return np.sort(edge_ids), total
 
 
-def reference_msf_weight(graph: EdgeList) -> int:
-    """Total weight of any minimum spanning forest of ``graph``."""
-    return scipy_msf(graph)[1]
+def msf_reference(graph: EdgeList) -> tuple[int, int]:
+    """``(components, weight)`` of the graph's minimum spanning forests,
+    from one scipy solve (a spanning forest has ``n - components``
+    edges): all :func:`check_spanning_forest` needs beyond the graph, so
+    a caller checking many forests of one graph computes it once."""
+    edge_ids, weight = scipy_msf(graph)
+    return graph.n - int(edge_ids.size), weight
 
 
-def check_spanning_forest(graph: EdgeList, edge_ids: np.ndarray) -> None:
+def check_spanning_forest(graph: EdgeList, edge_ids, reference: tuple | None = None) -> None:
     """Raise :class:`VerificationError` unless ``edge_ids`` is a minimum
-    spanning forest of ``graph``."""
+    spanning forest of ``graph``; ``reference`` is :func:`msf_reference`
+    of the same graph when the caller already holds it."""
     if graph.w is None:
         raise VerificationError("MST verification needs a weighted graph")
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
@@ -80,46 +86,18 @@ def check_spanning_forest(graph: EdgeList, edge_ids: np.ndarray) -> None:
         raise VerificationError("forest contains a duplicate edge id")
     if edge_ids.size and (edge_ids.min() < 0 or edge_ids.max() >= graph.m):
         raise VerificationError("edge id out of range")
+    ncomp_graph, expected = msf_reference(graph) if reference is None else reference
 
-    # Forest check via union-find; also counts the components it builds.
-    parent = list(range(graph.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_ids.tolist():
-        a, b = find(int(graph.u[e])), find(int(graph.v[e]))
-        if a == b:
-            raise VerificationError(f"edge {e} closes a cycle in the claimed forest")
-        parent[a] = b
-
-    # Must span: forest components == graph components.
-    ncomp_graph = _component_count(graph)
-    ncomp_forest = len({find(i) for i in range(graph.n)})
+    # k distinct edges are acyclic exactly when they leave n - k
+    # components, and then span exactly when that is the graph's count.
+    ncomp_forest = count_components_reference(graph.take(edge_ids))
+    if ncomp_forest != graph.n - edge_ids.size:
+        raise VerificationError("an edge closes a cycle in the claimed forest")
     if ncomp_forest != ncomp_graph:
         raise VerificationError(
             f"forest leaves {ncomp_forest} components but the graph has {ncomp_graph}"
         )
-    expected_edges = graph.n - ncomp_graph
-    if int(edge_ids.size) != expected_edges:
-        raise VerificationError(
-            f"forest has {edge_ids.size} edges, expected n - #components = {expected_edges}"
-        )
 
     total = int(graph.w[edge_ids].sum()) if edge_ids.size else 0
-    expected = reference_msf_weight(graph)
     if total != expected:
         raise VerificationError(f"forest weight {total} != minimum {expected}")
-
-
-def _component_count(graph: EdgeList) -> int:
-    if graph.n == 0:
-        return 0
-    if graph.m == 0:
-        return graph.n
-    mat, _ = _shifted_matrix(graph)
-    ncomp, _ = csgraph.connected_components(mat, directed=False)
-    return int(ncomp)

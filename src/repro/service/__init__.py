@@ -22,7 +22,7 @@ built around a robustness core rather than a routing core:
   (:mod:`repro.service.journal`); a restarted server recovers every
   in-flight job (resumed or cleanly failed with a retriable status);
 * **a verified-result contract** — every served answer carries its
-  networkx-verify status and plan provenance; a wrong result is never
+  certificate-verify status and plan provenance; a wrong result is never
   served.
 
 ``python -m repro serve`` runs the server; ``python -m repro loadtest``

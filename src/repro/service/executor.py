@@ -12,10 +12,10 @@ AdmissionQueue` and drives one job at a time through:
    :class:`~repro.errors.ReproError` (exhausted retry budgets under
    injected faults, integrity gives-up, ...) are retried up to the
    backoff policy's budget, never sleeping past the deadline;
-4. **verification** — the answer is checked against the networkx
-   oracle before it is served; a wrong answer is *never* served — the
-   job fails (retriable) instead, and the failure feeds the tenant's
-   circuit breaker like any other;
+4. **verification** — the answer is checked by a linear-time
+   certificate before it is served; a wrong answer is *never* served —
+   the job fails (retriable) instead, and the failure feeds the
+   tenant's circuit breaker like any other;
 5. **journal + metrics** — every transition is journaled before it is
    visible, and latency/outcome counters feed ``/metrics``.
 
@@ -29,11 +29,14 @@ in the result (``cache`` / ``tuned`` / ``nearest-cache`` / ``analytic``
 from __future__ import annotations
 
 import collections
+import functools
 import threading
 import time
 from typing import Dict, Optional, Tuple
 
-from ..errors import JobCancelled, ReproError, UsageError
+from ..errors import GraphError, JobCancelled, ReproError, UsageError, VerificationError
+from ..graph.validation import check_bfs_levels, check_connected_counts, count_components_reference
+from ..mst.verify import check_spanning_forest, msf_reference
 from .deadlines import BackoffPolicy, CancelToken, CircuitBreaker, cancel_scope
 from .degradation import ServiceMode
 from .jobs import Job, JobSpec, JobState
@@ -161,16 +164,34 @@ class ServiceMetrics:
         }
 
 
+class _CachedGraph:
+    """One generated input and, lazily, what its certificates compare
+    against: that depends on the graph alone, so the first job to verify
+    here computes it, later ones reuse it, and eviction drops it."""
+
+    def __init__(self, graph, weighted=None) -> None:
+        self.graph = graph
+        self.weighted = weighted
+
+    @functools.cached_property
+    def components(self) -> int:
+        return count_components_reference(self.graph)
+
+    @functools.cached_property
+    def forest(self) -> Tuple[int, int]:
+        return msf_reference(self.weighted)
+
+
 class _GraphCache:
     """Small LRU of generated inputs keyed by graph fingerprint."""
 
     def __init__(self, capacity: int = 32) -> None:
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "collections.OrderedDict[str, tuple]" = collections.OrderedDict()
+        self._entries: "collections.OrderedDict[str, _CachedGraph]" = collections.OrderedDict()
 
-    def get(self, spec: JobSpec):
-        """(graph, weighted_graph_or_None) for the spec's fingerprint."""
+    def get(self, spec: JobSpec) -> _CachedGraph:
+        """The entry for the spec's fingerprint (weighted for MST jobs)."""
         from ..graph import hybrid_graph, powerlaw_graph, random_graph, with_random_weights
 
         key = spec.graph_fingerprint()
@@ -179,18 +200,17 @@ class _GraphCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                g, gw = entry
-                if not weighted or gw is not None:
-                    return g, gw
+                if not weighted or entry.weighted is not None:
+                    return entry
         builders = {"random": random_graph, "hybrid": hybrid_graph, "powerlaw": powerlaw_graph}
         g = builders[spec.kind](spec.n, spec.m, seed=spec.seed)
-        gw = with_random_weights(g, seed=spec.seed + 1) if weighted else None
+        entry = _CachedGraph(g, with_random_weights(g, seed=spec.seed + 1) if weighted else None)
         with self._lock:
-            self._entries[key] = (g, gw)
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-        return g, gw
+        return entry
 
 
 class JobExecutor:
@@ -371,7 +391,8 @@ class JobExecutor:
         """One attempt; returns the result payload (verify not yet run)."""
         from ..core import connected_components, minimum_spanning_forest
 
-        g, gw = self.graphs.get(spec)
+        entry = self.graphs.get(spec)
+        g, gw = entry.graph, entry.weighted
         faults = self._fault_plan(spec, machine)
         integrity = True if spec.integrity else None
         resilience = self._resilience(spec)
@@ -425,30 +446,19 @@ class JobExecutor:
         return payload
 
     def _verify(self, spec: JobSpec, payload: dict) -> Optional[str]:
-        """networkx-oracle check; None when correct, else the defect."""
-        g, gw = self.graphs.get(spec)
-        if spec.algo == "cc":
-            from ..integrity.soak import _cc_wrong
-
-            return _cc_wrong(payload["_result_obj"].labels, g)
-        if spec.algo == "mst":
-            from ..integrity.soak import _mst_wrong
-
-            return _mst_wrong(payload["_result_obj"], gw)
-        import networkx as nx
-
+        """Certificate check; None when correct, else the defect."""
         from ..bfs.solvers import UNREACHED
 
-        dist = payload["_bfs_dist"]
-        source = spec.source % spec.n
-        expected = nx.single_source_shortest_path_length(g.to_networkx(), source)
-        for vertex in range(spec.n):
-            want = expected.get(vertex, None)
-            got = int(dist[vertex])
-            if want is None and got != UNREACHED:
-                return f"vertex {vertex}: unreachable but distance {got}"
-            if want is not None and got != want:
-                return f"vertex {vertex}: distance {got} != networkx {want}"
+        entry = self.graphs.get(spec)
+        try:
+            if spec.algo == "cc":
+                check_connected_counts(payload["_result_obj"].labels, entry.graph, entry.components)
+            elif spec.algo == "mst":
+                check_spanning_forest(entry.weighted, payload["_result_obj"].edge_ids, entry.forest)
+            else:
+                check_bfs_levels(payload["_bfs_dist"], entry.graph, spec.source % spec.n, UNREACHED)
+        except (GraphError, VerificationError) as err:
+            return str(err)
         return None
 
     # -- the lifecycle driver ------------------------------------------------
@@ -535,7 +545,7 @@ class JobExecutor:
 
             payload["verify"] = {
                 "status": "verified" if self.verify else "unverified",
-                "oracle": "networkx" if self.verify else None,
+                "oracle": "certificate" if self.verify else None,
             }
             payload["plan"] = provenance
             payload["attempts"] = job.attempts

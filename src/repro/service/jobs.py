@@ -11,8 +11,8 @@ record that moves through the lifecycle::
 
 Validation raises :class:`~repro.errors.UsageError` naming the offending
 field, which the HTTP layer maps to ``400``.  Every *served* result
-carries the verified-result contract: a ``verify`` block (networkx
-oracle status) and a ``plan`` block (provenance of the configuration
+carries the verified-result contract: a ``verify`` block (certificate
+status) and a ``plan`` block (provenance of the configuration
 that produced it) — see ``docs/service.md``.
 """
 

@@ -8,12 +8,18 @@ including the kill-and-restart journal-recovery contract.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import JobCancelled, UsageError
@@ -636,6 +642,97 @@ class TestExecutorContracts:
         assert svc.result(job.job_id)[0] == 410
         assert svc.metrics.counters["wrong_results_blocked"] >= 1
 
+    @pytest.mark.parametrize("algo, density, entry, defect", [
+        ("cc", 0.5, "connected_components", "reference says"),  # sparse: many components
+        ("mst", 4.0, "minimum_spanning_forest", "!= minimum"),  # dense: many spanning trees
+    ])
+    def test_wrong_answer_from_the_solver_is_blocked(
+        self, monkeypatch, algo, density, entry, defect
+    ):
+        """The contract end to end, ``_verify`` untouched: the *solver*
+        hands back a plausible wrong answer (every component merged into
+        one label; the maximum spanning forest) and it must not be served."""
+        import repro.core
+
+        real = getattr(repro.core, entry)
+
+        def corrupted(graph, machine, **kwargs):
+            if algo == "mst":
+                return real(graph.with_weights(graph.w.max() - graph.w), machine, **kwargs)
+            result = real(graph, machine, **kwargs)
+            result.labels = np.zeros_like(result.labels)
+            return result
+
+        monkeypatch.setattr(repro.core, entry, corrupted)
+        svc = _service()
+        svc.executor.backoff = BackoffPolicy(base_s=0.0, max_attempts=2)
+        _, body, _ = svc.submit({"algo": algo, "n": 64, "density": density, "machine": "2x2"})
+        job = svc.jobs[body["job_id"]]
+        svc.executor.execute(svc.queue.take(0))
+        assert job.state == JobState.FAILED
+        assert job.retriable
+        assert "result failed verification" in job.error and defect in job.error
+        assert job.result is None
+        assert svc.result(job.job_id)[0] == 410
+        assert svc.metrics.counters["wrong_results_blocked"] >= 1
+
+    def test_reference_is_computed_once_per_cached_graph(self, monkeypatch):
+        """What a certificate compares against depends on the graph
+        alone: the first job on a fingerprint computes it, the next one
+        reuses it, and it goes with the cache entry."""
+        import repro.service.executor as executor
+
+        calls = {"cc": 0, "mst": 0}
+        real_count, real_msf = executor.count_components_reference, executor.msf_reference
+
+        def count(graph):
+            calls["cc"] += 1
+            return real_count(graph)
+
+        def msf(graph):
+            calls["mst"] += 1
+            return real_msf(graph)
+
+        monkeypatch.setattr(executor, "count_components_reference", count)
+        monkeypatch.setattr(executor, "msf_reference", msf)
+        svc = _service()
+
+        def run(**body):
+            _, reply, _ = svc.submit({"n": 64, "machine": "2x2", **body})
+            svc.executor.execute(svc.queue.take(0))
+            assert svc.jobs[reply["job_id"]].result["verify"]["status"] == "verified"
+
+        run(algo="mst", seed=1)
+        run(algo="mst", seed=1)
+        run(algo="cc", seed=1)
+        run(algo="cc", seed=1)
+        assert calls == {"cc": 1, "mst": 1}
+        svc.executor.graphs.capacity = 1
+        run(algo="cc", seed=2)  # evicts seed 1, and its reference with it
+        run(algo="cc", seed=1)
+        assert calls == {"cc": 3, "mst": 1}
+
+    def test_service_path_never_imports_networkx(self):
+        """One verified cc, mst and bfs job in a fresh interpreter: the
+        service solves and verifies without networkx loaded."""
+        script = (
+            "import sys\n"
+            "from repro.service import GraphService, ServiceConfig\n"
+            "svc = GraphService(ServiceConfig(workers=1, journal_path=None))\n"
+            "for algo in ('cc', 'mst', 'bfs'):\n"
+            "    _, body, _ = svc.submit({'algo': algo, 'n': 64, 'machine': '2x2'})\n"
+            "    svc.executor.execute(svc.queue.take(0))\n"
+            "    verify = svc.jobs[body['job_id']].result['verify']\n"
+            "    assert verify == {'status': 'verified', 'oracle': 'certificate'}, verify\n"
+            "assert 'networkx' not in sys.modules\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_verified_result_has_contract_blocks(self):
         svc = _service()
         _, body, _ = svc.submit({"n": 64, "machine": "2x2", "algo": "mst"})
@@ -643,7 +740,7 @@ class TestExecutorContracts:
         svc.executor.execute(svc.queue.take(0))
         assert job.state == JobState.DONE
         result = job.result
-        assert result["verify"] == {"status": "verified", "oracle": "networkx"}
+        assert result["verify"] == {"status": "verified", "oracle": "certificate"}
         assert result["plan"]["source"] == "explicit"
         assert result["attempts"] == 1
 
@@ -743,6 +840,23 @@ class TestHTTPEndToEnd:
         assert _call(f"{url}/nope")[0] == 404
         status, body = _call(f"{url}/submit", {"algo": "wat"})
         assert status == 400
+
+    def test_kept_alive_replies_do_not_stall(self, live_server):
+        """Headers and body leave in one segment.  Written separately,
+        the body waits behind Nagle for the client's delayed ACK: ~40 ms
+        a reply, >= 0.8 s for these twenty."""
+        host, port = live_server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())
+            assert time.perf_counter() - t0 < 0.4
+        finally:
+            conn.close()
 
     def test_malformed_json_is_400(self, live_server):
         req = urllib.request.Request(
