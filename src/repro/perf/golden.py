@@ -28,6 +28,10 @@ buddy and parity modes, with and without transient faults, but with
 **no node loss firing** — replication and round-commit charges are part
 of the modeled time, so they are pinned too.  ``DATA_PLANE_SCENARIOS``
 pins the collective paths neither matrix reaches.
+``RECOVERY_SCENARIOS`` pins the recovery arms themselves: every fault
+class at once (:data:`CHAOS_PLAN` — a crash, a node loss, silent and
+in-flight corruption) on each checkpointing solver, the online adapter
+across a membership change, and the repair bound giving up.
 
 This module is the file's only writer::
 
@@ -49,7 +53,8 @@ import numpy as np
 from ..errors import ReproError
 
 __all__ = [
-    "Scenario", "SCENARIOS", "REDUNDANCY_SCENARIOS", "DATA_PLANE_SCENARIOS", "scenario_fingerprint",
+    "Scenario", "SCENARIOS", "REDUNDANCY_SCENARIOS", "DATA_PLANE_SCENARIOS", "RECOVERY_SCENARIOS",
+    "scenario_fingerprint",
 ]
 
 
@@ -70,6 +75,13 @@ class Scenario:
     redundancy: str = ""
     #: ``impl`` handed to the pipeline entry point.
     impl: str = "collective"
+    #: Run under :data:`CHAOS_PLAN` instead of the light transient plan.
+    chaos: bool = False
+    #: Cold spare nodes of the redundancy config.
+    spares: int = 0
+    #: Hand an eager :class:`~repro.tuning.OnlineAdapter` straight to
+    #: the collective solver (the pipeline only builds one for ``auto``).
+    adapt: bool = False
 
     @property
     def name(self) -> str:
@@ -85,7 +97,13 @@ class Scenario:
             base += f"@{self.nodes}x{self.threads}"
         if self.seed != 7:
             base += f"~{self.seed}"
-        return f"{base}+{self.redundancy}" if self.redundancy else base
+        if self.chaos:
+            base += "!chaos"
+        if self.adapt:
+            base += "!adapt"
+        if self.redundancy:
+            base += f"+{self.redundancy}"
+        return f"{base}/spare{self.spares}" if self.spares else base
 
 
 SCENARIOS = tuple(
@@ -112,6 +130,50 @@ DATA_PLANE_SCENARIOS = (
 )
 
 
+#: Every fault class the injector knows, in the shape of the resilience
+#: tests' plan: a transient crash of thread 5, a permanent loss of node 1,
+#: owner-block bit flips, wire flips and message loss.
+def _chaos_plan():
+    from ..faults.plan import CrashEvent, FaultPlan, NodeLossEvent
+
+    return FaultPlan(
+        seed=11,
+        loss=1e-3,
+        corruption=5.0,
+        payload_corruption=1e-4,
+        crashes=(CrashEvent(thread=5, at_time=1e-4),),
+        node_losses=(NodeLossEvent(node=1, at_time=4e-4),),
+    )
+
+
+def _chaos(algo: str, impl: str = "collective", redundancy: str = "buddy", **kw) -> Scenario:
+    return Scenario(
+        algo=algo, faults=True, analyze=False, integrity=True, impl=impl, chaos=True,
+        redundancy=redundancy, **kw,
+    )
+
+
+#: Each checkpointing solver under the chaos plan, both redundancy modes
+#: shrinking onto the survivors, plus a spare adoption for CC and MST.
+#: Every run fires a crash replay, integrity repairs and one membership
+#: epoch.  The two ``!adapt`` runs pin the adapter's ``begin`` /
+#: ``on_round`` / ``on_membership_change`` decisions; ``lt-rfa`` with a
+#: spare pins the repair bound's give-up error.
+RECOVERY_SCENARIOS = tuple(
+    _chaos(algo, impl, mode)
+    for (algo, impl), mode in product(
+        (("cc", "collective"), ("cc", "lt-ps"), ("cc", "lt-rfa"), ("mst", "collective")),
+        ("buddy", "parity"),
+    )
+) + (
+    _chaos("cc", redundancy="parity", spares=1),
+    _chaos("mst", spares=1),
+    _chaos("cc", adapt=True),
+    _chaos("mst", adapt=True),
+    _chaos("cc", "lt-rfa", spares=1),
+)
+
+
 def _hex(x: float) -> str:
     return float(x).hex()
 
@@ -128,6 +190,8 @@ def _array_fp(arr: np.ndarray) -> dict:
 def _fault_plan(scenario: Scenario):
     from ..faults.plan import FaultPlan
 
+    if scenario.chaos:
+        return _chaos_plan()
     return FaultPlan(
         seed=scenario.seed,
         loss=0.01,
@@ -151,7 +215,17 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
     if scenario.redundancy:
         from ..resilience import RedundancyConfig
 
-        resilience = RedundancyConfig(mode=scenario.redundancy, group=2)
+        resilience = RedundancyConfig(mode=scenario.redundancy, group=2, spares=scenario.spares)
+    adapter = None
+    if scenario.adapt:
+        from ..tuning.adapter import AdapterConfig, OnlineAdapter
+
+        # Thresholds at zero: both rules fire on the first round that
+        # lets them, so the pin covers real revisions, not just holds.
+        adapter = OnlineAdapter(
+            machine, scenario.n, allow_offload=scenario.algo == "cc",
+            config=AdapterConfig(wait_threshold=0.0, divergence=0.0),
+        )
 
     ctx = contextlib.nullcontext()
     if scenario.analyze:
@@ -162,21 +236,25 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
     fp: dict = {"scenario": scenario.name}
     try:
         with ctx:
-            if scenario.algo == "cc":
+            if adapter is not None:
+                res = _adapted_solve(scenario, g, machine, plan, adapter, integrity, resilience)
+            elif scenario.algo == "cc":
                 res = connected_components(
                     g, machine, impl=scenario.impl, faults=plan,
                     integrity=integrity, resilience=resilience,
                 )
-                fp["result"] = {
-                    "labels": _array_fp(res.labels),
-                    "num_components": res.num_components,
-                }
             else:
                 gw = with_random_weights(g, seed=scenario.seed + 1)
                 res = minimum_spanning_forest(
                     gw, machine, impl=scenario.impl, faults=plan,
                     integrity=integrity, resilience=resilience,
                 )
+            if scenario.algo == "cc":
+                fp["result"] = {
+                    "labels": _array_fp(res.labels),
+                    "num_components": res.num_components,
+                }
+            else:
                 fp["result"] = {
                     "edge_ids": _array_fp(np.sort(res.edge_ids)),
                     "total_weight": int(res.total_weight),
@@ -195,7 +273,28 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
     fp["category_seconds"] = {c: _hex(v) for c, v in trace.category_seconds.items()}
     fp["breakdown"] = {c: _hex(v) for c, v in trace.breakdown(machine.total_threads).items()}
     fp["counters"] = trace.counters.as_dict()
+    if adapter is not None:
+        fp["adapter"] = list(adapter.decisions)
     return fp
+
+
+def _adapted_solve(scenario, g, machine, plan, adapter, integrity, resilience):
+    """A collective solve with ``adapter`` attached, starting from
+    ``offload`` off and ``t' = 2`` so that both adaptation rules have
+    something to revise."""
+    from ..cc.collective import solve_cc_collective
+    from ..core.optimizations import OptimizationFlags
+    from ..graph.generators import with_random_weights
+    from ..mst.collective import solve_mst_collective
+
+    if scenario.algo == "cc":
+        solve = solve_cc_collective
+    else:
+        solve, g = solve_mst_collective, with_random_weights(g, seed=scenario.seed + 1)
+    return solve(
+        g, machine, opts=OptimizationFlags.all().with_(offload=False), tprime=2,
+        faults=plan, adapter=adapter, integrity=integrity, resilience=resilience,
+    )
 
 
 if __name__ == "__main__":
@@ -210,7 +309,7 @@ if __name__ == "__main__":
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    pinned = SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS
+    pinned = SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + RECOVERY_SCENARIOS
     fingerprints = {s.name: scenario_fingerprint(s) for s in pinned}
     json.dump({"header": header, "fingerprints": fingerprints}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

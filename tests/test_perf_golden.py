@@ -26,6 +26,7 @@ import pytest
 
 from repro.perf.golden import (
     DATA_PLANE_SCENARIOS,
+    RECOVERY_SCENARIOS,
     REDUNDANCY_SCENARIOS,
     SCENARIOS,
     Scenario,
@@ -79,7 +80,7 @@ def test_matrix_spans_the_contract():
 
 def test_file_pins_exactly_the_scenarios():
     """No stale entry, no missing one."""
-    pinned = SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS
+    pinned = SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + RECOVERY_SCENARIOS
     assert set(GOLDEN) == {s.name for s in pinned}
 
 
@@ -130,6 +131,30 @@ def test_data_plane_paths_are_bit_identical(scenario):
     live = _assert_matches_file(scenario)
     if scenario.faults:
         assert live["counters"]["corruptions_injected"] > 0
+
+
+@pytest.mark.parametrize("scenario", RECOVERY_SCENARIOS, ids=_scenario_id)
+def test_recovery_paths_are_bit_identical(scenario):
+    """Each chaos scenario must really reach every recovery arm — a
+    crash replay, an integrity repair and one membership epoch (and,
+    with ``adapt``, adapter revisions besides the membership re-plan) —
+    or the pin covers less than its name says.  The one run whose
+    repairs exceed the bound pins the give-up error instead."""
+    live = _assert_matches_file(scenario)
+    if scenario.impl == "lt-rfa" and scenario.spares:
+        assert live["error"].startswith("FaultError: cc-lt-rfa gave up after")
+        return
+    counters = live["counters"]
+    assert counters["crashes"] >= 1
+    assert counters["repairs"] >= 1
+    assert counters["epoch_changes"] == 1
+    assert counters["checkpoint_restores"] == (
+        counters["crashes"] + counters["repairs"] + counters["epoch_changes"]
+    )
+    if scenario.adapt:
+        decisions = live["adapter"]
+        assert decisions[0].startswith("membership change")
+        assert len(decisions) == counters["tuning_adaptations"] >= 2
 
 
 def test_redundancy_never_changes_answers_without_a_loss():
