@@ -59,8 +59,9 @@ matching the linter's CM03 convention.  Waivers use the shared
 
 Scope: summaries are computed for every scanned file, but findings are
 only emitted for the solver packages the call graph serves (``cc/``,
-``lt/``, ``mst/``, ``bfs/``, ``listrank/`` — :data:`FLOW_CHECKED_PARTS`)
-and for
+``lt/``, ``mst/``, ``bfs/``, ``listrank/``, and the round driver
+``faults/rounds.py`` that runs their recovery loop —
+:data:`FLOW_CHECKED_PARTS`) and for
 files outside the ``repro`` package entirely (fixtures, user code).
 """
 
@@ -86,17 +87,19 @@ FLOW_CATALOG = {
     "FX01": "faultable effect outside fault-recovery scope in a checkpointing solver",
 }
 
-#: Algorithm packages the interprocedural rules gate.  Everything under
-#: ``repro`` but outside these parts (and outside the whitelist) is
-#: summarized for call-graph propagation but not itself checked; files
-#: outside the ``repro`` package entirely (test fixtures, user solvers)
-#: are always checked.
+#: Algorithm packages the interprocedural rules gate (a part listed
+#: here is checked even inside the linter's whitelist).  Everything else
+#: under ``repro`` is summarized for call-graph propagation but not
+#: itself checked; files outside the ``repro`` package entirely (test
+#: fixtures, user solvers) are always checked.
 FLOW_CHECKED_PARTS = (
     "repro/cc/",
     "repro/lt/",
     "repro/mst/",
     "repro/bfs/",
     "repro/listrank/",
+    # The one fault-recovery `try` the checkpointing solvers share.
+    "repro/faults/rounds.py",
 )
 
 #: Owner-affinity signals for shared-name inference: the linter's set
@@ -755,12 +758,12 @@ class _Program:
 
 
 def _is_checked(path: Path) -> bool:
+    text = Path(path).resolve().as_posix()
+    if any(part in text for part in FLOW_CHECKED_PARTS):
+        return True  # named parts win over the linter's whitelist
     if is_whitelisted(path):
         return False
-    text = Path(path).resolve().as_posix()
-    if "/repro/" not in text:
-        return True  # fixtures / user code outside the package
-    return any(part in text for part in FLOW_CHECKED_PARTS)
+    return "/repro/" not in text  # fixtures / user code outside the package
 
 
 def _collect_files(paths: Sequence[str | Path]) -> List[Path]:

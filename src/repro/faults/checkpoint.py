@@ -1,9 +1,10 @@
 """Round-boundary checkpointing for crash-and-recover solvers.
 
-The iterative solvers (CC grafting, MST Borůvka) snapshot their mutable
-state — the label/forest shared arrays and the live edge partitions — at
-the top of every round.  When the runtime raises
-:class:`~repro.errors.ThreadCrash` mid-round, the solver restores the
+The round driver (:func:`repro.faults.rounds.run_rounds`, which runs CC
+grafting, the Liu–Tarjan lattice and MST Borůvka) snapshots each solve's
+mutable state — the label array and the live edge partitions — at the
+top of every round.  When the runtime raises
+:class:`~repro.errors.ThreadCrash` mid-round, the driver restores the
 snapshot and replays only the lost round: graceful degradation instead
 of aborting, at the cost of one streamed pass per round to write the
 checkpoint (charged to the ``Fault`` trace category, so fault-tolerance

@@ -25,34 +25,38 @@ proposals, which for all three connect rules implies every edge has
 settled (endpoint labels equal) — the termination test is simply "did
 anything change", reduced over threads.
 
-Fault tolerance mirrors :func:`repro.cc.collective.solve_cc_collective`:
-each round checkpoints the label array and the live edge partitions;
-injected crashes and detected corruption restore the checkpoint, resync
-the integrity shadows, and replay the lost round.  Round-top invariants
+Fault tolerance is the shared round driver,
+:func:`repro.faults.rounds.run_rounds`: each round checkpoints the label
+array and the live edge partitions; injected crashes and detected
+corruption restore the checkpoint, resync the integrity shadows, and
+replay the lost round; a node loss replays it on the surviving
+membership.  The round-top invariants
 (:meth:`~repro.integrity.monitor.IntegrityMonitor.verify_lt_round`) run
-before the save so checkpoints only ever hold invariant-clean state.
+before the save so checkpoints only ever hold invariant-clean state; the
+restored labels become the next round's monotonicity baseline.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
+from ..cc.collective import pointer_jump_once, pointer_jump_to_stars
+from ..cc.common import graft_proposals
 from ..collectives.base import CollectiveContext
 from ..collectives.getd import getd
 from ..collectives.setd import setd
 from ..core.optimizations import OptimizationFlags
 from ..core.results import CCResult, SolveInfo
-from ..errors import ConvergenceError, FaultError, IntegrityError, NodeLoss, ThreadCrash
-from ..faults.checkpoint import RoundCheckpointer
+from ..faults.rounds import run_rounds
 from ..graph.distribute import distribute_edges
 from ..graph.edgelist import EdgeList
 from ..runtime.machine import MachineConfig, hps_cluster
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
-from ..cc.common import check_converged, graft_proposals
 from .variants import LTVariant, parse_variant
 
 __all__ = ["solve_cc_lt", "lt_iteration_bound"]
@@ -69,14 +73,6 @@ def lt_iteration_bound(n: int) -> int:
     """
     log_n = max(1, math.ceil(math.log2(max(n, 2))))
     return 2 * (log_n + 2) ** 2 + 8
-
-
-def _check_lt_converged(iteration: int, n: int, what: str) -> None:
-    if iteration > lt_iteration_bound(n):
-        raise ConvergenceError(
-            f"{what} exceeded the {lt_iteration_bound(n)}-iteration safety bound"
-            f" for n={n}; this indicates a semantic bug, not a slow input"
-        )
 
 
 def _connect_proposals(
@@ -128,43 +124,85 @@ def _connect_proposals(
     return targets, values.data
 
 
-def _shortcut_phase(
-    rt: PGASRuntime,
-    d,
-    opts: OptimizationFlags,
-    tprime: int,
-    sort_method: str,
-    vert_offsets: np.ndarray,
-    hot,
-    full: bool,
-) -> int:
-    """Synchronous pointer jumping; returns the number of moved labels.
+def _verify_lattice(st) -> None:
+    st.rt.integrity.verify_lt_round(st.d, prev=st.prev)
+    st.prev = st.rt.owner_block_read(st.d)
 
-    ``full`` iterates to all-stars with a uniform allreduce deciding the
-    loop exit (the same shape as :func:`repro.cc.collective.
-    pointer_jump_to_stars`); ``partial`` applies exactly one round.
-    """
-    n = d.size
-    moved_total = 0
-    rounds = 0
-    # One partition of the label array per call; every round's request
-    # buffer is a sibling that shares its layout (thread ids, sizes).
-    verts = PartitionedArray(d.data, vert_offsets)
-    while True:
-        rounds += 1
-        check_converged(rounds, n, "lt shortcut pointer jumping")
-        idxp = verts.with_data(rt.owner_block_read(d))
-        grand = getd(
-            rt, d, idxp, opts, ctx=None, cache_key=None,
-            tprime=tprime, sort_method=sort_method, hot_value=hot,
+
+def _restored_baseline(st) -> None:
+    """The restored round-top state is the new monotonicity baseline."""
+    st.prev = st.d.data.copy()
+
+
+def _lattice_round(st) -> bool:
+    """One connect / shortcut / alter round; ``True`` once nothing moved."""
+    rt, d, ctx, variant = st.rt, st.d, st.ctx, st.variant
+    opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
+    u_part, v_part = st.u_part, st.v_part
+    hot = 0 if opts.offload else None
+
+    # -- connect phase --------------------------------------------
+    # Round buffers are bound on `st` too, so that each lives until the
+    # next round replaces it (see run_rounds: heap trimming).
+    st.du = du = getd(rt, d, u_part, opts, ctx, "edges.u", tprime, sort_method, hot_value=hot)
+    st.dv = dv = getd(rt, d, v_part, opts, ctx, "edges.v", tprime, sort_method, hot_value=hot)
+    if opts.compact:
+        st.keep = keep = du != dv
+        rt.local_ops(u_part.sizes().astype(np.float64))
+        if not keep.all():
+            # One selection serves all four payloads of the mask.
+            sel = np.flatnonzero(keep)
+            u_part = u_part.take_sorted(sel)
+            v_part = u_part.with_data(v_part.data.take(sel))
+            st.du = du = du.take(sel)
+            st.dv = dv = dv.take(sel)
+            ctx.invalidate()
+    ddu = ddv = None
+    # The connect rule is fixed per run, so every simulated
+    # thread takes the same branch and sync counts stay aligned.
+    # repro: waive[CM03] variant config uniform across threads
+    if variant.connect == "root":
+        st.ddu = ddu = getd(
+            rt, d, u_part.with_data(du), opts, None, None, tprime, sort_method,
+            hot_value=hot,
         )
-        moved_per_thread = verts.segment_counts_where(grand != d.data)
-        rt.owner_block_write(d, grand)
-        moved_total += int(moved_per_thread.sum())
-        if not full:
-            return moved_total
-        if not rt.allreduce_flag(moved_per_thread > 0):
-            return moved_total
+        st.ddv = ddv = getd(
+            rt, d, v_part.with_data(dv), opts, None, None, tprime, sort_method,
+            hot_value=hot,
+        )
+    st.targets, st.values = targets, values = _connect_proposals(
+        variant, rt, u_part, v_part, du, dv, ddu, ddv
+    )
+    changed = setd(
+        rt, d, targets, values, opts, ctx=None, cache_key=None,
+        tprime=tprime, sort_method=sort_method,
+        drop_hot=True, hot_index=0,
+    )
+
+    # -- shortcut phase -------------------------------------------
+    if variant.shortcut == "full":
+        moved = pointer_jump_to_stars(rt, d, opts, tprime, sort_method)
+    else:
+        moved = pointer_jump_once(rt, d, opts, tprime, sort_method)
+
+    # -- alter phase ----------------------------------------------
+    # repro: waive[CM03] variant config uniform across threads
+    if variant.alter:
+        fu = getd(rt, d, u_part, opts, None, None, tprime, sort_method, hot_value=hot)
+        fv = getd(rt, d, v_part, opts, None, None, tprime, sort_method, hot_value=hot)
+        u_part = u_part.with_data(fu)
+        v_part = v_part.with_data(fv)
+        # The cached id buffers describe the old request lists.
+        ctx.invalidate()
+    st.u_part, st.v_part = u_part, v_part
+
+    done = not rt.allreduce_flag(np.full(rt.s, changed + moved > 0))
+    if done and rt.integrity is not None:
+        # Termination contract: the forest must have collapsed to
+        # stars.  Checked inside the recovery scope so a failure
+        # restores and replays like any other detected corruption.
+        rt.integrity.verify_lt_round(d, prev=st.prev, final=True)
+    return done
 
 
 def solve_cc_lt(
@@ -183,9 +221,8 @@ def solve_cc_lt(
     Produces labels identical to every other CC implementation in this
     package at convergence (each component labeled by its minimum vertex
     id).  ``faults``, ``integrity``, and ``resilience`` behave exactly
-    as in :func:`~repro.cc.collective.solve_cc_collective` — the
-    checkpoint/replay, verify-and-repair, and loss-recovery loops are
-    shared skeleton, not per-variant code.
+    as in :func:`~repro.cc.collective.solve_cc_collective`: every
+    variant runs its rounds under :func:`~repro.faults.rounds.run_rounds`.
     """
     variant = parse_variant(variant)
     machine = machine if machine is not None else hps_cluster()
@@ -198,135 +235,22 @@ def solve_cc_lt(
         return CCResult(np.empty(0, dtype=np.int64), info)
 
     ep = distribute_edges(graph, rt.s)
-    u_part, v_part = ep.u, ep.v
     d = rt.shared_array(np.arange(n, dtype=np.int64), name=f"lt.{variant.name}.d")
     rt.protect_array(d)
     if rt.resilience is not None:
         rt.resilience.enroll(d)
-    sizes = d.local_sizes()
-    vert_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=vert_offsets[1:])
-    ctx = CollectiveContext()
-    needs_roots = variant.connect == "root"
-
-    ck = RoundCheckpointer(
-        rt,
-        enabled=True if (rt.integrity is not None or rt.resilience is not None) else None,
+    # ``prev`` holds the last verified round-top labels: the monotonicity
+    # baseline of the next round's invariants.
+    st = SimpleNamespace(
+        rt=rt, d=d, ctx=CollectiveContext(), u_part=ep.u, v_part=ep.v, prev=None,
+        opts=opts, tprime=tprime, sort_method=sort_method, variant=variant,
     )
-    prev_labels = None
-    repairs = 0
-    repair_bound = 8 * (4 + int(np.ceil(np.log2(max(n, 2)))))
-    iteration = 0
-    while True:
-        iteration += 1
-        hot = 0 if opts.offload else None
-        _check_lt_converged(iteration, n, f"{impl_name} rounds")
-        try:
-            # Round-top invariants run BEFORE the save so the checkpoint
-            # only ever holds invariant-clean state to restore into.
-            if rt.integrity is not None:
-                rt.integrity.verify_lt_round(d, prev=prev_labels)
-                prev_labels = rt.owner_block_read(d)
-            ck.save(arrays={d.name: d.data}, u_part=u_part, v_part=v_part)
-            if rt.resilience is not None:
-                rt.resilience.commit_round()
-            rt.counters.add(iterations=1)
-
-            # -- connect phase --------------------------------------------
-            du = getd(rt, d, u_part, opts, ctx, "edges.u", tprime, sort_method, hot_value=hot)
-            dv = getd(rt, d, v_part, opts, ctx, "edges.v", tprime, sort_method, hot_value=hot)
-            if opts.compact:
-                keep = du != dv
-                rt.local_ops(u_part.sizes().astype(np.float64))
-                if not keep.all():
-                    # One selection serves all four payloads of the mask.
-                    sel = np.flatnonzero(keep)
-                    u_part = u_part.take_sorted(sel)
-                    v_part = u_part.with_data(v_part.data.take(sel))
-                    du, dv = du.take(sel), dv.take(sel)
-                    ctx.invalidate()
-            ddu = ddv = None
-            # The connect rule is fixed per run, so every simulated
-            # thread takes the same branch and sync counts stay aligned.
-            # repro: waive[CM03] variant config uniform across threads
-            if needs_roots:
-                ddu = getd(
-                    rt, d, u_part.with_data(du), opts, None, None, tprime, sort_method,
-                    hot_value=hot,
-                )
-                ddv = getd(
-                    rt, d, v_part.with_data(dv), opts, None, None, tprime, sort_method,
-                    hot_value=hot,
-                )
-            targets, values = _connect_proposals(variant, rt, u_part, v_part, du, dv, ddu, ddv)
-            changed = setd(
-                rt, d, targets, values, opts, ctx=None, cache_key=None,
-                tprime=tprime, sort_method=sort_method,
-                drop_hot=True, hot_index=0,
-            )
-
-            # -- shortcut phase -------------------------------------------
-            moved = _shortcut_phase(
-                rt, d, opts, tprime, sort_method, vert_offsets, hot,
-                full=variant.shortcut == "full",
-            )
-
-            # -- alter phase ----------------------------------------------
-            # repro: waive[CM03] variant config uniform across threads
-            if variant.alter:
-                fu = getd(rt, d, u_part, opts, None, None, tprime, sort_method, hot_value=hot)
-                fv = getd(rt, d, v_part, opts, None, None, tprime, sort_method, hot_value=hot)
-                u_part = u_part.with_data(fu)
-                v_part = v_part.with_data(fv)
-                # The cached id buffers describe the old request lists.
-                ctx.invalidate()
-
-            done = not rt.allreduce_flag(np.full(rt.s, changed + moved > 0))
-            if done and rt.integrity is not None:
-                # Termination contract: the forest must have collapsed to
-                # stars.  Checked inside the recovery scope so a failure
-                # restores and replays like any other detected corruption.
-                rt.integrity.verify_lt_round(d, prev=prev_labels, final=True)
-        except NodeLoss as loss:
-            # Permanent membership change: reconstruct the labels from
-            # redundancy, remap onto the post-loss machine, replay.
-            recovered = rt.resilience.recover_loss(loss, ck)
-            rt, machine, ck = recovered.rt, recovered.machine, recovered.ck
-            d = recovered.arrays[d.name]
-            u_part, v_part = recovered.state["u_part"], recovered.state["v_part"]
-            # The recovered round-top state is the new monotonicity baseline.
-            prev_labels = d.data.copy()
-            sizes = d.local_sizes()
-            vert_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=vert_offsets[1:])
-            ctx = CollectiveContext()
-            iteration -= 1
-            continue
-        except (ThreadCrash, IntegrityError) as fault:
-            state = ck.restore()
-            # repro: waive[CM01] checkpoint restore; RoundCheckpointer charges the pass
-            d.data[:] = state[d.name]
-            u_part, v_part = state["u_part"], state["v_part"]
-            # The restored round-top state is the new monotonicity baseline.
-            prev_labels = state[d.name].copy()
-            if rt.integrity is not None:
-                rt.integrity.resync(d)
-            if isinstance(fault, IntegrityError):
-                rt.counters.add(repairs=1)
-                repairs += 1
-                if repairs > repair_bound:
-                    raise FaultError(
-                        f"{impl_name} gave up after {repairs} integrity repairs"
-                        " (corruption rate exceeds what replay can absorb)"
-                    ) from fault
-            ctx.invalidate()
-            iteration -= 1
-            continue
-        if done:
-            break
-
-    labels = d.data.copy()
+    iterations = run_rounds(
+        st, _lattice_round, name=impl_name, bound=lt_iteration_bound(n),
+        refs=("u_part", "v_part"), verify=_verify_lattice, replay=_restored_baseline,
+    )
+    rt = st.rt
     info = SolveInfo(
-        machine, impl_name, rt.elapsed, time.perf_counter() - wall_start, iteration, rt.trace
+        rt.machine, impl_name, rt.elapsed, time.perf_counter() - wall_start, iterations, rt.trace
     )
-    return CCResult(labels, info)
+    return CCResult(st.d.data.copy(), info)

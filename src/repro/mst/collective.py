@@ -22,18 +22,19 @@ Per iteration:
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
 from ..cc.collective import pointer_jump_to_stars
-from ..cc.common import check_converged
+from ..cc.common import iteration_bound
 from ..collectives.base import CollectiveContext
 from ..collectives.getd import getd
 from ..collectives.setd import setdmin
 from ..core.optimizations import OptimizationFlags
 from ..core.results import MSTResult, SolveInfo
-from ..errors import FaultError, GraphError, IntegrityError, NodeLoss, ThreadCrash
-from ..faults.checkpoint import RoundCheckpointer
+from ..errors import GraphError
+from ..faults.rounds import run_rounds
 from ..graph.distribute import distribute_edges
 from ..graph.edgelist import EdgeList
 from ..runtime.machine import MachineConfig, hps_cluster
@@ -55,6 +56,121 @@ def partition_by_owner(indices: np.ndarray, shared: SharedArray) -> PartitionedA
     return PartitionedArray(np.asarray(indices, dtype=np.int64), offsets)
 
 
+def _verify_boruvka(st) -> None:
+    st.rt.integrity.verify_star_round(st.d)
+
+
+def _fresh_minedge(st) -> None:
+    """Allocate the per-supervertex minimum array on ``st.rt``.
+
+    It carries per-round scratch only (reset at every round top), so a
+    membership change re-allocates it on the new runtime instead of
+    recovering it.  Packed (weight, position) keys have no fold-safe flip
+    domain, so it is digest-verified but not a block-flip target.
+    """
+    st.minedge = st.rt.shared_array(np.full(st.d.size, NO_EDGE, dtype=np.int64), name="mst.minedge")
+    st.rt.protect_array(st.minedge, corruptible=False)
+
+
+def _boruvka_round(st) -> bool:
+    """One Borůvka round; ``True`` once no edge joins two supervertices."""
+    rt, d, minedge, ctx = st.rt, st.d, st.minedge, st.ctx
+    opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
+    u_part, v_part, w_part, id_part = st.u_part, st.v_part, st.w_part, st.id_part
+
+    # The `offload` optimization's invariant (D[0] stays 0) holds for CC,
+    # where grafting always hooks larger labels onto smaller ones.  It
+    # does NOT hold for Boruvka: a supervertex hooks along its own
+    # minimum edge regardless of label order, so d[0] may legitimately
+    # rise.  The paper scopes offload to CC/spanning-tree accordingly
+    # ("Fortunately, D[0] remains constant for CC"); MST must fetch
+    # honestly, so no GetD here passes a hot value.
+    # Round buffers are bound on `st` too, so that each lives until the
+    # next round replaces it (see run_rounds: heap trimming).
+    st.du = du = getd(rt, d, u_part, opts, ctx, "edges.u", tprime, sort_method)
+    st.dv = dv = getd(rt, d, v_part, opts, ctx, "edges.v", tprime, sort_method)
+    st.cross = cross = du != dv
+    rt.local_ops(u_part.sizes().astype(np.float64))
+    cross_per_thread = u_part.segment_counts_where(cross)
+    if not rt.allreduce_flag(cross_per_thread > 0):
+        return True
+
+    if cross.all():
+        live = u_part
+        du_c, dv_c = du, dv
+        w_c, id_c = w_part.data, id_part.data
+    else:
+        # One selection serves every payload that shares the mask.
+        sel = np.flatnonzero(cross)
+        live = u_part.take_sorted(sel)
+        st.du_c, st.dv_c = du_c, dv_c = du.take(sel), dv.take(sel)
+        st.w_c, st.id_c = w_c, id_c = w_part.data.take(sel), id_part.data.take(sel)
+        if opts.compact:
+            st.u_part, st.v_part = live, live.with_data(v_part.data.take(sel))
+            st.w_part, st.id_part = live.with_data(w_c), live.with_data(id_c)
+            ctx.invalidate()
+
+    # Candidate keys: (weight, live position) packed for min-reduction.
+    st.positions = positions = np.arange(live.total, dtype=np.int64)
+    st.keys = keys = pack_candidates(w_c, positions)
+    rt.local_ops(2.0 * live.sizes().astype(np.float64))
+    # Streaming the live edge slice (u, v, w, id) to build the bids.
+    rt.local_stream(4.0 * live.sizes().astype(np.float64), Category.WORK)
+
+    # Reset the per-supervertex minimum array (owner-local).
+    sizes_local = d.local_sizes().astype(np.float64)
+    rt.owner_block_write(minedge, NO_EDGE, counts=sizes_local)
+
+    # Every live edge bids for both endpoint supervertices.
+    st.targets = targets = PartitionedArray.concat_pairwise(
+        live.with_data(du_c), live.with_data(dv_c)
+    )
+    st.bids = bids = PartitionedArray.concat_pairwise(
+        live.with_data(keys), live.with_data(keys)
+    )
+    # Each bid ships a 4-word record: packed key, both endpoint
+    # labels, and the global edge id.
+    setdmin(
+        rt, minedge, targets, bids.data, opts, None, None, tprime, sort_method,
+        record_words=4, packed_payload=True,
+    )
+
+    # Owners scan their blocks for winners.
+    rt.local_stream(sizes_local, Category.COPY)
+    roots, pos = extract_winners(minedge.data)
+    if rt.integrity is not None:
+        # Cut-property spot check: sampled winners must be real
+        # candidates, incident to their supervertex, weight intact.
+        rt.integrity.verify_mst_selection(minedge, roots, pos, du_c, dv_c, w_c)
+    st.chosen += (np.unique(id_c[pos]),)
+    # The winning record's endpoints/edge-id ride along with the key
+    # (the SetDMin payload); charge the owner-side unpack.
+    rt.local_ops(4.0 * float(roots.size) / rt.s)
+
+    # Hook each winning supervertex onto its partner (owner-local
+    # write: minedge and d share the same distribution).
+    ra, rb = du_c[pos], dv_c[pos]
+    partners = ra + rb - roots
+    rt.owner_indexed_write(d, roots, partners, category=Category.COPY)
+
+    # Break mutual hooks; needs d[partner] — a collective gather.
+    partner_part = partition_by_owner(roots, d).with_data(partners)
+    getd(rt, d, partner_part, opts, None, None, tprime, sort_method)
+    break_hook_cycles(d.data, roots)
+    rt.local_ops(float(roots.size))
+    if rt.integrity is not None:
+        # Fold the in-place cycle-break stores into d's digests.
+        rt.integrity.note_write(d, roots)
+
+    pointer_jump_to_stars(rt, d, opts.with_(offload=False), tprime, sort_method)
+    if st.adapter is not None:
+        new_opts, st.tprime = st.adapter.on_round(opts, tprime)
+        # Never let an adaptation re-enable offload here: the
+        # D[0] invariant it relies on fails for Boruvka.
+        st.opts = new_opts.with_(offload=False)
+    return False
+
+
 def solve_mst_collective(
     graph: EdgeList,
     machine: MachineConfig | None = None,
@@ -68,29 +184,17 @@ def solve_mst_collective(
 ) -> MSTResult:
     """Minimum spanning forest via the lock-free collective Borůvka.
 
-    ``faults`` accepts a :class:`~repro.faults.FaultPlan`.  When the plan
-    schedules crashes, each Borůvka round checkpoints the supervertex
-    labels, the live edge partitions, and the forest size; an injected
-    crash restores the last checkpoint and replays only the lost round.
-
-    ``integrity`` accepts an :class:`~repro.integrity.IntegrityConfig`
-    (or ``True``): the label array is checksummed (``minedge`` digests
-    ride along), SetDMin bid payloads are end-to-end checked, each
-    round's winners are spot-checked against the Borůvka cut property,
-    and detected corruption restores the round checkpoint and replays.
+    ``faults``, ``integrity`` and ``resilience`` behave as in
+    :func:`~repro.cc.collective.solve_cc_collective`: each Borůvka round
+    checkpoints the supervertex labels, the live edge partitions and the
+    forest so far, and a crash, a detected corruption or a node loss
+    replays the lost round (:func:`~repro.faults.rounds.run_rounds`).
+    Under ``integrity`` SetDMin bid payloads are end-to-end checked and
+    each round's winners are spot-checked against the cut property.
 
     ``adapter`` accepts a :class:`~repro.tuning.OnlineAdapter` (built
-    with ``allow_offload=False`` — see the invariant note below); it may
-    revise ``tprime`` between Borůvka rounds, never the forest.
-
-    ``resilience`` accepts a :class:`~repro.resilience.RedundancyConfig`
-    (or ``True``): the supervertex labels keep a charged off-node
-    replica/parity of their round-top state, and a permanent node loss
-    triggers epoch recovery — blocks reconstructed, ownership remapped
-    onto the survivors or a cold spare, the lost round replayed.
-    ``minedge`` carries per-round scratch only (reset at every round
-    top), so it is rebuilt fresh on the new membership rather than
-    replicated.
+    with ``allow_offload=False`` — see the invariant note in the round);
+    it may revise ``tprime`` between Borůvka rounds, never the forest.
     """
     if graph.w is None:
         raise GraphError("MST needs a weighted graph; use with_random_weights()")
@@ -103,8 +207,6 @@ def solve_mst_collective(
         integrity=integrity,
         resilience=resilience,
     )
-    if adapter is not None:
-        adapter.begin(rt)
     n = graph.n
     if n == 0 or graph.m == 0:
         info = SolveInfo(machine, "mst-collective", rt.elapsed, time.perf_counter() - wall_start, 0, rt.trace)
@@ -112,184 +214,31 @@ def solve_mst_collective(
         return MSTResult(np.empty(0, dtype=np.int64), 0, labels, info)
 
     ep = distribute_edges(graph, rt.s)
-    u_part, v_part, w_part = ep.u, ep.v, ep.w
-    id_part = ep.edge_ids()
     d = rt.shared_array(np.arange(n, dtype=np.int64), name="mst.d")
-    minedge = rt.shared_array(np.full(n, NO_EDGE, dtype=np.int64), name="mst.minedge")
     rt.protect_array(d)
-    # Packed (weight, position) keys have no fold-safe flip domain, so
-    # minedge is digest-verified but not a block-flip target.
-    rt.protect_array(minedge, corruptible=False)
     if rt.resilience is not None:
         rt.resilience.enroll(d)
-    sizes_local = d.local_sizes().astype(np.float64)
-    vert_offsets = np.zeros(rt.s + 1, dtype=np.int64)
-    np.cumsum(d.local_sizes(), out=vert_offsets[1:])
-    ctx = CollectiveContext()
-    # The `offload` optimization's invariant (D[0] stays 0) holds for CC,
-    # where grafting always hooks larger labels onto smaller ones.  It
-    # does NOT hold for Boruvka: a supervertex hooks along its own
-    # minimum edge regardless of label order, so d[0] may legitimately
-    # rise.  The paper scopes offload to CC/spanning-tree accordingly
-    # ("Fortunately, D[0] remains constant for CC"); MST must fetch
-    # honestly.
-    hot = None
-    jump_opts = opts.with_(offload=False)
-
-    # Verify-and-repair needs the checkpoint even with a crash-free plan,
-    # and loss recovery replays from it under the new membership.
-    ck = RoundCheckpointer(
-        rt,
-        enabled=True if (rt.integrity is not None or rt.resilience is not None) else None,
+    # ``chosen`` is a tuple, rebound (never mutated) as rounds add forest
+    # edges, so the checkpoint saves it by reference and a replay simply
+    # drops the edges of the lost round.
+    st = SimpleNamespace(
+        rt=rt, d=d, ctx=CollectiveContext(), chosen=(),
+        u_part=ep.u, v_part=ep.v, w_part=ep.w, id_part=ep.edge_ids(),
+        opts=opts, tprime=tprime, sort_method=sort_method, adapter=adapter,
     )
-    repairs = 0
-    repair_bound = 8 * (4 + int(np.ceil(np.log2(max(n, 2)))))
-    chosen: list[np.ndarray] = []
-    iteration = 0
-    while True:
-        iteration += 1
-        check_converged(iteration, n, "mst-collective")
-        try:
-            # Round-top invariants run BEFORE the save so the checkpoint
-            # only ever holds invariant-clean state to restore into.
-            if rt.integrity is not None:
-                rt.integrity.verify_star_round(d)
-            ck.save(
-                arrays={d.name: d.data},
-                u_part=u_part, v_part=v_part, w_part=w_part, id_part=id_part,
-                nchosen=len(chosen),
-            )
-            if rt.resilience is not None:
-                rt.resilience.commit_round()
-            rt.counters.add(iterations=1)
+    _fresh_minedge(st)
+    iterations = run_rounds(
+        st, _boruvka_round, name="mst-collective", bound=iteration_bound(n),
+        refs=("u_part", "v_part", "w_part", "id_part", "chosen"),
+        verify=_verify_boruvka, rebuild=_fresh_minedge, adapter=adapter,
+    )
 
-            du = getd(rt, d, u_part, opts, ctx, "edges.u", tprime, sort_method, hot_value=hot)
-            dv = getd(rt, d, v_part, opts, ctx, "edges.v", tprime, sort_method, hot_value=hot)
-            cross = du != dv
-            rt.local_ops(u_part.sizes().astype(np.float64))
-            cross_per_thread = u_part.segment_counts_where(cross)
-            if not rt.allreduce_flag(cross_per_thread > 0):
-                break
-
-            if cross.all():
-                live = u_part
-                du_c, dv_c = du, dv
-                w_c, id_c = w_part.data, id_part.data
-            else:
-                # One selection serves every payload that shares the mask.
-                sel = np.flatnonzero(cross)
-                live = u_part.take_sorted(sel)
-                du_c, dv_c = du.take(sel), dv.take(sel)
-                w_c, id_c = w_part.data.take(sel), id_part.data.take(sel)
-                if opts.compact:
-                    u_part, v_part = live, live.with_data(v_part.data.take(sel))
-                    w_part, id_part = live.with_data(w_c), live.with_data(id_c)
-                    ctx.invalidate()
-
-            # Candidate keys: (weight, live position) packed for min-reduction.
-            positions = np.arange(live.total, dtype=np.int64)
-            keys = pack_candidates(w_c, positions)
-            rt.local_ops(2.0 * live.sizes().astype(np.float64))
-            # Streaming the live edge slice (u, v, w, id) to build the bids.
-            rt.local_stream(4.0 * live.sizes().astype(np.float64), Category.WORK)
-
-            # Reset the per-supervertex minimum array (owner-local).
-            rt.owner_block_write(minedge, NO_EDGE, counts=sizes_local)
-
-            # Every live edge bids for both endpoint supervertices.
-            targets = PartitionedArray.concat_pairwise(
-                live.with_data(du_c), live.with_data(dv_c)
-            )
-            bids = PartitionedArray.concat_pairwise(
-                live.with_data(keys), live.with_data(keys)
-            )
-            # Each bid ships a 4-word record: packed key, both endpoint
-            # labels, and the global edge id.
-            setdmin(
-                rt, minedge, targets, bids.data, opts, None, None, tprime, sort_method,
-                record_words=4, packed_payload=True,
-            )
-
-            # Owners scan their blocks for winners.
-            rt.local_stream(sizes_local, Category.COPY)
-            roots, pos = extract_winners(minedge.data)
-            if rt.integrity is not None:
-                # Cut-property spot check: sampled winners must be real
-                # candidates, incident to their supervertex, weight intact.
-                rt.integrity.verify_mst_selection(minedge, roots, pos, du_c, dv_c, w_c)
-            chosen.append(np.unique(id_c[pos]))
-            # The winning record's endpoints/edge-id ride along with the key
-            # (the SetDMin payload); charge the owner-side unpack.
-            rt.local_ops(4.0 * float(roots.size) / rt.s)
-
-            # Hook each winning supervertex onto its partner (owner-local
-            # write: minedge and d share the same distribution).
-            ra, rb = du_c[pos], dv_c[pos]
-            partners = ra + rb - roots
-            rt.owner_indexed_write(d, roots, partners, category=Category.COPY)
-
-            # Break mutual hooks; needs d[partner] — a collective gather.
-            partner_part = partition_by_owner(roots, d).with_data(partners)
-            getd(rt, d, partner_part, opts, None, None, tprime, sort_method)
-            break_hook_cycles(d.data, roots)
-            rt.local_ops(float(roots.size))
-            if rt.integrity is not None:
-                # Fold the in-place cycle-break stores into d's digests.
-                rt.integrity.note_write(d, roots)
-
-            pointer_jump_to_stars(rt, d, jump_opts, tprime, sort_method, vert_offsets)
-            if adapter is not None:
-                new_opts, tprime = adapter.on_round(opts, tprime)
-                # Never let an adaptation re-enable offload here: the
-                # D[0] invariant it relies on fails for Boruvka.
-                opts = new_opts.with_(offload=False)
-                jump_opts = opts
-        except NodeLoss as loss:
-            # Permanent membership change: reconstruct d from redundancy,
-            # remap onto the post-loss machine, and replay the round.
-            # minedge is per-round scratch (reset at every round top), so
-            # it is simply re-allocated on the new membership.
-            recovered = rt.resilience.recover_loss(loss, ck, adapter=adapter)
-            rt, machine, ck = recovered.rt, recovered.machine, recovered.ck
-            d = recovered.arrays[d.name]
-            state = recovered.state
-            u_part, v_part = state["u_part"], state["v_part"]
-            w_part, id_part = state["w_part"], state["id_part"]
-            del chosen[state["nchosen"]:]
-            minedge = rt.shared_array(np.full(n, NO_EDGE, dtype=np.int64), name="mst.minedge")
-            rt.protect_array(minedge, corruptible=False)
-            sizes_local = d.local_sizes().astype(np.float64)
-            vert_offsets = np.zeros(rt.s + 1, dtype=np.int64)
-            np.cumsum(d.local_sizes(), out=vert_offsets[1:])
-            ctx = CollectiveContext()
-            iteration -= 1
-            continue
-        except (ThreadCrash, IntegrityError) as fault:
-            state = ck.restore()
-            # repro: waive[CM01] checkpoint restore; RoundCheckpointer charges the pass
-            d.data[:] = state[d.name]
-            u_part, v_part = state["u_part"], state["v_part"]
-            w_part, id_part = state["w_part"], state["id_part"]
-            del chosen[state["nchosen"]:]
-            if rt.integrity is not None:
-                rt.integrity.resync(d)
-            if isinstance(fault, IntegrityError):
-                rt.counters.add(repairs=1)
-                repairs += 1
-                if repairs > repair_bound:
-                    raise FaultError(
-                        f"mst-collective gave up after {repairs} integrity repairs"
-                        " (corruption rate exceeds what replay can absorb)"
-                    ) from fault
-            ctx.invalidate()
-            iteration -= 1
-            continue
-
+    rt = st.rt
     edge_ids = (
-        np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
+        np.sort(np.concatenate(st.chosen)) if st.chosen else np.empty(0, dtype=np.int64)
     )
     total = int(graph.w[edge_ids].sum()) if edge_ids.size else 0
     info = SolveInfo(
-        machine, "mst-collective", rt.elapsed, time.perf_counter() - wall_start, iteration, rt.trace
+        rt.machine, "mst-collective", rt.elapsed, time.perf_counter() - wall_start, iterations, rt.trace
     )
-    return MSTResult(edge_ids, total, d.data.copy(), info)
+    return MSTResult(edge_ids, total, st.d.data.copy(), info)

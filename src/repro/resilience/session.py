@@ -96,7 +96,6 @@ class RecoveredRun:
     runtime."""
 
     rt: Any
-    machine: Any
     arrays: Dict[str, Any]
     state: Dict[str, Any]
     ck: RoundCheckpointer
@@ -510,6 +509,4 @@ class ResilientSession:
         new_ck = RoundCheckpointer(new_rt, enabled=ck.enabled)
         if adapter is not None:
             adapter.on_membership_change(new_rt)
-        return RecoveredRun(
-            rt=new_rt, machine=new_machine, arrays=arrays, state=state, ck=new_ck
-        )
+        return RecoveredRun(rt=new_rt, arrays=arrays, state=state, ck=new_ck)

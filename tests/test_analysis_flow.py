@@ -80,6 +80,15 @@ class TestSeededFixtures:
     def test_unscoped_comm_clean_twin(self):
         assert verify_file(FIXTURES / "unscoped_comm_clean.py") == []
 
+    def test_divergent_round_step_sy_defect(self):
+        """A step handed to ``run_rounds`` is still checked: it is
+        module-level, not a closure the driver alone can see."""
+        findings = verify_file(FIXTURES / "divergent_round.py")
+        assert keyed(findings) == [(19, "SY01")]
+
+    def test_divergent_round_step_clean_twin(self):
+        assert verify_file(FIXTURES / "divergent_round_clean.py") == []
+
 
 class TestSyncRules:
     def test_allreduce_verdict_is_uniform(self, tmp_path):
@@ -227,6 +236,19 @@ class TestScopeAndTree:
         path = pkg / "inner.py"
         path.write_text("def f(d):\n    return d.snapshot()\n")
         assert run_verify([path]) == []
+
+    def test_round_driver_is_fault_checked(self, tmp_path):
+        """The driver's module is in scope, so its one recovery ``try``
+        is what FX01 reasons about: a faultable call hoisted out of it
+        is flagged."""
+        source = (SRC / "faults" / "rounds.py").read_text()
+        assert verify_file(SRC / "faults" / "rounds.py") == []
+        anchor = "        try:\n            if verify is not None"
+        assert anchor in source
+        mutant = tmp_path / "repro" / "faults" / "rounds.py"
+        mutant.parent.mkdir(parents=True)
+        mutant.write_text(source.replace(anchor, "        rt.barrier()\n" + anchor))
+        assert [f.rule for f in verify_file(mutant)] == ["FX01"]
 
     def test_source_tree_verifies_clean(self):
         """The acceptance gate: the shipped tree carries no divergent
