@@ -6,7 +6,9 @@
 
 Both inputs are ``benchmarks/ledger/run.py --out`` files (or the same
 ``runs`` records gathered from alternating single runs); the trailing
-arguments are prefixes of the per-layer metrics worth keeping.
+arguments are prefixes of the per-layer metrics worth keeping.  A metric
+that only one side measured is kept as a one-sided row, ``null`` on the
+other side.
 """
 import json
 import statistics
@@ -30,12 +32,15 @@ def cells(doc, layers):
 
 
 def summary(values):
+    """``[median, q1, q3, runs]``, or ``None`` for a side without the metric."""
+    if values is None:
+        return None
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return [float(f"{x:.6g}") for x in (statistics.median(values), q1, q3)] + [len(values)]
 
 
-def main(parent_path, change_path, *layers):
-    parent_doc, change_doc = (json.load(open(path)) for path in (parent_path, change_path))
+def point(parent_doc, change_doc, layers):
+    """The trajectory point as text: the head, then one row per line."""
     parent, change = cells(parent_doc, layers), cells(change_doc, layers)
     seeds = {
         kind: sorted({run["seed"] for run in change_doc["runs"] if run["trace"] == traced})
@@ -44,10 +49,16 @@ def main(parent_path, change_path, *layers):
     head = {"readme": README, "host": change_doc["host"], "seeds": seeds,
             "columns": ["median", "q1", "q3", "runs"]}
     rows = [
-        f"  {json.dumps(key)}: {json.dumps({'parent': summary(parent[key]), 'change': summary(values)})}"
-        for key, values in sorted(change.items())
+        f"  {json.dumps(key)}: "
+        f"{json.dumps({'parent': summary(parent.get(key)), 'change': summary(change.get(key))})}"
+        for key in sorted(parent.keys() | change.keys())
     ]
-    print(json.dumps(head, indent=1)[:-2] + ',\n "rows": {\n' + ",\n".join(rows) + "\n }\n}")
+    return json.dumps(head, indent=1)[:-2] + ',\n "rows": {\n' + ",\n".join(rows) + "\n }\n}"
+
+
+def main(parent_path, change_path, *layers):
+    parent_doc, change_doc = (json.load(open(path)) for path in (parent_path, change_path))
+    print(point(parent_doc, change_doc, layers))
 
 
 if __name__ == "__main__":

@@ -146,6 +146,9 @@ EFFECTS: dict[str, Effect] = {
     ),
     "exchange_counts": _coll(charges=True, comm=True),
     "charge_setup": _coll(charges=True),
+    # The ``ids`` charge alone (free on a cache hit); it returns nothing,
+    # since the SMatrix kernel derives owners from the targets itself.
+    "charge_target_ids": _coll(charges=True),
     "offload_hits": _coll(charges=True),
     # Helpers below derive outputs from their *arguments* — taint flows
     # through naturally (tainted args => tainted result), so they carry
@@ -154,7 +157,6 @@ EFFECTS: dict[str, Effect] = {
     "position_matrix": _coll(),
     "build_transfer_plan": _coll(),
     "check_requests": _coll(),
-    "compute_owner_threads": _coll(),
     "linear_schedule": _coll(),
     "circular_schedule": _coll(),
     "max_step_contention": _coll(),
@@ -205,6 +207,9 @@ EFFECTS: dict[str, Effect] = {
     "active_backend": _kern(),
     "backend_name": _kern(),
     "group_minima": _kern(),
+    # exchange_matrix(targets, base, size, block, s): the SMatrix from
+    # validated request targets and the layout's requester_base(); owner
+    # ids are a key pass inside it, never an argument.
     "exchange_matrix": _kern(),
     "owner_distinct": _kern(),
     "segment_distinct": _kern(),

@@ -6,7 +6,7 @@ thread pair per call, with the serve phase scheduled for cache residency.
 """
 
 from .alltoall import charge_setup, exchange_counts, position_matrix, send_matrix
-from .base import CollectiveContext, check_requests, compute_owner_threads, offload_hits
+from .base import CollectiveContext, charge_target_ids, check_requests, offload_hits
 from .getd import TransferPlan, build_transfer_plan, getd
 from .schedule import (
     circular_schedule,
@@ -21,9 +21,9 @@ __all__ = [
     "TransferPlan",
     "build_transfer_plan",
     "charge_setup",
+    "charge_target_ids",
     "check_requests",
     "circular_schedule",
-    "compute_owner_threads",
     "exchange_counts",
     "getd",
     "is_contention_free",

@@ -41,7 +41,8 @@ def send_matrix(
         return np.zeros((s, s), dtype=np.int64)
     if out_of_range(owners, s) or out_of_range(requesters, s):
         raise CollectiveError("thread id out of range in send matrix")
-    return kernels.active_backend().exchange_matrix(requesters, owners, s)
+    # Owner ids are the targets of a one-element-per-thread layout.
+    return kernels.active_backend().exchange_matrix(owners, requesters * s, s, 1, s)
 
 
 def position_matrix(smatrix: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Shared machinery for the GetD/SetD/SetDMin collectives.
 
-Holds the per-solver :class:`CollectiveContext` (caches target-thread-id
-buffers across iterations for the ``ids`` optimization) and the request
-pre-processing steps common to reads and writes:
+Holds the per-solver :class:`CollectiveContext` (remembers which request
+buffers have had their target thread ids computed, for the ``ids``
+optimization) and the request pre-processing steps common to reads and
+writes:
 
 * the up-front validation of the request partition;
-* target-id computation (intrinsic vs direct arithmetic vs cached);
+* the target-id charge (intrinsic vs direct arithmetic vs cached);
 * the ``offload`` check that finds requests for the known-constant
   ``D[0]``.
 
@@ -28,7 +29,7 @@ from ..runtime.runtime import PGASRuntime
 from ..runtime.shared_array import SharedArray, out_of_range
 from ..runtime.trace import Category
 
-__all__ = ["CollectiveContext", "check_requests", "compute_owner_threads", "offload_hits"]
+__all__ = ["CollectiveContext", "charge_target_ids", "check_requests", "offload_hits"]
 
 _NO_HITS = freeze(np.empty(0, dtype=np.int64))
 
@@ -38,14 +39,17 @@ class CollectiveContext:
     """Cross-iteration state for a family of collective calls.
 
     ``id_cache`` maps a caller-chosen key (e.g. ``"edges.u"``) to the
-    owner-thread array previously computed for a request buffer of a
-    given length.  The paper's ``id`` optimization: "Noticing that the
+    length of the request buffer whose target ids were last computed
+    under it.  The paper's ``id`` optimization: "Noticing that the
     target ids do not change across iteration, we compute them once and
-    store them in a global buffer."  The cache is invalidated whenever
-    the request buffer changes length (i.e. after ``compact``).
+    store them in a global buffer."  The cache is *modeled* only — a hit
+    makes the id computation free on the clocks, while the simulator
+    derives the SMatrix from the actual targets on every call.  It is
+    invalidated whenever the request buffer changes length (i.e. after
+    ``compact``).
     """
 
-    id_cache: Dict[str, tuple[int, np.ndarray]] = field(default_factory=dict)
+    id_cache: Dict[str, int] = field(default_factory=dict)
 
     def invalidate(self, key: str | None = None) -> None:
         if key is None:
@@ -54,35 +58,35 @@ class CollectiveContext:
             self.id_cache.pop(key, None)
 
 
-def compute_owner_threads(
+def charge_target_ids(
     rt: PGASRuntime,
-    array: SharedArray,
     indices: PartitionedArray,
     opts: OptimizationFlags,
     ctx: Optional[CollectiveContext] = None,
     cache_key: Optional[str] = None,
-) -> np.ndarray:
-    """Owner thread of every request, with the ``ids`` cost semantics.
+) -> None:
+    """Charge the owner-thread computation of every request, with the
+    ``ids`` cost semantics:
 
     * without ``ids``: every element pays the compiler-intrinsic cost on
       every call;
     * with ``ids`` but no cache hit: one direct vectorized computation;
     * with ``ids`` and a cache hit (same key, same request length): free.
+
+    Only the charge: the SMatrix kernel derives the owners from the
+    targets themselves.
     """
+    cached = opts.ids and ctx is not None and cache_key is not None
+    if cached and ctx.id_cache.get(cache_key) == indices.total:
+        return
     sizes = indices.sizes().astype(np.float64)
-    if opts.ids and ctx is not None and cache_key is not None:
-        hit = ctx.id_cache.get(cache_key)
-        if hit is not None and hit[0] == indices.total:
-            return hit[1]
-    owners = array.owner_thread(indices.data)
     if opts.ids:
         rt.charge(Category.WORK, rt.cost.op_time(sizes))
-        if ctx is not None and cache_key is not None:
-            ctx.id_cache[cache_key] = (indices.total, owners)
+        if cached:
+            ctx.id_cache[cache_key] = indices.total
     else:
         rt.charge(Category.WORK, rt.cost.intrinsic_id_time(sizes))
     rt.counters.add(alu_ops=int(indices.total))
-    return owners
 
 
 def check_requests(rt: PGASRuntime, array: SharedArray, indices: PartitionedArray) -> None:

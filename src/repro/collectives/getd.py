@@ -45,7 +45,7 @@ from ..runtime.shared_array import SharedArray
 from ..runtime.trace import Category
 from ..scheduling.virtual_threads import charge_local_serve
 from .alltoall import charge_setup
-from .base import CollectiveContext, check_requests, compute_owner_threads, offload_hits
+from .base import CollectiveContext, charge_target_ids, check_requests, offload_hits
 
 __all__ = ["getd", "TransferPlan", "charge_sort", "charge_transfers", "charge_permute_back"]
 
@@ -273,14 +273,16 @@ def getd(
     rt.counters.add(collective_calls=1)
     _profile_before = rt.phase_start()
 
-    owners = compute_owner_threads(rt, array, indices, opts, ctx, cache_key)
+    charge_target_ids(rt, indices, opts, ctx, cache_key)
     # Offloaded requests stay in the vector; they leave the *model*: the
     # counts the charges consume are corrected by the (few) hot hits.
     hot = offload_hits(rt, indices, opts.offload and hot_value is not None, hot_index)
     sizes = indices.sizes()
     if hot.size:
         hot_counts = np.diff(np.searchsorted(hot, indices.offsets))
-        hot_owner = int(array.owner_thread(hot_index))
+        # The blocked-layout owner of an in-range index (a custom block
+        # leaves the overflow with the last thread).
+        hot_owner = min(hot_index // array.block, rt.s - 1)
         sizes = sizes - hot_counts
 
     charge_sort(rt, sizes, opts, sort_method)
@@ -299,9 +301,11 @@ def getd(
             distinct = distinct - (hot_counts > 0)
         charge_shared_memory_serve(rt, array, sizes, distinct, tprime)
     else:
-        # Owners and thread ids are in range by construction, so the
-        # SMatrix kernel is called without send_matrix's re-validation.
-        smat = kernels.active_backend().exchange_matrix(indices.thread_ids(), owners, rt.s)
+        # The targets passed check_requests, so the SMatrix kernel takes
+        # them as they are, without send_matrix's re-validation.
+        smat = kernels.active_backend().exchange_matrix(
+            indices.data, indices.requester_base(), array.size, array.block, rt.s
+        )
         charge_setup(rt, hierarchical=opts.hierarchical)
         distinct = owner_distinct_counts(array, indices.data, rt.s)
         if hot.size:

@@ -34,7 +34,7 @@ from ..runtime.shared_array import SharedArray
 from ..runtime.trace import Category
 from ..scheduling.virtual_threads import charge_local_serve
 from .alltoall import charge_setup
-from .base import CollectiveContext, check_requests, compute_owner_threads, offload_hits
+from .base import CollectiveContext, charge_target_ids, check_requests, offload_hits
 from .getd import (
     build_transfer_plan,
     charge_shared_memory_serve,
@@ -70,12 +70,12 @@ def _scatter_collective(
     _profile_before = rt.phase_start()
     requested = indices.total
 
-    owners = compute_owner_threads(rt, array, indices, opts, ctx, cache_key)
+    charge_target_ids(rt, indices, opts, ctx, cache_key)
     if offload_hits(rt, indices, opts.offload and drop_hot, hot_index).size:
         # Unlike a read, a dropped write cannot be patched up afterwards:
         # it must not reach the array, so the records are really removed.
         kept = np.flatnonzero(indices.data != hot_index)
-        indices, owners, values = indices.take_sorted(kept), owners.take(kept), values.take(kept)
+        indices, values = indices.take_sorted(kept), values.take(kept)
     sizes = indices.sizes()
 
     charge_sort(rt, sizes, opts, sort_method)
@@ -92,8 +92,10 @@ def _scatter_collective(
         charge_shared_memory_serve(rt, array, sizes, indices.segment_distinct(), tprime)
         rt.barrier()
     else:
-        # As in GetD: the kernel directly, on owners valid by construction.
-        smat = kernels.active_backend().exchange_matrix(indices.thread_ids(), owners, rt.s)
+        # As in GetD: the kernel directly, on the validated targets.
+        smat = kernels.active_backend().exchange_matrix(
+            indices.data, indices.requester_base(), array.size, array.block, rt.s
+        )
         charge_setup(rt, hierarchical=opts.hierarchical)
         # Requester -> owner: (index, value) pairs by default; MST ships
         # wider records (key + endpoints + edge id) via record_words.

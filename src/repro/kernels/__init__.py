@@ -2,8 +2,10 @@
 
 Five array primitives dominate the simulator's wall-clock profile —
 grouped minima for the CRCW scatters, the pair-count SMatrix of the
-all-to-all setup, presence-mask distinct counts for the cost model's
-cold-miss bounds, and the per-thread payload interleave.
+all-to-all setup (built from the request targets and the partition
+layout, so no owner-id vector exists), presence-mask distinct counts
+for the cost model's cold-miss bounds, and the per-thread payload
+interleave.
 :class:`~repro.kernels.numpy_backend.NumpyKernels` implements them;
 ``SharedArray``, ``PartitionedArray`` and the collectives reach them
 through :func:`active_backend`.  They are wall-clock machinery, like

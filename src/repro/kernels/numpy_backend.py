@@ -3,10 +3,10 @@
 Each op makes the fewest passes over its request vector that plain
 NumPy allows: CRCW adjudication is a presence mask plus a streaming
 ``np.minimum.at`` into pooled scratch (the paper's owner-side
-min-reduction; no sort), the pair-count SMatrix is one fused
-requester-major key pass through the pooled arena, distinct counts are
-presence masks, and the per-thread interleave is one ``concatenate`` of
-segment views.
+min-reduction; no sort), the pair-count SMatrix is one requester-major
+key pass straight from the request targets (no owner-id vector) through
+the pooled arena, distinct counts are presence masks, and the
+per-thread interleave is one ``concatenate`` of segment views.
 
 The ops traffic in plain arrays and scalars, never in
 :class:`~repro.runtime.shared_array.SharedArray` or
@@ -58,17 +58,27 @@ class NumpyKernels:
                 np.minimum.at(best, idx, vals)
             return targets, best[targets]
 
-    def exchange_matrix(self, requesters: np.ndarray, owners: np.ndarray, s: int) -> np.ndarray:
-        """The ``(s, s)`` SMatrix: counts of (owner, requester) pairs in
-        a request vector (``collectives.alltoall.send_matrix`` core)."""
-        # Fused key build into pooled scratch (this runs once per
-        # collective call on a vector the size of the request buffer).
-        # Keys are requester-major: a partition's requesters are sorted,
-        # so the hot bins of one requester are `s` adjacent counters
-        # instead of a stride-`s` walk over the whole table.
-        with arena.lease(owners.size, np.int64) as keys:
-            np.multiply(requesters, np.int64(s), out=keys)
-            keys += owners
+    def exchange_matrix(
+        self, targets: np.ndarray, base: np.ndarray, size: int, block: int, s: int
+    ) -> np.ndarray:
+        """The ``(s, s)`` SMatrix of a request vector: ``[owner,
+        requester]`` counts, where ``targets`` are the requested indices
+        of a blocked array of ``size`` elements (already validated to
+        ``[0, size)``) and ``base[i]`` is ``s`` times the requester of
+        position ``i`` (``PartitionedArray.requester_base``).  With
+        ``block = 1`` and ``size = s`` the targets are owner ids
+        (``collectives.alltoall.send_matrix``)."""
+        # One key pass into pooled scratch, straight from the targets:
+        # the owner ids are never materialised on their own.  Keys are
+        # requester-major: a partition's requesters are sorted, so the
+        # hot bins of one requester are `s` adjacent counters instead
+        # of a stride-`s` walk over the whole table.
+        with arena.lease(targets.size, np.int64) as keys:
+            np.floor_divide(targets, block, out=keys)
+            if s * block < size:
+                # Custom block: indices past the last block belong to the last thread.
+                np.minimum(keys, s - 1, out=keys)
+            keys += base
             by_requester = np.bincount(keys, minlength=s * s).reshape(s, s)
         return np.ascontiguousarray(by_requester.T)
 

@@ -54,11 +54,12 @@ class _Layout:
     friends), so a round that wraps ten payloads in one partitioning
     pays for one ``thread_ids`` vector, not ten."""
 
-    __slots__ = ("sizes", "tids")
+    __slots__ = ("sizes", "tids", "base")
 
     def __init__(self, sizes: np.ndarray | None = None) -> None:
         self.sizes = sizes
         self.tids = None
+        self.base = None
 
 
 class PartitionedArray:
@@ -173,6 +174,17 @@ class PartitionedArray:
         if layout.tids is None:
             layout.tids = freeze(np.repeat(np.arange(self.parts, dtype=np.int64), self.sizes()))
         return layout.tids
+
+    def requester_base(self) -> np.ndarray:
+        """For every flat position, ``parts`` times its owning thread id:
+        the requester-major row offset of the SMatrix key
+        (``NumpyKernels.exchange_matrix``).  Cached per offsets object
+        like :meth:`thread_ids`, and built without it."""
+        layout = self._layout
+        if layout.base is None:
+            rows = np.arange(self.parts, dtype=np.int64) * self.parts
+            layout.base = freeze(np.repeat(rows, self.sizes()))
+        return layout.base
 
     # -- transformations ---------------------------------------------------------
 

@@ -129,7 +129,7 @@ class SharedArray:
         idx = np.asarray(indices, dtype=np.int64)
         if out_of_range(idx, self.size):
             raise DistributionError("shared array index out of range")
-        return self.data[idx]
+        return self.data.take(idx)
 
     def scatter_min(self, indices: np.ndarray, values: np.ndarray) -> int:
         """Priority (minimum) concurrent write: ``data[i] = min(data[i],

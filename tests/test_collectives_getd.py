@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.collectives import CollectiveContext, getd
+from repro import kernels
+from repro.collectives import CollectiveContext, charge_target_ids, getd, send_matrix
 from repro.core import OptimizationFlags
 from repro.errors import CollectiveError
 from repro.runtime import PGASRuntime, PartitionedArray, hps_cluster, smp_node
+from repro.runtime.trace import Category
 
 
 def make_setup(machine, n=500, k=2000, seed=0):
@@ -201,12 +203,60 @@ class TestIdCache:
 
     def test_context_invalidate(self):
         ctx = CollectiveContext()
-        ctx.id_cache["a"] = (3, np.arange(3))
-        ctx.id_cache["b"] = (2, np.arange(2))
+        ctx.id_cache["a"] = 3
+        ctx.id_cache["b"] = 2
         ctx.invalidate("a")
         assert "a" not in ctx.id_cache and "b" in ctx.id_cache
         ctx.invalidate()
         assert not ctx.id_cache
+
+    def test_ids_charge_free_on_hit_op_time_on_miss_intrinsic_without_ids(self):
+        """The modeled ``ids`` semantics, charge for charge against a
+        twin runtime that issues the expected charges by hand."""
+        machine = hps_cluster(2, 2)
+        _, _, idx = make_setup(machine)
+        sizes = idx.sizes().astype(np.float64)
+        ids, none = OptimizationFlags.only("ids"), OptimizationFlags.none()
+        rt, ref = PGASRuntime(machine), PGASRuntime(machine)
+        ctx = CollectiveContext()
+        for opts, key, expected in [
+            (ids, "k", ref.cost.op_time(sizes)),  # miss: remembered under "k"
+            (ids, "k", None),  # hit: free
+            (ids, None, ref.cost.op_time(sizes)),  # no key: a miss every time
+            (none, "k", ref.cost.intrinsic_id_time(sizes)),  # without ids: the intrinsic
+        ]:
+            charge_target_ids(rt, idx, opts, ctx, key)
+            if expected is not None:
+                ref.charge(Category.WORK, expected)
+                ref.counters.add(alu_ops=idx.total)
+            assert rt.clocks.times.tolist() == ref.clocks.times.tolist()
+            assert rt.counters.as_dict() == ref.counters.as_dict()
+        assert ctx.id_cache == {"k": idx.total}
+
+    def test_stale_hit_still_counts_the_real_targets(self, monkeypatch):
+        """Same key, same length, different targets: the id charge is
+        free (the modeled cache hits), and the SMatrix is that of the
+        targets actually requested — an owners cache would have
+        replayed the first call's."""
+        machine = hps_cluster(2, 2)
+        rt, arr, first = make_setup(machine, seed=0)
+        second = first.with_data(np.sort(first.data))
+        backend = kernels.active_backend()
+        real = type(backend).exchange_matrix
+        seen = []
+        monkeypatch.setattr(
+            type(backend), "exchange_matrix",
+            lambda self, *args: seen.append(real(self, *args)) or seen[-1],
+        )
+        ctx, opts = CollectiveContext(), OptimizationFlags.only("ids")
+        getd(rt, arr, first, opts, ctx, "edges.u")
+        work = rt.trace.category_seconds["Work"]
+        out = getd(rt, arr, second, opts, ctx, "edges.u")
+        assert rt.trace.category_seconds["Work"] == work
+        assert np.array_equal(out, arr.data[second.data])
+        want = send_matrix(second.thread_ids(), arr.owner_thread(second.data), rt.s)
+        assert not np.array_equal(seen[0], want)
+        np.testing.assert_array_equal(seen[1], want)
 
 
 @given(

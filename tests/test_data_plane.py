@@ -23,9 +23,10 @@ from repro import kernels
 from repro.cc.common import graft_proposals
 from repro.collectives import (
     build_transfer_plan,
-    compute_owner_threads,
+    charge_target_ids,
     exchange_counts,
     getd,
+    send_matrix,
     setd,
     setdmin,
 )
@@ -213,7 +214,10 @@ def test_siblings_share_one_layout():
     sibling = part.with_data(np.arange(10) * 2)
     assert sibling.thread_ids() is part.thread_ids()
     assert sibling.sizes() is part.sizes()
+    assert sibling.requester_base() is part.requester_base()
+    np.testing.assert_array_equal(part.requester_base(), part.thread_ids() * part.parts)
     assert not part.thread_ids().flags.writeable
+    assert not part.requester_base().flags.writeable
     assert not part.sizes().flags.writeable
     np.testing.assert_array_equal(part.sizes(), [4, 0, 6])
     # A complete ascending selection is the identity: no take, same layout.
@@ -230,11 +234,13 @@ def test_siblings_share_one_layout():
 def _reference_collective(rt, array, indices, opts, hot, hot_index, values=None, tprime=1):
     """The pre-rewrite collective body: filter the hot requests out,
     analyse and serve the compacted copy, re-inflate (reads) — every
-    charge issued from the copy.  ``values=None`` is GetD with
-    ``hot_value=hot``; otherwise SetD with ``drop_hot=hot``."""
+    charge issued from the copy, the SMatrix counted from an owner-id
+    vector.  ``values=None`` is GetD with ``hot_value=hot``; otherwise
+    SetD with ``drop_hot=hot``."""
     read = values is None
     rt.counters.add(collective_calls=1)
-    owners = compute_owner_threads(rt, array, indices, opts)
+    charge_target_ids(rt, indices, opts)
+    owners = array.owner_thread(indices.data)
     req, kept = indices, None
     if opts.offload and indices.total and (hot is not None if read else hot):
         rt.charge(Category.WORK, rt.cost.op_time(indices.sizes().astype(np.float64)))
@@ -412,8 +418,10 @@ def test_setd_drop_hot_equals_compaction(case, drop_hot):
 @pytest.mark.parametrize("machine", [hps_cluster(4, 2), hps_cluster(1, 4)], ids=lambda m: m.name)
 def test_getd_hands_the_callers_vector_to_every_stage(machine, monkeypatch):
     """No compacted copy: the SMatrix / distinct-count kernels and the
-    gather all receive ``indices.data`` itself, and the requester ids
-    are the partition's cached ``thread_ids()``."""
+    gather all receive ``indices.data`` itself.  On a cluster no owner-id
+    vector and no ``thread_ids()`` is built, by GetD or by SetD: the
+    SMatrix kernel takes the targets and the layout's
+    ``requester_base()``."""
     seen = {}
 
     def spy(owner, name, pick):
@@ -425,10 +433,12 @@ def test_getd_hands_the_callers_vector_to_every_stage(machine, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(type(backend), "exchange_matrix", lambda args: args[0])
+    spy(type(backend), "exchange_matrix", lambda args: args[:2])
     spy(type(backend), "owner_distinct", lambda args: args[0])
     spy(type(backend), "segment_distinct", lambda args: args[1])
     spy(SharedArray, "gather", lambda args: args[0])
+    spy(SharedArray, "owner_thread", lambda args: args[0])
+    spy(PartitionedArray, "thread_ids", lambda args: None)
     rt = PGASRuntime(machine)
     array = rt.shared_array(np.arange(100, dtype=np.int64))
     data = np.random.default_rng(3).integers(0, 100, size=400, dtype=np.int64)
@@ -437,8 +447,15 @@ def test_getd_hands_the_callers_vector_to_every_stage(machine, monkeypatch):
     out = getd(rt, array, indices, OptimizationFlags.all(), hot_value=0)
     np.testing.assert_array_equal(out, data)
     if machine.nodes > 1:
-        assert seen["exchange_matrix"][0] is indices.thread_ids()
+        targets, base = seen["exchange_matrix"][0]
+        assert targets is indices.data and base is indices.requester_base()
         assert seen["owner_distinct"][0] is indices.data
+        # SetD, with and without a hot drop (a compacted layout of its own).
+        for drop_hot in (False, True):
+            setd(rt, array, indices, data, OptimizationFlags.all(), drop_hot=drop_hot)
+        assert len(seen["exchange_matrix"]) == 3
+        assert "owner_thread" not in seen and "thread_ids" not in seen
+        assert indices._layout.tids is None
     else:
         assert seen["segment_distinct"][0] is indices.data
     assert seen["gather"][0] is indices.data
@@ -505,22 +522,35 @@ class TestPacking:
         s=st.sampled_from([1, 3, 8]),
         count=st.sampled_from([0, 1, 50, 600]),
         silent=st.integers(0, 7),
+        size=st.integers(1, 200),
+        custom_block=st.sampled_from([None, 1, 3]),
         seed=st.integers(0, 2**16),
     )
-    def test_exchange_matrix_matches_double_loop(self, s, count, silent, seed):
+    def test_exchange_matrix_matches_double_loop(
+        self, s, count, silent, size, custom_block, seed
+    ):
         rng = np.random.default_rng(seed)
-        # Sorted like a partition's thread ids; `silent` issues no requests.
+        # `custom_block` below the even split leaves overflow on the last
+        # thread (the kernel's clamp); the even split needs none.
+        block = custom_block or -(-size // s)
+        # A partition's requesters are sorted; `silent` issues no requests.
         requesters = np.sort(rng.integers(0, s, size=count, dtype=np.int64))
         requesters = requesters[requesters != silent % s]
-        owners = rng.integers(0, s, size=requesters.size, dtype=np.int64)
+        targets = rng.integers(0, size, size=requesters.size, dtype=np.int64)
+        owners = np.minimum(targets // block, s - 1)
         naive = np.zeros((s, s), dtype=np.int64)
         for owner in range(s):
             for requester in range(s):
                 naive[owner, requester] = np.count_nonzero(
                     (owners == owner) & (requesters == requester)
                 )
-        got = np.asarray(backend.exchange_matrix(requesters, owners, s))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(requesters, minlength=s))))
+        part = PartitionedArray(targets, offsets)
+        np.testing.assert_array_equal(part.requester_base(), requesters * s)
+        got = np.asarray(backend.exchange_matrix(targets, part.requester_base(), size, block, s))
         np.testing.assert_array_equal(got, naive)
+        # send_matrix: owner ids are the targets of a block-1 layout.
+        np.testing.assert_array_equal(send_matrix(requesters, owners, s), naive)
         if requesters.size:
             assert not got[:, silent % s].any()
 

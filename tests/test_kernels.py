@@ -51,21 +51,19 @@ class TestOps:
         assert np.isnan(minima[0]) and minima[1] == 2.0
 
     def test_exchange_matrix_matches_histogram(self, backend, rng):
-        s = 8
+        size, s = 103, 8  # ragged final block on purpose
+        block = -(-size // s)
         requesters = rng.integers(0, s, size=300, dtype=np.int64)
-        owners = rng.integers(0, s, size=300, dtype=np.int64)
+        targets = rng.integers(0, size, size=300, dtype=np.int64)
         naive = np.zeros((s, s), dtype=np.int64)
-        for o, r in zip(owners, requesters):
-            naive[o, r] += 1
-        got = np.asarray(backend.exchange_matrix(requesters, owners, s))
+        for t, r in zip(targets, requesters):
+            naive[t // block, r] += 1
+        got = np.asarray(backend.exchange_matrix(targets, requesters * s, size, block, s))
         np.testing.assert_array_equal(got, naive)
 
     def test_exchange_matrix_empty(self, backend):
-        got = np.asarray(
-            backend.exchange_matrix(
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 4
-            )
-        )
+        empty = np.empty(0, dtype=np.int64)
+        got = np.asarray(backend.exchange_matrix(empty, empty, 10, 3, 4))
         np.testing.assert_array_equal(got, np.zeros((4, 4), dtype=np.int64))
 
     def test_owner_distinct_matches_unique_per_block(self, backend, rng):

@@ -84,7 +84,7 @@ def _scribble(st: _Fake) -> bool:
     st.seen.append((st.d.data.copy(), st.part))
     st.d.data[:] = -1
     st.part = st.part.with_data(st.part.data + 100)
-    st.ctx.id_cache["edges.u"] = (0, np.empty(0, dtype=np.int64))
+    st.ctx.id_cache["edges.u"] = 0
     fault = st.schedule.pop(0)
     if fault is not None:
         raise fault
