@@ -30,7 +30,7 @@ Packages
 ``repro.cc``           connected-components implementations
 ``repro.mst``          minimum-spanning-forest implementations
 ``repro.core``         high-level API, optimization flags, analysis
-``repro.analysis``     sanitizer suite: epoch race detector + static linter
+``repro.analysis``     sanitizer suite: epoch race detector + static verifier
 ``repro.faults``       fault plans/injection: loss, stragglers, crashes, flips
 ``repro.integrity``    silent-fault detection, verify-and-repair, soak harness
 ``repro.resilience``   permanent-loss survival: redundancy, epochs, recovery
@@ -38,7 +38,7 @@ Packages
 ``repro.bench``        experiment harness used by ``benchmarks/``
 """
 
-from .analysis import analyzed, run_lint
+from .analysis import analyzed, run_verify
 from .core import (
     CC_IMPLS,
     DEFAULT_BENCH_N,
@@ -170,8 +170,8 @@ __all__ = [
     "profiled",
     "random_graph",
     "render_phases",
-    "run_lint",
     "run_soak",
+    "run_verify",
     "save_edgelist",
     "sequential_for_input",
     "sequential_machine",

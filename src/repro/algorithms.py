@@ -10,10 +10,6 @@ if/elif knowledge:
 * the solver entry point behind a uniform call signature;
 * capability flags (fault injection, integrity protection, the online
   adapter, whether Section V flags/t' apply at all);
-* the invariant predicates the :class:`~repro.integrity.monitor.
-  IntegrityMonitor` runs for it and the runtime-facing effects
-  (:data:`repro.analysis.effects.EFFECTS` keys) it leans on — both
-  testable claims, not prose;
 * an optional :class:`TuningEntry` describing how the
   :mod:`repro.tuning` planner should include it in the search lattice.
 
@@ -84,8 +80,6 @@ class AlgorithmSpec:
     kind: str
     description: str
     solve: Callable
-    invariants: Tuple[str, ...] = ()
-    effects: Tuple[str, ...] = ()
     supports_flags: bool = False
     supports_faults: bool = False
     supports_integrity: bool = False
@@ -137,13 +131,6 @@ def lt_variant_names() -> tuple:
 # Connected components
 # ---------------------------------------------------------------------------
 
-_COLLECTIVE_EFFECTS = (
-    "getd", "setd", "allreduce_flag", "owner_block_read", "owner_block_write",
-    "local_ops", "guard_payload",
-)
-_REPAIR_EFFECTS = ("save", "restore", "resync", "on_barrier")
-_RESILIENCE_EFFECTS = ("enroll", "commit_round", "recover_loss", "on_loss")
-
 register(AlgorithmSpec(
     name="collective",
     kind="cc",
@@ -153,9 +140,6 @@ register(AlgorithmSpec(
             graph, machine, opts, tprime, sort_method,
             faults=faults, adapter=adapter, integrity=integrity, resilience=resilience,
         ),
-    invariants=("cc_invariant_violation",),
-    effects=_COLLECTIVE_EFFECTS + _REPAIR_EFFECTS + _RESILIENCE_EFFECTS
-    + ("verify_cc_round",),
     supports_flags=True,
     supports_faults=True,
     supports_integrity=True,
@@ -170,7 +154,6 @@ register(AlgorithmSpec(
     description="Shiloach-Vishkin with collectives (star detection + stagnant-star hook)",
     solve=lambda graph, machine, opts, tprime, sort_method, faults, adapter, integrity, resilience:
         solve_cc_sv(graph, machine, opts, tprime, sort_method),
-    effects=_COLLECTIVE_EFFECTS + ("owner_masked_write",),
     supports_flags=True,
     tuning=TuningEntry(lattice="full", round_factor=1.35),
 ))
@@ -181,7 +164,6 @@ register(AlgorithmSpec(
     description="literal UPC translation: blocking fine-grained remote accesses",
     solve=lambda graph, machine, opts, tprime, sort_method, faults, adapter, integrity, resilience:
         solve_cc_naive_upc(graph, machine, faults=faults),
-    effects=("fine_grained_read", "fine_grained_write", "barrier"),
     supports_faults=True,
 ))
 
@@ -239,9 +221,6 @@ for _variant in ALL_VARIANTS:
         kind="cc",
         description=f"Liu–Tarjan {_variant.describe()}",
         solve=_lt_solve(_variant),
-        invariants=("lt_invariant_violation",),
-        effects=_COLLECTIVE_EFFECTS + _REPAIR_EFFECTS + _RESILIENCE_EFFECTS
-        + ("verify_lt_round",),
         supports_flags=True,
         supports_faults=True,
         supports_integrity=True,
@@ -269,9 +248,6 @@ register(AlgorithmSpec(
             graph, machine, opts, tprime, sort_method,
             faults=faults, adapter=adapter, integrity=integrity, resilience=resilience,
         ),
-    invariants=("star_invariant_violation", "mst_selection_violation"),
-    effects=_COLLECTIVE_EFFECTS + _REPAIR_EFFECTS + _RESILIENCE_EFFECTS
-    + ("setdmin", "verify_star_round", "verify_mst_selection"),
     supports_flags=True,
     supports_faults=True,
     supports_integrity=True,

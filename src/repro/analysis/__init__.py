@@ -1,26 +1,26 @@
-"""PGAS sanitizer suite: race detector, cost-model linter, flow verifier.
+"""PGAS sanitizer suite: a dynamic race detector and a static verifier.
 
-Three cooperating analyses keep the simulator honest:
+Two cooperating analyses keep the simulator honest:
 
 * :mod:`repro.analysis.race` — a dynamic, TSan-style epoch race detector
   (opt-in via ``PGASRuntime(analyze=True)`` or the :func:`analyzed`
   context manager) that reports intra-epoch access conflicts, remote
   writes that bypassed the collectives, and barrier divergence.
-* :mod:`repro.analysis.lint` — a static AST linter (``python -m repro
-  analyze``) that flags uncharged shared accesses and nondeterminism
-  sources in modeled code paths, one statement at a time.
-* :mod:`repro.analysis.flow` — an interprocedural static verifier (same
-  entrypoint) that propagates effect summaries through the call graph
-  to prove barrier/collective matching (SY), charge-coverage of tainted
-  shared data (CH), and fault-path safety (FX), driven by the
-  declarative effects registry in :mod:`repro.analysis.effects`.
+* :func:`run_verify` (``python -m repro analyze``) — the static
+  verifier.  It parses each file once, runs the per-statement rules of
+  :mod:`repro.analysis.lint` (uncharged shared accesses, nondeterminism
+  sources), and the interprocedural pass of :mod:`repro.analysis.flow`
+  that propagates effect summaries through the call graph to prove
+  barrier/collective matching (SY), charge-coverage of tainted shared
+  data (CH), and fault-path safety (FX), driven by the declarative
+  effects registry in :mod:`repro.analysis.effects`.
 
 See ``docs/static-analysis.md`` for the rule catalog and waiver syntax.
 """
 
 from .effects import EFFECTS, Effect, registry_drift
-from .flow import FLOW_CATALOG, FunctionSummary, run_verify, verify_file
-from .lint import LINT_CATALOG, Finding, lint_file, run_lint
+from .flow import CATALOG, FunctionSummary, run_verify, verify_file
+from .lint import Finding
 from .race import (
     RACE_RULES,
     RULE_CATALOG,
@@ -34,22 +34,19 @@ from .race import (
 
 __all__ = [
     "AnalysisSession",
+    "CATALOG",
     "EFFECTS",
     "Effect",
     "EpochRaceDetector",
-    "FLOW_CATALOG",
     "Finding",
     "FunctionSummary",
-    "LINT_CATALOG",
     "RACE_RULES",
     "RULE_CATALOG",
     "RaceReport",
     "analyzed",
     "current_analysis",
-    "lint_file",
     "registry_drift",
     "render_reports",
-    "run_lint",
     "run_verify",
     "verify_file",
 ]

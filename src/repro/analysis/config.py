@@ -1,11 +1,8 @@
-"""Shared configuration for the static analyses.
+"""Scope, waivers and path rendering for the static verifier.
 
-One source of truth for the module classification that both the
-line-level linter (:mod:`repro.analysis.lint`) and the interprocedural
-flow verifier (:mod:`repro.analysis.flow`) consult, plus the waiver
-parser and path normalization they share.  Before this module existed
-the whitelist lived in ``lint.py`` only, and any new analysis would have
-grown its own copy that could silently drift.
+The module classification the verifier's rules consult
+(:func:`is_checked`, :func:`is_wallclock`), the waiver parser, and the
+path normalization findings sort on.
 """
 
 from __future__ import annotations
@@ -15,16 +12,18 @@ from pathlib import Path
 from typing import Iterable, Set
 
 __all__ = [
+    "CHECKED_PARTS",
     "WHITELIST_PARTS",
     "WALLCLOCK_PARTS",
     "Waivers",
     "display_path",
+    "is_checked",
     "is_wallclock",
-    "is_whitelisted",
 ]
 
 #: Modules allowed to touch ``SharedArray.data`` directly — they *are*
-#: the charged machinery (plus the analysis package itself).
+#: the charged machinery (plus the analysis package itself).  CM01 and
+#: the flow rules skip them; they still feed the call graph.
 WHITELIST_PARTS = (
     "repro/runtime/",
     "repro/collectives/",
@@ -40,8 +39,13 @@ WHITELIST_PARTS = (
     "repro/kernels/",
 )
 
+#: Whitelisted files that are checked anyway: the round driver holds the
+#: one fault-recovery ``try`` the checkpointing solvers share, which is
+#: what FX01 reasons about.
+CHECKED_PARTS = ("repro/faults/rounds.py",)
+
 #: Modules that live in wall-clock time *on purpose* — operational code,
-#: not modeled paths — where the ND rules do not apply.  The service
+#: not modeled paths — where ND01 does not apply.  The service
 #: layer's quotas, deadlines, breaker cool-downs, and journal timestamps
 #: are real-time concerns; the solves it dispatches keep their own
 #: modeled clocks (bit-identical with the service's sync-poll hook
@@ -51,14 +55,20 @@ WALLCLOCK_PARTS = (
 )
 
 
-def is_whitelisted(path: Path | str) -> bool:
-    text = Path(path).as_posix()
-    return any(part in text for part in WHITELIST_PARTS)
+def _under(path: Path | str, parts) -> bool:
+    text = Path(path).resolve().as_posix()
+    return any(part in text for part in parts)
+
+
+def is_checked(path: Path | str) -> bool:
+    """Whether CM01 and the flow rules (SY/CH/FX) report on ``path``:
+    every file but the whitelisted runtime layers, plus
+    :data:`CHECKED_PARTS`."""
+    return _under(path, CHECKED_PARTS) or not _under(path, WHITELIST_PARTS)
 
 
 def is_wallclock(path: Path | str) -> bool:
-    text = Path(path).as_posix()
-    return any(part in text for part in WALLCLOCK_PARTS)
+    return _under(path, WALLCLOCK_PARTS)
 
 
 def display_path(path: Path | str) -> str:
@@ -86,15 +96,15 @@ class Waivers:
         before = d.data.copy()  # repro: charged-local (covered by ch pass)
         d.data[:] = state["d"]  # repro: waive[CM01] checkpointer charged restore
 
-    ``# repro: charged-local`` waives the charge-coverage rules (CM01/
-    CM02 in the linter, CH01/CH02 in the flow verifier — the access is
-    owner-local and its cost is accounted by an adjacent charge).
+    ``# repro: charged-local`` waives the charge-coverage rules (CM01,
+    CH01, CH02 — the access is owner-local and its cost is accounted by
+    an adjacent charge).
     ``# repro: waive[RULE]`` waives any one rule.  Both require a
     justification.
     """
 
     #: Rules the ``charged-local`` shorthand covers.
-    CHARGE_RULES = ("CM01", "CM02", "CH01", "CH02")
+    CHARGE_RULES = ("CM01", "CH01", "CH02")
 
     def __init__(self, source: str) -> None:
         self.charged_local: Set[int] = set()

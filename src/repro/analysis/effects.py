@@ -27,7 +27,8 @@ described here as a small record of *what it does to the model*:
     returns a value guaranteed identical on every simulated thread
     (collective reductions) — the blessed way to decide loop exits.
 
-The registry is *declarative on purpose*: the drift test in
+It is the verifier's only source for what a call syncs, charges or
+moves raw.  The registry is *declarative on purpose*: the drift test in
 ``tests/test_analysis_flow.py`` reflects over the real
 :class:`~repro.runtime.PGASRuntime`, :mod:`repro.collectives`,
 :class:`~repro.integrity.monitor.IntegrityMonitor`,
@@ -51,7 +52,6 @@ _OWNERS = (
     "integrity",
     "checkpoint",
     "resilience",
-    "kernels",
 )
 
 
@@ -101,12 +101,10 @@ def _res(**kw) -> Effect:
     return Effect(owner="resilience", **kw)
 
 
-def _kern(**kw) -> Effect:
-    return Effect(owner="kernels", **kw)
-
-
 #: name -> Effect.  Names are matched on the *last* component of a call
-#: (``rt.barrier`` -> ``barrier``), the same convention the linter uses.
+#: (``rt.barrier`` -> ``barrier``).  :mod:`repro.kernels` has no records:
+#: its routines are pure array functions that take no runtime, always
+#: called as attributes, which the verifier treats as effect-free.
 EFFECTS: dict[str, Effect] = {
     # -- PGASRuntime -------------------------------------------------------
     "barrier": _rt(sync=True, faultable=True, token="barrier"),
@@ -201,19 +199,6 @@ EFFECTS: dict[str, Effect] = {
     "mark_write": _res(),
     "on_loss": _res(charges=True, faultable=True),
     "recover_loss": _res(charges=True, comm=True, faultable=True, taints=True),
-    # -- repro.kernels (wall-clock machinery: pure array->array functions
-    # on their arguments; taint flows through arguments, nothing here
-    # touches the modeled clocks or the collective sequence) --------------
-    "active_backend": _kern(),
-    "backend_name": _kern(),
-    "group_minima": _kern(),
-    # exchange_matrix(targets, base, size, block, s): the SMatrix from
-    # validated request targets and the layout's requester_base(); owner
-    # ids are a key pass inside it, never an argument.
-    "exchange_matrix": _kern(),
-    "owner_distinct": _kern(),
-    "segment_distinct": _kern(),
-    "concat_segments": _kern(),
 }
 
 
@@ -245,10 +230,8 @@ def registry_drift() -> list[str]:
     describing a runtime that is gone).
     """
     import repro.collectives as collectives
-    import repro.kernels as kernels
     from repro.faults.checkpoint import RoundCheckpointer
     from repro.integrity.monitor import IntegrityMonitor, guard_payload  # noqa: F401
-    from repro.kernels.numpy_backend import NumpyKernels
     from repro.resilience.session import ResilientSession
     from repro.runtime.runtime import PGASRuntime
     from repro.runtime.shared_array import SharedArray
@@ -265,13 +248,6 @@ def registry_drift() -> list[str]:
             for name in collectives.__all__
             if callable(getattr(collectives, name))
             and not isinstance(getattr(collectives, name), type)
-        },
-        "kernels": _public_routines(NumpyKernels)
-        | {
-            name
-            for name in kernels.__all__
-            if callable(getattr(kernels, name))
-            and not isinstance(getattr(kernels, name), type)
         },
     }
     for owner, live in surfaces.items():

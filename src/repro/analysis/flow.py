@@ -1,9 +1,10 @@
-"""Interprocedural PGAS flow verifier (``python -m repro analyze``).
+"""The static verifier (``python -m repro analyze``).
 
-Where :mod:`repro.analysis.lint` checks one statement or one ``if`` at a
-time, this module walks each function as structured control flow,
-propagates *effect summaries* through the call graph, and proves three
-whole-program properties of the simulated-PGAS solvers:
+Each file is parsed once.  The per-statement rules (CM01, ND01, ND02 —
+:mod:`repro.analysis.lint`) run over that tree; this module walks each
+function as structured control flow, propagates *effect summaries*
+through the call graph, and proves three whole-program properties of the
+simulated-PGAS solvers:
 
 ``SY`` — static barrier/collective matching.  Every function is
 summarized as the sequence of sync effects it executes (``barrier``,
@@ -22,9 +23,8 @@ clean without waivers.
 are tainted; a tainted value escaping a function (``return``) with no
 *dominating* charge — some entry-to-return path that never charged the
 cost model — means modeled milliseconds silently missed a data access.
-This supersedes CM02's per-function "does it charge at all" heuristic
-with a path-sensitive one, and also checks raw comm primitives
-(``gather``/``scatter*``) for a dominating charge (CH02).
+Raw comm primitives (``gather``/``scatter*``) need a dominating charge
+too (CH02).
 
 ``FX`` — fault-path safety.  In a solver that constructs fault-recovery
 machinery (:class:`~repro.faults.checkpoint.RoundCheckpointer` or a
@@ -34,7 +34,7 @@ plan — must be reachable only inside a ``try`` that catches those
 exceptions.  A faultable call outside recovery scope means an injected
 crash escapes the replay machinery the solver claims to have.
 
-Rule catalog
+Rule catalog (flow rules; :data:`CATALOG` lists all nine)
 ------------
 ``SY01``  rejoining branches under a thread-divergent condition execute
           different call-expanded collective sequences
@@ -52,17 +52,14 @@ Rule catalog
 All effect facts come from the declarative registry in
 :mod:`repro.analysis.effects`; a drift test pins the registry to the
 real runtime surface.  ``raise`` terminates *all* simulated threads
-(global abort), so paths ending in ``raise`` are exempt from SY rules,
-matching the linter's CM03 convention.  Waivers use the shared
-``# repro: waive[RULE]`` / ``# repro: charged-local`` spellings from
-:mod:`repro.analysis.config`.
+(global abort), so paths ending in ``raise`` are exempt from SY rules.
+Waivers use the ``# repro: waive[RULE]`` / ``# repro: charged-local``
+spellings from :mod:`repro.analysis.config`.
 
-Scope: summaries are computed for every scanned file, but findings are
-only emitted for the solver packages the call graph serves (``cc/``,
-``lt/``, ``mst/``, ``bfs/``, ``listrank/``, and the round driver
-``faults/rounds.py`` that runs their recovery loop —
-:data:`FLOW_CHECKED_PARTS`) and for
-files outside the ``repro`` package entirely (fixtures, user code).
+Scope: summaries are computed for every scanned file, but CM01 and the
+flow rules report only on files :func:`~repro.analysis.config.is_checked`
+accepts — everything but the whitelisted runtime layers, plus the round
+driver ``faults/rounds.py`` that runs the solvers' recovery loop.
 """
 
 from __future__ import annotations
@@ -72,13 +69,16 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConfigError
-from .config import Waivers, display_path, is_whitelisted
+from .config import Waivers, display_path, is_checked, is_wallclock
 from .effects import Effect, effect_of
-from .lint import _SHARED_METHODS, Finding, _call_name, _infer_shared_names
+from .lint import Finding, _call_name, _infer_shared_names, statement_findings
 
-__all__ = ["FLOW_CATALOG", "FLOW_CHECKED_PARTS", "FunctionSummary", "run_verify", "verify_file"]
+__all__ = ["CATALOG", "FunctionSummary", "run_verify", "verify_file"]
 
-FLOW_CATALOG = {
+CATALOG = {
+    "CM01": "uncharged subscripted SharedArray .data access outside the runtime whitelist",
+    "ND01": "wall-clock time source in a modeled path",
+    "ND02": "seedless randomness (numpy or stdlib) in a modeled path",
     "SY01": "branches under a thread-divergent condition run different collective sequences",
     "SY02": "loop with collective effects exits on a thread-divergent condition",
     "SY03": "thread-divergent early return skips collectives other threads execute",
@@ -86,25 +86,6 @@ FLOW_CATALOG = {
     "CH02": "raw comm primitive with no dominating charge on some path",
     "FX01": "faultable effect outside fault-recovery scope in a checkpointing solver",
 }
-
-#: Algorithm packages the interprocedural rules gate (a part listed
-#: here is checked even inside the linter's whitelist).  Everything else
-#: under ``repro`` is summarized for call-graph propagation but not
-#: itself checked; files outside the ``repro`` package entirely (test
-#: fixtures, user solvers) are always checked.
-FLOW_CHECKED_PARTS = (
-    "repro/cc/",
-    "repro/lt/",
-    "repro/mst/",
-    "repro/bfs/",
-    "repro/listrank/",
-    # The one fault-recovery `try` the checkpointing solvers share.
-    "repro/faults/rounds.py",
-)
-
-#: Owner-affinity signals for shared-name inference: the linter's set
-#: plus the uncharged primitives this verifier reasons about.
-_FLOW_SHARED_METHODS = _SHARED_METHODS | {"gather", "scatter", "local_range"}
 
 #: Exception names whose handlers constitute a fault-recovery scope.
 _FAULT_EXCS = {
@@ -257,7 +238,8 @@ class _FunctionAnalyzer:
         self.shared = shared
         self.waivers = waivers
         self.emit = emit
-        self.fx_enabled = _constructs_recovery(fn)
+        # FX01 is only ever reported, never summarized.
+        self.fx_enabled = emit is not None and _constructs_recovery(fn)
         self.local_defs: Dict[str, ast.AST] = {}
         self.cond_taint: List[bool] = []
         self.loops: List[_Loop] = []
@@ -634,8 +616,7 @@ class _FunctionAnalyzer:
     def _effect_applies(self, node: ast.Call, effect: Effect) -> bool:
         """Shared-array effects are name-collision-prone (``gather``,
         ``snapshot``, ...), so they only apply when the receiver is an
-        inferred shared array; other owners match by name, the same
-        convention the linter uses."""
+        inferred shared array; other owners match by name."""
         if effect.owner != "shared_array":
             return True
         return (
@@ -653,16 +634,13 @@ class _FunctionAnalyzer:
     # -- helpers ---------------------------------------------------------
 
     def _contains_sync(self, stmt: ast.stmt) -> bool:
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)
+        for name, bare in self.program.calls_in(stmt):
             effect = effect_of(name)
             if effect is not None:
                 if effect.sync:
                     return True
                 continue
-            if isinstance(node.func, ast.Name):
+            if bare:
                 summary = self._resolve(name)
                 if summary is not None and summary.sync_seq:
                     return True
@@ -678,14 +656,19 @@ class _Program:
         self._global_defs: Dict[str, Optional[Tuple[str, ast.AST]]] = {}
         self._summaries: Dict[int, FunctionSummary] = {}
         self._in_progress: Set[int] = set()
+        self._calls: Dict[int, List[Tuple[str, bool]]] = {}
+        self.syntax_errors: List[Finding] = []
 
     def add_file(self, path: Path) -> None:
         shown = display_path(path)
         source = path.read_text()
         try:
             tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            return  # the linter reports CM00 for this file
+        except SyntaxError as err:  # pragma: no cover - tree is syntax-clean
+            self.syntax_errors.append(
+                Finding(shown, err.lineno or 0, "CM00", f"syntax error: {err.msg}")
+            )
+            return
         self.files[shown] = tree
         self.waivers[shown] = Waivers(source)
         for node in tree.body:
@@ -696,6 +679,18 @@ class _Program:
                     self._global_defs[node.name] = None
                 else:
                     self._global_defs[node.name] = (shown, node)
+
+    def calls_in(self, stmt: ast.stmt) -> List[Tuple[str, bool]]:
+        """``(name, is_bare_name)`` of every call in ``stmt``, in walk
+        order, computed once (statement lists re-ask for every prefix)."""
+        calls = self._calls.get(id(stmt))
+        if calls is None:
+            calls = self._calls[id(stmt)] = [
+                (_call_name(node), isinstance(node.func, ast.Name))
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Call)
+            ]
+        return calls
 
     def resolve_global(self, name: str) -> Optional[FunctionSummary]:
         entry = self._global_defs.get(name)
@@ -715,7 +710,7 @@ class _Program:
             return _NEUTRAL  # recursion: neutral fixpoint seed
         self._in_progress.add(key)
         try:
-            shared = _infer_shared_names(fn, inherited_shared, _FLOW_SHARED_METHODS)
+            shared = _infer_shared_names(fn, inherited_shared)
             analyzer = _FunctionAnalyzer(
                 self, path, fn, shared, self.waivers.get(path, Waivers("")), emit=None
             )
@@ -735,13 +730,18 @@ class _Program:
     def check_file(self, path: Path) -> List[Finding]:
         shown = display_path(path)
         tree = self.files.get(shown)
-        if tree is None or not _is_checked(path):
+        if tree is None:
             return []
-        findings: List[Finding] = []
         waivers = self.waivers[shown]
+        checked = is_checked(path)
+        findings = statement_findings(
+            tree, shown, waivers, cost=checked, wallclock=is_wallclock(path)
+        )
+        if not checked:
+            return findings
 
-        def check_fn(fn: ast.AST, inherited: Set[str]) -> None:
-            shared = _infer_shared_names(fn, inherited, _FLOW_SHARED_METHODS)
+        def check_fn(fn: ast.AST) -> None:
+            shared = _infer_shared_names(fn, set())
             analyzer = _FunctionAnalyzer(
                 self, shown, fn, shared, waivers, emit=findings.append
             )
@@ -749,21 +749,12 @@ class _Program:
 
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                check_fn(node, set())
+                check_fn(node)
             elif isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        check_fn(member, set())
+                        check_fn(member)
         return findings
-
-
-def _is_checked(path: Path) -> bool:
-    text = Path(path).resolve().as_posix()
-    if any(part in text for part in FLOW_CHECKED_PARTS):
-        return True  # named parts win over the linter's whitelist
-    if is_whitelisted(path):
-        return False
-    return "/repro/" not in text  # fixtures / user code outside the package
 
 
 def _collect_files(paths: Sequence[str | Path]) -> List[Path]:
@@ -777,17 +768,18 @@ def _collect_files(paths: Sequence[str | Path]) -> List[Path]:
 
 
 def run_verify(paths: Sequence[str | Path]) -> List[Finding]:
-    """Run the interprocedural verifier over ``paths`` (files or dirs).
+    """Run every rule in :data:`CATALOG` over ``paths`` (files or dirs).
 
-    Every scanned file contributes call-graph summaries; findings are
-    emitted only for files :func:`_is_checked` accepts.  Order is
+    Every scanned file contributes call-graph summaries; CM01 and the
+    flow rules report only on files
+    :func:`~repro.analysis.config.is_checked` accepts.  Order is
     path-stable: sorted by (display path, line, rule).
     """
     files = _collect_files(paths)
     program = _Program()
     for file in files:
         program.add_file(file)
-    findings: List[Finding] = []
+    findings = list(program.syntax_errors)
     for file in files:
         findings.extend(program.check_file(file))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))

@@ -1,82 +1,41 @@
-"""Static cost-model soundness linter (``python -m repro analyze``).
+"""Per-statement rules of the static verifier (``python -m repro analyze``).
 
-AST-based rules that keep the simulator's modeled milliseconds honest:
-any code path that touches shared data without charging the cost model,
-or that can desynchronize the simulated threads, is flagged at review
-time rather than discovered as a silently-wrong figure.
+The flow verifier (:mod:`repro.analysis.flow`) parses each file once
+and runs :func:`statement_findings` over that tree, next to its own
+per-function pass.  These rules look at one expression at a time:
 
-Rule catalog
-------------
 ``CM01``  raw subscripted ``.data[...]`` access on a :class:`SharedArray`
-          outside the runtime/collectives whitelist (uncharged access =
-          unsound modeled time)
-``CM02``  raw communication primitive (``gather`` / ``scatter*`` on a
-          shared array) in a function that never charges the cost model
-``CM03``  unbalanced synchronization along ``if``/``else`` branches in an
-          algorithm module (threads would diverge on barrier count)
+          in a checked module (uncharged access = unsound modeled time)
 ``ND01``  wall-clock nondeterminism (``time.time`` / ``time.time_ns``)
-          in a modeled path (``time.perf_counter`` is exempt — it is the
-          *reporting* clock for simulation overhead, never modeled time)
+          outside the wall-clock modules (``time.perf_counter`` is exempt —
+          it is the *reporting* clock for simulation overhead, never
+          modeled time)
 ``ND02``  seedless randomness: legacy ``np.random.<dist>()`` calls,
           ``np.random.default_rng()`` with no seed argument, stdlib
           global-state ``random.<dist>()`` samplers, and unseeded
           ``random.Random()`` instances
 
-Waivers
--------
-Two spellings, on the offending line, its last line, or the line above::
-
-    before = d.data.copy()  # repro: charged-local (covered by ch pass)
-    d.data[:] = state["d"]  # repro: waive[CM01] checkpointer charged restore
-
-``# repro: charged-local`` waives CM01/CM02 (the access is owner-local
-and its cost is accounted by an adjacent charge).  ``# repro:
-waive[RULE]`` waives any one rule.  Both require a justification.
-
 Shared-array identification is *inference-based*, not type-based: a name
 is treated as shared within a function if it is assigned from
 ``*.shared_array(...)`` / ``SharedArray(...)``, used with owner-affinity
-methods (``owner_thread``, ``local_sizes``, ...), or passed as the array
-operand of ``getd``/``setd``/``setdmin``.  ``PartitionedArray`` objects
-(flat exchange buffers) also expose ``.data`` but never match these
-signals, so their accesses are not flagged.  Nested functions inherit
-the enclosing function's inferred set (closures over shared arrays are
-common in the solvers).
+or raw-comm methods (``owner_thread``, ``local_sizes``, ``gather``, ...),
+or passed as the array operand of ``getd``/``setd``/``setdmin``.
+``PartitionedArray`` objects (flat exchange buffers) also expose
+``.data`` but never match these signals, so their accesses are not
+flagged.  Nested functions inherit the enclosing function's inferred set
+(closures over shared arrays are common in the solvers).  The flow rules
+use the same inference.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Sequence, Set
+from typing import List, Set
 
-from ..errors import ConfigError
-from .config import (
-    WALLCLOCK_PARTS,
-    WHITELIST_PARTS,
-    Waivers,
-    display_path,
-    is_wallclock,
-    is_whitelisted,
-)
+from .config import Waivers
 
-__all__ = [
-    "Finding",
-    "run_lint",
-    "lint_file",
-    "LINT_CATALOG",
-    "WHITELIST_PARTS",
-    "WALLCLOCK_PARTS",
-]
-
-LINT_CATALOG = {
-    "CM01": "uncharged subscripted SharedArray .data access outside the runtime whitelist",
-    "CM02": "raw comm primitive on a shared array in a function that never charges",
-    "CM03": "unbalanced barrier/collective calls along if/else branches",
-    "ND01": "wall-clock time source in a modeled path",
-    "ND02": "seedless randomness (numpy or stdlib) in a modeled path",
-}
+__all__ = ["Finding", "statement_findings"]
 
 #: Constructor / owner-affinity signals that mark a name as shared.
 _SHARED_CTORS = {"shared_array", "SharedArray"}
@@ -85,46 +44,15 @@ _SHARED_METHODS = {
     "owner_node",
     "local_sizes",
     "local_view",
+    "local_range",
     "snapshot",
+    "gather",
+    "scatter",
     "scatter_min",
     "scatter_store_min",
 }
 #: Collectives whose second positional argument is the shared array.
 _COLLECTIVE_FNS = {"getd", "setd", "setdmin"}
-
-#: Call names that count as "this function charges the cost model".
-_CHARGING_FNS = {
-    "local_stream",
-    "local_ops",
-    "local_random_access",
-    "fine_grained_read",
-    "fine_grained_write",
-    "owner_block_read",
-    "owner_block_write",
-    "owner_masked_write",
-    "owner_indexed_write",
-    "shared_array",
-    "getd",
-    "setd",
-    "setdmin",
-    # Integrity helpers: each charges digest/invariant passes internally
-    # (repro.integrity.monitor), so calling them counts as charging.
-    "protect_array",
-    "note_write",
-    "track",
-    "resync",
-    "verify_cc_round",
-    "verify_star_round",
-    "verify_mst_selection",
-    "guard_payload",
-    "poll_corruption",
-}
-
-#: Raw comm primitives (CM02) when invoked on an inferred shared array.
-_RAW_COMM = {"gather", "scatter", "scatter_min", "scatter_store_min"}
-
-#: Synchronization calls counted by the CM03 balance check.
-_SYNC_FNS = {"barrier", "allreduce_flag", "getd", "setd", "setdmin"}
 
 #: Legacy np.random attributes that are fine (not samplers).
 _ND_OK = {"default_rng", "SeedSequence", "Generator", "BitGenerator", "PCG64", "Philox"}
@@ -162,12 +90,9 @@ def _call_name(node: ast.Call) -> str:
     return ""
 
 
-def _infer_shared_names(
-    fn: ast.AST, inherited: Set[str], methods: Set[str] = _SHARED_METHODS
-) -> Set[str]:
+def _infer_shared_names(fn: ast.AST, inherited: Set[str]) -> Set[str]:
     """Names bound to shared arrays within ``fn`` (plus ``inherited``
-    names closed over from the enclosing function).  ``methods`` is the
-    owner-affinity signal set — the flow verifier passes a wider one."""
+    names closed over from the enclosing function)."""
     shared = set(inherited)
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
@@ -179,7 +104,7 @@ def _infer_shared_names(
             fn_name = _call_name(node)
             if (
                 isinstance(node.func, ast.Attribute)
-                and node.func.attr in methods
+                and node.func.attr in _SHARED_METHODS
                 and isinstance(node.func.value, ast.Name)
             ):
                 shared.add(node.func.value.id)
@@ -190,40 +115,12 @@ def _infer_shared_names(
     return shared
 
 
-def _function_charges(fn: ast.AST) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            name = _call_name(node)
-            if name in _CHARGING_FNS or "charge" in name:
-                return True
-    return False
-
-
-def _count_syncs(nodes: Sequence[ast.stmt]) -> int:
-    count = 0
-    for stmt in nodes:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and _call_name(node) in _SYNC_FNS:
-                count += 1
-    return count
-
-
-def _terminates(nodes: Sequence[ast.stmt]) -> bool:
-    """A branch ending in return/raise/break/continue never rejoins the
-    other branch, so unequal sync counts cannot diverge threads."""
-    if not nodes:
-        return False
-    return isinstance(nodes[-1], (ast.Return, ast.Raise, ast.Break, ast.Continue))
-
-
-class _FileLinter(ast.NodeVisitor):
-    def __init__(
-        self, path: str, source: str, whitelisted: bool, wallclock: bool = False
-    ) -> None:
+class _StatementRules(ast.NodeVisitor):
+    def __init__(self, path: str, waivers: Waivers, cost: bool, wallclock: bool) -> None:
         self.path = path
-        self.whitelisted = whitelisted
+        self.waivers = waivers
+        self.cost = cost
         self.wallclock = wallclock
-        self.waivers = Waivers(source)
         self.findings: List[Finding] = []
         self._shared_stack: List[Set[str]] = [set()]
 
@@ -240,95 +137,53 @@ class _FileLinter(ast.NodeVisitor):
         self._visit_function(node)
 
     def _visit_function(self, node) -> None:
-        shared = _infer_shared_names(node, self._shared_stack[-1])
-        self._shared_stack.append(shared)
-        if not self.whitelisted:
-            self._check_raw_comm(node, shared)
+        if not self.cost:
+            self.generic_visit(node)
+            return
+        self._shared_stack.append(_infer_shared_names(node, self._shared_stack[-1]))
         self.generic_visit(node)
         self._shared_stack.pop()
 
     # -- CM01 ------------------------------------------------------------------
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
-        if not self.whitelisted:
-            target = node.value
-            if (
-                isinstance(target, ast.Attribute)
-                and target.attr == "data"
-                and isinstance(target.value, ast.Name)
-                and target.value.id in self._shared_stack[-1]
-            ):
-                self._emit(
-                    node,
-                    "CM01",
-                    f"raw SharedArray access {target.value.id}.data[...] outside the "
-                    "runtime whitelist; route through a charged helper "
-                    "(owner_block_*/fine_grained_*/collectives) or waive with "
-                    "'# repro: charged-local'",
-                )
-        self.generic_visit(node)
-
-    # -- CM02 ------------------------------------------------------------------
-
-    def _check_raw_comm(self, fn, shared: Set[str]) -> None:
-        if _function_charges(fn):
-            return
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _RAW_COMM
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in shared
-            ):
-                self._emit(
-                    node,
-                    "CM02",
-                    f"raw {node.func.attr}() on shared array "
-                    f"{node.func.value.id!r} in a function that never charges "
-                    "the cost model",
-                )
-
-    # -- CM03 ------------------------------------------------------------------
-
-    def visit_If(self, node: ast.If) -> None:
-        if not self.whitelisted:
-            body_n = _count_syncs(node.body)
-            else_n = _count_syncs(node.orelse)
-            if body_n != else_n and not (
-                _terminates(node.body) or _terminates(node.orelse)
-            ):
-                self._emit(
-                    node,
-                    "CM03",
-                    f"branches synchronize unequally ({body_n} vs {else_n} "
-                    "barrier/collective calls); simulated threads taking "
-                    "different branches would diverge",
-                )
+        target = node.value
+        if (
+            self.cost
+            and isinstance(target, ast.Attribute)
+            and target.attr == "data"
+            and isinstance(target.value, ast.Name)
+            and target.value.id in self._shared_stack[-1]
+        ):
+            self._emit(
+                node,
+                "CM01",
+                f"raw SharedArray access {target.value.id}.data[...] outside the "
+                "runtime whitelist; route through a charged helper "
+                "(owner_block_*/fine_grained_*/collectives) or waive with "
+                "'# repro: charged-local'",
+            )
         self.generic_visit(node)
 
     # -- ND01 / ND02 -----------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
+        self._check_nondeterminism(node)
+        self.generic_visit(node)
+
+    def _check_nondeterminism(self, node: ast.Call) -> None:
         fn = node.func
-        if (
-            not self.wallclock
-            and isinstance(fn, ast.Attribute)
-            and isinstance(fn.value, ast.Name)
-        ):
-            if fn.value.id == "time" and fn.attr in ("time", "time_ns"):
+        if not isinstance(fn, ast.Attribute):
+            return
+        if not self.wallclock and isinstance(fn.value, ast.Name) and fn.value.id == "time":
+            if fn.attr in ("time", "time_ns"):
                 self._emit(
                     node,
                     "ND01",
                     f"wall-clock time.{fn.attr}() in a modeled path; modeled "
                     "results must not depend on host time",
                 )
-        if (
-            isinstance(fn, ast.Attribute)
-            and fn.attr == "default_rng"
-            and not node.args
-            and not node.keywords
-        ):
+        if fn.attr == "default_rng" and not node.args and not node.keywords:
             self._emit(
                 node,
                 "ND02",
@@ -336,8 +191,7 @@ class _FileLinter(ast.NodeVisitor):
                 "runs are reproducible",
             )
         if (
-            isinstance(fn, ast.Attribute)
-            and isinstance(fn.value, ast.Attribute)
+            isinstance(fn.value, ast.Attribute)
             and fn.value.attr == "random"
             and isinstance(fn.value.value, ast.Name)
             and fn.value.value.id in ("np", "numpy")
@@ -349,11 +203,7 @@ class _FileLinter(ast.NodeVisitor):
                 f"legacy global-state np.random.{fn.attr}(); use a seeded "
                 "np.random.default_rng(seed) Generator",
             )
-        if (
-            isinstance(fn, ast.Attribute)
-            and isinstance(fn.value, ast.Name)
-            and fn.value.id == "random"
-        ):
+        if isinstance(fn.value, ast.Name) and fn.value.id == "random":
             if fn.attr not in _STDLIB_RANDOM_OK:
                 self._emit(
                     node,
@@ -369,35 +219,13 @@ class _FileLinter(ast.NodeVisitor):
                     "random.Random() without a seed; pass an explicit seed "
                     "so runs are reproducible",
                 )
-        self.generic_visit(node)
 
 
-def lint_file(path: Path) -> List[Finding]:
-    source = path.read_text()
-    shown = display_path(path)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as err:  # pragma: no cover - tree is syntax-clean
-        return [Finding(shown, err.lineno or 0, "CM00", f"syntax error: {err.msg}")]
-    linter = _FileLinter(
-        shown,
-        source,
-        whitelisted=is_whitelisted(path),
-        wallclock=is_wallclock(path),
-    )
-    linter.visit(tree)
-    return linter.findings
-
-
-def run_lint(paths: Sequence[str | Path]) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    findings: List[Finding] = []
-    for root in paths:
-        root = Path(root)
-        if not root.exists():
-            raise ConfigError(f"analyze: no such file or directory: {root}")
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for file in files:
-            findings.extend(lint_file(file))
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
+def statement_findings(
+    tree: ast.Module, path: str, waivers: Waivers, *, cost: bool, wallclock: bool
+) -> List[Finding]:
+    """One parsed module's statement findings, waivers applied: CM01
+    only when ``cost``, ND01 only when not ``wallclock``, ND02 always."""
+    rules = _StatementRules(path, waivers, cost, wallclock)
+    rules.visit(tree)
+    return rules.findings

@@ -1,38 +1,13 @@
-"""Finding reports: text / json / sarif rendering and the baseline file.
-
-The baseline is the reviewed debt ledger for ``python -m repro
-analyze``: a JSON file of known findings that are suppressed on
-subsequent runs, so CI gates only on *new* findings.  Entries match on
-``(path, rule, message)`` — deliberately not on line number, which
-drifts with every unrelated edit — and the file is written sorted so
-diffs review cleanly.
-
-Workflow::
-
-    python -m repro analyze src/repro --write-baseline .analysis-baseline.json
-    # review + commit the baseline; later runs gate on new findings only
-    python -m repro analyze src/repro --baseline .analysis-baseline.json
-"""
+"""Finding reports: text / json / sarif rendering."""
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
-from ..errors import ConfigError
 from .lint import Finding
 
-__all__ = [
-    "apply_baseline",
-    "load_baseline",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "write_baseline",
-]
-
-_BASELINE_VERSION = 1
+__all__ = ["render_json", "render_sarif", "render_text"]
 
 #: SARIF 2.1.0 — the static-analysis interchange format GitHub ingests.
 _SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -95,57 +70,3 @@ def render_sarif(findings: Sequence[Finding], catalog: Dict[str, str]) -> str:
         ],
     }
     return json.dumps(sarif, indent=2, sort_keys=True)
-
-
-def _key(entry: Dict[str, str]) -> Tuple[str, str, str]:
-    return (entry["path"], entry["rule"], entry["message"])
-
-
-def load_baseline(path: str | Path) -> List[Dict[str, str]]:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as err:
-        raise ConfigError(f"analyze: cannot read baseline {path}: {err.strerror}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"analyze: baseline {path} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict) or raw.get("version") != _BASELINE_VERSION:
-        raise ConfigError(
-            f"analyze: baseline {path} has unsupported format "
-            f"(expected version {_BASELINE_VERSION})"
-        )
-    entries = raw.get("findings")
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and {"path", "rule", "message"} <= set(e) for e in entries
-    ):
-        raise ConfigError(
-            f"analyze: baseline {path} entries must be objects with "
-            "path/rule/message keys"
-        )
-    return entries
-
-
-def apply_baseline(
-    findings: Sequence[Finding], entries: Sequence[Dict[str, str]]
-) -> List[Finding]:
-    """Findings not covered by the baseline (CI gates on these)."""
-    known = {_key(e) for e in entries}
-    return [f for f in findings if (f.path, f.rule, f.message) not in known]
-
-
-def write_baseline(findings: Sequence[Finding], path: str | Path) -> None:
-    entries = sorted(
-        {(f.path, f.rule, f.message) for f in findings}
-    )
-    payload = {
-        "version": _BASELINE_VERSION,
-        "comment": (
-            "Reviewed static-analysis debt ledger. Every entry needs a story; "
-            "prefer fixing or an inline '# repro: waive[RULE] why' over "
-            "growing this file."
-        ),
-        "findings": [
-            {"path": p, "rule": r, "message": m} for (p, r, m) in entries
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

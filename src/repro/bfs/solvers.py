@@ -82,9 +82,6 @@ def _solve_bfs_level_synchronous(
         np.cumsum(per_thread_neighbors, out=offsets[1:])
         targets = PartitionedArray(targets_flat, offsets)
         values = np.full(targets.total, level + 1, dtype=np.int64)
-        # Style is fixed per run, so every simulated thread takes the
-        # same branch and the sync counts cannot diverge across threads.
-        # repro: waive[CM03] style uniform across threads
         if style == "collective":
             setd(rt, dist, targets, values, opts, tprime=tprime)
         else:

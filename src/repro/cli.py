@@ -652,45 +652,29 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .analysis import FLOW_CATALOG, LINT_CATALOG, run_lint, run_verify
-    from .analysis.report import (
-        apply_baseline,
-        load_baseline,
-        render_json,
-        render_sarif,
-        render_text,
-        write_baseline,
-    )
+    from .analysis import CATALOG, run_verify
+    from .analysis.report import render_json, render_sarif, render_text
     from .errors import ConfigError
 
-    catalog = {**LINT_CATALOG, **FLOW_CATALOG}
     rules = None
     if args.rules:
         rules = {r.strip() for r in args.rules.split(",") if r.strip()}
-        unknown = sorted(rules - set(catalog))
+        unknown = sorted(rules - set(CATALOG))
         if unknown:
             raise ConfigError(
                 f"analyze: unknown rule(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(catalog))}"
+                f"known: {', '.join(sorted(CATALOG))}"
             )
 
     paths = args.paths or [str(Path(__file__).parent)]
-    findings = run_lint(paths) + run_verify(paths)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    findings = run_verify(paths)
     if rules is not None:
         findings = [f for f in findings if f.rule in rules]
-
-    if args.write_baseline:
-        write_baseline(findings, args.write_baseline)
-        print(f"analyze: wrote {len(findings)} finding(s) to baseline {args.write_baseline}")
-        return 0
-    if args.baseline:
-        findings = apply_baseline(findings, load_baseline(args.baseline))
 
     if args.format == "json":
         print(render_json(findings))
     elif args.format == "sarif":
-        print(render_sarif(findings, catalog))
+        print(render_sarif(findings, CATALOG))
     else:
         if findings:
             print(render_text(findings))
@@ -877,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.set_defaults(func=_cmd_loadtest)
 
     p_an = sub.add_parser(
-        "analyze", help="static cost-model lint + interprocedural flow verifier"
+        "analyze", help="static verifier: cost-model, determinism and flow rules"
     )
     p_an.add_argument(
         "paths", nargs="*", help="files/directories to check (default: the repro package)"
@@ -892,17 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules",
         default=None,
         help="comma-separated rule selection (e.g. SY01,CH01); default: all",
-    )
-    p_an.add_argument(
-        "--baseline",
-        default=None,
-        help="suppress findings recorded in this baseline JSON (gate on new ones)",
-    )
-    p_an.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="record current findings as the reviewed baseline and exit 0",
     )
     p_an.set_defaults(func=_cmd_analyze)
 

@@ -158,9 +158,6 @@ def _lattice_round(st) -> bool:
             st.dv = dv = dv.take(sel)
             ctx.invalidate()
     ddu = ddv = None
-    # The connect rule is fixed per run, so every simulated
-    # thread takes the same branch and sync counts stay aligned.
-    # repro: waive[CM03] variant config uniform across threads
     if variant.connect == "root":
         st.ddu = ddu = getd(
             rt, d, u_part.with_data(du), opts, None, None, tprime, sort_method,
@@ -186,7 +183,6 @@ def _lattice_round(st) -> bool:
         moved = pointer_jump_once(rt, d, opts, tprime, sort_method)
 
     # -- alter phase ----------------------------------------------
-    # repro: waive[CM03] variant config uniform across threads
     if variant.alter:
         fu = getd(rt, d, u_part, opts, None, None, tprime, sort_method, hot_value=hot)
         fv = getd(rt, d, v_part, opts, None, None, tprime, sort_method, hot_value=hot)

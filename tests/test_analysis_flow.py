@@ -7,7 +7,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis import FLOW_CATALOG, registry_drift, run_verify, verify_file
+from repro.analysis import CATALOG, registry_drift, run_verify, verify_file
 from repro.analysis.effects import EFFECTS, Effect
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -228,7 +228,9 @@ class TestFaultRules:
 
 class TestScopeAndTree:
     def test_catalog_has_all_rules(self):
-        assert set(FLOW_CATALOG) == {"SY01", "SY02", "SY03", "CH01", "CH02", "FX01"}
+        assert set(CATALOG) == {
+            "CM01", "ND01", "ND02", "SY01", "SY02", "SY03", "CH01", "CH02", "FX01",
+        }
 
     def test_whitelisted_modules_exempt(self, tmp_path):
         pkg = tmp_path / "repro" / "runtime"

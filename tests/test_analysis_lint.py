@@ -1,5 +1,6 @@
-"""Static cost-model linter: rule catalog, waivers, inference, and the
-clean-tree acceptance gate."""
+"""Statement rules of the static verifier (CM01, ND01, ND02): shared-array
+inference, waivers, scope, the retired CM02/CM03 rules' successors, and
+the ``analyze`` CLI."""
 
 from __future__ import annotations
 
@@ -8,16 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LINT_CATALOG, lint_file, run_lint
+from repro.analysis import verify_file
 from repro.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
-def lint_snippet(tmp_path: Path, code: str, name: str = "algo.py"):
+def check_snippet(tmp_path: Path, code: str, name: str = "algo.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(code))
-    return lint_file(path)
+    return verify_file(path)
 
 
 def rules(findings):
@@ -26,7 +27,7 @@ def rules(findings):
 
 class TestCM01:
     def test_raw_data_subscript_flagged(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
@@ -43,7 +44,7 @@ class TestCM01:
     def test_partitioned_array_not_flagged(self, tmp_path):
         """PartitionedArray also exposes .data — no shared signals, so
         subscripting it is fine."""
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             def kernel(part, mask):
@@ -54,8 +55,9 @@ class TestCM01:
 
     def test_inference_from_owner_methods(self, tmp_path):
         """A parameter used with owner-affinity methods is shared even
-        though the function never allocates it."""
-        findings = lint_snippet(
+        though the function never allocates it (returning the raw read
+        also escapes uncharged, hence CH01 on the same line)."""
+        findings = check_snippet(
             tmp_path,
             """
             def kernel(arr, idx):
@@ -63,10 +65,10 @@ class TestCM01:
                 return arr.data[idx], owners
             """,
         )
-        assert rules(findings) == ["CM01"]
+        assert rules(findings) == ["CH01", "CM01"]
 
     def test_inference_from_collective_operand(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             def kernel(rt, d, part):
@@ -78,7 +80,7 @@ class TestCM01:
 
     def test_nested_function_inherits_shared_set(self, tmp_path):
         """Closures over shared arrays (the sv/mst pattern) are caught."""
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
@@ -99,12 +101,12 @@ class TestCM01:
         pkg.mkdir(parents=True)
         path = pkg / "inner.py"
         path.write_text("def f(rt):\n    d = rt.shared_array(x)\n    d.data[0] = 1\n")
-        assert lint_file(path) == []
+        assert verify_file(path) == []
 
     def test_bare_attribute_access_not_flagged(self, tmp_path):
         """Only subscripted stores/loads are unsound; passing .data to a
         charged helper is the normal idiom."""
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
@@ -117,77 +119,56 @@ class TestCM01:
         assert findings == []
 
 
-class TestCM02:
-    def test_uncharged_gather_flagged(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def kernel(d, idx):
-                owners = d.owner_thread(idx)
-                return d.gather(idx), owners
-            """,
-        )
-        assert "CM02" in rules(findings)
+class TestRetiredRules:
+    """CM02 and CM03 were folded into the flow rules that replaced them:
+    the same snippets now answer to CH02 and SY01."""
 
-    def test_charged_function_passes(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def kernel(rt, d, idx):
-                owners = d.owner_thread(idx)
-                rt.local_random_access(idx.size, 1024.0)
-                return d.gather(idx), owners
-            """,
-        )
-        assert findings == []
+    @pytest.mark.parametrize(
+        "code, expected",
+        [
+            pytest.param(
+                """
+                def kernel(d, idx):
+                    owners = d.owner_thread(idx)
+                    return d.gather(idx), owners
+                """,
+                (4, "CH02"),
+                id="CM02-uncharged-gather-is-CH02",
+            ),
+            pytest.param(
+                """
+                import numpy as np
 
-
-class TestCM03:
-    def test_unbalanced_barrier_flagged(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def kernel(rt, flag):
-                if flag:
-                    rt.barrier()
-            """,
-        )
-        assert rules(findings) == ["CM03"]
-
-    def test_balanced_branches_pass(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def kernel(rt, d, part, vals, flag):
-                if flag:
-                    setd(rt, d, part, vals)
-                else:
-                    rt.barrier()
-            """,
-        )
-        assert findings == []
-
-    def test_terminating_branch_pass(self, tmp_path):
-        """A branch that returns/raises never rejoins — no divergence."""
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def kernel(rt, flag):
-                if flag:
-                    return 0
-                rt.barrier()
-                while True:
-                    if bad():
-                        raise ValueError("no")
-                    rt.barrier()
-            """,
-        )
-        assert findings == []
+                def kernel(rt):
+                    d = rt.shared_array(np.zeros(8))
+                    if d.data.any():
+                        rt.barrier()
+                """,
+                (6, "SY01"),
+                id="CM03-shared-condition-is-SY01",
+            ),
+            pytest.param(
+                """
+                def kernel(rt, flag):
+                    if flag:
+                        rt.barrier()
+                """,
+                None,
+                id="CM03-parameter-condition-is-uniform",
+            ),
+        ],
+    )
+    def test_retired_rules_have_successors(self, tmp_path, code, expected):
+        keyed = [(f.line, f.rule) for f in check_snippet(tmp_path, code)]
+        if expected is None:
+            assert keyed == []
+        else:
+            assert expected in keyed
 
 
 class TestND:
     def test_wall_clock_flagged(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import time
@@ -199,7 +180,7 @@ class TestND:
         assert rules(findings) == ["ND01"]
 
     def test_perf_counter_exempt(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import time
@@ -211,7 +192,7 @@ class TestND:
         assert findings == []
 
     def test_legacy_np_random_flagged(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
@@ -223,7 +204,7 @@ class TestND:
         assert rules(findings) == ["ND02"]
 
     def test_seedless_default_rng_flagged(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
@@ -235,7 +216,7 @@ class TestND:
         assert rules(findings) == ["ND02"]
 
     def test_seeded_default_rng_passes(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
@@ -247,7 +228,7 @@ class TestND:
         assert findings == []
 
     def test_stdlib_global_random_flagged(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import random
@@ -260,7 +241,7 @@ class TestND:
         assert "random.random()" in findings[0].message
 
     def test_stdlib_seedless_instance_flagged(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import random
@@ -273,7 +254,7 @@ class TestND:
         assert rules(findings) == ["ND02"]
 
     def test_stdlib_seeded_instance_passes(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import random
@@ -288,7 +269,7 @@ class TestND:
 
 class TestWaivers:
     def test_charged_local_waives_cm01(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
@@ -301,7 +282,7 @@ class TestWaivers:
         assert findings == []
 
     def test_waive_rule_on_line_above(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
@@ -315,49 +296,39 @@ class TestWaivers:
         assert findings == []
 
     def test_waiver_is_rule_specific(self, tmp_path):
-        findings = lint_snippet(
+        findings = check_snippet(
             tmp_path,
             """
             import numpy as np
 
             def kernel(rt):
                 d = rt.shared_array(np.zeros(8))
-                d.data[0] = 1  # repro: waive[CM03] wrong rule
+                d.data[0] = 1  # repro: waive[ND01] wrong rule
             """,
         )
         assert rules(findings) == ["CM01"]
 
 
 class TestSharedConfig:
-    def test_lint_and_flow_share_scoping_predicates(self):
-        """One source of truth: both analyses import the whitelist and
-        waiver machinery from ``repro.analysis.config``."""
-        from repro.analysis import config, flow, lint
+    def test_lint_and_flow_share_scoping_predicates(self, tmp_path):
+        """One scope predicate: every file but the whitelisted runtime
+        layers is checked, plus the named round driver."""
+        from repro.analysis import flow
+        from repro.analysis.config import Waivers, is_checked, is_wallclock
 
-        assert lint.WHITELIST_PARTS is config.WHITELIST_PARTS
-        assert lint.WALLCLOCK_PARTS is config.WALLCLOCK_PARTS
-        assert lint.is_whitelisted is config.is_whitelisted
-        assert flow.is_whitelisted is config.is_whitelisted
-        assert flow.Waivers is config.Waivers
-
-    def test_run_lint_order_is_path_stable(self, tmp_path):
-        for name in ("b.py", "a.py"):
-            (tmp_path / name).write_text(
-                "def f(rt):\n    d = rt.shared_array(x)\n    d.data[0] = 1\n"
-            )
-        findings = run_lint([tmp_path])
-        assert [Path(f.path).name for f in findings] == ["a.py", "b.py"]
+        assert flow.is_checked is is_checked
+        assert flow.Waivers is Waivers
+        assert is_checked(tmp_path / "user.py")
+        assert is_checked(tmp_path / "repro" / "cc" / "collective.py")
+        assert is_checked(tmp_path / "repro" / "service" / "executor.py")
+        assert is_checked(tmp_path / "repro" / "faults" / "rounds.py")
+        assert not is_checked(tmp_path / "repro" / "faults" / "injector.py")
+        assert not is_checked(tmp_path / "repro" / "runtime" / "runtime.py")
+        assert is_wallclock(tmp_path / "repro" / "service" / "executor.py")
+        assert not is_wallclock(tmp_path / "repro" / "cc" / "collective.py")
 
 
 class TestTreeAndCli:
-    def test_catalog_has_all_rules(self):
-        assert set(LINT_CATALOG) == {"CM01", "CM02", "CM03", "ND01", "ND02"}
-
-    def test_source_tree_is_clean(self):
-        """The acceptance gate: the shipped tree lints clean."""
-        findings = run_lint([SRC])
-        assert findings == [], "\n".join(f.render() for f in findings)
-
     def test_cli_analyze_clean_tree(self, capsys):
         assert main(["analyze", str(SRC)]) == 0
         assert "clean" in capsys.readouterr().out

@@ -384,12 +384,3 @@ class TestSoak:
         record = report["iterations"][0]["protected"]
         assert record["crashes"] == 1
         assert record["retries"] > 0
-
-
-class TestLintGate:
-    def test_tree_is_lint_clean(self):
-        import repro as pkg
-        from pathlib import Path
-
-        findings = repro.run_lint([str(Path(pkg.__file__).parent)])
-        assert findings == [], [f.render() for f in findings]

@@ -22,14 +22,12 @@ from repro import (
     random_graph,
 )
 from repro.algorithms import (
-    REGISTRY,
     AlgorithmSpec,
     get_algorithm,
     implementations,
     lt_variant_names,
     register,
 )
-from repro.analysis.effects import EFFECTS, registry_drift
 from repro.core import CC_IMPLS
 from repro.errors import ConfigError
 from repro.faults import CrashEvent, FaultPlan
@@ -201,21 +199,6 @@ class TestRegistry:
         assert set(LT_VARIANT_NAMES) <= set(implementations("cc"))
         assert lt_variant_names() == LT_VARIANT_NAMES
         assert set(LT_VARIANT_NAMES) <= set(CC_IMPLS)
-
-    def test_invariant_names_exist(self):
-        import repro.integrity.invariants as invariants
-
-        for spec in REGISTRY.values():
-            for name in spec.invariants:
-                assert callable(getattr(invariants, name)), (spec.name, name)
-
-    def test_effects_names_are_registered(self):
-        for spec in REGISTRY.values():
-            for name in spec.effects:
-                assert name in EFFECTS, (spec.name, name)
-
-    def test_registry_matches_live_runtime_surface(self):
-        assert registry_drift() == []
 
     def test_unknown_impl_names_the_valid_set(self):
         with pytest.raises(ConfigError, match="lt-rf"):
