@@ -3,15 +3,15 @@
 Every implementation name accepted by
 :func:`repro.connected_components`/:func:`repro.minimum_spanning_forest`
 — and therefore by the CLI ``--impl`` flags, the service's ``impl``/
-``variant`` fields, and the tuner's impl lattice — resolves through this
+``variant`` fields, and the tuner's impl axis — resolves through this
 registry.  An :class:`AlgorithmSpec` bundles what used to be scattered
 if/elif knowledge:
 
 * the solver entry point behind a uniform call signature;
 * capability flags (fault injection, integrity protection, the online
-  adapter, whether Section V flags/t' apply at all);
-* an optional :class:`TuningEntry` describing how the
-  :mod:`repro.tuning` planner should include it in the search lattice.
+  adapter, node-loss resilience);
+* an optional :class:`TuningEntry`: with one, the :mod:`repro.tuning`
+  planner searches the solver, and the entry's hints price it.
 
 Adding an algorithm variant is now one ``register()`` call: the
 pipeline, CLI, service validation, and tuner pick it up from here.  The
@@ -53,20 +53,13 @@ _KINDS = ("cc", "mst")
 
 @dataclass(frozen=True)
 class TuningEntry:
-    """How the planner's analytic stage prices and searches one impl.
+    """How the planner's analytic stage prices one impl.
 
-    ``lattice`` is ``"full"`` (search every flag combination — the
-    paper's own configurations) or ``"all-flags"`` (search only the
-    all-optimizations column across t' candidates — used for the LT
-    variants, whose flags are strictly beneficial inside the shared
-    collectives; this keeps the lattice bounded while still ranking the
-    variant).  The three cost hints parameterize the shared per-round
-    price list: edge-list collectives per round, pointer-jump rounds per
-    iteration, and a round-count multiplier relative to the grafting
-    solver.
+    The three cost hints parameterize the shared per-round price list:
+    edge-list collectives per round, pointer-jump rounds per iteration,
+    and a round-count multiplier relative to the grafting solver.
     """
 
-    lattice: str = "full"
     edge_collectives: float = 4.0
     jump_rounds: float = 2.0
     round_factor: float = 1.0
@@ -80,7 +73,6 @@ class AlgorithmSpec:
     kind: str
     description: str
     solve: Callable
-    supports_flags: bool = False
     supports_faults: bool = False
     supports_integrity: bool = False
     supports_adapter: bool = False
@@ -140,12 +132,11 @@ register(AlgorithmSpec(
             graph, machine, opts, tprime, sort_method,
             faults=faults, adapter=adapter, integrity=integrity, resilience=resilience,
         ),
-    supports_flags=True,
     supports_faults=True,
     supports_integrity=True,
     supports_adapter=True,
     supports_resilience=True,
-    tuning=TuningEntry(lattice="full"),
+    tuning=TuningEntry(),
 ))
 
 register(AlgorithmSpec(
@@ -154,8 +145,7 @@ register(AlgorithmSpec(
     description="Shiloach-Vishkin with collectives (star detection + stagnant-star hook)",
     solve=lambda graph, machine, opts, tprime, sort_method, faults, adapter, integrity, resilience:
         solve_cc_sv(graph, machine, opts, tprime, sort_method),
-    supports_flags=True,
-    tuning=TuningEntry(lattice="full", round_factor=1.35),
+    tuning=TuningEntry(round_factor=1.35),
 ))
 
 register(AlgorithmSpec(
@@ -221,12 +211,10 @@ for _variant in ALL_VARIANTS:
         kind="cc",
         description=f"Liu–Tarjan {_variant.describe()}",
         solve=_lt_solve(_variant),
-        supports_flags=True,
         supports_faults=True,
         supports_integrity=True,
         supports_resilience=True,
         tuning=TuningEntry(
-            lattice="all-flags",
             edge_collectives=_LT_EDGE_COLLECTIVES[_variant.connect]
             + (2.0 if _variant.alter else 0.0),
             jump_rounds=1.0 if _variant.shortcut == "partial" else 2.0,
@@ -248,12 +236,11 @@ register(AlgorithmSpec(
             graph, machine, opts, tprime, sort_method,
             faults=faults, adapter=adapter, integrity=integrity, resilience=resilience,
         ),
-    supports_flags=True,
     supports_faults=True,
     supports_integrity=True,
     supports_adapter=True,
     supports_resilience=True,
-    tuning=TuningEntry(lattice="full"),
+    tuning=TuningEntry(),
 ))
 
 register(AlgorithmSpec(

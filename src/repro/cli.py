@@ -796,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.set_defaults(func=_cmd_info)
 
     p_tune = sub.add_parser(
-        "tune", help="calibrate, search the configuration lattice, print the plan"
+        "tune", help="calibrate, search impl x t', print the plan"
     )
     _add_common(p_tune)
     p_tune.add_argument("--algo", choices=("cc", "mst"), default="cc")

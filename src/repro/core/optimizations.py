@@ -21,27 +21,22 @@ collective-based rewrite (Figs. 5-6):
 
 ``OptimizationFlags.cumulative()`` reproduces the left-to-right bar
 accumulation of Fig. 5 (``base``, ``compact``, ``offload``, ``circular``,
-``localcpy``, ``id``).
+``localcpy``, ``id``).  Each bar is lower than the last, so the autotuner
+fixes the flags at the paper's "Optimized" configuration (``all()``)
+and searches only the solver and ``t'``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 from ..errors import ConfigError
 
-__all__ = ["OptimizationFlags", "FIG5_ORDER", "LATTICE_ORDER"]
+__all__ = ["OptimizationFlags", "FIG5_ORDER"]
 
 #: Left-to-right bar order of the paper's Fig. 5.
 FIG5_ORDER = ("compact", "offload", "circular", "localcpy", "ids")
-
-#: The flags the autotuner's lattice search spans: the five Fig. 5
-#: optimizations plus ``rdma`` (part of the paper's "Optimized"
-#: configuration).  ``hierarchical`` stays out — it is the future-work
-#: proposal, not one of the paper's measured knobs.
-LATTICE_ORDER = FIG5_ORDER + ("rdma",)
 
 
 @dataclass(frozen=True)
@@ -100,21 +95,10 @@ class OptimizationFlags:
             label = "id" if name == "ids" else name
             yield label, flags
 
-    @classmethod
-    def lattice(cls) -> Iterator["OptimizationFlags"]:
-        """Every point of the optimization-flag lattice — all ``2^6``
-        subsets of :data:`LATTICE_ORDER`, in a deterministic order
-        (smaller subsets first, then lexicographic by flag position).
-        This is the space the ``repro.tuning`` planner searches and the
-        exhaustive tuning benchmark sweeps."""
-        for r in range(len(LATTICE_ORDER) + 1):
-            for names in itertools.combinations(LATTICE_ORDER, r):
-                yield cls.only(*names)
-
     def key(self) -> str:
         """Canonical, order-stable spelling of the enabled flags (used as
         part of tuning-plan cache keys); ``base`` when none are on."""
-        names = [f for f in LATTICE_ORDER + ("hierarchical",) if getattr(self, f)]
+        names = self.enabled()
         return "+".join(names) if names else "base"
 
     def with_(self, **updates: bool) -> "OptimizationFlags":
@@ -126,7 +110,3 @@ class OptimizationFlags:
 
     def enabled(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(self) if getattr(self, f.name))
-
-    def describe(self) -> str:
-        names = self.enabled()
-        return "+".join(names) if names else "base"

@@ -7,10 +7,11 @@ pair, in three layers:
 
 * :mod:`~repro.tuning.probes` measures the live machine (fine-grained
   latency, coalesced bandwidth, cache crossover, sync costs) into a
-  :class:`MachineProfile`;
-* :mod:`~repro.tuning.planner` searches impl × flag-lattice × ``t'``
-  analytically, then probe-solves the short-list on a scaled replica,
-  producing a ranked :class:`TuningPlan`;
+  :class:`MachineProfile`, which ``repro info`` and ``repro tune``
+  print (the planner and adapter do not read it);
+* :mod:`~repro.tuning.planner` searches impl × ``t'`` at the paper's
+  "Optimized" flags analytically, then probe-solves the short-list on a
+  scaled replica, producing a ranked :class:`TuningPlan`;
 * :mod:`~repro.tuning.adapter` watches the phase profiler during the
   real solve and revises ``offload``/``t'`` between rounds when the plan
   diverges, recording every decision in the trace.

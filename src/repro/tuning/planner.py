@@ -1,20 +1,23 @@
-"""Plan search: pick (impl, flags, t') for a machine × input pair.
+"""Plan search: pick (impl, t') for a machine × input pair.
 
-Two stages, mirroring how production autotuners (ATLAS, FFTW, the DASH
-runtime) prune an exponential space down to a handful of measurements:
+The flags are not searched.  Figs. 5-6 add the Section V optimizations
+one at a time and every bar is lower than the last, so each plan uses
+the paper's "Optimized" configuration (:func:`_optimized_flags`: all
+flags for CC, all but ``offload`` for MST).  What decides the outcome
+is the solver and ``t'``, and the planner searches those in two stages,
+the way production autotuners (ATLAS, FFTW, the DASH runtime) prune a
+space down to a handful of measurements:
 
-1. **Analytic ranking** — a dry-run predictor walks the full lattice
-   (:meth:`OptimizationFlags.lattice` × :func:`tprime_candidates` ×
-   candidate impls) and prices one solve of each configuration using the
+1. **Analytic ranking** — a dry-run predictor prices one solve of every
+   candidate impl at every :func:`tprime_candidates` point, using the
    same :class:`~repro.runtime.cost.CostModel` calls the collectives
-   charge, with synthetic uniform request counts.  Hundreds of points,
-   microseconds each, no solves.
-2. **Probe refinement** — the top analytic candidates (plus the full
-   all-flags × t' column and the paper's default configuration, so the
-   measured set always contains the expected winner) are *actually
-   solved* on a small replica input: same graph family, same m/n
-   density, generated from a fixed seed, on a machine whose cache and
-   per-call costs are scaled by the same factor as the input (the
+   charge, with synthetic uniform request counts.  About a hundred
+   points for CC, ten for MST, no solves.
+2. **Probe refinement** — the top analytic candidates plus ``collective``
+   at every t' (which includes the paper's default, t'=2) are
+   *actually solved* on a small replica input: same graph family, same
+   m/n density, generated from a fixed seed, on a machine whose cache
+   and per-call costs are scaled by the same factor as the input (the
    calibrated-scaling invariance of :mod:`repro.core.calibration` —
    modeled time is then ~linear in n, so the small-replica ranking is
    the full-size ranking).
@@ -38,8 +41,8 @@ from ..graph.edgelist import EdgeList
 from ..graph.generators import hybrid_graph, powerlaw_graph, random_graph, with_random_weights
 from ..runtime.cost import ELEM_BYTES, CostModel
 from ..runtime.machine import MachineConfig, scaled_cache
-from ..scheduling.cache_model import best_tprime, tprime_candidates
-from .probes import MachineProfile, calibrate_profile, machine_fingerprint
+from ..scheduling.cache_model import tprime_candidates
+from .probes import machine_fingerprint
 
 __all__ = [
     "Workload",
@@ -59,6 +62,8 @@ __all__ = [
 PROBE_N_CAP = 3000
 #: Seed for probe replica generation (fixed: plans must be deterministic).
 PROBE_SEED = 2010
+#: How many of the analytic ranking's best entries the probe stage solves.
+_ANALYTIC_TOP_K = 6
 
 #: Fraction of a CC round's label requests that target the hot vertex 0
 #: once grafting has concentrated labels (what ``offload`` drops).  Used
@@ -107,7 +112,7 @@ class Workload:
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One lattice point with its predicted (and maybe measured) cost.
+    """One searched configuration with its predicted (and maybe measured) cost.
 
     ``predicted_ms`` comes from the analytic dry run; ``probed_ms`` from
     an actual solve of the scaled replica, rescaled to the full input
@@ -308,7 +313,7 @@ def predict_config_ms(
 
     Deliberately coarse — synthetic uniform traffic, an estimated round
     count, a fixed hot fraction — but built from the same cost-model
-    price list the collectives charge, so it ranks the lattice well
+    price list the collectives charge, so it ranks the candidates well
     enough to choose probe candidates (the probe stage measures the
     survivors exactly).
     """
@@ -436,7 +441,7 @@ def _lt_tuning_entry(impl: str) -> "TuningEntry | None":
 
 def _impl_candidates(kind: str) -> tuple:
     # The registry is the source of truth: every registered algorithm
-    # with a tuning entry joins the search lattice (registering a new
+    # with a tuning entry joins the search (registering a new
     # variant automatically makes the planner consider it).  `naive` has
     # no entry — it is priced for the tune report but never probed, the
     # measured coalescing gain already rules it out analytically.
@@ -445,61 +450,48 @@ def _impl_candidates(kind: str) -> tuple:
     )
 
 
-def _impl_lattice(kind: str, impl: str) -> tuple:
-    """Flag combinations the planner searches for one impl.
+def _optimized_flags(kind: str) -> OptimizationFlags:
+    """The paper's "Optimized" flags, the only ones the planner searches.
 
-    ``"full"`` lattice entries search every Section V combination (the
-    paper's own configurations); ``"all-flags"`` entries — the LT
-    variants — search only the all-optimizations column, whose flags are
-    strictly beneficial inside the shared collectives, keeping the
-    lattice bounded while still ranking every variant across t'.
+    Figs. 5-6 add the Section V optimizations one at a time and every
+    bar is lower than the last, so the flags are fixed and only the
+    solver and ``t'`` are searched.  MST leaves ``offload`` off: the
+    ``D[0]`` invariant it relies on fails for Borůvka, and the solver
+    refuses it.
     """
-    entry = get_algorithm(kind, impl).tuning
-    if entry is not None and entry.lattice == "all-flags":
-        return (OptimizationFlags.all(),)
-    return tuple(OptimizationFlags.lattice())
+    flags = OptimizationFlags.all()
+    return flags.with_(offload=False) if kind == "mst" else flags
 
 
 def build_plan(
     workload: Workload,
     machine: MachineConfig,
-    profile: Optional[MachineProfile] = None,
     probe: bool = True,
-    analytic_top_k: int = 6,
-    probe_n_cap: int = PROBE_N_CAP,
     workers=None,
 ) -> TuningPlan:
-    """Search the configuration lattice for ``workload`` on ``machine``.
+    """Search impl × ``t'`` for ``workload`` on ``machine``.
 
     With ``probe=False`` only the analytic stage runs (instant; the
     ranking is approximate).  ``workers`` fans the probe solves (each an
     independent, fully-seeded run) across a process pool.  Deterministic
     either way, for any worker count.
     """
-    if profile is None:
-        profile = calibrate_profile(machine)
     cost = CostModel(machine)
     block_elems = max(1, workload.n // machine.total_threads)
     tprimes = tprime_candidates(block_elems, cost)
+    opts = _optimized_flags(workload.kind)
+    opts_key = opts.key()
 
-    entries: List[PlanEntry] = []
-    for impl in _impl_candidates(workload.kind):
-        for opts in _impl_lattice(workload.kind, impl):
-            if workload.kind == "mst" and opts.offload:
-                # The MST solver refuses offload (the D[0] invariant it
-                # relies on fails for Boruvka), so offload-on lattice
-                # points would duplicate their offload-off twins under
-                # dishonest labels.  Search the honest half only.
-                continue
-            for tp in tprimes:
-                entries.append(
-                    PlanEntry(
-                        impl=impl,
-                        opts_key=opts.key(),
-                        tprime=tp,
-                        predicted_ms=predict_config_ms(workload, machine, impl, opts, tp),
-                    )
-                )
+    entries: List[PlanEntry] = [
+        PlanEntry(
+            impl=impl,
+            opts_key=opts_key,
+            tprime=tp,
+            predicted_ms=predict_config_ms(workload, machine, impl, opts, tp),
+        )
+        for impl in _impl_candidates(workload.kind)
+        for tp in tprimes
+    ]
     # The naive translation, priced for the report (one row per t' would
     # be noise: flags and t' don't apply to it).
     entries.append(
@@ -515,37 +507,18 @@ def build_plan(
     lattice_size = len(entries)
     entries.sort(key=lambda e: (e.predicted_ms, e.impl, e.opts_key, e.tprime))
 
-    probe_n = min(workload.n, probe_n_cap)
+    probe_n = min(workload.n, PROBE_N_CAP)
     if probe:
-        # Probe set: analytic top-k, the full all-flags t' column (flag
-        # monotonicity makes all-flags the expected winner; t' is where
-        # the analytic model is least trusted), and the paper's default.
-        all_flags = OptimizationFlags.all()
-        if workload.kind == "mst":
-            all_flags = all_flags.with_(offload=False)
-        all_key = all_flags.key()
+        # Probe set: the analytic top-k plus `collective` at every t'
+        # (t' is where the analytic model is least trusted), which
+        # includes the paper's default, t'=2.
         chosen: Dict[tuple, PlanEntry] = {}
-
-        def consider(entry: PlanEntry) -> None:
-            chosen.setdefault((entry.impl, entry.opts_key, entry.tprime), entry)
-
-        for entry in entries[:analytic_top_k]:
+        for entry in entries[:_ANALYTIC_TOP_K]:
             if entry.impl != "naive":
-                consider(entry)
-        by_config = {(e.impl, e.opts_key, e.tprime): e for e in entries}
-        for tp in tprimes:
-            consider(by_config[("collective", all_key, tp)])
-        default = by_config.get(("collective", all_key, 2))
-        if default is None:
-            default = PlanEntry(
-                impl="collective",
-                opts_key=all_key,
-                tprime=2,
-                predicted_ms=predict_config_ms(
-                    workload, machine, "collective", all_flags, 2
-                ),
-            )
-        consider(default)
+                chosen.setdefault((entry.impl, entry.tprime), entry)
+        for entry in entries:
+            if entry.impl == "collective":
+                chosen.setdefault((entry.impl, entry.tprime), entry)
 
         f = probe_n / workload.n
         graph = _probe_graph(workload, probe_n)
@@ -557,14 +530,14 @@ def build_plan(
 
         keys = list(chosen.keys())
         tasks = [
-            (workload, graph, pmachine, chosen[k].impl, chosen[k].opts_key, chosen[k].tprime)
+            (workload, graph, pmachine, chosen[k].impl, opts_key, chosen[k].tprime)
             for k in keys
         ]
         probed = fanout_map(_probe_task, tasks, workers=workers)
         measured: Dict[tuple, PlanEntry] = {
             k: replace(chosen[k], probed_ms=ms / f) for k, ms in zip(keys, probed)
         }
-        entries = [measured.get((e.impl, e.opts_key, e.tprime), e) for e in entries]
+        entries = [measured.get((e.impl, e.tprime), e) for e in entries]
         entries.sort(
             key=lambda e: (
                 e.probed_ms is None,  # probed entries rank first...
@@ -584,17 +557,6 @@ def build_plan(
     )
 
 
-def plan_block_elems(workload: Workload, machine: MachineConfig) -> int:
-    return max(1, workload.n // machine.total_threads)
-
-
-def default_tprime(workload: Workload, machine: MachineConfig) -> int:
-    """The cache-fit t' (what ``--tprime auto`` resolves to without a
-    full plan)."""
-    return best_tprime(plan_block_elems(workload, machine), CostModel(machine))
-
-
-# Exported under stable names for the benchmarks and tests that need to
-# scale machines / build replicas exactly the way the planner does.
+# Exported under a stable name for the tests that need to scale machines
+# exactly the way the planner does.
 probe_machine_for = _probe_machine
-probe_graph_for = _probe_graph

@@ -1,15 +1,14 @@
 """Calibration probes: measure the live machine, produce a MachineProfile.
 
-The planner could read the :class:`~repro.runtime.machine.MachineConfig`
-numbers directly, but that would couple it to the cost model's internal
-parameterization — and on a real PGAS system (the DASH/DART line of work
-this subsystem follows) those numbers are not declared anywhere, they
-must be *measured*.  So the tuner does what a runtime autotuner would
-do: it runs a handful of cheap micro-operations through the ordinary
-charged runtime paths (fine-grained reads, a coalesced GetD, barriers,
-random accesses at growing working sets) and reads the resulting modeled
-clocks.  The output is a :class:`MachineProfile` — the empirical facts
-the planner's search and the online adapter's thresholds are based on:
+On a real PGAS system (the DASH/DART line of work this subsystem
+follows) a machine's costs are not declared anywhere, they must be
+*measured*.  So this module does what a runtime autotuner would do: it
+runs a handful of cheap micro-operations through the ordinary charged
+runtime paths (fine-grained reads, a coalesced GetD, barriers, random
+accesses at growing working sets) and reads the resulting modeled
+clocks.  The output is a :class:`MachineProfile`, which ``repro info``
+and ``repro tune`` print; the planner and the online adapter do not
+read it (they price configurations with the cost model directly):
 
 * ``fine_access_us``        — cost of one blocking fine-grained access;
 * ``coalesced_elem_ns``     — marginal per-element cost inside a
@@ -17,12 +16,12 @@ the planner's search and the online adapter's thresholds are based on:
 * ``coalesced_call_us``     — fixed per-collective overhead (sort +
   all-to-all setup + message latencies + barrier);
 * ``cache_crossover_bytes`` — working-set size where random accesses
-  start missing the modeled cache (drives ``t'`` selection);
+  start missing the modeled cache;
 * ``barrier_us`` / ``allreduce_us`` — synchronization costs.
 
 Every probe is deterministic (fixed seeds, fixed sizes, modeled clocks
 only), so calibrating the same machine twice yields the identical
-profile — a requirement for the byte-identical plan cache.
+profile.
 """
 
 from __future__ import annotations
@@ -73,8 +72,7 @@ class MachineProfile:
     ``coalescing_gain`` is the headline ratio — how many times cheaper
     one element moves inside a coalesced transfer than as its own
     fine-grained message.  It is the measured form of the paper's
-    Section III argument for rewriting with collectives, and the
-    planner's basis for ranking the fine-grained ``naive`` impl last.
+    Section III argument for rewriting with collectives.
     """
 
     machine_key: str

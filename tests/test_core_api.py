@@ -63,9 +63,10 @@ class TestOptimizationFlags:
         with pytest.raises(ConfigError):
             flags.with_(bogus=True)
 
-    def test_describe(self):
-        assert OptimizationFlags.none().describe() == "base"
-        assert "compact" in OptimizationFlags.only("compact").describe()
+    def test_key(self):
+        assert OptimizationFlags.none().key() == "base"
+        assert OptimizationFlags.only("rdma", "compact").key() == "compact+rdma"
+        assert OptimizationFlags.all().key() == "compact+offload+circular+localcpy+ids+rdma"
 
 
 class TestPipeline:
