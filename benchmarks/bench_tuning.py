@@ -24,7 +24,7 @@ from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connect
 from repro.perf.fanout import fanout_map
 from repro.runtime.cost import CostModel
 from repro.scheduling.cache_model import tprime_candidates
-from repro.tuning import Workload, build_plan, parse_opts_key
+from repro.tuning import Workload, build_plan
 
 
 #: The paper's six measured flags (``hierarchical`` is its future-work
@@ -47,7 +47,7 @@ def _sweep_chunk(task):
     cluster = cluster_for_input(n, 16, 8)
     out = []
     for opts_key, tp in points:
-        res = connected_components(g, cluster, opts=parse_opts_key(opts_key), tprime=tp)
+        res = connected_components(g, cluster, opts=OptimizationFlags.parse(opts_key), tprime=tp)
         out.append((opts_key, tp, res.info.sim_time_ms))
     return out
 

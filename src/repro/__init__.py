@@ -34,7 +34,7 @@ Packages
 ``repro.faults``       fault plans/injection: loss, stragglers, crashes, flips
 ``repro.integrity``    silent-fault detection, verify-and-repair, soak harness
 ``repro.resilience``   permanent-loss survival: redundancy, epochs, recovery
-``repro.tuning``       autotuner: probes → plan (impl × flags × t') → adapt
+``repro.tuning``       autotuner: plan (impl × t') → adapt
 ``repro.bench``        experiment harness used by ``benchmarks/``
 """
 
@@ -90,13 +90,11 @@ from .graph import (
     with_random_weights,
 )
 from .tuning import (
-    MachineProfile,
     OnlineAdapter,
     PlanCache,
     TuningPlan,
     Workload,
     autotune,
-    calibrate_profile,
 )
 from .runtime import (
     MachineConfig,
@@ -132,7 +130,6 @@ __all__ = [
     "MSTResult",
     "MST_IMPLS",
     "MachineConfig",
-    "MachineProfile",
     "NicDegradation",
     "NodeLoss",
     "NodeLossEvent",
@@ -156,7 +153,6 @@ __all__ = [
     "__version__",
     "analyzed",
     "autotune",
-    "calibrate_profile",
     "canonical_labels",
     "cluster_for_input",
     "connected_components",

@@ -83,6 +83,37 @@ class AlgorithmSpec:
         if self.kind not in _KINDS:
             raise ConfigError(f"algorithm kind must be one of {_KINDS}, got {self.kind!r}")
 
+    def _lacking(self, faults: bool, integrity: bool, resilience: bool):
+        """(label, capability) of the first requested protection this impl
+        cannot honour, else ``None``."""
+        for wanted, label, capability in (
+            (faults, "fault injection", "supports_faults"),
+            (integrity, "integrity protection", "supports_integrity"),
+            (resilience, "node-loss resilience", "supports_resilience"),
+        ):
+            if wanted and not getattr(self, capability):
+                return label, capability
+        return None
+
+    def supports(self, faults=False, integrity=False, resilience=False) -> bool:
+        """Whether this impl can run with every protection asked for."""
+        return self._lacking(faults, integrity, resilience) is None
+
+    def require(self, faults=False, integrity=False, resilience=False) -> None:
+        """:class:`~repro.errors.ConfigError` naming the first protection
+        asked for that this impl cannot honour, and the impls that can."""
+        lacking = self._lacking(faults, integrity, resilience)
+        if lacking is not None:
+            label, capability = lacking
+            able = tuple(
+                s.name for (k, _), s in REGISTRY.items()
+                if k == self.kind and getattr(s, capability)
+            )
+            raise ConfigError(
+                f"{label} is not supported for {self.kind.upper()} impl {self.name!r};"
+                f" use one of {able}"
+            )
+
 
 #: (kind, name) -> AlgorithmSpec, in registration order (the order the
 #: public ``*_IMPLS`` tuples expose).

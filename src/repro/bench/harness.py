@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 
 from ..atomicio import atomic_write_text
 from ..graph.edgelist import EdgeList
-from ..graph.generators import hybrid_graph, powerlaw_graph, random_graph, with_random_weights
+from ..graph.generators import generate
 from ..graph.io import cached_graph
 from .report import format_table
 
@@ -33,27 +33,10 @@ def bench_cache_dir() -> Path:
 def bench_graph(
     kind: str, n: int, m: int, seed: int = 0, weighted: bool = False
 ) -> EdgeList:
-    """Deterministic benchmark input, cached on disk.
-
-    ``kind`` is ``'random'`` or ``'hybrid'`` (the paper's two families)
-    or ``'powerlaw'`` (the heavy-tailed stress input).
-    """
-    if kind == "random":
-        builder = lambda: random_graph(n, m, seed)  # noqa: E731
-    elif kind == "hybrid":
-        builder = lambda: hybrid_graph(n, m, seed)  # noqa: E731
-    elif kind == "powerlaw":
-        builder = lambda: powerlaw_graph(n, m, seed)  # noqa: E731
-    else:
-        raise ValueError(f"unknown graph kind {kind!r}; use 'random', 'hybrid', or 'powerlaw'")
+    """Deterministic benchmark input of a :data:`~repro.graph.FAMILIES`
+    family, cached on disk."""
     tag = f"{kind}_n{n}_m{m}_s{seed}{'_w' if weighted else ''}.npz"
-    path = bench_cache_dir() / tag
-
-    def build() -> EdgeList:
-        g = builder()
-        return with_random_weights(g, seed + 1) if weighted else g
-
-    return cached_graph(path, build)
+    return cached_graph(bench_cache_dir() / tag, lambda: generate(kind, n, m, seed, weighted))
 
 
 def write_bench_json(name: str, payload: dict, directory: "Path | None" = None) -> Path:

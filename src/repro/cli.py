@@ -49,8 +49,15 @@ from .core import (
 )
 from .core.results import SolveInfo
 from .errors import ReproError
-from .graph import hybrid_graph, powerlaw_graph, random_graph, with_random_weights
-from .runtime import hps_cluster, sequential_machine, smp_node
+from .graph import FAMILIES, generate
+from .runtime import (
+    MACHINE_SPECS,
+    cluster_shape,
+    hps_cluster,
+    parse_machine,
+    sequential_machine,
+    smp_node,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -58,15 +65,9 @@ __all__ = ["main", "build_parser"]
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=50_000, help="vertex count")
     parser.add_argument("--density", type=float, default=4.0, help="edges per vertex (m/n)")
-    parser.add_argument(
-        "--kind", choices=("random", "hybrid", "powerlaw"), default="random", help="input family"
-    )
+    parser.add_argument("--kind", choices=FAMILIES, default="random", help="input family")
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
-    parser.add_argument(
-        "--machine",
-        default="16x8",
-        help="cluster shape NODESxTHREADS (e.g. 16x8), 'smp' (1x16) or 'seq'",
-    )
+    parser.add_argument("--machine", default="16x8", help=f"machine: {MACHINE_SPECS}")
     parser.add_argument(
         "--no-calibrate",
         action="store_true",
@@ -80,14 +81,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--opts",
+        type=_opts_arg,
         default="all",
-        help="'all', 'none', 'auto' (let the tuner choose), or comma-separated"
-        " flag names (e.g. compact,circular)",
-    )
-    parser.add_argument(
-        "--hierarchical",
-        action="store_true",
-        help="enable the future-work hierarchical collectives",
+        help="'auto' (let the tuner choose), or 'all', 'none' and flag names joined"
+        " by ',' or '+' (e.g. compact,circular; all,hierarchical adds the"
+        " future-work hierarchical collectives)",
     )
     parser.add_argument("--validate", action="store_true", help="self-check the answer")
     parser.add_argument(
@@ -166,47 +164,25 @@ def _parse_tprime(text: str):
     return value
 
 
-def _parse_machine(spec: str, n: int, calibrate: bool):
-    if spec == "seq":
-        base = sequential_machine()
-    elif spec == "smp":
-        base = smp_node(16)
-    else:
-        try:
-            nodes_s, threads_s = spec.lower().split("x")
-            base = hps_cluster(int(nodes_s), int(threads_s))
-        except (ValueError, ReproError) as err:
-            raise SystemExit(f"bad --machine {spec!r}: use NODESxTHREADS, 'smp' or 'seq' ({err})")
-    return machine_for_input(base, n) if calibrate else base
+def _opts_arg(text: str):
+    """argparse type for ``--opts``: :meth:`OptimizationFlags.parse`."""
+    try:
+        return OptimizationFlags.parse(text)
+    except ReproError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _parse_opts(spec: str, hierarchical: bool):
-    if spec == "auto":
-        if hierarchical:
-            raise SystemExit(
-                "--opts auto cannot combine with --hierarchical:"
-                " the tuner searches the paper's measured flags only"
-            )
-        return "auto"
-    if spec == "all":
-        flags = OptimizationFlags.all()
-    elif spec == "none":
-        flags = OptimizationFlags.none()
-    else:
-        try:
-            flags = OptimizationFlags.only(*[s.strip() for s in spec.split(",") if s.strip()])
-        except ReproError as err:
-            raise SystemExit(str(err))
-    if hierarchical:
-        flags = flags.with_(hierarchical=True)
-    return flags
+def _machine(args: argparse.Namespace):
+    """The ``--machine`` spec, calibrated for ``--n`` unless ``--no-calibrate``."""
+    try:
+        base = parse_machine(args.machine)
+    except ReproError as err:
+        raise SystemExit(f"bad --machine: {err}")
+    return base if getattr(args, "no_calibrate", False) else machine_for_input(base, args.n)
 
 
 def _build_graph(args: argparse.Namespace, weighted: bool):
-    n, m = args.n, int(args.density * args.n)
-    builders = {"random": random_graph, "hybrid": hybrid_graph, "powerlaw": powerlaw_graph}
-    g = builders[args.kind](n, m, seed=args.seed)
-    return with_random_weights(g, seed=args.seed + 1) if weighted else g
+    return generate(args.kind, args.n, int(args.density * args.n), args.seed, weighted)
 
 
 def _fault_plan(args: argparse.Namespace, machine):
@@ -304,36 +280,32 @@ def _print_info(info: SolveInfo) -> None:
         print(f"event   : {event}")
 
 
-def _cmd_cc(args: argparse.Namespace) -> int:
-    g = _build_graph(args, weighted=False)
-    machine = _parse_machine(args.machine, args.n, not args.no_calibrate)
-    opts = _parse_opts(args.opts, args.hierarchical)
-    print(banner(f"connected components — {args.kind} n={g.n:,} m={g.m:,}"))
+#: cc / mst: (banner title, solver, answer line).
+_SOLVES = {
+    "cc": (
+        "connected components", connected_components,
+        lambda res: f"components: {res.num_components}",
+    ),
+    "mst": (
+        "minimum spanning forest", minimum_spanning_forest,
+        lambda res: f"forest: {res.num_edges:,} edges, total weight {res.total_weight:,}",
+    ),
+}
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    title, solve, answer = _SOLVES[args.command]
+    g = _build_graph(args, weighted=args.command == "mst")
+    machine = _machine(args)
+    print(banner(f"{title} — {args.kind} n={g.n:,} m={g.m:,}"))
     with _maybe_analyzed(args) as session:
-        res = connected_components(
-            g, machine, impl=args.impl, opts=opts, tprime=args.tprime, validate=args.validate,
-            faults=_fault_plan(args, machine), graph_kind=args.kind,
+        res = solve(
+            g, machine, impl=args.impl, opts=args.opts, tprime=args.tprime,
+            validate=args.validate, faults=_fault_plan(args, machine), graph_kind=args.kind,
             integrity=True if args.integrity else None,
             resilience=_resilience_config(args),
         )
-    print(f"\ncomponents: {res.num_components}")
-    _print_info(res.info)
-    return _sanitizer_exit(session)
-
-
-def _cmd_mst(args: argparse.Namespace) -> int:
-    g = _build_graph(args, weighted=True)
-    machine = _parse_machine(args.machine, args.n, not args.no_calibrate)
-    opts = _parse_opts(args.opts, args.hierarchical)
-    print(banner(f"minimum spanning forest — {args.kind} n={g.n:,} m={g.m:,}"))
-    with _maybe_analyzed(args) as session:
-        res = minimum_spanning_forest(
-            g, machine, impl=args.impl, opts=opts, tprime=args.tprime, validate=args.validate,
-            faults=_fault_plan(args, machine), graph_kind=args.kind,
-            integrity=True if args.integrity else None,
-            resilience=_resilience_config(args),
-        )
-    print(f"\nforest: {res.num_edges:,} edges, total weight {res.total_weight:,}")
+    print(f"\n{answer(res)}")
     _print_info(res.info)
     return _sanitizer_exit(session)
 
@@ -343,12 +315,11 @@ def _cmd_listrank(args: argparse.Namespace) -> int:
 
     _reject_fault_flags(args, "listrank")
     lst = random_list(args.n, args.seed)
-    machine = _parse_machine(args.machine, args.n, not args.no_calibrate)
-    opts = _parse_opts(args.opts, args.hierarchical)
+    machine = _machine(args)
     print(banner(f"list ranking — n={args.n:,}"))
     solvers = {
-        "wyllie": lambda: solve_ranks_wyllie(lst, machine, opts, args.tprime),
-        "cgm": lambda: solve_ranks_cgm(lst, machine, opts, args.tprime),
+        "wyllie": lambda: solve_ranks_wyllie(lst, machine, args.opts, args.tprime),
+        "cgm": lambda: solve_ranks_cgm(lst, machine, args.opts, args.tprime),
         "sequential": lambda: solve_ranks_sequential(lst),
     }
     with _maybe_analyzed(args) as session:
@@ -364,12 +335,11 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
 
     _reject_fault_flags(args, "bfs")
     g = _build_graph(args, weighted=False)
-    machine = _parse_machine(args.machine, args.n, not args.no_calibrate)
-    opts = _parse_opts(args.opts, args.hierarchical)
+    machine = _machine(args)
     print(banner(f"BFS from {args.source} — {args.kind} n={g.n:,} m={g.m:,}"))
     with _maybe_analyzed(args) as session:
         if args.impl == "collective":
-            dist, info = solve_bfs_collective(g, args.source, machine, opts, args.tprime)
+            dist, info = solve_bfs_collective(g, args.source, machine, args.opts, args.tprime)
         elif args.impl == "naive":
             dist, info = solve_bfs_naive_upc(g, args.source, machine)
         else:
@@ -387,10 +357,9 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     if args.service:
         return _cmd_soak_service(args)
     try:
-        nodes_s, threads_s = args.machine.lower().split("x")
-        nodes, threads = int(nodes_s), int(threads_s)
-    except ValueError:
-        raise SystemExit(f"bad --machine {args.machine!r}: soak wants NODESxTHREADS (e.g. 16x8)")
+        nodes, threads = cluster_shape(args.machine)
+    except ReproError as err:
+        raise SystemExit(f"bad --machine: soak wants a cluster shape; {err}")
     config = SoakConfig(
         iterations=args.iterations,
         seed=args.seed,
@@ -558,7 +527,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    from .tuning import PlanCache, Workload, calibrate_profile
+    from .tuning import PlanCache, Workload
 
     print(banner("machine presets"))
     rows = []
@@ -571,14 +540,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
         rows.append([name, machine.describe()])
     print(format_table(["preset", "description"], rows))
     n = args.n
-    calibrated = _parse_machine(args.machine, n, calibrate=True)
+    calibrated = _machine(args)
     print(f"\ncalibrated for n={n:,}: {calibrated.describe()}")
     print(f"per-call scale: {calibrated.per_call_scale:.2e}")
-
-    print(banner("calibrated machine profile (measured by the tuning probes)"))
-    profile = calibrate_profile(calibrated)
-    for line in profile.summary_lines():
-        print(line)
 
     cache = PlanCache()
     print(f"\ntuning-plan cache: {cache.path} ({len(cache)} plan(s))")
@@ -613,23 +577,18 @@ def _plan_table(plan, limit: int = 12) -> str:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from .tuning import PlanCache, Workload, autotune, calibrate_profile
+    from .tuning import PlanCache, Workload, autotune
 
-    machine = _parse_machine(args.machine, args.n, not args.no_calibrate)
+    machine = _machine(args)
     m = int(args.density * args.n)
     print(banner(f"autotune — {args.algo} {args.kind} n={args.n:,} m={m:,}"))
-
-    profile = calibrate_profile(machine)
-    print("machine profile:")
-    for line in profile.summary_lines():
-        print(f"  {line}")
 
     cache = PlanCache()
     workload = Workload(kind=args.algo, n=args.n, m=m, graph_kind=args.kind)
     plan = autotune(
         workload, machine, cache=cache, use_cache=not args.fresh, workers=args.workers
     )
-    print(f"\nplan cache: {cache.path}")
+    print(f"plan cache: {cache.path}")
     print(f"searched {plan.lattice_size} configurations;"
           f" {len(plan.probed())} probe-measured at n={plan.probe_n:,}")
     print(_plan_table(plan))
@@ -638,7 +597,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     # Demonstrate the pick against the paper's default on the real input.
     g = _build_graph(args, weighted=args.algo == "mst")
-    solve = connected_components if args.algo == "cc" else minimum_spanning_forest
+    solve = _SOLVES[args.algo][1]
     auto = solve(g, machine, impl="auto", opts="auto", tprime="auto", graph_kind=args.kind)
     default = solve(g, machine, impl="collective", opts=OptimizationFlags.all(), tprime=2)
     print(f"\nfull-size check (n={args.n:,}, seed={args.seed}):")
@@ -710,12 +669,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc = sub.add_parser("cc", help="connected components")
     _add_common(p_cc)
     p_cc.add_argument("--impl", choices=CC_IMPLS, default="collective")
-    p_cc.set_defaults(func=_cmd_cc)
+    p_cc.set_defaults(func=_cmd_solve)
 
     p_mst = sub.add_parser("mst", help="minimum spanning forest")
     _add_common(p_mst)
     p_mst.add_argument("--impl", choices=MST_IMPLS, default="collective")
-    p_mst.set_defaults(func=_cmd_mst)
+    p_mst.set_defaults(func=_cmd_solve)
 
     p_bfs = sub.add_parser("bfs", help="breadth-first search")
     _add_common(p_bfs)
@@ -785,18 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="machine presets and calibration")
     p_info.add_argument("--n", type=int, default=100_000)
     p_info.add_argument("--density", type=float, default=4.0, help="edges per vertex (m/n)")
-    p_info.add_argument(
-        "--kind", choices=("random", "hybrid", "powerlaw"), default="random", help="input family"
-    )
-    p_info.add_argument(
-        "--machine",
-        default="16x8",
-        help="cluster shape NODESxTHREADS (e.g. 16x8), 'smp' (1x16) or 'seq'",
-    )
+    p_info.add_argument("--kind", choices=FAMILIES, default="random", help="input family")
+    p_info.add_argument("--machine", default="16x8", help=f"machine: {MACHINE_SPECS}")
     p_info.set_defaults(func=_cmd_info)
 
     p_tune = sub.add_parser(
-        "tune", help="calibrate, search impl x t', print the plan"
+        "tune", help="search impl x t', print the plan"
     )
     _add_common(p_tune)
     p_tune.add_argument("--algo", choices=("cc", "mst"), default="cc")

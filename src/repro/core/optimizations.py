@@ -85,6 +85,25 @@ class OptimizationFlags:
         return cls(**{name: True for name in names})
 
     @classmethod
+    def parse(cls, text: str) -> "OptimizationFlags | str":
+        """Read an opts string: ``all``, ``none``/``base`` and flag names,
+        joined by ``,`` or ``+`` (so ``all,hierarchical``, and every
+        :meth:`key` spelling, parse).  ``auto``, which hands the flags to
+        the tuner, must stand alone and comes back as ``"auto"``."""
+        tokens = [t.strip() for t in text.replace("+", ",").split(",") if t.strip()]
+        if "auto" in tokens:
+            if tokens != ["auto"]:
+                raise ConfigError(f"'auto' cannot combine with other opts: got {text!r}")
+            return "auto"
+        names = set()
+        for token in tokens:
+            if token == "all":
+                names.update(cls.all().enabled())
+            elif token not in ("none", "base"):
+                names.add(token)
+        return cls.only(*names)
+
+    @classmethod
     def cumulative(cls) -> Iterator[tuple[str, "OptimizationFlags"]]:
         """Yield ``(label, flags)`` pairs matching Fig. 5's cumulative
         bars: base, then each optimization added in paper order."""

@@ -14,7 +14,7 @@ returning.
 
 from __future__ import annotations
 
-from ..algorithms import REGISTRY, get_algorithm, implementations
+from ..algorithms import get_algorithm, implementations
 from ..errors import ConfigError
 from ..graph.edgelist import EdgeList
 from ..graph.validation import check_connected_counts
@@ -101,33 +101,13 @@ def _dispatch(
     kind, impl, graph, machine, opts, tprime, sort_method, faults, adapter, integrity,
     resilience=None,
 ):
-    """Resolve ``impl`` through :mod:`repro.algorithms` and run it, with
-    capability gates replacing the old hard-coded impl lists."""
+    """Resolve ``impl`` through :mod:`repro.algorithms` and run it, once
+    its spec has agreed to every protection asked for."""
     spec = get_algorithm(kind, impl)
-    if faults is not None and not spec.supports_faults:
-        supported = tuple(
-            s.name for (k, _), s in REGISTRY.items() if k == kind and s.supports_faults
-        )
-        raise ConfigError(
-            f"fault injection is not supported for {kind.upper()} impl {impl!r};"
-            f" use one of {supported}"
-        )
-    if integrity is not None and not spec.supports_integrity:
-        supported = tuple(
-            s.name for (k, _), s in REGISTRY.items() if k == kind and s.supports_integrity
-        )
-        raise ConfigError(
-            f"integrity protection is not supported for {kind.upper()} impl {impl!r};"
-            f" use one of {supported}"
-        )
-    if resilience is not None and not spec.supports_resilience:
-        supported = tuple(
-            s.name for (k, _), s in REGISTRY.items() if k == kind and s.supports_resilience
-        )
-        raise ConfigError(
-            f"node-loss resilience is not supported for {kind.upper()} impl {impl!r};"
-            f" use one of {supported}"
-        )
+    spec.require(
+        faults=faults is not None, integrity=integrity is not None,
+        resilience=resilience is not None,
+    )
     return spec.solve(
         graph, machine, opts, tprime, sort_method,
         faults, adapter if spec.supports_adapter else None, integrity, resilience,

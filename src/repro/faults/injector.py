@@ -14,7 +14,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..runtime.machine import MachineConfig
 from .plan import CrashEvent, FaultPlan, NodeLossEvent
 
@@ -43,25 +42,7 @@ class FaultInjector:
         )
         self.node_of = np.arange(self.s, dtype=np.int64) // machine.threads_per_node
 
-        for node in plan.link_loss:
-            if not 0 <= node < machine.nodes:
-                raise ConfigError(f"link_loss node {node} out of range [0, {machine.nodes})")
-        for window in plan.nic_degradations:
-            if window.node >= machine.nodes:
-                raise ConfigError(
-                    f"degradation node {window.node} out of range [0, {machine.nodes})"
-                )
-        for thread in plan.stragglers:
-            if thread >= self.s:
-                raise ConfigError(f"straggler thread {thread} out of range [0, {self.s})")
-        for event in plan.crashes:
-            if event.thread >= self.s:
-                raise ConfigError(f"crash thread {event.thread} out of range [0, {self.s})")
-        for loss_event in plan.node_losses:
-            if loss_event.node >= machine.nodes:
-                raise ConfigError(
-                    f"lost node {loss_event.node} out of range [0, {machine.nodes})"
-                )
+        plan.check_machine(machine)
 
         #: Per-node uplink loss probability.
         self.node_loss = np.full(machine.nodes, plan.loss, dtype=np.float64)

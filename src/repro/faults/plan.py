@@ -220,6 +220,26 @@ class FaultPlan:
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "node_losses", tuple(self.node_losses))
 
+    def check_machine(self, machine) -> None:
+        """:class:`~repro.errors.ConfigError` when a node or thread the
+        plan names does not exist on ``machine``."""
+        nodes, threads = machine.nodes, machine.total_threads
+        for node in self.link_loss:
+            if not 0 <= node < nodes:
+                raise ConfigError(f"link_loss node {node} out of range [0, {nodes})")
+        for window in self.nic_degradations:
+            if window.node >= nodes:
+                raise ConfigError(f"degradation node {window.node} out of range [0, {nodes})")
+        for thread in self.stragglers:
+            if thread >= threads:
+                raise ConfigError(f"straggler thread {thread} out of range [0, {threads})")
+        for event in self.crashes:
+            if event.thread >= threads:
+                raise ConfigError(f"crash thread {event.thread} out of range [0, {threads})")
+        for loss_event in self.node_losses:
+            if loss_event.node >= nodes:
+                raise ConfigError(f"lost node {loss_event.node} out of range [0, {nodes})")
+
     @property
     def any_faults(self) -> bool:
         """False iff the plan is a no-op (the runtime then skips the

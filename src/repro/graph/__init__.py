@@ -10,11 +10,13 @@ methodology requirement.
 from .distribute import EdgePartition, distribute_edges
 from .edgelist import EdgeList
 from .generators import (
+    FAMILIES,
     MAX_WEIGHT,
     complete_graph,
     cycle_graph,
     disjoint_components_graph,
     empty_graph,
+    generate,
     grid_graph,
     hybrid_graph,
     path_graph,
@@ -46,6 +48,7 @@ __all__ = [
     "DEFAULT_RMAT_PROBS",
     "EdgeList",
     "EdgePartition",
+    "FAMILIES",
     "MAX_WEIGHT",
     "block_cyclic_permutation",
     "cached_graph",
@@ -59,6 +62,7 @@ __all__ = [
     "disjoint_components_graph",
     "distribute_edges",
     "empty_graph",
+    "generate",
     "grid_graph",
     "has_self_loops",
     "hybrid_graph",

@@ -32,6 +32,8 @@ from .edgelist import EdgeList
 from .rmat import DEFAULT_RMAT_PROBS, rmat_edges
 
 __all__ = [
+    "FAMILIES",
+    "generate",
     "random_graph",
     "hybrid_graph",
     "powerlaw_graph",
@@ -262,6 +264,25 @@ def with_random_weights(graph: EdgeList, seed: int = 0, max_weight: int = MAX_WE
     rng = _rng("weights", graph.n, graph.m, seed)
     w = rng.integers(0, max_weight, graph.m, dtype=np.int64)
     return graph.with_weights(w)
+
+
+#: The input families a request may name: the paper's two, plus the
+#: heavy-tailed stress input.  ``<family>_graph`` generates each.
+FAMILIES = ("random", "hybrid", "powerlaw")
+
+
+def generate(kind: str, n: int, m: int, seed: int = 0, weighted: bool = False) -> EdgeList:
+    """One input of family ``kind``; MST inputs (``weighted``) carry the
+    weights drawn at ``seed + 1``.
+
+    The generator is looked up in this module's namespace at call time
+    (not in a table built at import), so a tracer that rebinds
+    ``random_graph`` by name sees every input generated here.
+    """
+    if kind not in FAMILIES:
+        raise GraphError(f"unknown graph family {kind!r}; use one of {FAMILIES}")
+    graph = globals()[f"{kind}_graph"](n, m, seed=seed)
+    return with_random_weights(graph, seed=seed + 1) if weighted else graph
 
 
 # ---------------------------------------------------------------------------

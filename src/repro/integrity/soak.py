@@ -171,14 +171,14 @@ def _run_iteration(task: "tuple[SoakConfig, int]") -> list:
     layer can run iterations in worker processes; returns the iteration's
     records, from which the summary is derived afterwards.
     """
-    from ..graph.generators import random_graph, with_random_weights
+    from ..graph.generators import generate
     from ..runtime.machine import hps_cluster
 
     config, i = task
     machine = hps_cluster(config.nodes, config.threads)
     seed_i = config.seed + i
-    g = random_graph(config.n, config.m, seed=seed_i)
-    gw = with_random_weights(g, seed=seed_i + 1)
+    gw = generate("random", config.n, config.m, seed_i, weighted=True)
+    g = gw.with_weights(None)
     plan = _compose_plan(config, seed_i, machine.total_threads)
     resilience = None
     if config.redundancy:

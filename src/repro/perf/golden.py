@@ -203,12 +203,13 @@ def _fault_plan(scenario: Scenario):
 def scenario_fingerprint(scenario: Scenario) -> dict:
     """Run the scenario and fingerprint it."""
     from ..core.pipeline import connected_components, minimum_spanning_forest
-    from ..graph.generators import random_graph, with_random_weights
+    from ..graph.generators import generate
     from ..integrity import IntegrityConfig
     from ..runtime.machine import hps_cluster
 
     machine = hps_cluster(scenario.nodes, scenario.threads)
-    g = random_graph(scenario.n, scenario.m, seed=scenario.seed)
+    weighted = scenario.algo == "mst"
+    g = generate("random", scenario.n, scenario.m, scenario.seed, weighted=weighted)
     plan = _fault_plan(scenario) if scenario.faults else None
     integrity = IntegrityConfig() if scenario.integrity else None
     resilience = None
@@ -244,9 +245,8 @@ def scenario_fingerprint(scenario: Scenario) -> dict:
                     integrity=integrity, resilience=resilience,
                 )
             else:
-                gw = with_random_weights(g, seed=scenario.seed + 1)
                 res = minimum_spanning_forest(
-                    gw, machine, impl=scenario.impl, faults=plan,
+                    g, machine, impl=scenario.impl, faults=plan,
                     integrity=integrity, resilience=resilience,
                 )
             if scenario.algo == "cc":
@@ -284,13 +284,9 @@ def _adapted_solve(scenario, g, machine, plan, adapter, integrity, resilience):
     something to revise."""
     from ..cc.collective import solve_cc_collective
     from ..core.optimizations import OptimizationFlags
-    from ..graph.generators import with_random_weights
     from ..mst.collective import solve_mst_collective
 
-    if scenario.algo == "cc":
-        solve = solve_cc_collective
-    else:
-        solve, g = solve_mst_collective, with_random_weights(g, seed=scenario.seed + 1)
+    solve = solve_cc_collective if scenario.algo == "cc" else solve_mst_collective
     return solve(
         g, machine, opts=OptimizationFlags.all().with_(offload=False), tprime=2,
         faults=plan, adapter=adapter, integrity=integrity, resilience=resilience,

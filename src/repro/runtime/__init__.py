@@ -12,14 +12,17 @@ together (:mod:`runtime`).
 from .clocks import ThreadClocks
 from .cost import ELEM_BYTES, CostModel
 from .machine import (
+    MACHINE_SPECS,
     CacheParams,
     CpuParams,
     LockParams,
     MachineConfig,
     MemoryParams,
     NetworkParams,
+    cluster_shape,
     hps_cluster,
     infiniband_cluster,
+    parse_machine,
     scaled_cache,
     sequential_machine,
     smp_node,
@@ -40,6 +43,7 @@ __all__ = [
     "CacheParams",
     "Category",
     "CostModel",
+    "MACHINE_SPECS",
     "Counters",
     "CpuParams",
     "ELEM_BYTES",
@@ -57,9 +61,11 @@ __all__ = [
     "SharedArray",
     "ThreadClocks",
     "Trace",
+    "cluster_shape",
     "even_offsets",
     "hps_cluster",
     "infiniband_cluster",
+    "parse_machine",
     "scaled_cache",
     "sequential_machine",
     "smp_node",

@@ -44,6 +44,9 @@ __all__ = [
     "smp_node",
     "sequential_machine",
     "scaled_cache",
+    "cluster_shape",
+    "parse_machine",
+    "MACHINE_SPECS",
 ]
 
 
@@ -330,6 +333,34 @@ def sequential_machine(**overrides: Any) -> MachineConfig:
     """A single thread on a single node (sequential baselines)."""
     cfg = MachineConfig(nodes=1, threads_per_node=1, name="sequential")
     return cfg.with_(**overrides) if overrides else cfg
+
+
+#: The machine spec grammar :func:`parse_machine` reads, for help texts.
+MACHINE_SPECS = "NODESxTHREADS (e.g. 16x8), 'smp' (1x16) or 'seq'"
+
+
+def cluster_shape(text: str) -> tuple[int, int]:
+    """``(nodes, threads_per_node)`` from ``NODESxTHREADS`` (e.g. ``16x8``)."""
+    try:
+        nodes, threads = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise ConfigError(f"expected NODESxTHREADS (e.g. 16x8), got {text!r}") from None
+    return nodes, threads
+
+
+def parse_machine(text: str) -> MachineConfig:
+    """The uncalibrated machine a spec names: ``NODESxTHREADS`` (an HPS
+    cluster), ``smp`` (one 16-thread node) or ``seq``.  Junk raises
+    :class:`~repro.errors.ConfigError`."""
+    if text == "seq":
+        return sequential_machine()
+    if text == "smp":
+        return smp_node(16)
+    try:
+        shape = cluster_shape(text)
+    except ConfigError:
+        raise ConfigError(f"expected {MACHINE_SPECS}, got {text!r}") from None
+    return hps_cluster(*shape)
 
 
 def scaled_cache(machine: MachineConfig, scale: float) -> MachineConfig:

@@ -34,7 +34,9 @@ import threading
 import time
 from typing import Dict, Optional, Tuple
 
-from ..errors import GraphError, JobCancelled, ReproError, UsageError, VerificationError
+from ..errors import (
+    ConfigError, GraphError, JobCancelled, ReproError, UsageError, VerificationError,
+)
 from ..graph.validation import check_bfs_levels, check_connected_counts, count_components_reference
 from ..mst.verify import check_spanning_forest, msf_reference
 from .deadlines import BackoffPolicy, CancelToken, CircuitBreaker, cancel_scope
@@ -47,28 +49,27 @@ __all__ = ["JobExecutor", "ServiceMetrics", "validate_spec_impl", "parse_service
 def parse_service_machine(spec_text: str, n: int):
     """``NODESxTHREADS`` / ``smp`` / ``seq`` -> calibrated MachineConfig."""
     from ..core import machine_for_input
-    from ..runtime import hps_cluster, sequential_machine, smp_node
+    from ..runtime import parse_machine
 
-    if spec_text == "seq":
-        base = sequential_machine()
-    elif spec_text == "smp":
-        base = smp_node(16)
-    else:
-        try:
-            nodes_s, threads_s = spec_text.lower().split("x")
-            base = hps_cluster(int(nodes_s), int(threads_s))
-        except (ValueError, ReproError):
-            raise UsageError(
-                f"field 'machine' must be NODESxTHREADS (e.g. 4x2), 'smp' or 'seq':"
-                f" got {spec_text!r}"
-            ) from None
-    return machine_for_input(base, n)
+    try:
+        return machine_for_input(parse_machine(spec_text), n)
+    except ConfigError as err:
+        raise UsageError(f"field 'machine': {err}") from None
+
+
+def _opts_field(text: str):
+    from ..core import OptimizationFlags
+
+    try:
+        return OptimizationFlags.parse(text)
+    except ConfigError as err:
+        raise UsageError(f"field 'opts' is invalid: {err}") from None
 
 
 def validate_spec_impl(spec: JobSpec) -> None:
-    """Submit-time impl/variant validation so bad requests 400 instead
-    of failing asynchronously after sitting in the queue.  Impl names
-    and their fault/integrity capabilities come straight from the
+    """Submit-time impl/variant/opts validation so bad requests 400
+    instead of failing asynchronously after sitting in the queue.  Impl
+    names and their protection capabilities come straight from the
     :mod:`repro.algorithms` registry — a newly registered variant is
     accepted here with zero service changes."""
     from ..algorithms import get_algorithm, lt_variant_names
@@ -85,45 +86,22 @@ def validate_spec_impl(spec: JobSpec) -> None:
         raise UsageError(
             f"field 'impl' must be one of {allowed} for algo {spec.algo!r}: got {impl!r}"
         )
-    if spec.algo == "bfs" and ("auto" in (impl, spec.opts) or spec.tprime == "auto"):
+    opts = _opts_field(spec.opts)
+    if spec.algo == "bfs" and "auto" in (impl, opts, spec.tprime):
         raise UsageError("auto tuning is only supported for cc/mst jobs")
     if spec.algo in ("cc", "mst") and impl != "auto":
-        algorithm = get_algorithm(spec.algo, impl)
-        if spec.has_faults and not algorithm.supports_faults:
-            supported = tuple(
-                name for name in allowed
-                if name == "auto" or get_algorithm(spec.algo, name).supports_faults
-            )
-            raise UsageError(
-                f"fault injection is not supported for impl {impl!r};"
-                f" use one of {supported}"
-            )
-        if spec.integrity and not algorithm.supports_integrity:
-            supported = tuple(
-                name for name in allowed
-                if name == "auto" or get_algorithm(spec.algo, name).supports_integrity
-            )
-            raise UsageError(
-                f"integrity protection is not supported for impl {impl!r};"
-                f" use one of {supported}"
-            )
-    # Parse-check opts eagerly too (same 400-at-the-door rationale).
-    _parse_opts(spec.opts)
+        try:
+            get_algorithm(spec.algo, impl).require(**_protections(spec))
+        except ConfigError as err:
+            raise UsageError(f"field 'impl': {err}") from None
 
 
-def _parse_opts(text: str):
-    from ..core import OptimizationFlags
-
-    if text == "auto":
-        return "auto"
-    if text == "all":
-        return OptimizationFlags.all()
-    if text == "none":
-        return OptimizationFlags.none()
-    try:
-        return OptimizationFlags.only(*[s.strip() for s in text.split(",") if s.strip()])
-    except ReproError as err:
-        raise UsageError(f"field 'opts' is invalid: {err}") from None
+def _protections(spec: JobSpec) -> dict:
+    """The protections a job asks for, as :meth:`AlgorithmSpec.require` takes them."""
+    return {
+        "faults": spec.has_faults, "integrity": spec.integrity,
+        "resilience": bool(spec.redundancy),
+    }
 
 
 class ServiceMetrics:
@@ -192,7 +170,7 @@ class _GraphCache:
 
     def get(self, spec: JobSpec) -> _CachedGraph:
         """The entry for the spec's fingerprint (weighted for MST jobs)."""
-        from ..graph import hybrid_graph, powerlaw_graph, random_graph, with_random_weights
+        from ..graph import generate
 
         key = spec.graph_fingerprint()
         weighted = spec.algo == "mst"
@@ -202,9 +180,8 @@ class _GraphCache:
                 self._entries.move_to_end(key)
                 if not weighted or entry.weighted is not None:
                     return entry
-        builders = {"random": random_graph, "hybrid": hybrid_graph, "powerlaw": powerlaw_graph}
-        g = builders[spec.kind](spec.n, spec.m, seed=spec.seed)
-        entry = _CachedGraph(g, with_random_weights(g, seed=spec.seed + 1) if weighted else None)
+        g = generate(spec.kind, spec.n, spec.m, spec.seed, weighted=weighted)
+        entry = _CachedGraph(g.with_weights(None), g) if weighted else _CachedGraph(g)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -307,20 +284,45 @@ class JobExecutor:
                 self._machines[key] = machine
         return machine
 
+    def prepare(self, spec: JobSpec) -> tuple:
+        """``(machine, fault plan or None)`` for the job: the fields that
+        only make sense against the machine, checked once the machine is
+        known.  :class:`~repro.errors.UsageError` on junk, so a submit
+        that calls this answers 400."""
+        machine = self._machine_for(spec)
+        if not spec.has_faults:
+            return machine, None
+        from ..faults import FaultPlan
+
+        try:
+            faults = FaultPlan.from_cli(
+                loss=spec.loss,
+                stragglers=spec.stragglers,
+                seed=spec.fault_seed,
+                total_threads=machine.total_threads,
+                corruption=spec.corruption,
+                payload_corruption=spec.payload_corruption,
+                node_loss_at=spec.node_loss_at,
+                node_loss_node=spec.node_loss_node,
+            )
+            faults.check_machine(machine)
+        except ConfigError as err:
+            raise UsageError(f"fault fields do not fit machine {spec.machine!r}: {err}") from None
+        return machine, faults
+
     # -- planning ------------------------------------------------------------
 
     def _resolve_plan(self, spec: JobSpec, machine, mode: str) -> tuple:
         """(impl, opts, tprime, provenance-dict) for this job."""
-        explicit_opts = _parse_opts(spec.opts)
+        opts_req = _opts_field(spec.opts)
         impl_req = spec.effective_impl
-        wants_auto = impl_req == "auto" or spec.opts == "auto" or spec.tprime == "auto"
-        if not wants_auto:
-            return impl_req, explicit_opts, spec.tprime, {
+        if "auto" not in (impl_req, opts_req, spec.tprime):
+            return impl_req, opts_req, spec.tprime, {
                 "source": "explicit", "impl": impl_req, "opts": spec.opts,
                 "tprime": spec.tprime,
             }
         from ..tuning import PlanCache, Workload, autotune
-        from ..tuning.planner import build_plan, parse_opts_key
+        from ..tuning.planner import build_plan
 
         cache = self.plan_cache if self.plan_cache is not None else PlanCache()
         self.plan_cache = cache
@@ -342,43 +344,23 @@ class JobExecutor:
                     source = "analytic"
         selected = plan.selected
         impl = selected.impl if impl_req == "auto" else impl_req
-        opts = parse_opts_key(selected.opts_key) if spec.opts == "auto" else explicit_opts
+        opts = selected.opts() if opts_req == "auto" else opts_req
         tprime = selected.tprime if spec.tprime == "auto" else spec.tprime
-        # Faults/integrity constrain the impl family (per the registry's
-        # capability flags); if the plan picked an unsupported one, fall
-        # back to the collective solver rather than failing the job on a
-        # ConfigError.
+        # The protections asked for constrain the impl family (the
+        # registry's capability flags); if the plan picked an impl that
+        # cannot honour them, fall back to the collective solver rather
+        # than failing the job on a ConfigError.
         from ..algorithms import get_algorithm
 
-        if spec.integrity and not get_algorithm(spec.algo, impl).supports_integrity:
-            impl = "collective"
-        elif spec.redundancy and not get_algorithm(spec.algo, impl).supports_resilience:
-            impl = "collective"
-        elif spec.has_faults and not get_algorithm(spec.algo, impl).supports_faults:
+        if not get_algorithm(spec.algo, impl).supports(**_protections(spec)):
             impl = "collective"
         return impl, opts, tprime, {
             "source": source, "impl": impl, "opts": selected.opts_key
-            if spec.opts == "auto" else spec.opts, "tprime": tprime,
+            if opts_req == "auto" else spec.opts, "tprime": tprime,
             "probe_n": plan.probe_n,
         }
 
     # -- solving -------------------------------------------------------------
-
-    def _fault_plan(self, spec: JobSpec, machine):
-        if not spec.has_faults:
-            return None
-        from ..faults import FaultPlan
-
-        return FaultPlan.from_cli(
-            loss=spec.loss,
-            stragglers=spec.stragglers,
-            seed=spec.fault_seed,
-            total_threads=machine.total_threads,
-            corruption=spec.corruption,
-            payload_corruption=spec.payload_corruption,
-            node_loss_at=spec.node_loss_at,
-            node_loss_node=spec.node_loss_node,
-        )
 
     def _resilience(self, spec: JobSpec):
         if not spec.redundancy:
@@ -387,13 +369,12 @@ class JobExecutor:
 
         return RedundancyConfig(mode=spec.redundancy, spares=spec.spares)
 
-    def _solve(self, spec: JobSpec, machine, impl, opts, tprime) -> dict:
+    def _solve(self, spec: JobSpec, machine, impl, opts, tprime, faults) -> dict:
         """One attempt; returns the result payload (verify not yet run)."""
         from ..core import connected_components, minimum_spanning_forest
 
         entry = self.graphs.get(spec)
         g, gw = entry.graph, entry.weighted
-        faults = self._fault_plan(spec, machine)
         integrity = True if spec.integrity else None
         resilience = self._resilience(spec)
         if spec.algo == "cc":
@@ -480,7 +461,7 @@ class JobExecutor:
         breaker = self.breaker_for(spec.tenant)
         mode = self.policy.mode(self.queue.occupancy)
         try:
-            machine = self._machine_for(spec)
+            machine, faults = self.prepare(spec)
             impl, opts, tprime, provenance = self._resolve_plan(spec, machine, mode)
         except ReproError as err:
             job.transition(
@@ -496,7 +477,7 @@ class JobExecutor:
             token = CancelToken(job.job_id, deadline_at=job.deadline_at)
             try:
                 with cancel_scope(token):
-                    payload = self._solve(spec, machine, impl, opts, tprime)
+                    payload = self._solve(spec, machine, impl, opts, tprime, faults)
             except JobCancelled as err:
                 job.transition(
                     JobState.CANCELLED, retriable=True, error=str(err),

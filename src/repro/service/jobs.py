@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import UsageError
+from ..graph.generators import FAMILIES
 
 __all__ = ["JobSpec", "Job", "JobState", "PRIORITIES", "TERMINAL_STATES"]
 
@@ -32,7 +33,6 @@ __all__ = ["JobSpec", "Job", "JobState", "PRIORITIES", "TERMINAL_STATES"]
 PRIORITIES = ("low", "normal", "high")
 
 _ALGOS = ("cc", "mst", "bfs")
-_KINDS = ("random", "hybrid", "powerlaw")
 
 #: Hard input ceiling: admission control starts at the parser — one
 #: tenant must not be able to wedge a worker with an hour-long solve.
@@ -111,8 +111,8 @@ class JobSpec:
             raise UsageError(f"field 'tenant' must be a non-empty string <= 64 chars: got {self.tenant!r}")
         if self.algo not in _ALGOS:
             raise UsageError(f"field 'algo' must be one of {_ALGOS}: got {self.algo!r}")
-        if self.kind not in _KINDS:
-            raise UsageError(f"field 'kind' must be one of {_KINDS}: got {self.kind!r}")
+        if self.kind not in FAMILIES:
+            raise UsageError(f"field 'kind' must be one of {FAMILIES}: got {self.kind!r}")
         if not 2 <= self.n <= MAX_N:
             raise UsageError(f"field 'n' must be in [2, {MAX_N}]: got {self.n}")
         if not 0.5 <= self.density <= 64.0:

@@ -152,6 +152,7 @@ class GraphService:
         try:
             spec = JobSpec.from_payload(payload)
             validate_spec_impl(spec)
+            self.executor.prepare(spec)
         except UsageError as err:
             self.metrics.count("rejected_bad_request")
             return 400, {"error": str(err)}, {}

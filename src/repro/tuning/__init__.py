@@ -1,14 +1,10 @@
-"""repro.tuning: self-adaptive autotuner (machine probes → plan → adapt).
+"""repro.tuning: self-adaptive autotuner (plan → adapt).
 
 The paper hand-picks its configuration — all Section V flags on, ``t'``
 chosen so a sub-block fits L2 — for one machine and one input family.
 This package automates that judgment for *any* simulated machine × input
-pair, in three layers:
+pair, in two layers:
 
-* :mod:`~repro.tuning.probes` measures the live machine (fine-grained
-  latency, coalesced bandwidth, cache crossover, sync costs) into a
-  :class:`MachineProfile`, which ``repro info`` and ``repro tune``
-  print (the planner and adapter do not read it);
 * :mod:`~repro.tuning.planner` searches impl × ``t'`` at the paper's
   "Optimized" flags analytically, then probe-solves the short-list on a
   scaled replica, producing a ranked :class:`TuningPlan`;
@@ -16,8 +12,9 @@ pair, in three layers:
   real solve and revises ``offload``/``t'`` between rounds when the plan
   diverges, recording every decision in the trace.
 
-Plans persist in a deterministic JSON :class:`PlanCache`, so the
-expensive part runs once per (machine, workload).
+Plans persist in a deterministic JSON :class:`PlanCache`, keyed by
+:func:`machine_fingerprint` × workload, so the expensive part runs once
+per (machine, workload).
 
 Entry points: ``--impl auto`` / ``--opts auto`` / ``--tprime auto`` on
 the CLI, ``python -m repro tune`` for the predicted-vs-measured report,
@@ -30,7 +27,7 @@ from typing import Optional
 
 from ..runtime.machine import MachineConfig
 from .adapter import AdapterConfig, OnlineAdapter
-from .cache import PlanCache, default_cache_path
+from .cache import PlanCache, default_cache_path, machine_fingerprint
 from .planner import (
     PROBE_N_CAP,
     PROBE_SEED,
@@ -39,18 +36,11 @@ from .planner import (
     Workload,
     build_plan,
     expected_rounds,
-    parse_opts_key,
     predict_config_ms,
-)
-from .probes import (
-    MachineProfile,
-    calibrate_profile,
-    machine_fingerprint,
 )
 
 __all__ = [
     "AdapterConfig",
-    "MachineProfile",
     "OnlineAdapter",
     "PlanCache",
     "PlanEntry",
@@ -60,11 +50,9 @@ __all__ = [
     "Workload",
     "autotune",
     "build_plan",
-    "calibrate_profile",
     "default_cache_path",
     "expected_rounds",
     "machine_fingerprint",
-    "parse_opts_key",
     "predict_config_ms",
 ]
 

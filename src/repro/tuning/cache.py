@@ -19,18 +19,19 @@ can't leave a half-written cache behind.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional
 
 from ..atomicio import atomic_write_text
 from ..runtime.machine import MachineConfig
 from .planner import TuningPlan, Workload
-from .probes import machine_fingerprint
 
-__all__ = ["PlanCache", "default_cache_path"]
+__all__ = ["PlanCache", "default_cache_path", "machine_fingerprint"]
 
 _SCHEMA_VERSION = 1
 _ENV_VAR = "REPRO_TUNE_CACHE"
@@ -42,6 +43,20 @@ def default_cache_path() -> Path:
     if env:
         return Path(env)
     return Path(__file__).resolve().parents[3] / ".tune_cache.json"
+
+
+def machine_fingerprint(machine: MachineConfig) -> str:
+    """Stable 16-hex-digit digest of every machine parameter.
+
+    Two machines with identical parameter sets (regardless of ``name``)
+    fingerprint identically; any parameter change — cache scaling,
+    per-call scale, thread count — produces a new key.  This is the
+    machine half of the tuning-plan cache key.
+    """
+    fields = asdict(machine)
+    fields.pop("name", None)
+    blob = json.dumps(fields, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def plan_key(machine: MachineConfig, workload: Workload) -> str:

@@ -32,17 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..algorithms import REGISTRY, TuningEntry, get_algorithm
 from ..core.optimizations import OptimizationFlags
 from ..errors import ConfigError
 from ..graph.edgelist import EdgeList
-from ..graph.generators import hybrid_graph, powerlaw_graph, random_graph, with_random_weights
+from ..graph.generators import FAMILIES, generate, with_random_weights
 from ..runtime.cost import ELEM_BYTES, CostModel
 from ..runtime.machine import MachineConfig, scaled_cache
 from ..scheduling.cache_model import tprime_candidates
-from .probes import machine_fingerprint
 
 __all__ = [
     "Workload",
@@ -51,7 +50,6 @@ __all__ = [
     "build_plan",
     "predict_config_ms",
     "expected_rounds",
-    "parse_opts_key",
     "PROBE_N_CAP",
     "PROBE_SEED",
 ]
@@ -75,13 +73,6 @@ _COMPACT_DECAY = 0.5
 #: Shiloach-Vishkin performs more, cheaper rounds than grafting; net
 #: modeled cost lands above the grafting solver by about this factor.
 _SV_ROUND_FACTOR = 1.35
-
-
-def parse_opts_key(key: str) -> OptimizationFlags:
-    """Inverse of :meth:`OptimizationFlags.key`."""
-    if key == "base":
-        return OptimizationFlags.none()
-    return OptimizationFlags.only(*key.split("+"))
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,7 @@ class PlanEntry:
     probed_ms: Optional[float] = None
 
     def opts(self) -> OptimizationFlags:
-        return parse_opts_key(self.opts_key)
+        return OptimizationFlags.parse(self.opts_key)
 
     @property
     def best_ms(self) -> float:
@@ -375,19 +366,13 @@ def predict_config_ms(
 
 # -- probe refinement ---------------------------------------------------------
 
-_GENERATORS: Dict[str, Callable[[int, int, int], EdgeList]] = {
-    "random": random_graph,
-    "hybrid": hybrid_graph,
-    "powerlaw": powerlaw_graph,
-}
-
-
 def _probe_graph(workload: Workload, probe_n: int) -> EdgeList:
-    """Small same-family replica: same m/n density, fixed seed."""
+    """Small same-family replica: same m/n density, fixed seed (the
+    weights too: an MST probe is weighted at ``PROBE_SEED``)."""
     density = workload.m / max(workload.n, 1)
     probe_m = max(probe_n, int(round(density * probe_n)))
-    gen = _GENERATORS.get(workload.graph_kind, random_graph)
-    g = gen(probe_n, probe_m, PROBE_SEED)
+    kind = workload.graph_kind if workload.graph_kind in FAMILIES else "random"
+    g = generate(kind, probe_n, probe_m, PROBE_SEED)
     if workload.kind == "mst":
         g = with_random_weights(g, seed=PROBE_SEED)
     return g
@@ -429,7 +414,9 @@ def _probe_task(task: tuple) -> float:
     """Picklable probe unit for the fan-out layer: one configuration,
     one scaled-replica solve, returns modeled ms."""
     workload, graph, machine, impl, opts_key, tprime = task
-    return _probe_solve_ms(workload, graph, machine, impl, parse_opts_key(opts_key), tprime)
+    return _probe_solve_ms(
+        workload, graph, machine, impl, OptimizationFlags.parse(opts_key), tprime
+    )
 
 
 def _lt_tuning_entry(impl: str) -> "TuningEntry | None":
@@ -444,7 +431,7 @@ def _impl_candidates(kind: str) -> tuple:
     # with a tuning entry joins the search (registering a new
     # variant automatically makes the planner consider it).  `naive` has
     # no entry — it is priced for the tune report but never probed, the
-    # measured coalescing gain already rules it out analytically.
+    # cost model's coalescing gain already rules it out analytically.
     return tuple(
         name for (k, name), spec in REGISTRY.items() if k == kind and spec.tuning is not None
     )
@@ -547,6 +534,8 @@ def build_plan(
                 e.tprime,
             )
         )
+
+    from .cache import machine_fingerprint  # here: the cache module imports this one
 
     return TuningPlan(
         machine_key=machine_fingerprint(machine),

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import (
+    FAMILIES,
     MAX_WEIGHT,
     complete_graph,
     cycle_graph,
     disjoint_components_graph,
     empty_graph,
+    generate,
     hybrid_graph,
     is_simple,
     path_graph,
@@ -164,6 +166,37 @@ class TestWeights:
     def test_invalid_max(self):
         with pytest.raises(GraphError):
             with_random_weights(random_graph(10, 5, 1), max_weight=0)
+
+
+class TestGenerate:
+    """``generate``: the family lookup and the MST-weights rule, shared by
+    the CLI, the service, the bench harness, the soak and the golden runs."""
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_family_and_weights_at_seed_plus_one(self, kind):
+        builder = {"random": random_graph, "hybrid": hybrid_graph, "powerlaw": powerlaw_graph}
+        plain = builder[kind](300, 900, seed=5)
+        g = generate(kind, 300, 900, 5)
+        assert g.w is None
+        assert np.array_equal(g.u, plain.u) and np.array_equal(g.v, plain.v)
+        gw = generate(kind, 300, 900, 5, weighted=True)
+        assert np.array_equal(gw.w, with_random_weights(plain, seed=6).w)
+
+    def test_generator_looked_up_at_call_time(self, monkeypatch):
+        # A tracer rebinds the generators by name; generate must see it.
+        import repro.graph.generators as generators
+
+        calls = []
+        real = generators.random_graph
+        monkeypatch.setattr(
+            generators, "random_graph", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        generate("random", 50, 100, 1)
+        assert calls == [(50, 100)]
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(GraphError):
+            generate("smallworld", 50, 100, 1)
 
 
 class TestStructuredGraphs:

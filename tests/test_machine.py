@@ -12,8 +12,10 @@ from repro.runtime import (
     MachineConfig,
     MemoryParams,
     NetworkParams,
+    cluster_shape,
     hps_cluster,
     infiniband_cluster,
+    parse_machine,
     scaled_cache,
     sequential_machine,
     smp_node,
@@ -135,6 +137,26 @@ class TestPresets:
     def test_preset_overrides(self):
         m = hps_cluster(4, 4, name="custom")
         assert m.name == "custom"
+
+
+class TestParseMachine:
+    """The one reader of the CLI's ``--machine`` and the service's ``machine``."""
+
+    def test_specs(self):
+        assert parse_machine("16x8") == hps_cluster(16, 8)
+        assert parse_machine("4X2") == hps_cluster(4, 2)
+        assert parse_machine("smp") == smp_node(16)
+        assert parse_machine("seq") == sequential_machine()
+        assert cluster_shape("16x8") == (16, 8)
+
+    @pytest.mark.parametrize("text", ["banana", "16y8", "4x", "2x2x2", "0x2", ""])
+    def test_junk_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_machine(text)
+
+    def test_cluster_shape_takes_no_presets(self):
+        with pytest.raises(ConfigError):
+            cluster_shape("smp")
 
 
 class TestScaledCache:

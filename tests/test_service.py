@@ -546,6 +546,25 @@ class TestAdmissionFlows:
         assert status == 400
         assert "algo" in body["error"]
 
+    @pytest.mark.parametrize("request_body, named", [
+        ({"algo": "cc", "impl": "sv", "redundancy": "buddy"}, "node-loss resilience"),
+        ({"algo": "mst", "impl": "kruskal", "redundancy": "parity"}, "node-loss resilience"),
+        ({"machine": "banana"}, "machine"),
+        ({"opts": "warp"}, "opts"),
+        ({"stragglers": 100, "machine": "2x2"}, "100 stragglers"),
+        (
+            {"node_loss_at": 1e-4, "node_loss_node": 9, "redundancy": "buddy", "machine": "2x2"},
+            "lost node 9",
+        ),
+    ])
+    def test_request_that_cannot_run_is_400(self, request_body, named):
+        svc = _service()
+        status, body, _ = svc.submit({"n": 64, "tenant": "t", **request_body})
+        assert status == 400
+        assert named in body["error"]
+        assert len(svc.queue) == 0
+        assert svc.executor.breaker_for("t")._failures == 0
+
     def test_quota_exhaustion_is_429_with_retry_after(self):
         svc = _service(quota_rate=1.0, quota_burst=2.0, queue_capacity=64)
         results = [svc.submit({"n": 64, "machine": "2x2"}) for _ in range(3)]
@@ -744,13 +763,27 @@ class TestExecutorContracts:
         assert result["plan"]["source"] == "explicit"
         assert result["attempts"] == 1
 
+    def test_fault_plan_that_does_not_fit_fails_once_without_breaker_charge(self):
+        """A job that never passed submit validation (one replayed from
+        an older journal) and asks for more stragglers than its machine
+        has threads: a request error, not a solve failure."""
+        svc = _service()
+        spec = JobSpec.from_payload({"n": 64, "machine": "2x2", "stragglers": 100, "tenant": "t"})
+        job = Job(spec=spec)
+        svc.executor.execute(job)
+        assert job.state == JobState.FAILED
+        assert not job.retriable
+        assert "100 stragglers" in job.error
+        assert job.attempts == 0
+        assert svc.executor.breaker_for("t")._failures == 0
+
     def test_failures_feed_breaker_and_retry(self, monkeypatch):
         from repro.errors import FaultError
 
         svc = _service()
         calls = {"n": 0}
 
-        def explode(self, spec, machine, impl, opts, tprime):
+        def explode(self, spec, machine, impl, opts, tprime, faults):
             calls["n"] += 1
             raise FaultError("injected")
 

@@ -1,4 +1,4 @@
-"""Tests for the repro.tuning autotuner: probes, planner, cache, adapter.
+"""Tests for the repro.tuning autotuner: planner, cache, adapter.
 
 The headline acceptance test mirrors the paper's Fig. 5/6 setting
 (random and hybrid inputs, the 16x8 machine): the ``auto`` plan's
@@ -34,9 +34,7 @@ from repro.tuning import (
     Workload,
     autotune,
     build_plan,
-    calibrate_profile,
     machine_fingerprint,
-    parse_opts_key,
     predict_config_ms,
 )
 from repro.tuning.planner import probe_machine_for
@@ -125,20 +123,31 @@ class TestWorkload:
 
 
 class TestParseOptsKey:
+    """:meth:`OptimizationFlags.parse`, the one reader of plan keys and of
+    the CLI's and the service's opts strings."""
+
     def test_roundtrip_whole_lattice(self):
         names = [f.name for f in dataclasses.fields(OptimizationFlags)]
         subsets = list(itertools.product((False, True), repeat=len(names)))
         assert len(subsets) == 128
         for bits in subsets:
             opts = OptimizationFlags(**dict(zip(names, bits)))
-            assert parse_opts_key(opts.key()) == opts
+            assert OptimizationFlags.parse(opts.key()) == opts
+            assert OptimizationFlags.parse(",".join(opts.enabled())) == opts
 
     def test_base(self):
-        assert parse_opts_key("base") == OptimizationFlags.none()
+        for text in ("base", "none", ""):
+            assert OptimizationFlags.parse(text) == OptimizationFlags.none()
+        assert OptimizationFlags.parse("all") == OptimizationFlags.all()
+        assert OptimizationFlags.parse("all, hierarchical") == OptimizationFlags.all().with_(
+            hierarchical=True
+        )
+        assert OptimizationFlags.parse("auto") == "auto"
 
     def test_rejects_unknown_flag(self):
-        with pytest.raises(ConfigError):
-            parse_opts_key("warp")
+        for text in ("warp", "all,warp", "auto,hierarchical", "auto+all"):
+            with pytest.raises(ConfigError):
+                OptimizationFlags.parse(text)
 
 
 class TestAnalyticModel:
@@ -210,39 +219,6 @@ class TestBuildPlan:
 
 
 # ---------------------------------------------------------------------------
-# Probes
-# ---------------------------------------------------------------------------
-
-
-class TestProbes:
-    def test_profile_fields_positive(self):
-        machine = cluster_for_input(20_000, 4, 2)
-        prof = calibrate_profile(machine)
-        assert prof.fine_access_us > 0
-        assert prof.coalesced_elem_ns > 0
-        assert prof.barrier_us > 0
-        assert prof.cache_crossover_bytes > 0
-        # Coalescing must measure as a win — it is the paper's premise.
-        assert prof.coalescing_gain > 1
-
-    def test_profile_roundtrip_and_summary(self):
-        machine = cluster_for_input(20_000, 4, 2)
-        prof = calibrate_profile(machine)
-        clone = type(prof).from_dict(prof.to_dict())
-        assert clone == prof
-        assert any("fine-grained" in line for line in prof.summary_lines())
-
-    def test_fingerprint_ignores_name(self):
-        machine = cluster_for_input(20_000, 4, 2)
-        assert machine_fingerprint(machine) == machine_fingerprint(
-            machine.with_(name="renamed")
-        )
-        assert machine_fingerprint(machine) != machine_fingerprint(
-            machine.with_(per_call_scale=machine.per_call_scale * 2)
-        )
-
-
-# ---------------------------------------------------------------------------
 # Plan cache
 # ---------------------------------------------------------------------------
 
@@ -254,6 +230,15 @@ def _small_setup():
 
 
 class TestPlanCache:
+    def test_fingerprint_ignores_name(self):
+        machine = cluster_for_input(20_000, 4, 2)
+        assert machine_fingerprint(machine) == machine_fingerprint(
+            machine.with_(name="renamed")
+        )
+        assert machine_fingerprint(machine) != machine_fingerprint(
+            machine.with_(per_call_scale=machine.per_call_scale * 2)
+        )
+
     def test_save_is_byte_deterministic(self, tmp_path):
         machine, workload = _small_setup()
         plan_a = build_plan(workload, machine)
