@@ -32,7 +32,7 @@ Packages
 ``repro.core``         high-level API, optimization flags, analysis
 ``repro.analysis``     sanitizer suite: epoch race detector + static verifier
 ``repro.faults``       fault plans/injection: loss, stragglers, crashes, flips
-``repro.integrity``    silent-fault detection, verify-and-repair, soak harness
+``repro.integrity``    silent-fault detection, verify-and-repair, service chaos campaign
 ``repro.resilience``   permanent-loss survival: redundancy, epochs, recovery
 ``repro.tuning``       autotuner: plan (impl × t') → adapt
 ``repro.bench``        experiment harness used by ``benchmarks/``
@@ -78,7 +78,7 @@ from .faults import (
     NodeLossEvent,
     RetryPolicy,
 )
-from .integrity import IntegrityConfig, SoakConfig, run_soak
+from .integrity import IntegrityConfig
 from .resilience import RedundancyConfig, ResilientSession
 from .graph import (
     EdgeList,
@@ -143,7 +143,6 @@ __all__ = [
     "ResilientSession",
     "RetryPolicy",
     "SharedArray",
-    "SoakConfig",
     "SolveInfo",
     "ThreadCrash",
     "TuningPlan",
@@ -166,7 +165,6 @@ __all__ = [
     "profiled",
     "random_graph",
     "render_phases",
-    "run_soak",
     "run_verify",
     "save_edgelist",
     "sequential_for_input",

@@ -8,8 +8,8 @@ registry.  An :class:`AlgorithmSpec` bundles what used to be scattered
 if/elif knowledge:
 
 * the solver entry point behind a uniform call signature;
-* capability flags (fault injection, integrity protection, the online
-  adapter, node-loss resilience);
+* capability flags (fault injection, recovery under the round driver,
+  the online adapter);
 * an optional :class:`TuningEntry`: with one, the :mod:`repro.tuning`
   planner searches the solver, and the entry's hints price it.
 
@@ -73,35 +73,52 @@ class AlgorithmSpec:
     kind: str
     description: str
     solve: Callable
+    #: Takes a fault plan: loss, stragglers and NIC windows are charged
+    #: by the runtime on every solver's messages.
     supports_faults: bool = False
-    supports_integrity: bool = False
+    #: Solves under :func:`~repro.faults.rounds.run_rounds`, whose
+    #: barriers poll the injector: crash, node-loss and corruption
+    #: events fire, and integrity and node-loss redundancy recover them.
+    supports_recovery: bool = False
     supports_adapter: bool = False
-    supports_resilience: bool = False
     tuning: Optional[TuningEntry] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"algorithm kind must be one of {_KINDS}, got {self.kind!r}")
 
-    def _lacking(self, faults: bool, integrity: bool, resilience: bool):
-        """(label, capability) of the first requested protection this impl
-        cannot honour, else ``None``."""
+    def _lacking(self, faults, integrity: bool, resilience: bool):
+        """(label, capability) of the first requested protection or fault
+        class this impl cannot honour, else ``None``.
+
+        ``faults`` is the :class:`~repro.faults.FaultPlan` (or anything
+        with its ``has_crashes``/``has_node_loss``/``has_corruption``
+        predicates), or ``None``.  Crash, node-loss and corruption events
+        only fire where the round driver polls for them, so an impl
+        without ``supports_recovery`` refuses them instead of dropping
+        them silently.
+        """
+        fired = faults is not None
         for wanted, label, capability in (
-            (faults, "fault injection", "supports_faults"),
-            (integrity, "integrity protection", "supports_integrity"),
-            (resilience, "node-loss resilience", "supports_resilience"),
+            (fired, "fault injection", "supports_faults"),
+            (fired and faults.has_crashes, "thread-crash injection", "supports_recovery"),
+            (fired and faults.has_node_loss, "node-loss injection", "supports_recovery"),
+            (fired and faults.has_corruption, "silent-corruption injection", "supports_recovery"),
+            (integrity, "integrity protection", "supports_recovery"),
+            (resilience, "node-loss resilience", "supports_recovery"),
         ):
             if wanted and not getattr(self, capability):
                 return label, capability
         return None
 
-    def supports(self, faults=False, integrity=False, resilience=False) -> bool:
-        """Whether this impl can run with every protection asked for."""
+    def supports(self, faults=None, integrity=False, resilience=False) -> bool:
+        """Whether this impl can run ``faults`` with every protection asked for."""
         return self._lacking(faults, integrity, resilience) is None
 
-    def require(self, faults=False, integrity=False, resilience=False) -> None:
-        """:class:`~repro.errors.ConfigError` naming the first protection
-        asked for that this impl cannot honour, and the impls that can."""
+    def require(self, faults=None, integrity=False, resilience=False) -> None:
+        """:class:`~repro.errors.ConfigError` naming the first fault class
+        or protection asked for that this impl cannot honour, and the
+        impls that can."""
         lacking = self._lacking(faults, integrity, resilience)
         if lacking is not None:
             label, capability = lacking
@@ -164,9 +181,8 @@ register(AlgorithmSpec(
             faults=faults, adapter=adapter, integrity=integrity, resilience=resilience,
         ),
     supports_faults=True,
-    supports_integrity=True,
+    supports_recovery=True,
     supports_adapter=True,
-    supports_resilience=True,
     tuning=TuningEntry(),
 ))
 
@@ -243,8 +259,7 @@ for _variant in ALL_VARIANTS:
         description=f"Liu–Tarjan {_variant.describe()}",
         solve=_lt_solve(_variant),
         supports_faults=True,
-        supports_integrity=True,
-        supports_resilience=True,
+        supports_recovery=True,
         tuning=TuningEntry(
             edge_collectives=_LT_EDGE_COLLECTIVES[_variant.connect]
             + (2.0 if _variant.alter else 0.0),
@@ -268,9 +283,8 @@ register(AlgorithmSpec(
             faults=faults, adapter=adapter, integrity=integrity, resilience=resilience,
         ),
     supports_faults=True,
-    supports_integrity=True,
+    supports_recovery=True,
     supports_adapter=True,
-    supports_resilience=True,
     tuning=TuningEntry(),
 ))
 

@@ -9,17 +9,17 @@ Commands
 ``info``      show machine presets, calibration, and any cached tuning plan
 ``figures``   run paper-figure reproductions and print their tables
 ``tune``      run the autotuner and print its predicted-vs-measured table
-``soak``      composed chaos campaign: silent corruption + fail-stop faults,
-              every result certificate-verified, report in ``BENCH_soak.json``
+``soak``      chaos campaign through a live service: quota pressure, faults,
+              crash-restart, report in ``BENCH_service_soak.json``
 ``serve``     run the multi-tenant graph-analytics service (JSON over HTTP:
               admission control, quotas, deadlines, circuit breakers,
               graceful degradation, crash-safe job journal)
 ``loadtest``  drive a running service with an open-loop arrival process at
               several offered rates, report in ``BENCH_service.json``
 
-``soak`` and ``tune`` accept ``--workers N`` (or ``auto``) to fan their
-independent runs across a process pool; reports are identical for any
-worker count apart from wall-clock fields.
+``tune`` accepts ``--workers N`` (or ``auto``) to fan its independent
+probe solves across a process pool; the plan is identical for any
+worker count.
 
 Every solve prints the result summary, the modeled time, the Fig. 5
 category breakdown, and the communication counters.  All inputs are
@@ -52,7 +52,6 @@ from .errors import ReproError
 from .graph import FAMILIES, generate
 from .runtime import (
     MACHINE_SPECS,
-    cluster_shape,
     hps_cluster,
     parse_machine,
     sequential_machine,
@@ -352,63 +351,7 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    from .integrity import SoakConfig, run_soak
-
-    if args.service:
-        return _cmd_soak_service(args)
-    try:
-        nodes, threads = cluster_shape(args.machine)
-    except ReproError as err:
-        raise SystemExit(f"bad --machine: soak wants a cluster shape; {err}")
-    config = SoakConfig(
-        iterations=args.iterations,
-        seed=args.seed,
-        algos=tuple(args.algo),
-        nodes=nodes,
-        threads=threads,
-        n=args.n,
-        m=int(args.density * args.n),
-        corruption=args.corruption,
-        payload_corruption=args.payload_corruption,
-        loss=args.loss,
-        stragglers=args.stragglers,
-        crashes=args.crashes,
-        node_losses=args.node_losses,
-        redundancy=args.redundancy or ("buddy" if args.node_losses else ""),
-        spares=args.spares,
-        unprotected=not args.no_unprotected,
-    )
-    print(banner(
-        f"soak — {args.iterations} iteration(s) x {'/'.join(config.algos)} on"
-        f" {nodes}x{threads}, n={config.n:,} m={config.m:,}"
-    ))
-    report = run_soak(config, out_dir=args.out_dir, workers=args.workers)
-    s = report["summary"]
-    wc = report["wallclock"]
-    print(f"\nwallclock : {wc['seconds']:.2f}s with {wc['workers']} worker(s)")
-    print(f"\nruns      : {s['runs']} protected"
-          + (f" + {s['unprotected_runs']} unprotected" if s["unprotected_runs"] else ""))
-    print(f"injected  : {s['injected']} corruptions, {s['detected']} detected,"
-          f" {s['repairs']} repairs")
-    if s.get("node_losses"):
-        print(f"losses    : {s['node_losses']} permanent node losses survived,"
-              f" {s['epoch_changes']} epoch changes,"
-              f" {s['blocks_reconstructed']} blocks rebuilt")
-    print(f"protected : {s['protected_wrong']} wrong, {s['protected_failed']} gave up")
-    if s["unprotected_runs"]:
-        print(f"unprotect : {s['unprotected_wrong_or_error']} wrong or errored"
-              " (the failure mode integrity closes)")
-    print(f"report    : {report['path']}")
-    bad = s["protected_wrong"] + s["protected_failed"]
-    if bad:
-        print(f"\nFAIL: {bad} protected run(s) did not survive", file=sys.stderr)
-        return 4
-    print("\nall protected runs verified by certificate")
-    return 0
-
-
-def _cmd_soak_service(args: argparse.Namespace) -> int:
-    """``soak --service``: the same chaos, routed through the HTTP API."""
+    """``soak``: the chaos campaign, routed through a live HTTP service."""
     from .integrity import ServiceSoakConfig, run_service_soak
 
     config = ServiceSoakConfig(
@@ -688,57 +631,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_lr.set_defaults(func=_cmd_listrank)
 
     p_soak = sub.add_parser(
-        "soak", help="composed chaos/soak campaign (silent + fail-stop faults)"
+        "soak",
+        help="chaos campaign through a live service (quota pressure, faults,"
+        " crash-restart + journal recovery; report in BENCH_service_soak.json)",
     )
-    p_soak.add_argument("--iterations", type=int, default=5)
+    p_soak.add_argument("--iterations", type=int, default=5, help="jobs to submit")
     p_soak.add_argument("--seed", type=int, default=0)
-    p_soak.add_argument(
-        "--algo", nargs="+", choices=("cc", "mst"), default=["cc", "mst"],
-        help="algorithms to soak (default: both)",
-    )
-    p_soak.add_argument("--machine", default="16x8", help="cluster shape NODESxTHREADS")
-    p_soak.add_argument("--n", type=int, default=2048, help="vertex count per iteration")
+    p_soak.add_argument("--n", type=int, default=2048, help="vertex count per job")
     p_soak.add_argument("--density", type=float, default=4.0, help="edges per vertex (m/n)")
     p_soak.add_argument(
         "--corruption", type=float, default=2.0e-2,
-        help="owner-block flip rate (per element per modeled second)",
+        help="owner-block flip rate (per element per modeled second) of faulted jobs",
     )
     p_soak.add_argument(
         "--payload-corruption", type=float, default=1.0e-4,
-        help="per-record in-flight payload flip probability",
+        help="per-record in-flight payload flip probability of faulted jobs",
     )
-    p_soak.add_argument("--loss", type=float, default=0.0, help="per-message loss probability")
-    p_soak.add_argument("--stragglers", type=int, default=0, help="straggler threads (4x)")
-    p_soak.add_argument("--crashes", type=int, default=0, help="scheduled crashes per run")
+    p_soak.add_argument(
+        "--loss", type=float, default=0.0, help="per-message loss probability of faulted jobs"
+    )
     p_soak.add_argument(
         "--node-losses", type=int, default=0,
-        help="permanent node losses scheduled per run (protected legs"
-        " recover through redundancy; unprotected legs abort loudly)",
+        help="nonzero: half the jobs permanently lose a node mid-solve"
+        " (redundancy-protected, so they must still verify)",
     )
     p_soak.add_argument(
         "--redundancy", choices=("buddy", "parity"), default=None,
-        help="owner-block redundancy mode for the protected legs"
-        " (default: buddy when --node-losses is set)",
+        help="owner-block redundancy mode of the node-loss jobs (default: buddy)",
     )
-    p_soak.add_argument(
-        "--spares", type=int, default=0,
-        help="cold spare nodes recovery may promote instead of shrinking",
-    )
-    p_soak.add_argument(
-        "--no-unprotected", action="store_true",
-        help="skip the unprotected comparison legs (protected runs only)",
-    )
-    p_soak.add_argument("--out-dir", default=None, help="directory for BENCH_soak.json")
-    p_soak.add_argument(
-        "--workers", default=None,
-        help="process-pool workers: an int or 'auto' (default: serial)",
-    )
-    p_soak.add_argument(
-        "--service", action="store_true",
-        help="route the chaos through a live HTTP service instead of direct"
-        " solver calls (exercises admission control, shedding, and journal"
-        " crash-recovery; report in BENCH_service_soak.json)",
-    )
+    p_soak.add_argument("--out-dir", default=None, help="directory for BENCH_service_soak.json")
     p_soak.set_defaults(func=_cmd_soak)
 
     p_info = sub.add_parser("info", help="machine presets and calibration")

@@ -102,11 +102,10 @@ def _dispatch(
     resilience=None,
 ):
     """Resolve ``impl`` through :mod:`repro.algorithms` and run it, once
-    its spec has agreed to every protection asked for."""
+    its spec has agreed to every fault class and protection asked for."""
     spec = get_algorithm(kind, impl)
     spec.require(
-        faults=faults is not None, integrity=integrity is not None,
-        resilience=resilience is not None,
+        faults=faults, integrity=integrity is not None, resilience=resilience is not None,
     )
     return spec.solve(
         graph, machine, opts, tprime, sort_method,
@@ -148,22 +147,26 @@ def connected_components(
     validate:
         Check the labeling against the scipy oracle before returning.
     faults:
-        Optional :class:`~repro.faults.FaultPlan` injected into the run
-        (``collective``, ``naive``, and ``smp`` impls only).
+        Optional :class:`~repro.faults.FaultPlan` injected into the run.
+        :meth:`AlgorithmSpec.supports <repro.algorithms.AlgorithmSpec.supports>`
+        says which impls take which event classes; the rest raise
+        :class:`~repro.errors.ConfigError` before solving.
     graph_kind, adapt:
         Auto-mode context: the generator family the tuner probes with,
         and whether the online adapter may revise flags/t' mid-solve.
     integrity:
         Optional :class:`~repro.integrity.IntegrityConfig` (or ``True``)
-        enabling silent-fault detection and verify-and-repair
-        (``collective`` impl only — it owns the checkpoint/replay loop).
+        enabling silent-fault detection and verify-and-repair.
     resilience:
         Optional :class:`~repro.resilience.RedundancyConfig` (or
         ``True``) enabling survival of permanent node losses: the label
         array keeps charged off-node replicas/parity, and a fired
         :class:`~repro.faults.NodeLossEvent` triggers epoch recovery
-        instead of :class:`~repro.errors.UnrecoverableLossError`
-        (``collective`` and ``lt-*`` impls).
+        instead of :class:`~repro.errors.UnrecoverableLossError`.
+
+    ``integrity`` and ``resilience`` need an impl that solves under the
+    round driver; :meth:`AlgorithmSpec.supports
+    <repro.algorithms.AlgorithmSpec.supports>` is the one gate.
     """
     impl, opts, tprime, adapter = _resolve_auto(
         "cc", graph, machine, impl, opts, tprime, graph_kind, adapt
@@ -198,15 +201,16 @@ def minimum_spanning_forest(
     algorithm name (``'kruskal'``, ``'prim'``, ``'boruvka'``), or
     ``'auto'`` (the :mod:`repro.tuning` planner chooses; ``opts`` and
     ``tprime`` may also be ``'auto'``).  ``faults`` optionally injects a
-    :class:`~repro.faults.FaultPlan` into the simulated impls
-    (``collective``, ``naive``, ``smp``).  ``graph_kind``/``adapt`` are
+    :class:`~repro.faults.FaultPlan`.  ``graph_kind``/``adapt`` are
     the auto-mode context (probe family; allow mid-solve adaptation —
     t' only for MST, offload adaptation is structurally disabled).
     ``integrity`` optionally enables silent-fault detection and
-    verify-and-repair (``collective`` impl only).  ``resilience``
-    optionally enables permanent-node-loss survival via charged
-    owner-block redundancy and epoch recovery (``collective`` impl
-    only; see :mod:`repro.resilience`).
+    verify-and-repair.  ``resilience`` optionally enables
+    permanent-node-loss survival via charged owner-block redundancy and
+    epoch recovery (see :mod:`repro.resilience`).  Which impls take which
+    fault classes and protections is :meth:`AlgorithmSpec.supports
+    <repro.algorithms.AlgorithmSpec.supports>`'s answer; the rest raise
+    :class:`~repro.errors.ConfigError` before solving.
     """
     impl, opts, tprime, adapter = _resolve_auto(
         "mst", graph, machine, impl, opts, tprime, graph_kind, adapt

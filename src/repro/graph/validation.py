@@ -3,7 +3,7 @@
 The structural checks serve tests, the generators' self-checks and the
 examples; the certificates (:func:`check_connected_counts`,
 :func:`check_bfs_levels`) decide in a few O(m) passes whether an answer
-is *the* answer, for ``validate=True``, soak and the service.  Each raises
+is *the* answer, for ``validate=True``, the tests and the service.  Each raises
 :class:`~repro.errors.GraphError` with a specific message, or returns a
 boolean when called through :func:`is_simple` / :func:`has_self_loops`.
 """

@@ -228,7 +228,7 @@ def guard_payload(rt, values, sizes, bytes_per, domain=None, packed=False, absen
       again, on the ``Fault``/``Comm`` clocks), bounded by the retry
       policy's ``max_attempts``;
     * unprotected corrupted deliveries are returned as-is — the silent
-      wrong value the soak harness exists to demonstrate.
+      wrong value integrity exists to close.
 
     Returns the delivered buffer.
     """

@@ -1,309 +1,40 @@
-"""Composed chaos/soak harness for the silent-fault story.
+"""Chaos campaign through the HTTP service (``python -m repro soak``).
 
-Each soak iteration builds a fresh seeded graph, composes a fault plan
-(silent block/payload corruption, optionally message loss, stragglers,
-scheduled crashes, and permanent node losses), and solves it twice per
-algorithm:
+Each campaign submits a bursty, fault-laden multi-tenant job stream to a
+live :class:`~repro.service.ServiceServer`, optionally kills the server
+mid-campaign and restarts it on the same journal, and reports the
+service's contract: the server never dies, never serves an unverified
+or wrong result, and after the crash-restart every journaled job is
+accounted for.  Served results are checked by the certificates in
+:mod:`repro.graph.validation` and :mod:`repro.mst.verify`.
 
-* **unprotected** — fault plan only.  Silent flips land and nothing
-  checks them; the run is expected to sometimes produce a *wrong but
-  plausible* answer (or trip a convergence bound), which is exactly the
-  failure mode this subsystem exists to close.
-* **protected** — same plan plus the full
-  :class:`~repro.integrity.IntegrityConfig`.  Every result must verify.
+The solvers' own fault contract — every solver that takes faults returns
+the reference answer or fails loudly, under every fault class and
+protection it supports — is a property over the algorithm registry in
+``tests/test_rounds.py``, not a campaign.
 
-Every result is checked by the certificates the service serves under
-(``check_connected_counts`` for CC, ``check_spanning_forest`` for MST), so "wrong"
-means *provably* wrong, not merely different.  The report — per
-iteration and in aggregate — lands in ``BENCH_soak.json`` via the bench
-harness, and the CI ``soak-smoke`` job fails on any unrepaired wrong
-result.
-
-Heavy imports (solvers, generators, scipy) stay function-local: this
-module is imported by ``repro.integrity.__init__``, which the
-collectives pull in at package-import time.
+Heavy imports (the service, scipy) stay function-local: this module is
+imported by ``repro.integrity.__init__``, which the collectives pull in
+at package-import time.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
+from ..errors import ConfigError
 
-from ..errors import ConfigError, GraphError, ReproError, VerificationError
-from ..faults.plan import CrashEvent, FaultPlan, NodeLossEvent
-from .config import IntegrityConfig
-
-__all__ = ["SoakConfig", "run_soak", "ServiceSoakConfig", "run_service_soak"]
-
-
-@dataclass(frozen=True)
-class SoakConfig:
-    """One soak campaign: how many iterations, over what, under what.
-
-    ``corruption``/``payload_corruption`` follow
-    :class:`~repro.faults.FaultPlan` semantics; ``loss``, ``stragglers``
-    and ``crashes`` compose the fail-stop fault classes in so the repair
-    paths are exercised together, not in isolation.
-    """
-
-    iterations: int = 5
-    seed: int = 0
-    algos: tuple = ("cc", "mst")
-    nodes: int = 16
-    threads: int = 8
-    n: int = 2048
-    m: int = 8192
-    corruption: float = 2.0e-2
-    payload_corruption: float = 1.0e-4
-    loss: float = 0.0
-    stragglers: int = 0
-    crashes: int = 0
-    #: Permanent node losses scheduled per run.  The protected leg
-    #: survives them through ``redundancy``; the unprotected leg aborts
-    #: with ``UnrecoverableLossError`` — the loud failure the report
-    #: documents.
-    node_losses: int = 0
-    redundancy: str = ""
-    spares: int = 0
-    unprotected: bool = True
-
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ConfigError(f"soak iterations must be >= 1: got {self.iterations}")
-        if self.n < 2 or self.m < 1:
-            raise ConfigError(f"soak graph must have n >= 2, m >= 1: got n={self.n} m={self.m}")
-        for algo in self.algos:
-            if algo not in ("cc", "mst"):
-                raise ConfigError(f"unknown soak algo {algo!r}; expected 'cc' or 'mst'")
-        if self.node_losses < 0:
-            raise ConfigError(f"node_losses must be >= 0: got {self.node_losses}")
-        if self.redundancy not in ("", "buddy", "parity"):
-            raise ConfigError(
-                f"redundancy must be '', 'buddy' or 'parity': got {self.redundancy!r}"
-            )
-        if self.node_losses and not self.redundancy:
-            raise ConfigError(
-                "node_losses > 0 needs a redundancy mode, or every protected"
-                " run would abort unrecoverably"
-            )
-        if self.node_losses >= self.nodes:
-            raise ConfigError(
-                f"cannot lose {self.node_losses} of {self.nodes} nodes and keep solving"
-            )
-
-
-def _compose_plan(config: SoakConfig, seed: int, total_threads: int) -> FaultPlan:
-    """The iteration's fault plan: corruption always, fail-stop classes
-    as configured (stragglers drawn from a dedicated picker stream)."""
-    slow: dict[int, float] = {}
-    if config.stragglers:
-        picker = np.random.default_rng(seed)
-        chosen = picker.choice(total_threads, size=config.stragglers, replace=False)
-        slow = {int(t): 4.0 for t in chosen}
-    crashes = tuple(
-        CrashEvent(thread=int((seed + j) % total_threads), at_time=2.0e-4 * (j + 1))
-        for j in range(config.crashes)
-    )
-    losses = tuple(
-        NodeLossEvent(node=int((seed + j) % config.nodes), at_time=3.0e-4 * (j + 1))
-        for j in range(config.node_losses)
-    )
-    return FaultPlan(
-        seed=seed,
-        loss=config.loss,
-        stragglers=slow,
-        crashes=crashes,
-        node_losses=losses,
-        corruption=config.corruption,
-        payload_corruption=config.payload_corruption,
-    )
-
-
-def _defect(algo: str, result, g, gw) -> "str | None":
-    """The certificate's verdict on a finished run: None, or the defect."""
-    from ..graph.validation import check_connected_counts
-    from ..mst.verify import check_spanning_forest
-
-    try:
-        if algo == "cc":
-            check_connected_counts(result.labels, g)
-        else:
-            check_spanning_forest(gw, result.edge_ids)
-    except (GraphError, VerificationError) as err:
-        return str(err)
-    return None
-
-
-def _counters(result) -> dict:
-    c = result.info.trace.counters
-    return {
-        "injected": c.corruptions_injected,
-        "detected": c.corruptions_detected,
-        "repairs": c.repairs,
-        "retries": c.retries,
-        "crashes": c.crashes,
-        "restores": c.checkpoint_restores,
-        "node_losses": c.node_losses,
-        "epoch_changes": c.epoch_changes,
-        "blocks_reconstructed": c.blocks_reconstructed,
-    }
-
-
-def _solve(algo: str, g, gw, machine, plan, integrity, resilience=None):
-    from ..core.pipeline import connected_components, minimum_spanning_forest
-
-    if algo == "cc":
-        return connected_components(
-            g, machine, impl="collective", faults=plan,
-            integrity=integrity, resilience=resilience,
-        )
-    return minimum_spanning_forest(
-        gw, machine, impl="collective", faults=plan,
-        integrity=integrity, resilience=resilience,
-    )
-
-
-def _run_iteration(task: "tuple[SoakConfig, int]") -> list:
-    """One soak iteration (all algos, protected + unprotected).
-
-    Module-level and fully determined by ``(config, i)`` so the fan-out
-    layer can run iterations in worker processes; returns the iteration's
-    records, from which the summary is derived afterwards.
-    """
-    from ..graph.generators import generate
-    from ..runtime.machine import hps_cluster
-
-    config, i = task
-    machine = hps_cluster(config.nodes, config.threads)
-    seed_i = config.seed + i
-    gw = generate("random", config.n, config.m, seed_i, weighted=True)
-    g = gw.with_weights(None)
-    plan = _compose_plan(config, seed_i, machine.total_threads)
-    resilience = None
-    if config.redundancy:
-        from ..resilience import RedundancyConfig
-
-        resilience = RedundancyConfig(mode=config.redundancy, spares=config.spares)
-    records = []
-    for algo in config.algos:
-        record = {"iteration": i, "algo": algo, "seed": seed_i}
-        try:
-            res = _solve(algo, g, gw, machine, plan, IntegrityConfig(), resilience)
-        except ReproError as err:
-            record["protected"] = {"failed": f"{type(err).__name__}: {err}"}
-        else:
-            record["protected"] = {
-                "wrong": _defect(algo, res, g, gw),
-                "sim_time_ms": res.info.sim_time_ms,
-                **_counters(res),
-            }
-        if config.unprotected:
-            try:
-                res = _solve(algo, g, gw, machine, plan, None)
-            except ReproError as err:
-                record["unprotected"] = {"error": f"{type(err).__name__}: {err}"}
-            else:
-                record["unprotected"] = {
-                    "wrong": _defect(algo, res, g, gw),
-                    "injected": _counters(res)["injected"],
-                }
-        records.append(record)
-    return records
-
-
-def _summarize(records: list) -> dict:
-    """Aggregate the CI contract's summary from the per-run records
-    (pure fold over the records, so it cannot depend on worker count)."""
-    summary = {
-        "runs": 0,
-        "protected_wrong": 0,
-        "protected_failed": 0,
-        "injected": 0,
-        "detected": 0,
-        "repairs": 0,
-        "node_losses": 0,
-        "epoch_changes": 0,
-        "blocks_reconstructed": 0,
-        "unprotected_runs": 0,
-        "unprotected_wrong_or_error": 0,
-    }
-    for record in records:
-        summary["runs"] += 1
-        prot = record["protected"]
-        if "failed" in prot:
-            summary["protected_failed"] += 1
-        else:
-            if prot["wrong"] is not None:
-                summary["protected_wrong"] += 1
-            summary["injected"] += prot["injected"]
-            summary["detected"] += prot["detected"]
-            summary["repairs"] += prot["repairs"]
-            summary["node_losses"] += prot.get("node_losses", 0)
-            summary["epoch_changes"] += prot.get("epoch_changes", 0)
-            summary["blocks_reconstructed"] += prot.get("blocks_reconstructed", 0)
-        unprot = record.get("unprotected")
-        if unprot is not None:
-            summary["unprotected_runs"] += 1
-            if "error" in unprot or unprot["wrong"] is not None:
-                summary["unprotected_wrong_or_error"] += 1
-    return summary
-
-
-def run_soak(config: SoakConfig, out_dir=None, write_json: bool = True, workers=None) -> dict:
-    """Run the soak campaign and return (and optionally write) the report.
-
-    The report's ``summary`` is the contract the CI job enforces:
-    ``protected_wrong`` and ``protected_failed`` must be zero — every
-    injected silent fault is either harmless or detected and repaired —
-    while ``unprotected_wrong_or_error`` documents what the same plans
-    do to an undefended run.
-
-    ``workers`` fans the (independent, seeded) iterations out across a
-    process pool (``None``/1 = serial, ``"auto"`` = one per CPU).  The
-    report is identical for any worker count except the ``wallclock``
-    block, which records how this campaign actually ran.
-    """
-    import time
-
-    from ..bench.harness import write_bench_json
-    from ..perf.fanout import fanout_map, resolve_workers
-
-    nworkers = resolve_workers(workers)
-    t0 = time.perf_counter()
-    per_iteration = fanout_map(
-        _run_iteration, [(config, i) for i in range(config.iterations)], workers=nworkers
-    )
-    seconds = time.perf_counter() - t0
-    records = [record for chunk in per_iteration for record in chunk]
-    report = {
-        "config": asdict(config),
-        "summary": _summarize(records),
-        "iterations": records,
-        "wallclock": {"workers": nworkers, "seconds": seconds},
-    }
-    if write_json:
-        report["path"] = str(write_bench_json("soak", report, directory=out_dir))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Chaos traffic through the service
-# ---------------------------------------------------------------------------
+__all__ = ["ServiceSoakConfig", "run_service_soak"]
 
 
 @dataclass(frozen=True)
 class ServiceSoakConfig:
     """Chaos campaign routed through the HTTP service.
 
-    Instead of calling the solvers directly, this leg submits
-    fault-laden jobs over the wire against a live
+    Submits fault-laden jobs over the wire against a live
     :class:`~repro.service.ServiceServer`, bursty enough to trip the
     per-tenant quota and the bounded queue, and (optionally) kills the
-    server mid-campaign to exercise journal recovery.  The contract it
-    enforces is the service's, one level above ``run_soak``'s: the
-    server never dies, never serves an unverified or wrong result, and
-    after the crash-restart every journaled job is accounted for.
+    server mid-campaign to exercise journal recovery.
     """
 
     jobs: int = 24

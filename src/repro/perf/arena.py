@@ -24,7 +24,7 @@ import numpy as np
 __all__ = ["BufferArena", "global_arena", "lease"]
 
 #: Buffers above this many bytes are not pooled — they would pin large
-#: allocations for the life of the process (soak campaigns run for
+#: allocations for the life of the process (the service runs for
 #: hours); the allocator handles rare huge requests fine.
 _MAX_POOLED_BYTES = 1 << 26  # 64 MiB
 #: Retained buffers per (dtype, size-class) bucket.  The collectives

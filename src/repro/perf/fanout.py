@@ -1,10 +1,10 @@
 """Deterministic process-pool fan-out for embarrassingly-parallel runs.
 
-Soak iterations, tuner probe solves, and benchmark scenario grids all
-share the same shape: a list of independent work items, each fully
-determined by its arguments (seeds included), whose results are
-aggregated afterwards.  :func:`fanout_map` runs such a list across a
-process pool while preserving the serial contract exactly:
+Tuner probe solves and benchmark scenario grids share the same shape:
+a list of independent work items, each fully determined by its
+arguments (seeds included), whose results are aggregated afterwards.
+:func:`fanout_map` runs such a list across a process pool while
+preserving the serial contract exactly:
 
 * **deterministic partitioning** — items are dispatched in list order
   and results are reassembled in list order
@@ -104,7 +104,7 @@ def fanout_map(
 
     Results come back in item order.  ``fn`` and every item must be
     picklable when ``workers > 1`` (module-level functions and plain
-    data — the soak/tuner workers are written that way).
+    data — the tuner and benchmark workers are written that way).
     """
     items = list(items)
     nworkers = resolve_workers(workers)

@@ -97,8 +97,8 @@ class Counters:
 #: ``Category.ALL``, which is also the reporting order).
 _CAT_INDEX = {c: i for i, c in enumerate(Category.ALL)}
 
-#: Default bound on retained free-form events.  Soak campaigns run the
-#: adapter's decision stream for hours; without a cap the list grows
+#: Default bound on retained free-form events.  A long-lived service runs
+#: the adapter's decision stream for hours; without a cap the list grows
 #: linearly with solve count.  Runtimes built with ``profile=True`` lift
 #: the cap (``event_cap = None``) for full fidelity.
 DEFAULT_EVENT_CAP = 256

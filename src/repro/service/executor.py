@@ -97,9 +97,10 @@ def validate_spec_impl(spec: JobSpec) -> None:
 
 
 def _protections(spec: JobSpec) -> dict:
-    """The protections a job asks for, as :meth:`AlgorithmSpec.require` takes them."""
+    """The fault classes and protections a job asks for, as
+    :meth:`AlgorithmSpec.require` takes them."""
     return {
-        "faults": spec.has_faults, "integrity": spec.integrity,
+        "faults": spec if spec.has_faults else None, "integrity": spec.integrity,
         "resilience": bool(spec.redundancy),
     }
 

@@ -173,6 +173,19 @@ class JobSpec:
             or self.payload_corruption or self.node_loss_at
         )
 
+    # The fault classes the job's plan will hold, under the names
+    # :class:`~repro.faults.FaultPlan` gives them, so the registry's
+    # capability gate reads a spec exactly as it reads a plan.
+    has_crashes = False  # no request field schedules a thread crash
+
+    @property
+    def has_node_loss(self) -> bool:
+        return self.node_loss_at > 0.0
+
+    @property
+    def has_corruption(self) -> bool:
+        return self.corruption > 0.0 or self.payload_corruption > 0.0
+
     def graph_fingerprint(self) -> str:
         """Input-identity key for graph and plan reuse across jobs."""
         return f"{self.kind}:n{self.n}:m{self.m}:s{self.seed}"

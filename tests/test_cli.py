@@ -192,18 +192,15 @@ class TestCommands:
             "listrank", "--n", "500", "--machine", "4x2", "--fault-corruption", "0.1",
         ]) == 2
 
-    def test_soak_runs_and_writes_report(self, capsys, tmp_path):
+    def test_node_loss_refused_by_an_impl_that_cannot_fire_it(self, capsys):
+        """``naive`` polls no barrier, so a node loss would be dropped
+        silently; the registry gate refuses it up front instead."""
         assert main([
-            "soak", "--iterations", "1", "--seed", "0", "--algo", "cc",
-            "--n", "512", "--out-dir", str(tmp_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "all protected runs verified" in out
-        assert (tmp_path / "BENCH_soak.json").exists()
-
-    def test_soak_rejects_bad_machine(self):
-        with pytest.raises(SystemExit):
-            main(["soak", "--machine", "smp"])
+            "cc", "--n", "1000", "--machine", "4x2", "--impl", "naive",
+            "--fault-node-loss", "1e-6",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node-loss injection is not supported for CC impl 'naive'")
 
 
 class TestFailurePaths:
@@ -321,7 +318,7 @@ class TestAnalyzeCli:
 
 
 class TestServiceCommands:
-    """``serve`` / ``loadtest`` / ``soak --service`` failure paths and
+    """``serve`` / ``loadtest`` / ``soak`` failure paths and
     exit codes (the happy paths are covered end-to-end in
     tests/test_service.py and the CI service-smoke job)."""
 
@@ -360,26 +357,6 @@ class TestServiceCommands:
         assert main(["loadtest", "--rates", "0", "--url", "http://127.0.0.1:1"]) == 2
         assert "positive" in capsys.readouterr().err
 
-    def test_soak_exit_4_on_unrepaired_wrong_result(self, capsys, monkeypatch, tmp_path):
-        """A soak whose protected runs produced a wrong or failed result
-        must exit 4 (the CI gate), not 0."""
-        import repro.integrity as integrity
-
-        def fake_run_soak(config, out_dir=None, workers=None, **kw):
-            return {
-                "summary": {
-                    "runs": 2, "protected_wrong": 1, "protected_failed": 0,
-                    "injected": 5, "detected": 4, "repairs": 4,
-                    "unprotected_runs": 0, "unprotected_wrong_or_error": 0,
-                },
-                "wallclock": {"seconds": 0.1, "workers": 1},
-                "path": str(tmp_path / "BENCH_soak.json"),
-            }
-
-        monkeypatch.setattr(integrity, "run_soak", fake_run_soak)
-        assert main(["soak", "--iterations", "1", "--out-dir", str(tmp_path)]) == 4
-        assert "did not survive" in capsys.readouterr().err
-
     def test_service_soak_exit_4_on_contract_violation(self, capsys, monkeypatch, tmp_path):
         import repro.integrity as integrity
 
@@ -395,7 +372,7 @@ class TestServiceCommands:
             }
 
         monkeypatch.setattr(integrity, "run_service_soak", fake_service_soak)
-        assert main(["soak", "--service", "--iterations", "3"]) == 4
+        assert main(["soak", "--iterations", "3"]) == 4
         assert "violation" in capsys.readouterr().err
 
     def test_tune_with_corrupt_cache_recovers(self, capsys, tmp_path, monkeypatch):

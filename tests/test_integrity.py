@@ -3,11 +3,10 @@
 Covers the corruption fields of the fault plan, the injector's flip
 machinery, the detection monitor (block digests, payload checksums,
 round invariants), end-to-end verify-and-repair for CC and MST, the
-zero-overhead guarantee, composition with the race detector, the soak
-harness, and the tree-wide lint gate.
+zero-overhead guarantee, composition with the race detector, and the
+tree-wide lint gate.  The composed campaigns the CI soak ran are pinned
+in ``tests/test_rounds.py``.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -20,12 +19,10 @@ from repro import (
     IntegrityConfig,
     IntegrityError,
     PGASRuntime,
-    SoakConfig,
     connected_components,
     hps_cluster,
     minimum_spanning_forest,
     random_graph,
-    run_soak,
     with_random_weights,
 )
 from repro.faults import FaultInjector, RoundCheckpointer
@@ -348,39 +345,3 @@ class TestRaceDetectorComposition:
                 gw, MACHINE, impl="collective", faults=plan, integrity=True, validate=True
             )
         assert not session.has_races
-
-
-class TestSoak:
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            SoakConfig(iterations=0)
-        with pytest.raises(ConfigError):
-            SoakConfig(algos=("cc", "dijkstra"))
-
-    def test_report_structure_and_json(self, tmp_path):
-        config = SoakConfig(iterations=1, seed=0, algos=("cc",), n=512, m=2_048)
-        report = run_soak(config, out_dir=tmp_path)
-        s = report["summary"]
-        assert s["runs"] == 1
-        assert s["protected_wrong"] == 0 and s["protected_failed"] == 0
-        assert s["detected"] == s["injected"]
-        assert s["unprotected_runs"] == 1
-        assert report["iterations"][0]["algo"] == "cc"
-        on_disk = json.loads((tmp_path / "BENCH_soak.json").read_text())
-        assert on_disk["summary"] == s
-        assert on_disk["config"]["n"] == 512
-
-    def test_composed_faults_survive(self, tmp_path):
-        # Silent + fail-stop classes together: the repair paths must not
-        # step on each other (crash replay vs digest resync vs retries).
-        config = SoakConfig(
-            iterations=1, seed=10, algos=("cc",), n=512, m=2_048,
-            corruption=2e-3, payload_corruption=1e-4, loss=1e-3,
-            stragglers=2, crashes=1,
-        )
-        report = run_soak(config, out_dir=tmp_path)
-        s = report["summary"]
-        assert s["protected_wrong"] == 0 and s["protected_failed"] == 0
-        record = report["iterations"][0]["protected"]
-        assert record["crashes"] == 1
-        assert record["retries"] > 0

@@ -2,8 +2,8 @@
 
 Covers the buffer arena, the derived-artifact memoization (including
 the standalone schedule/plan caches), the deterministic process fan-out,
-the Trace event cap, and end-to-end report determinism of the fanned-out
-soak campaign.  The bit-identity contract itself lives in
+and the Trace event cap.  End-to-end determinism of a fanned-out run is
+the planner's (``tests/test_tuning.py``).  The bit-identity contract itself lives in
 ``test_perf_golden.py``; this file tests the machinery.
 """
 
@@ -235,20 +235,3 @@ class TestTraceEventCap:
         snap = trace.category_seconds
         snap[Category.COMM] = 0.0
         assert trace.category_seconds[Category.COMM] == 1.5
-
-
-class TestSoakFanoutDeterminism:
-    def _report(self, workers):
-        from repro.integrity import SoakConfig, run_soak
-
-        config = SoakConfig(
-            iterations=2, seed=5, algos=("cc",), nodes=2, threads=2, n=192, m=768
-        )
-        report = run_soak(config, write_json=False, workers=workers)
-        report.pop("wallclock")
-        return report
-
-    def test_report_identical_for_any_worker_count(self):
-        serial = self._report(workers=1)
-        fanned = self._report(workers=2)
-        assert fanned == serial

@@ -6,11 +6,15 @@ Two halves:
   replays from the restored arrays and refs, integrity repairs are
   counted and give up loudly past their bound, a node loss moves the
   state onto the new runtime, and an unprotected run never checkpoints;
-* a hypothesis property drives the four checkpointing solvers through
-  seeded fault schedules (crash thread and time, lost node and time,
-  corruption rate, redundancy mode, spares) and demands the reference
-  answer or a loud ``FaultError`` — never a wrong one — with every
-  checkpoint restore accounted for by a crash, a repair or an epoch.
+* a hypothesis property drives every registered solver that takes
+  faults through seeded fault schedules (loss, stragglers, a crash, a
+  node loss, block and payload corruption) under every protection it
+  supports, and holds the one fault contract: the reference answer or a
+  loud error — never a wrong answer, never a dropped event — with every
+  checkpoint restore accounted for by a crash, a repair or an epoch;
+* three composed chaos campaigns are pinned as deterministic cases:
+  every protected solve verifies by certificate, detects every
+  corruption injected into it and fires every scheduled event.
 """
 
 from __future__ import annotations
@@ -34,18 +38,24 @@ from repro import (
     random_graph,
     with_random_weights,
 )
+from repro.algorithms import REGISTRY
 from repro.collectives import CollectiveContext
 from repro.errors import (
+    ConfigError,
     ConvergenceError,
     FaultError,
     IntegrityError,
     NodeLoss,
+    ReproError,
     ThreadCrash,
+    UnrecoverableLossError,
 )
 from repro.faults.rounds import run_rounds
+from repro.graph import generate
+from repro.graph.validation import check_connected_counts
 from repro.integrity import IntegrityConfig
 from repro.mst.verify import check_spanning_forest, msf_reference
-from repro.runtime import PGASRuntime, hps_cluster
+from repro.runtime import PGASRuntime, hps_cluster, smp_node
 from repro.runtime.partitioned import PartitionedArray
 from repro.runtime.trace import Category
 
@@ -177,7 +187,7 @@ class TestDriverArms:
             run_rounds(st, _scribble, name="fake", bound=3, refs=("part",))
 
 
-# -- the solvers under seeded fault schedules -----------------------------------
+# -- every solver that takes faults, under seeded fault schedules ---------------
 
 GRAPH = random_graph(384, 1536, seed=7)
 WEIGHTED = with_random_weights(GRAPH, seed=8)
@@ -193,55 +203,219 @@ def _component_labels(graph) -> np.ndarray:
 
 LABELS = _component_labels(GRAPH)
 
-#: The four checkpointing solvers, as (problem, impl).
-SOLVERS = [("cc", "collective"), ("cc", "lt-ps"), ("cc", "lt-rfa"), ("mst", "collective")]
+#: Every registered solver that takes a fault plan: a new ``register()``
+#: call is covered here with no test edit.
+FAULT_SPECS = [spec for spec in REGISTRY.values() if spec.supports_faults]
 
-#: Modeled solve times here are 2-5 ms: events drawn past the end of a
-#: solve never fire, which is part of the schedule space too.
+#: The solvers this property first covered keep their example budget;
+#: the rest take fewer, to bound tier-1 wall time.
+_EXAMPLES = {("cc", "collective"): 40, ("cc", "lt-ps"): 40, ("cc", "lt-rfa"): 40,
+             ("mst", "collective"): 40}
+
+#: Modeled solve times here are 0.06-11 ms (``naive``: 0.3-0.8 s): events
+#: drawn past the end of a solve never fire, which is part of the
+#: schedule space too.
 _times = st.integers(0, 40).map(lambda k: k * 1.0e-4)
 
-schedules = st.fixed_dictionaries({
-    "seed": st.integers(0, 2**16),
-    "crash_thread": st.integers(0, MACHINE.total_threads - 1),
-    "crash_at": _times,
-    "lost_node": st.integers(0, MACHINE.nodes - 1),
-    "loss_at": _times,
-    "corruption": st.sampled_from([0.0, 1.0, 5.0]),
-    "mode": st.sampled_from(["buddy", "parity"]),
-    "spares": st.integers(0, 1),
-})
+
+def _machine(spec):
+    # The single-node baselines refuse a cluster.
+    return smp_node(8) if spec.name == "smp" else MACHINE
 
 
-@pytest.mark.parametrize("problem,impl", SOLVERS, ids=[f"{p}-{i}" for p, i in SOLVERS])
-@settings(max_examples=40)
-@given(schedule=schedules)
-def test_recovery_is_exact_or_loud(problem, impl, schedule):
-    plan = FaultPlan(
+def _schedules(machine, protections):
+    """Seeded fault schedules, each with one of ``protections`` (the
+    ``(integrity, redundancy mode)`` pairs the solver supports).  Every
+    schedule may hold loss and stragglers, which every fault-taking
+    solver charges.  A solver that can protect itself always draws a
+    crash, a node loss and corruption too (each may come out empty); one
+    that cannot draws them for only half its schedules, so its own loss
+    path is exercised as often as its refusals."""
+    can_protect = len(protections) > 1
+    return st.fixed_dictionaries({
+        "seed": st.integers(0, 2**16),
+        "loss": st.sampled_from([0.0, 1e-3]),
+        "stragglers": st.dictionaries(
+            st.integers(0, machine.total_threads - 1), st.just(4.0), max_size=2
+        ),
+        "events": st.just(True) if can_protect else st.booleans(),
+        "crash": st.builds(
+            CrashEvent, thread=st.integers(0, machine.total_threads - 1), at_time=_times
+        ) | st.none(),
+        "node_loss": st.builds(
+            NodeLossEvent, node=st.integers(0, machine.nodes - 1), at_time=_times
+        ) | st.none(),
+        "corruption": st.sampled_from([1.0, 5.0, 0.0]),
+        "payload_corruption": st.sampled_from([1e-4, 0.0]),
+        "protection": st.sampled_from(protections),
+        "spares": st.integers(0, 1),
+    })
+
+
+def _plan(schedule) -> FaultPlan:
+    events = schedule["events"]
+    return FaultPlan(
         seed=schedule["seed"],
-        loss=1e-3,
-        corruption=schedule["corruption"],
-        payload_corruption=1e-4,
-        crashes=(CrashEvent(thread=schedule["crash_thread"], at_time=schedule["crash_at"]),),
-        node_losses=(NodeLossEvent(node=schedule["lost_node"], at_time=schedule["loss_at"]),),
+        loss=schedule["loss"],
+        stragglers=schedule["stragglers"],
+        crashes=(schedule["crash"],) if events and schedule["crash"] else (),
+        node_losses=(schedule["node_loss"],) if events and schedule["node_loss"] else (),
+        corruption=schedule["corruption"] if events else 0.0,
+        payload_corruption=schedule["payload_corruption"] if events else 0.0,
     )
-    resilience = RedundancyConfig(mode=schedule["mode"], group=2, spares=schedule["spares"])
-    try:
-        if problem == "cc":
-            res = connected_components(
-                GRAPH, MACHINE, impl=impl, faults=plan, integrity=True, resilience=resilience,
-            )
-            np.testing.assert_array_equal(res.labels, LABELS)
-        else:
-            res = minimum_spanning_forest(
-                WEIGHTED, MACHINE, impl=impl, faults=plan, integrity=True, resilience=resilience,
-            )
-            assert res.total_weight == FOREST_WEIGHT
-            check_spanning_forest(WEIGHTED, res.edge_ids)
-    except FaultError as err:
-        # Loud, and the driver's own verdict — never a recovery signal
-        # (crash, loss, corruption) escaping the replay machinery.
-        assert type(err) is FaultError, repr(err)
-        return
-    c = res.info.trace.counters
-    assert c.checkpoint_restores == c.crashes + c.repairs + c.epoch_changes
-    assert c.epoch_changes <= 1 and c.crashes <= 1
+
+
+def _check_answer(spec, res) -> None:
+    if spec.kind == "cc":
+        np.testing.assert_array_equal(res.labels, LABELS)
+    else:
+        assert res.total_weight == FOREST_WEIGHT
+        check_spanning_forest(WEIGHTED, res.edge_ids)
+
+
+@pytest.mark.parametrize("spec", FAULT_SPECS, ids=[f"{s.kind}-{s.name}" for s in FAULT_SPECS])
+def test_recovery_is_exact_or_loud(spec):
+    machine = _machine(spec)
+    solve, graph = (
+        (connected_components, GRAPH) if spec.kind == "cc" else (minimum_spanning_forest, WEIGHTED)
+    )
+    # The protections the solver supports, most protected first.
+    protections = [
+        (integrity, mode)
+        for integrity in (True, False) if spec.supports(integrity=integrity)
+        for mode in ("buddy", "parity", None) if spec.supports(resilience=mode is not None)
+    ]
+
+    @settings(max_examples=_EXAMPLES.get((spec.kind, spec.name), 15))
+    @given(schedule=_schedules(machine, protections))
+    def check(schedule):
+        plan = _plan(schedule)
+        protect, mode = schedule["protection"]
+        integrity = True if protect else None
+        resilience = (
+            RedundancyConfig(mode=mode, group=2, spares=schedule["spares"]) if mode else None
+        )
+        # A solver that can protect nothing does not solve under the round
+        # driver, so nothing there would fire a crash, a node loss or a
+        # flip: it must refuse them at the gate, before any solve.
+        refused = len(protections) == 1 and (
+            plan.has_crashes or plan.has_node_loss or plan.has_corruption
+        )
+        assert spec.supports(
+            faults=plan, integrity=integrity is not None, resilience=resilience is not None
+        ) is not refused
+        kwargs = dict(impl=spec.name, faults=plan, integrity=integrity, resilience=resilience)
+        if refused:
+            with pytest.raises(ConfigError, match="is not supported for"):
+                solve(graph, machine, **kwargs)
+            return
+        silent = plan.has_corruption and integrity is None
+        try:
+            res = solve(graph, machine, **kwargs)
+        except ReproError as err:
+            if silent:
+                return  # unprotected silent corruption: loud is all it owes
+            # Loud, and the driver's own verdict — never a recovery signal
+            # (ThreadCrash, NodeLoss, IntegrityError) escaping the replay
+            # machinery.  Without redundancy a node loss may not be
+            # survivable.
+            loud = (FaultError,) if resilience else (FaultError, UnrecoverableLossError)
+            assert type(err) in loud, repr(err)
+            return
+        if not silent:
+            _check_answer(spec, res)
+        c = res.info.trace.counters
+        assert c.checkpoint_restores == c.crashes + c.repairs + c.epoch_changes
+        assert c.epoch_changes <= 1 and c.crashes <= 1
+
+    check()
+
+
+# -- composed campaigns, pinned ------------------------------------------------
+
+#: Three composed chaos campaigns, pinned as deterministic cases.  Each
+#: solves CC and MST ``collective`` under integrity on the random graph of
+#: every seed, with the plan ``_campaign_plan`` composes: (nodes, threads),
+#: n (m = 4n), seeds, plan fields, redundancy mode, and the corruptions
+#: injected over the campaign.
+CAMPAIGNS = {
+    "stragglers-16x8": (
+        (16, 8), 2048, range(3), dict(stragglers=2, corruption=2e-3), None, 195,
+    ),
+    "crash-and-node-loss-4x2": (
+        (4, 2), 1024, range(3), dict(crash=True, node_loss=True, corruption=2e-3),
+        "buddy", 47,
+    ),
+    "corruption-4x2": ((4, 2), 512, range(1, 5), dict(corruption=2e-2), None, 38),
+}
+
+
+def _campaign_plan(
+    seed, machine, corruption, stragglers=0, crash=False, node_loss=False, loss=0.0,
+) -> FaultPlan:
+    """Block + payload corruption always; the fail-stop classes as asked,
+    stragglers (4x) drawn from their own seeded picker, the crash and the
+    node loss placed by ``seed``."""
+    slow = {}
+    if stragglers:
+        chosen = np.random.default_rng(seed).choice(
+            machine.total_threads, size=stragglers, replace=False
+        )
+        slow = {int(t): 4.0 for t in chosen}
+    return FaultPlan(
+        seed=seed,
+        loss=loss,
+        stragglers=slow,
+        crashes=(CrashEvent(thread=seed % machine.total_threads, at_time=2.0e-4),)
+        if crash else (),
+        node_losses=(NodeLossEvent(node=seed % machine.nodes, at_time=3.0e-4),)
+        if node_loss else (),
+        corruption=corruption,
+        payload_corruption=1.0e-4,
+    )
+
+
+def _protected_solves(machine, seed, n, plan, redundancy):
+    gw = generate("random", n, 4 * n, seed, weighted=True)
+    g = gw.with_weights(None)
+    resilience = RedundancyConfig(mode=redundancy) if redundancy else None
+    cc = connected_components(g, machine, faults=plan, integrity=True, resilience=resilience)
+    check_connected_counts(cc.labels, g)
+    mst = minimum_spanning_forest(
+        gw, machine, faults=plan, integrity=True, resilience=resilience
+    )
+    check_spanning_forest(gw, mst.edge_ids)
+    return cc, mst
+
+
+class TestCampaigns:
+    @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+    def test_protected_runs_verify_and_detect_every_flip(self, name):
+        shape, n, seeds, fields, redundancy, injected = CAMPAIGNS[name]
+        machine = hps_cluster(*shape)
+        total = 0
+        for seed in seeds:
+            plan = _campaign_plan(seed, machine, **fields)
+            for res in _protected_solves(machine, seed, n, plan, redundancy):
+                c = res.info.trace.counters
+                assert c.corruptions_detected == c.corruptions_injected
+                # Every scheduled fail-stop event fired.
+                assert (c.crashes, c.node_losses) == (len(plan.crashes), len(plan.node_losses))
+                total += c.corruptions_injected
+        assert total == injected
+
+    def test_composed_faults_survive(self):
+        # Silent + fail-stop classes together: the repair paths must not
+        # step on each other (crash replay vs digest resync vs retries).
+        machine = hps_cluster(16, 8)
+        plan = _campaign_plan(
+            10, machine, corruption=2e-3, stragglers=2, crash=True, loss=1e-3
+        )
+        gw = generate("random", 512, 2048, 10, weighted=True)
+        g = gw.with_weights(None)
+        res = connected_components(g, machine, faults=plan, integrity=True)
+        check_connected_counts(res.labels, g)
+        c = res.info.trace.counters
+        assert c.crashes == 1
+        assert c.retries > 0
+        assert c.corruptions_detected == c.corruptions_injected

@@ -522,6 +522,19 @@ class TestVariantField:
         with pytest.raises(UsageError, match="fault injection"):
             validate_spec_impl(spec)
 
+    def test_submit_refuses_fault_classes_the_impl_cannot_fire(self):
+        """Crash, node-loss and corruption events fire only under the round
+        driver: ``naive`` would drop them silently, so submit answers 400.
+        Loss is charged on every message, so ``naive`` still takes it."""
+        svc = _service()
+        base = {"algo": "cc", "impl": "naive", "n": 256, "machine": "4x2"}
+        for fault in ({"node_loss_at": 1e-6}, {"corruption": 5.0}):
+            status, body, _ = svc.submit({**base, **fault})
+            assert status == 400, body
+            assert "is not supported for CC impl 'naive'" in body["error"]
+        status, body, _ = svc.submit({**base, "loss": 0.01})
+        assert status == 202, body
+
     def test_integrity_supported_for_lt_variants(self):
         spec = JobSpec.from_payload({"algo": "cc", "variant": "lt-rf", "integrity": True})
         validate_spec_impl(spec)  # must not raise: LT owns a repair loop

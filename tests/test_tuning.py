@@ -217,11 +217,18 @@ class TestBuildPlan:
         (naive,) = [e for e in plan.entries if e.impl == "naive"]
         assert naive.opts_key == "base"
 
+    def test_plan_identical_for_any_worker_count(self):
+        """The probe solves fan out across processes; the plan must not
+        depend on how many (the ``--workers`` contract)."""
+        machine, workload = _small_setup()
+        assert build_plan(workload, machine, workers=2) == build_plan(
+            workload, machine, workers=1
+        )
+
 
 # ---------------------------------------------------------------------------
 # Plan cache
 # ---------------------------------------------------------------------------
-
 
 def _small_setup():
     machine = cluster_for_input(800, 4, 2)
