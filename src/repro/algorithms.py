@@ -8,8 +8,7 @@ registry.  An :class:`AlgorithmSpec` bundles what used to be scattered
 if/elif knowledge:
 
 * the solver entry point behind a uniform call signature;
-* capability flags (fault injection, recovery under the round driver,
-  the online adapter);
+* capability flags (fault injection, recovery under the round driver);
 * an optional :class:`TuningEntry`: with one, the :mod:`repro.tuning`
   planner searches the solver, and the entry's hints price it.
 
@@ -80,7 +79,6 @@ class AlgorithmSpec:
     #: barriers poll the injector: crash, node-loss and corruption
     #: events fire, and integrity and node-loss redundancy recover them.
     supports_recovery: bool = False
-    supports_adapter: bool = False
     tuning: Optional[TuningEntry] = None
 
     def __post_init__(self) -> None:
@@ -182,7 +180,6 @@ register(AlgorithmSpec(
         ),
     supports_faults=True,
     supports_recovery=True,
-    supports_adapter=True,
     tuning=TuningEntry(),
 ))
 
@@ -260,7 +257,8 @@ for _variant in ALL_VARIANTS:
         solve=_lt_solve(_variant),
         supports_faults=True,
         supports_recovery=True,
-        tuning=TuningEntry(
+        # The planner searches lt-rf as `collective`: the same solve.
+        tuning=None if _variant.name == "lt-rf" else TuningEntry(
             edge_collectives=_LT_EDGE_COLLECTIVES[_variant.connect]
             + (2.0 if _variant.alter else 0.0),
             jump_rounds=1.0 if _variant.shortcut == "partial" else 2.0,
@@ -284,7 +282,6 @@ register(AlgorithmSpec(
         ),
     supports_faults=True,
     supports_recovery=True,
-    supports_adapter=True,
     tuning=TuningEntry(),
 ))
 

@@ -130,8 +130,6 @@ EFFECTS: dict[str, Effect] = {
     "owner_indexed_write": _rt(charges=True),
     "phase_start": _rt(),
     "phase_end": _rt(),
-    "run_phase": _rt(),
-    "fork": _rt(),
     # -- repro.collectives -------------------------------------------------
     "getd": _coll(
         sync=True, charges=True, comm=True, faultable=True, taints=True, token="getd"

@@ -14,6 +14,10 @@ O(log n) grafting iterations however long the paths are —
 ``benchmarks/bench_related_bfs.py`` regenerates the comparison.
 """
 
-from .solvers import solve_bfs_collective, solve_bfs_naive_upc, solve_bfs_sequential
+from .solvers import (
+    BFS_IMPLS, solve_bfs, solve_bfs_collective, solve_bfs_naive_upc, solve_bfs_sequential,
+)
 
-__all__ = ["solve_bfs_collective", "solve_bfs_naive_upc", "solve_bfs_sequential"]
+__all__ = [
+    "BFS_IMPLS", "solve_bfs", "solve_bfs_collective", "solve_bfs_naive_upc", "solve_bfs_sequential",
+]

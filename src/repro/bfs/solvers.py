@@ -19,7 +19,7 @@ import numpy as np
 from ..collectives.setd import setd
 from ..core.optimizations import OptimizationFlags
 from ..core.results import SolveInfo
-from ..errors import GraphError
+from ..errors import ConfigError, GraphError
 from ..graph.csr import CSRAdjacency
 from ..graph.edgelist import EdgeList
 from ..runtime.machine import MachineConfig, hps_cluster, sequential_machine
@@ -28,10 +28,16 @@ from ..runtime.runtime import PGASRuntime
 from ..runtime.trace import Category
 from ..mst.collective import partition_by_owner
 
-__all__ = ["UNREACHED", "solve_bfs_collective", "solve_bfs_naive_upc", "solve_bfs_sequential"]
+__all__ = [
+    "BFS_IMPLS", "UNREACHED", "solve_bfs", "solve_bfs_collective", "solve_bfs_naive_upc",
+    "solve_bfs_sequential",
+]
 
 #: Distance assigned to vertices the source cannot reach.
 UNREACHED = np.int64(np.iinfo(np.int64).max)
+
+#: The selectable BFS impls (the CLI's ``--impl``, the service's ``impl``).
+BFS_IMPLS = ("collective", "naive", "sequential")
 
 
 def _check_source(graph: EdgeList, source: int) -> None:
@@ -160,3 +166,19 @@ def solve_bfs_sequential(
         dist[source] = 0
     info = SolveInfo(machine, "bfs-seq", rt.elapsed, time.perf_counter() - wall, 1, rt.trace)
     return dist, info
+
+
+def solve_bfs(
+    graph: EdgeList, source: int, machine: MachineConfig | None, impl: str,
+    opts: OptimizationFlags, tprime: int,
+) -> tuple[np.ndarray, SolveInfo]:
+    """Run the BFS impl named ``impl`` (one of :data:`BFS_IMPLS`); ``opts``
+    and ``tprime`` only steer ``collective``, ``sequential`` runs on its
+    own one-thread machine."""
+    if impl == "collective":
+        return solve_bfs_collective(graph, source, machine, opts, tprime)
+    if impl == "naive":
+        return solve_bfs_naive_upc(graph, source, machine)
+    if impl == "sequential":
+        return solve_bfs_sequential(graph, source)
+    raise ConfigError(f"unknown BFS impl {impl!r}; expected one of {BFS_IMPLS}")

@@ -7,6 +7,12 @@ the modification makes communication coalescing possible."  After the
 rewrite, all remote accesses occur inside ``O(log^2 n)`` collective
 calls, each incurring at most one message per thread pair.
 
+That round is the Liu–Tarjan lattice's ``lt-rf`` point (root-connect is
+Bader–Cong grafting), so :func:`solve_cc_collective` runs the lattice's
+round and shell (:mod:`repro.lt.solver`) with CC's own invariants,
+iteration bound and online adapter; this module keeps the pointer
+jumping the lattice and MST Borůvka share.
+
 All Section V optimizations are honored via :class:`OptimizationFlags`:
 ``compact`` filters settled edges at the top of each iteration (before
 the expensive root-check collectives), ``offload`` short-circuits
@@ -17,23 +23,16 @@ virtual-thread recursion level of Algorithm 1.
 
 from __future__ import annotations
 
-import time
-from types import SimpleNamespace
-
 import numpy as np
 
-from ..collectives.base import CollectiveContext
 from ..collectives.getd import getd
-from ..collectives.setd import setd
 from ..core.optimizations import OptimizationFlags
-from ..core.results import CCResult, SolveInfo
-from ..faults.rounds import run_rounds
-from ..graph.distribute import distribute_edges
+from ..core.results import CCResult
 from ..graph.edgelist import EdgeList
-from ..runtime.machine import MachineConfig, hps_cluster
+from ..runtime.machine import MachineConfig
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
-from .common import check_converged, graft_proposals, iteration_bound
+from .common import check_converged, iteration_bound
 
 __all__ = ["solve_cc_collective", "pointer_jump_to_stars", "pointer_jump_once"]
 
@@ -96,60 +95,6 @@ def _verify_grafting(st) -> None:
     st.rt.integrity.verify_cc_round(st.d)
 
 
-def _graft_round(st) -> bool:
-    """One grafting round; ``True`` once no label changed anywhere."""
-    rt, d, ctx = st.rt, st.d, st.ctx
-    opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
-    u_part, v_part = st.u_part, st.v_part
-    # Recomputed per round: the adapter may have flipped `offload`.
-    hot = 0 if opts.offload else None
-
-    # Round buffers are bound on `st` too, so that each lives until the
-    # next round replaces it (see run_rounds: heap trimming).
-    st.du = du = getd(rt, d, u_part, opts, ctx, "edges.u", tprime, sort_method, hot_value=hot)
-    st.dv = dv = getd(rt, d, v_part, opts, ctx, "edges.v", tprime, sort_method, hot_value=hot)
-
-    if opts.compact:
-        st.keep = keep = du != dv
-        rt.local_ops(u_part.sizes().astype(np.float64))
-        if not keep.all():
-            # One selection serves all four payloads of the mask.
-            sel = np.flatnonzero(keep)
-            u_part = u_part.take_sorted(sel)
-            v_part = u_part.with_data(v_part.data.take(sel))
-            st.du = du = du.take(sel)
-            st.dv = dv = dv.take(sel)
-            st.u_part, st.v_part = u_part, v_part
-            ctx.invalidate()
-
-    st.ddu = ddu = getd(
-        rt, d, u_part.with_data(du), opts, None, None, tprime, sort_method, hot_value=hot
-    )
-    st.ddv = ddv = getd(
-        rt, d, v_part.with_data(dv), opts, None, None, tprime, sort_method, hot_value=hot
-    )
-    rt.local_ops(6.0 * u_part.sizes().astype(np.float64))
-
-    st.graft = graft = graft_proposals(du, dv, ddu, ddv)
-    st.targets = targets = u_part.take_sorted(graft.sel).with_data(graft.targets)
-    changed = setd(
-        rt, d, targets, graft.values, opts, ctx=None, cache_key=None,
-        tprime=tprime, sort_method=sort_method,
-        drop_hot=True, hot_index=0,
-    )
-    pointer_jump_to_stars(rt, d, opts, tprime, sort_method)
-
-    done = not rt.allreduce_flag(np.full(rt.s, changed > 0))
-    if st.adapter is not None and not done:
-        new_opts, st.tprime = st.adapter.on_round(opts, tprime)
-        if new_opts.compact != opts.compact:
-            # compact changes which requests exist; the id cache
-            # must not serve buffers for the old request lists.
-            ctx.invalidate()
-        st.opts = new_opts
-    return done
-
-
 def solve_cc_collective(
     graph: EdgeList,
     machine: MachineConfig | None = None,
@@ -161,10 +106,9 @@ def solve_cc_collective(
     integrity=None,
     resilience=None,
 ) -> CCResult:
-    """Connected components via GetD/SetD collectives.
-
-    Produces the same labels as every other implementation in this
-    package (snapshot grafting, min adjudication).
+    """Connected components via GetD/SetD collectives: the ``lt-rf``
+    round, checked by :meth:`~repro.integrity.monitor.IntegrityMonitor.
+    verify_cc_round` under integrity.
 
     ``faults``, ``integrity`` and ``resilience`` (a
     :class:`~repro.faults.FaultPlan`, an
@@ -183,35 +127,12 @@ def solve_cc_collective(
     only — labels are identical with or without it).  Profiling is
     forced on so the adapter has phase records to read.
     """
-    machine = machine if machine is not None else hps_cluster()
-    wall_start = time.perf_counter()
-    rt = PGASRuntime(
-        machine,
-        profile=adapter is not None,
-        faults=faults,
-        integrity=integrity,
-        resilience=resilience,
-    )
-    n = graph.n
-    if n == 0:
-        info = SolveInfo(machine, "cc-collective", 0.0, time.perf_counter() - wall_start, 0, rt.trace)
-        return CCResult(np.empty(0, dtype=np.int64), info)
+    # repro.lt builds on this module's pointer jumping, so it imports late.
+    from ..lt.solver import solve_lattice
 
-    ep = distribute_edges(graph, rt.s)
-    d = rt.shared_array(np.arange(n, dtype=np.int64), name="cc.d")
-    rt.protect_array(d)
-    if rt.resilience is not None:
-        rt.resilience.enroll(d)
-    st = SimpleNamespace(
-        rt=rt, d=d, ctx=CollectiveContext(), u_part=ep.u, v_part=ep.v,
-        opts=opts, tprime=tprime, sort_method=sort_method, adapter=adapter,
+    return solve_lattice(
+        graph, machine, opts, tprime, sort_method, "lt-rf",
+        name="cc-collective", array="cc.d", bound=iteration_bound(graph.n),
+        verify=_verify_grafting, faults=faults, adapter=adapter,
+        integrity=integrity, resilience=resilience,
     )
-    iterations = run_rounds(
-        st, _graft_round, name="cc-collective", bound=iteration_bound(n),
-        refs=("u_part", "v_part"), verify=_verify_grafting, adapter=adapter,
-    )
-    rt = st.rt
-    info = SolveInfo(
-        rt.machine, "cc-collective", rt.elapsed, time.perf_counter() - wall_start, iterations, rt.trace
-    )
-    return CCResult(st.d.data.copy(), info)

@@ -38,6 +38,8 @@ import sys
 from typing import Sequence
 
 from .bench.report import banner, format_kv, format_table
+from .bfs import BFS_IMPLS, solve_bfs
+from .bfs.solvers import UNREACHED
 from .core import (
     CC_IMPLS,
     MST_IMPLS,
@@ -329,20 +331,12 @@ def _cmd_listrank(args: argparse.Namespace) -> int:
 
 
 def _cmd_bfs(args: argparse.Namespace) -> int:
-    from .bfs import solve_bfs_collective, solve_bfs_naive_upc, solve_bfs_sequential
-    from .bfs.solvers import UNREACHED
-
     _reject_fault_flags(args, "bfs")
     g = _build_graph(args, weighted=False)
     machine = _machine(args)
     print(banner(f"BFS from {args.source} — {args.kind} n={g.n:,} m={g.m:,}"))
     with _maybe_analyzed(args) as session:
-        if args.impl == "collective":
-            dist, info = solve_bfs_collective(g, args.source, machine, args.opts, args.tprime)
-        elif args.impl == "naive":
-            dist, info = solve_bfs_naive_upc(g, args.source, machine)
-        else:
-            dist, info = solve_bfs_sequential(g, args.source)
+        dist, info = solve_bfs(g, args.source, machine, args.impl, args.opts, args.tprime)
     reached = dist != UNREACHED
     print(f"\nreached {int(reached.sum()):,}/{g.n:,} vertices;"
           f" eccentricity {int(dist[reached].max())}; levels {info.iterations}")
@@ -621,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bfs = sub.add_parser("bfs", help="breadth-first search")
     _add_common(p_bfs)
-    p_bfs.add_argument("--impl", choices=("collective", "naive", "sequential"), default="collective")
+    p_bfs.add_argument("--impl", choices=BFS_IMPLS, default="collective")
     p_bfs.add_argument("--source", type=int, default=0)
     p_bfs.set_defaults(func=_cmd_bfs)
 

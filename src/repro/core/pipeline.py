@@ -109,7 +109,7 @@ def _dispatch(
     )
     return spec.solve(
         graph, machine, opts, tprime, sort_method,
-        faults, adapter if spec.supports_adapter else None, integrity, resilience,
+        faults, adapter, integrity, resilience,
     )
 
 

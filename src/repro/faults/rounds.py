@@ -32,6 +32,7 @@ def run_rounds(
     refs: Sequence[str],
     verify: Optional[Hook] = None,
     replay: Optional[Hook] = None,
+    final: Optional[Hook] = None,
     rebuild: Optional[Hook] = None,
     adapter=None,
 ) -> int:
@@ -43,7 +44,9 @@ def run_rounds(
     reference (values the step rebinds but never mutates).  A round is
     ``verify(st)`` (under integrity protection only, before the save, so
     a checkpoint only ever holds invariant-clean state), the save, the
-    redundancy commit, then ``step(st)``.  After a node loss ``st.rt``
+    redundancy commit, then ``step(st)``; under integrity, ``final(st)``
+    checks the last round's result before it is returned, so a failure
+    there is repaired like any other.  After a node loss ``st.rt``
     and ``st.d`` move to the new runtime and ``rebuild(st)`` re-allocates
     per-round scratch there; after any fault the checkpointed state is
     rebound, ``ctx``'s id cache is dropped, ``replay(st)`` runs, and the
@@ -91,6 +94,8 @@ def run_rounds(
                 rt.resilience.commit_round()
             rt.counters.add(iterations=1)
             if step(st):
+                if final is not None and rt.integrity is not None:
+                    final(st)
                 return iteration
             continue
         except NodeLoss as loss:

@@ -1,10 +1,10 @@
 """Phase-composed collective solver for the Liu–Tarjan lattice.
 
-Every variant is the same round skeleton with the three phases swapped
-in — connect, shortcut, optional alter — all built from the GetD/SetD
-collectives, so each point of the lattice inherits communication
-coalescing, the cost model, the race detector, fault injection, and the
-integrity machinery without variant-specific code:
+Every variant is the same round, :func:`_lattice_round`, with the three
+phases swapped in — connect, shortcut, optional alter — all built from
+the GetD/SetD collectives, so each point of the lattice inherits
+communication coalescing, the cost model, the race detector, fault
+injection, and the integrity machinery without variant-specific code:
 
 1. **Connect** — fetch the round-top labels of both endpoints, compute
    the variant's proposal set from that snapshot, and apply it with one
@@ -34,6 +34,10 @@ membership.  The round-top invariants
 (:meth:`~repro.integrity.monitor.IntegrityMonitor.verify_lt_round`) run
 before the save so checkpoints only ever hold invariant-clean state; the
 restored labels become the next round's monotonicity baseline.
+
+The paper's CC is the ``lt-rf`` point: :func:`~repro.cc.collective.
+solve_cc_collective` runs it through :func:`solve_lattice` too, handing
+in its own name, iteration bound, integrity hook and the online adapter.
 """
 
 from __future__ import annotations
@@ -129,6 +133,11 @@ def _verify_lattice(st) -> None:
     st.prev = st.rt.owner_block_read(st.d)
 
 
+def _verify_stars(st) -> None:
+    """Termination contract: the forest must have collapsed to stars."""
+    st.rt.integrity.verify_lt_round(st.d, prev=st.prev, final=True)
+
+
 def _restored_baseline(st) -> None:
     """The restored round-top state is the new monotonicity baseline."""
     st.prev = st.d.data.copy()
@@ -139,6 +148,7 @@ def _lattice_round(st) -> bool:
     rt, d, ctx, variant = st.rt, st.d, st.ctx, st.variant
     opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
     u_part, v_part = st.u_part, st.v_part
+    # Recomputed per round: the adapter may have flipped `offload`.
     hot = 0 if opts.offload else None
 
     # -- connect phase --------------------------------------------
@@ -193,12 +203,76 @@ def _lattice_round(st) -> bool:
     st.u_part, st.v_part = u_part, v_part
 
     done = not rt.allreduce_flag(np.full(rt.s, changed + moved > 0))
-    if done and rt.integrity is not None:
-        # Termination contract: the forest must have collapsed to
-        # stars.  Checked inside the recovery scope so a failure
-        # restores and replays like any other detected corruption.
-        rt.integrity.verify_lt_round(d, prev=st.prev, final=True)
+    if st.adapter is not None and not done:
+        new_opts, st.tprime = st.adapter.on_round(opts, tprime)
+        if new_opts.compact != opts.compact:
+            # compact changes which requests exist; the id cache
+            # must not serve buffers for the old request lists.
+            ctx.invalidate()
+        st.opts = new_opts
     return done
+
+
+def solve_lattice(
+    graph: EdgeList,
+    machine: MachineConfig | None,
+    opts: OptimizationFlags,
+    tprime: int,
+    sort_method: str,
+    variant: "LTVariant | str",
+    *,
+    name: str,
+    array: str,
+    bound: int,
+    verify,
+    replay=None,
+    final=None,
+    faults=None,
+    adapter=None,
+    integrity=None,
+    resilience=None,
+) -> CCResult:
+    """The solve shell of every lattice point: runtime, label array
+    ``array``, edge partitions, then :func:`_lattice_round` under
+    :func:`~repro.faults.rounds.run_rounds` with ``name``, ``bound`` and
+    the integrity hooks ``verify``/``replay``/``final``.  ``adapter``
+    revises ``opts``/``tprime`` after each round; profiling is forced on
+    so it has phase records to read."""
+    variant = parse_variant(variant)
+    machine = machine if machine is not None else hps_cluster()
+    wall_start = time.perf_counter()
+    rt = PGASRuntime(
+        machine,
+        profile=adapter is not None,
+        faults=faults,
+        integrity=integrity,
+        resilience=resilience,
+    )
+    n = graph.n
+    if n == 0:
+        info = SolveInfo(machine, name, 0.0, time.perf_counter() - wall_start, 0, rt.trace)
+        return CCResult(np.empty(0, dtype=np.int64), info)
+
+    ep = distribute_edges(graph, rt.s)
+    d = rt.shared_array(np.arange(n, dtype=np.int64), name=array)
+    rt.protect_array(d)
+    if rt.resilience is not None:
+        rt.resilience.enroll(d)
+    # ``prev`` holds the last verified round-top labels: the monotonicity
+    # baseline of the next round's invariants.
+    st = SimpleNamespace(
+        rt=rt, d=d, ctx=CollectiveContext(), u_part=ep.u, v_part=ep.v, prev=None,
+        opts=opts, tprime=tprime, sort_method=sort_method, variant=variant, adapter=adapter,
+    )
+    iterations = run_rounds(
+        st, _lattice_round, name=name, bound=bound, refs=("u_part", "v_part"),
+        verify=verify, replay=replay, final=final, adapter=adapter,
+    )
+    rt = st.rt
+    info = SolveInfo(
+        rt.machine, name, rt.elapsed, time.perf_counter() - wall_start, iterations, rt.trace
+    )
+    return CCResult(st.d.data.copy(), info)
 
 
 def solve_cc_lt(
@@ -221,32 +295,10 @@ def solve_cc_lt(
     variant runs its rounds under :func:`~repro.faults.rounds.run_rounds`.
     """
     variant = parse_variant(variant)
-    machine = machine if machine is not None else hps_cluster()
-    wall_start = time.perf_counter()
-    rt = PGASRuntime(machine, faults=faults, integrity=integrity, resilience=resilience)
-    n = graph.n
-    impl_name = f"cc-{variant.name}"
-    if n == 0:
-        info = SolveInfo(machine, impl_name, 0.0, time.perf_counter() - wall_start, 0, rt.trace)
-        return CCResult(np.empty(0, dtype=np.int64), info)
-
-    ep = distribute_edges(graph, rt.s)
-    d = rt.shared_array(np.arange(n, dtype=np.int64), name=f"lt.{variant.name}.d")
-    rt.protect_array(d)
-    if rt.resilience is not None:
-        rt.resilience.enroll(d)
-    # ``prev`` holds the last verified round-top labels: the monotonicity
-    # baseline of the next round's invariants.
-    st = SimpleNamespace(
-        rt=rt, d=d, ctx=CollectiveContext(), u_part=ep.u, v_part=ep.v, prev=None,
-        opts=opts, tprime=tprime, sort_method=sort_method, variant=variant,
+    return solve_lattice(
+        graph, machine, opts, tprime, sort_method, variant,
+        name=f"cc-{variant.name}", array=f"lt.{variant.name}.d",
+        bound=lt_iteration_bound(graph.n),
+        verify=_verify_lattice, replay=_restored_baseline, final=_verify_stars,
+        faults=faults, integrity=integrity, resilience=resilience,
     )
-    iterations = run_rounds(
-        st, _lattice_round, name=impl_name, bound=lt_iteration_bound(n),
-        refs=("u_part", "v_part"), verify=_verify_lattice, replay=_restored_baseline,
-    )
-    rt = st.rt
-    info = SolveInfo(
-        rt.machine, impl_name, rt.elapsed, time.perf_counter() - wall_start, iterations, rt.trace
-    )
-    return CCResult(st.d.data.copy(), info)

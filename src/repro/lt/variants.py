@@ -14,7 +14,7 @@ computed from the round-top label snapshot and min-adjudicated):
 ``root`` (``r``)
     Directed-root-connect: propose only when the larger side's label is
     a root (``D[dv] == dv``) — exactly the Bader–Cong grafting condition
-    the paper's CC solver uses (:func:`repro.cc.common.graft_proposals`).
+    of the paper's CC (:func:`repro.cc.common.graft_proposals`).
 
 Shortcut axis:
 
@@ -30,10 +30,14 @@ labels of labels, which concentrates traffic on low vertex ids (the
 hotspot the ``offload`` optimization defuses).
 
 Names follow the grammar ``lt-{c}{s}[a]`` with ``c`` in ``{p, e, r}``
-and ``s`` in ``{s, f}`` — e.g. ``lt-rf`` is directed-root-connect +
-full shortcut (closest to the paper's CC), ``lt-psa`` is parent-connect
-+ partial shortcut + alter (closest to Liu–Tarjan's headline simple
-algorithm).  Twelve variants total.
+and ``s`` in ``{s, f}`` — e.g. ``lt-psa`` is parent-connect + partial
+shortcut + alter (closest to Liu–Tarjan's headline simple algorithm).
+Twelve variants total.
+
+``lt-rf``, directed-root-connect + full shortcut, *is* the paper's
+optimized CC: :func:`~repro.cc.collective.solve_cc_collective` runs
+this lattice point, adding only CC's own round invariants and the
+online adapter.
 """
 
 from __future__ import annotations

@@ -615,14 +615,3 @@ class PGASRuntime:
             self.integrity.note_write(arr, indices)
         if self.resilience is not None:
             self.resilience.mark_write(arr, indices)
-
-    # -- structured helpers -----------------------------------------------------
-
-    def run_phase(self, name: str, fn: Callable[[], None]) -> None:
-        """Run a named sub-phase (placeholder hook for tracing tools)."""
-        fn()
-
-    def fork(self) -> "PGASRuntime":
-        """A fresh runtime on the same machine (independent clocks/trace);
-        used by benchmarks that time sub-algorithms in isolation."""
-        return PGASRuntime(self.machine)

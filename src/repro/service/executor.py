@@ -73,6 +73,7 @@ def validate_spec_impl(spec: JobSpec) -> None:
     :mod:`repro.algorithms` registry — a newly registered variant is
     accepted here with zero service changes."""
     from ..algorithms import get_algorithm, lt_variant_names
+    from ..bfs import BFS_IMPLS
     from ..core import CC_IMPLS, MST_IMPLS
 
     if spec.variant is not None and spec.variant not in lt_variant_names():
@@ -80,7 +81,7 @@ def validate_spec_impl(spec: JobSpec) -> None:
             f"field 'variant' must be one of {lt_variant_names()}: got {spec.variant!r}"
         )
     impl = spec.effective_impl
-    table = {"cc": CC_IMPLS, "mst": MST_IMPLS, "bfs": ("collective", "naive", "sequential")}
+    table = {"cc": CC_IMPLS, "mst": MST_IMPLS, "bfs": BFS_IMPLS}
     allowed = table[spec.algo]
     if impl not in allowed:
         raise UsageError(
@@ -393,16 +394,9 @@ class JobExecutor:
             )
             answer = {"num_edges": res.num_edges, "total_weight": int(res.total_weight)}
         else:
-            from ..bfs import solve_bfs_collective, solve_bfs_naive_upc, solve_bfs_sequential
-            from ..bfs.solvers import UNREACHED
+            from ..bfs.solvers import UNREACHED, solve_bfs
 
-            source = spec.source % spec.n
-            if impl == "collective":
-                dist, info = solve_bfs_collective(g, source, machine, opts, tprime)
-            elif impl == "naive":
-                dist, info = solve_bfs_naive_upc(g, source, machine)
-            else:
-                dist, info = solve_bfs_sequential(g, source)
+            dist, info = solve_bfs(g, spec.source % spec.n, machine, impl, opts, tprime)
             reached = dist != UNREACHED
             answer = {"reached": int(reached.sum()), "levels": int(info.iterations)}
             res = None

@@ -15,6 +15,8 @@ import pytest
 
 import repro
 from repro import (
+    NodeLossEvent,
+    RedundancyConfig,
     connected_components,
     hps_cluster,
     hybrid_graph,
@@ -28,10 +30,11 @@ from repro.algorithms import (
     lt_variant_names,
     register,
 )
-from repro.core import CC_IMPLS
+from repro.cc.collective import solve_cc_collective
+from repro.core import CC_IMPLS, OptimizationFlags
 from repro.errors import ConfigError
 from repro.faults import CrashEvent, FaultPlan
-from repro.graph import EdgeList, grid_graph, path_graph
+from repro.graph import EdgeList, generate, grid_graph, path_graph
 from repro.lt import (
     ALL_VARIANTS,
     LT_VARIANT_NAMES,
@@ -232,3 +235,46 @@ class TestRegistry:
             base = predict_config_ms(w, MACHINE, "collective", OptimizationFlags.all(), tp)
             for name in LT_VARIANT_NAMES:
                 assert predict_config_ms(w, MACHINE, name, OptimizationFlags.all(), tp) >= base
+
+
+class TestCollectiveIsRootFull:
+    """The paper's CC (``collective``) is the lattice's root/full point:
+    same labels, rounds, counters and modeled time as ``lt-rf``, with and
+    without faults, as long as no integrity monitor checks either one's
+    own invariants."""
+
+    @staticmethod
+    def _same(graph, machine, **kw):
+        cc = solve_cc_collective(graph, machine, **kw)
+        lt = solve_cc_lt(graph, machine, variant="lt-rf", **kw)
+        assert np.array_equal(cc.labels, lt.labels)
+        assert cc.info.iterations == lt.info.iterations
+        assert cc.info.trace.counters.as_dict() == lt.info.trace.counters.as_dict()
+        assert cc.info.sim_time.hex() == lt.info.sim_time.hex()
+        return cc.info.trace.counters
+
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 8), (8, 1)])
+    @pytest.mark.parametrize("family", ["random", "hybrid", "powerlaw"])
+    def test_fault_free_grid(self, family, shape):
+        graph = generate(family, 300, 900, seed=3)
+        machine = hps_cluster(*shape)
+        for opts in (OptimizationFlags.all(), OptimizationFlags.none()):
+            for tprime in (1, 2):
+                self._same(graph, machine, opts=opts, tprime=tprime)
+
+    def test_fault_plans(self):
+        graph = random_graph(400, 1200, seed=4)
+        machine = hps_cluster(4, 2)
+        assert self._same(graph, machine, faults=FaultPlan(seed=1, loss=1e-2)).retries > 0
+        self._same(graph, machine, faults=FaultPlan(seed=2, stragglers={1: 4.0, 6: 2.0}))
+        crashed = self._same(
+            graph, machine,
+            faults=FaultPlan(seed=3, crashes=(CrashEvent(thread=5, at_time=2e-4),)),
+        )
+        assert crashed.crashes == crashed.checkpoint_restores == 1
+        lost = self._same(
+            graph, machine,
+            faults=FaultPlan(seed=4, node_losses=(NodeLossEvent(node=1, at_time=3e-4),)),
+            resilience=RedundancyConfig(mode="buddy"),
+        )
+        assert lost.node_losses == lost.epoch_changes == 1

@@ -162,9 +162,3 @@ class TestSplitLocalRemote:
         local, remote = rt.split_local_remote(arr, idx)
         assert local.tolist() == [1, 0, 0, 1]
         assert remote.tolist() == [0, 1, 1, 0]
-
-    def test_fork_is_fresh(self, rt):
-        rt.charge(Category.WORK, 1.0)
-        fresh = rt.fork()
-        assert fresh.elapsed == 0.0
-        assert fresh.machine is rt.machine
