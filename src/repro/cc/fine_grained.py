@@ -29,6 +29,7 @@ from ..graph.edgelist import EdgeList
 from ..runtime.machine import MachineConfig
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
+from ..runtime.shared_array import id_dtype
 from ..runtime.trace import Category
 from .common import check_converged, graft_proposals
 
@@ -98,7 +99,7 @@ def solve_cc_fine_grained(
     rt = PGASRuntime(machine, faults=faults)
     n = graph.n
     ep = distribute_edges(graph, rt.s)
-    d = rt.shared_array(np.arange(n, dtype=np.int64)) if n else None
+    d = rt.shared_array(np.arange(n, dtype=id_dtype(n))) if n else None
     if n == 0:
         info = SolveInfo(machine, f"cc-{style}", 0.0, time.perf_counter() - wall_start, 0, rt.trace)
         return CCResult(np.empty(0, dtype=np.int64), info)
@@ -155,7 +156,7 @@ def solve_cc_fine_grained(
         if changed == 0:
             break
 
-    labels = d.data.copy()
+    labels = d.data.astype(np.int64)
     info = SolveInfo(
         machine,
         f"cc-{style}",

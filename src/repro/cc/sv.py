@@ -43,6 +43,7 @@ from ..graph.edgelist import EdgeList
 from ..runtime.machine import MachineConfig, hps_cluster
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
+from ..runtime.shared_array import id_dtype
 from .common import check_converged, graft_proposals
 
 __all__ = ["solve_cc_sv"]
@@ -66,7 +67,7 @@ def solve_cc_sv(
 
     ep = distribute_edges(graph, rt.s)
     u_part, v_part = ep.u, ep.v
-    d = rt.shared_array(np.arange(n, dtype=np.int64))
+    d = rt.shared_array(np.arange(n, dtype=id_dtype(n)))
     star = rt.shared_array(np.ones(n, dtype=np.int64))
     ch = rt.shared_array(np.zeros(n, dtype=np.int64))
     stag = rt.shared_array(np.zeros(n, dtype=np.int64))
@@ -169,7 +170,7 @@ def solve_cc_sv(
         if not rt.allreduce_flag(np.full(rt.s, total_changed > 0)):
             break
 
-    labels = d.data.copy()
+    labels = d.data.astype(np.int64)
     info = SolveInfo(
         machine, "cc-sv", rt.elapsed, time.perf_counter() - wall_start, iteration, rt.trace
     )

@@ -96,7 +96,7 @@ def check_requests(rt: PGASRuntime, array: SharedArray, indices: PartitionedArra
         raise CollectiveError(
             f"request partition has {indices.parts} parts but the machine has {rt.s} threads"
         )
-    if out_of_range(np.asarray(indices.data, dtype=np.int64), array.size):
+    if out_of_range(indices.data, array.size):
         raise CollectiveError(f"request index out of range [0, {array.size})")
 
 

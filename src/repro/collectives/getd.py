@@ -199,10 +199,9 @@ def owner_distinct_counts(array: SharedArray, indices: np.ndarray, s: int) -> np
     """Distinct requested elements per owning thread (for the cold-miss
     serve bound): the owner's serve loop touches each distinct element
     once; duplicated requests for component roots hit its cache."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
+    if indices.size == 0:
         return np.zeros(s, dtype=np.int64)
-    return kernels.active_backend().owner_distinct(idx, array.size, array.block, s)
+    return kernels.active_backend().owner_distinct(indices, array.size, array.block, s)
 
 
 def charge_shared_memory_serve(

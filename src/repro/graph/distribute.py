@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import DistributionError
 from ..runtime.partitioned import PartitionedArray, even_offsets
+from ..runtime.shared_array import id_dtype
 from .edgelist import EdgeList
 
 __all__ = ["EdgePartition", "distribute_edges"]
@@ -64,8 +65,9 @@ class EdgePartition:
 
     def edge_ids(self) -> PartitionedArray:
         """Global edge indices, partitioned identically (used by MST to
-        report which input edges are in the forest)."""
-        return self.u.with_data(np.arange(self.m, dtype=np.int64))
+        report which input edges are in the forest), stored at the id
+        width of ``m``."""
+        return self.u.with_data(np.arange(self.m, dtype=id_dtype(self.m)))
 
     def to_edgelist(self) -> EdgeList:
         w = self.w.data if self.w is not None else None

@@ -2,8 +2,10 @@
 
 The paper's algorithms take an edge list as input ("CC takes an edge list
 as input"); this module provides the container used across the library:
-parallel ``u``/``v`` arrays of int64 endpoints, an optional int64 weight
-array for MST, and the vertex count ``n``.
+parallel ``u``/``v`` endpoint arrays stored at the id width of ``n``
+(int32 below ``2**31`` vertices, see :func:`~repro.runtime.shared_array.
+id_dtype`), an optional int64 weight array for MST, and the vertex count
+``n``.
 
 The container is deliberately array-oriented (no per-edge objects): the
 simulated SPMD implementations operate on NumPy slices of it directly.
@@ -17,12 +19,19 @@ from typing import TYPE_CHECKING, Iterator, Tuple
 import numpy as np
 
 from ..errors import GraphError
+from ..runtime.shared_array import id_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
     from scipy import sparse
 
 __all__ = ["EdgeList"]
+
+
+def _integer_ids(a) -> np.ndarray:
+    """``a`` as an integer array, int64 unless it already is one."""
+    a = np.asarray(a)
+    return a if a.dtype.kind in "iu" else a.astype(np.int64)
 
 
 @dataclass
@@ -34,7 +43,8 @@ class EdgeList:
     n:
         Number of vertices; ids are ``0 .. n-1``.
     u, v:
-        Endpoint arrays (int64, same length ``m``).
+        Endpoint arrays (same length ``m``), stored as ``id_dtype(n)``:
+        int32 while ``n < 2**31``, else int64.
     w:
         Optional edge weights (int64, same length), present for MST
         inputs.  The paper draws weights "randomly chosen between 0 and
@@ -47,11 +57,16 @@ class EdgeList:
     w: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.u = np.ascontiguousarray(self.u, dtype=np.int64)
-        self.v = np.ascontiguousarray(self.v, dtype=np.int64)
+        # Range-check at the input's own width, then narrow: a cast first
+        # could wrap an out-of-range endpoint into [0, n).
+        self.u = _integer_ids(self.u)
+        self.v = _integer_ids(self.v)
         if self.w is not None:
             self.w = np.ascontiguousarray(self.w, dtype=np.int64)
         self.validate()
+        ids = id_dtype(self.n)
+        self.u = np.ascontiguousarray(self.u, dtype=ids)
+        self.v = np.ascontiguousarray(self.v, dtype=ids)
 
     # -- invariants -----------------------------------------------------------
 

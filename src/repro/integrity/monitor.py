@@ -106,8 +106,9 @@ class IntegrityMonitor:
                 idx = np.flatnonzero(idx)
             if idx.size == 0:
                 return
-            shadow[idx] = arr.data[idx]
-            written = np.bincount(arr.owner_thread(idx), minlength=self.rt.s)
+            with arena.lease_intp(idx) as idx:
+                shadow[idx] = arr.data[idx]
+                written = np.bincount(arr.owner_thread(idx), minlength=self.rt.s)
         self._charge_digest(written, arr.nbytes_per_elem)
 
     def resync(self, arr) -> None:

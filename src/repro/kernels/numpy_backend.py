@@ -36,27 +36,27 @@ class NumpyKernels:
         and the minimum value proposed for each — the adjudication core
         of ``SharedArray.scatter_min`` / ``scatter_store_min``.
         ``np.minimum.at`` is streamed into a proposal buffer over
-        ``[0, idx.max()]`` (``idx`` is non-negative int64: callers
-        bounds-check it against their array).  Targets come from a
-        presence mask, never from a sentinel, so a proposal equal to
-        the dtype's maximum survives.
+        ``[0, idx.max()]`` (``idx`` is a non-negative integer vector of
+        any width: callers bounds-check it against their array).
+        Targets come from a presence mask, never from a sentinel, so a
+        proposal equal to the dtype's maximum survives.
         """
         if idx.size == 0:
             return idx[:0], vals[:0]
         span = int(idx.max()) + 1
-        with arena.lease(span, np.bool_, clear=True) as present:
+        with arena.lease_intp(idx) as idx, arena.lease(span, np.bool_, clear=True) as present:
             present[idx] = True
             targets = np.flatnonzero(present)
-        with arena.lease(span, vals.dtype) as best:
-            if vals.dtype.kind in "iu":
-                best[targets] = np.iinfo(vals.dtype).max
-            else:
-                # Any proposal is a valid start; NaN still propagates, since
-                # minimum.at sees every proposal of the group.
-                best[idx] = vals
-            with np.errstate(invalid="ignore"):  # minimum.at flags a NaN proposal; np.minimum does not
-                np.minimum.at(best, idx, vals)
-            return targets, best[targets]
+            with arena.lease(span, vals.dtype) as best:
+                if vals.dtype.kind in "iu":
+                    best[targets] = np.iinfo(vals.dtype).max
+                else:
+                    # Any proposal is a valid start; NaN still propagates, since
+                    # minimum.at sees every proposal of the group.
+                    best[idx] = vals
+                with np.errstate(invalid="ignore"):  # minimum.at flags a NaN proposal; np.minimum does not
+                    np.minimum.at(best, idx, vals)
+                return targets, best[targets]
 
     def exchange_matrix(
         self, targets: np.ndarray, base: np.ndarray, size: int, block: int, s: int
@@ -85,19 +85,20 @@ class NumpyKernels:
     def owner_distinct(self, idx: np.ndarray, size: int, block: int, s: int) -> np.ndarray:
         """Distinct requested indices per owning thread of a blocked
         shared array (``collectives.getd.owner_distinct_counts`` core).
-        ``idx`` is already validated to ``[0, size)``."""
+        ``idx`` is an integer vector of any width, already validated to
+        ``[0, size)``."""
         # Presence mask over the blocked layout instead of sorting the
         # (much larger) request vector with np.unique: the distinct
         # count for thread t is the number of marked slots in its
         # affinity range.
         if s * block >= size:
             # Even blocked layout: every affinity range is one row.
-            with arena.lease(s * block, np.bool_, clear=True) as present:
+            with arena.lease_intp(idx) as idx, arena.lease(s * block, np.bool_, clear=True) as present:
                 present[idx] = True
                 return np.count_nonzero(present.reshape(s, block), axis=1)
         # Custom block size: the last thread also owns the overflow, so
         # count through prefix sums at the range ends.
-        with arena.lease(size, np.int8, clear=True) as present:
+        with arena.lease_intp(idx) as idx, arena.lease(size, np.int8, clear=True) as present:
             present[idx] = 1
             with arena.lease(size + 1, np.int64) as cum:
                 cum[0] = 0

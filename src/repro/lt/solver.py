@@ -61,6 +61,7 @@ from ..graph.edgelist import EdgeList
 from ..runtime.machine import MachineConfig, hps_cluster
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
+from ..runtime.shared_array import id_dtype
 from .variants import LTVariant, parse_variant
 
 __all__ = ["solve_cc_lt", "lt_iteration_bound"]
@@ -254,7 +255,7 @@ def solve_lattice(
         return CCResult(np.empty(0, dtype=np.int64), info)
 
     ep = distribute_edges(graph, rt.s)
-    d = rt.shared_array(np.arange(n, dtype=np.int64), name=array)
+    d = rt.shared_array(np.arange(n, dtype=id_dtype(n)), name=array)
     rt.protect_array(d)
     if rt.resilience is not None:
         rt.resilience.enroll(d)
@@ -272,7 +273,7 @@ def solve_lattice(
     info = SolveInfo(
         rt.machine, name, rt.elapsed, time.perf_counter() - wall_start, iterations, rt.trace
     )
-    return CCResult(st.d.data.copy(), info)
+    return CCResult(st.d.data.astype(np.int64), info)
 
 
 def solve_cc_lt(

@@ -40,7 +40,7 @@ from ..graph.edgelist import EdgeList
 from ..runtime.machine import MachineConfig, hps_cluster
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
-from ..runtime.shared_array import SharedArray
+from ..runtime.shared_array import SharedArray, id_dtype
 from ..runtime.trace import Category
 from .common import NO_EDGE, break_hook_cycles, extract_winners, pack_candidates
 
@@ -53,7 +53,7 @@ def partition_by_owner(indices: np.ndarray, shared: SharedArray) -> PartitionedA
     owners = shared.owner_thread(indices)
     s = shared.machine.total_threads
     offsets = np.searchsorted(owners, np.arange(s + 1, dtype=np.int64))
-    return PartitionedArray(np.asarray(indices, dtype=np.int64), offsets)
+    return PartitionedArray(indices, offsets)
 
 
 def _verify_boruvka(st) -> None:
@@ -147,10 +147,12 @@ def _boruvka_round(st) -> bool:
     # (the SetDMin payload); charge the owner-side unpack.
     rt.local_ops(4.0 * float(roots.size) / rt.s)
 
-    # Hook each winning supervertex onto its partner (owner-local
-    # write: minedge and d share the same distribution).
+    # Hook each winning supervertex onto its partner, the winning
+    # edge's other endpoint label (owner-local write: minedge and d
+    # share the same distribution).  A select keeps d's id width, where
+    # arithmetic with the intp `roots` would widen it.
     ra, rb = du_c[pos], dv_c[pos]
-    partners = ra + rb - roots
+    partners = np.where(ra == roots, rb, ra)
     rt.owner_indexed_write(d, roots, partners, category=Category.COPY)
 
     # Break mutual hooks; needs d[partner] — a collective gather.
@@ -214,7 +216,7 @@ def solve_mst_collective(
         return MSTResult(np.empty(0, dtype=np.int64), 0, labels, info)
 
     ep = distribute_edges(graph, rt.s)
-    d = rt.shared_array(np.arange(n, dtype=np.int64), name="mst.d")
+    d = rt.shared_array(np.arange(n, dtype=id_dtype(n)), name="mst.d")
     rt.protect_array(d)
     if rt.resilience is not None:
         rt.resilience.enroll(d)
@@ -235,10 +237,11 @@ def solve_mst_collective(
 
     rt = st.rt
     edge_ids = (
-        np.sort(np.concatenate(st.chosen)) if st.chosen else np.empty(0, dtype=np.int64)
+        np.sort(np.concatenate(st.chosen)).astype(np.int64)
+        if st.chosen else np.empty(0, dtype=np.int64)
     )
     total = int(graph.w[edge_ids].sum()) if edge_ids.size else 0
     info = SolveInfo(
         rt.machine, "mst-collective", rt.elapsed, time.perf_counter() - wall_start, iterations, rt.trace
     )
-    return MSTResult(edge_ids, total, st.d.data.copy(), info)
+    return MSTResult(edge_ids, total, st.d.data.astype(np.int64), info)

@@ -34,6 +34,7 @@ from ..graph.edgelist import EdgeList
 from ..runtime.machine import MachineConfig
 from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
+from ..runtime.shared_array import id_dtype
 from ..runtime.trace import Category
 from .common import NO_EDGE, break_hook_cycles, extract_winners, pack_candidates
 
@@ -71,7 +72,7 @@ def solve_mst_fine_grained(
         return MSTResult(np.empty(0, dtype=np.int64), 0, np.arange(n, dtype=np.int64), info)
 
     ep = distribute_edges(graph, rt.s)
-    d = rt.shared_array(np.arange(n, dtype=np.int64))
+    d = rt.shared_array(np.arange(n, dtype=id_dtype(n)))
     minedge = rt.shared_array(np.full(n, NO_EDGE, dtype=np.int64))
     sizes_local = d.local_sizes().astype(np.float64)
     vert_offsets = np.zeros(rt.s + 1, dtype=np.int64)
@@ -161,7 +162,7 @@ def solve_mst_fine_grained(
         roots, pos = extract_winners(minedge.data)
         chosen.append(np.unique(id_c[pos]))
         ra, rb = du_c[pos], dv_c[pos]
-        partners = ra + rb - roots
+        partners = np.where(ra == roots, rb, ra)  # the other endpoint's label
         rt.owner_indexed_write(d, roots, partners, category=Category.COPY)
         owners_sorted = d.owner_thread(roots)
         offsets = np.searchsorted(owners_sorted, np.arange(rt.s + 1, dtype=np.int64))
@@ -194,10 +195,11 @@ def solve_mst_fine_grained(
             active = moved
 
     edge_ids = (
-        np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.int64)
+        np.sort(np.concatenate(chosen)).astype(np.int64)
+        if chosen else np.empty(0, dtype=np.int64)
     )
     total = int(graph.w[edge_ids].sum()) if edge_ids.size else 0
     info = SolveInfo(
         machine, f"mst-{style}", rt.elapsed, time.perf_counter() - wall_start, iteration, rt.trace
     )
-    return MSTResult(edge_ids, total, d.data.copy(), info)
+    return MSTResult(edge_ids, total, d.data.astype(np.int64), info)

@@ -21,7 +21,7 @@ from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["BufferArena", "global_arena", "lease"]
+__all__ = ["BufferArena", "global_arena", "lease", "lease_intp"]
 
 #: Buffers above this many bytes are not pooled — they would pin large
 #: allocations for the life of the process (the service runs for
@@ -111,3 +111,17 @@ def global_arena() -> BufferArena:
 def lease(n: int, dtype, clear: bool = False):
     """Shorthand for ``global_arena().lease(...)``."""
     return _GLOBAL.lease(n, dtype, clear=clear)
+
+
+@contextlib.contextmanager
+def lease_intp(idx: np.ndarray):
+    """``idx`` as an ``intp`` index vector: itself when it already is
+    one, else widened into pooled scratch.  A fancy-index store converts
+    any narrower index to ``intp`` in a fresh allocation on every call,
+    which costs more than the scatter saves from reading int32."""
+    if idx.dtype == np.intp:
+        yield idx
+        return
+    with _GLOBAL.lease(idx.size, np.intp) as wide:
+        np.copyto(wide, idx)
+        yield wide

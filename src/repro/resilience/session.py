@@ -49,6 +49,7 @@ import numpy as np
 from ..errors import ConfigError, NodeLoss, UnrecoverableLossError
 from ..faults.checkpoint import RoundCheckpointer
 from ..faults.plan import CrashEvent, FaultPlan, NicDegradation, NodeLossEvent
+from ..runtime.cost import ELEM_BYTES
 from ..runtime.partitioned import PartitionedArray, even_offsets
 from ..runtime.trace import Category
 
@@ -488,18 +489,16 @@ class ResilientSession:
         # plus a streamed pass), and every partition is re-balanced onto
         # the new thread count.
         refetch_elems = 0.0
-        refetch_bytes = 0.0
         for key, value in list(state.items()):
             if isinstance(value, PartitionedArray):
                 sizes = value.sizes()
-                dead_elems = float(sizes[dead * tpn : (dead + 1) * tpn].sum())
-                refetch_elems += dead_elems
-                refetch_bytes += dead_elems * value.data.dtype.itemsize
+                refetch_elems += float(sizes[dead * tpn : (dead + 1) * tpn].sum())
                 state[key] = PartitionedArray(
                     value.data, even_offsets(value.total, new_rt.s)
                 )
         if refetch_elems:
-            per_bytes = np.full(new_rt.s, refetch_bytes / new_rt.s)
+            # Priced per modeled word, whatever width the segments are stored at.
+            per_bytes = np.full(new_rt.s, refetch_elems * ELEM_BYTES / new_rt.s)
             new_rt.charge_comm(new_rt.cost.remote_message_time(per_bytes))
             new_rt.charge(
                 Category.FAULT,

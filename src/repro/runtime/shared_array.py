@@ -20,16 +20,29 @@ import numpy as np
 from .. import kernels
 from ..errors import DistributionError
 from ..perf.derived import freeze, memoized
+from .cost import ELEM_BYTES
 from .machine import MachineConfig
 
-__all__ = ["SharedArray", "out_of_range"]
+__all__ = ["SharedArray", "id_dtype", "out_of_range"]
+
+def id_dtype(n: int) -> np.dtype:
+    """Storage dtype of ids in ``[0, n)``: int32 while ``n < 2**31``
+    (so ``n`` itself fits too), else int64.  Storage only: the cost
+    model charges every element as one
+    :data:`~repro.runtime.cost.ELEM_BYTES` word whatever this returns."""
+    return np.dtype(np.int32 if n < 2**31 else np.int64)
 
 
 def out_of_range(indices: np.ndarray, bound: int) -> bool:
-    """True when any entry of the int64 vector ``indices`` falls outside
-    ``[0, bound)``.  One reduction catches both ends: through the
-    unsigned view a negative index reads as ``>= 2**63``."""
-    return bool(indices.size) and int(indices.view(np.uint64).max()) >= bound
+    """True when any entry of the integer vector ``indices`` falls
+    outside ``[0, bound)``.  One reduction catches both ends while
+    ``bound`` fits the signed type (as it does for ids stored at
+    :func:`id_dtype` of the array size): viewed as the unsigned type of
+    its own width, a negative index reads as at least ``2**(bits - 1)``."""
+    if not indices.size:
+        return False
+    unsigned = np.dtype(f"u{indices.dtype.itemsize}")
+    return int(indices.view(unsigned).max()) >= bound
 
 
 @memoized(maxsize=256, name="blocked_local_sizes")
@@ -78,12 +91,14 @@ class SharedArray:
 
     @property
     def nbytes_per_elem(self) -> int:
-        return int(self.data.dtype.itemsize)
+        """Modeled bytes per element: the 64-bit word the paper's code
+        moves, not the host storage width (``data`` may hold int32)."""
+        return ELEM_BYTES
 
     def owner_thread(self, indices: np.ndarray) -> np.ndarray:
         """Thread with affinity to each index in ``[0, size)`` (blocked
-        layout)."""
-        owners = np.floor_divide(np.asarray(indices, dtype=np.int64), self.block)
+        layout), in the dtype of ``indices``."""
+        owners = np.floor_divide(indices, self.block)
         s = self.machine.total_threads
         if s * self.block >= self.size:
             return owners  # even blocked layout: no index lies past the last block
@@ -126,7 +141,7 @@ class SharedArray:
 
     def gather(self, indices: np.ndarray) -> np.ndarray:
         """Raw ``data[indices]``; bounds-checked."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
         if out_of_range(idx, self.size):
             raise DistributionError("shared array index out of range")
         return self.data.take(idx)
@@ -137,7 +152,7 @@ class SharedArray:
 
         Returns the number of locations actually changed.
         """
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
         vals = np.asarray(values)
         if idx.shape != vals.shape:
             raise DistributionError("indices/values shape mismatch")
@@ -163,7 +178,7 @@ class SharedArray:
         legitimately raise a star root's label.  Returns the number of
         changed locations.
         """
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
         vals = np.asarray(values)
         if idx.shape != vals.shape:
             raise DistributionError("indices/values shape mismatch")
