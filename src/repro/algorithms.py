@@ -9,8 +9,8 @@ if/elif knowledge:
 
 * the solver entry point behind a uniform call signature;
 * capability flags (fault injection, recovery under the round driver);
-* an optional :class:`TuningEntry`: with one, the :mod:`repro.tuning`
-  planner searches the solver, and the entry's hints price it.
+* ``searched``: whether the :mod:`repro.tuning` planner measures the
+  solver.
 
 Adding an algorithm variant is now one ``register()`` call: the
 pipeline, CLI, service validation, and tuner pick it up from here.  The
@@ -21,7 +21,7 @@ variants this way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .cc.cgm import solve_cc_cgm
 from .cc.collective import solve_cc_collective
@@ -39,7 +39,6 @@ from .mst.smp import solve_mst_smp
 
 __all__ = [
     "AlgorithmSpec",
-    "TuningEntry",
     "REGISTRY",
     "get_algorithm",
     "implementations",
@@ -48,20 +47,6 @@ __all__ = [
 ]
 
 _KINDS = ("cc", "mst")
-
-
-@dataclass(frozen=True)
-class TuningEntry:
-    """How the planner's analytic stage prices one impl.
-
-    The three cost hints parameterize the shared per-round price list:
-    edge-list collectives per round, pointer-jump rounds per iteration,
-    and a round-count multiplier relative to the grafting solver.
-    """
-
-    edge_collectives: float = 4.0
-    jump_rounds: float = 2.0
-    round_factor: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -79,7 +64,8 @@ class AlgorithmSpec:
     #: barriers poll the injector: crash, node-loss and corruption
     #: events fire, and integrity and node-loss redundancy recover them.
     supports_recovery: bool = False
-    tuning: Optional[TuningEntry] = None
+    #: The tuning planner measures this impl at every ``t'`` candidate.
+    searched: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -180,7 +166,7 @@ register(AlgorithmSpec(
         ),
     supports_faults=True,
     supports_recovery=True,
-    tuning=TuningEntry(),
+    searched=True,
 ))
 
 register(AlgorithmSpec(
@@ -189,7 +175,7 @@ register(AlgorithmSpec(
     description="Shiloach-Vishkin with collectives (star detection + stagnant-star hook)",
     solve=lambda graph, machine, opts, tprime, sort_method, faults, adapter, integrity, resilience:
         solve_cc_sv(graph, machine, opts, tprime, sort_method),
-    tuning=TuningEntry(round_factor=1.35),
+    searched=True,
 ))
 
 register(AlgorithmSpec(
@@ -236,19 +222,6 @@ def _lt_solve(variant):
     return solve
 
 
-#: Analytic cost hints per LT axis (see TuningEntry): edge collectives
-#: per round by connect rule, +2 for alter; pointer-jump rounds per
-#: iteration; round-count multipliers — partial-shortcut variants run
-#: more, cheaper rounds.  Chosen so an LT configuration is never priced
-#: below the grafting solver at identical flags (probes, not the
-#: analytic fiction, decide real rankings).
-_LT_EDGE_COLLECTIVES = {"parent": 3.0, "extended": 3.0, "root": 5.0}
-_LT_ROUND_FACTOR = {
-    ("parent", "partial"): 2.2, ("parent", "full"): 1.35,
-    ("extended", "partial"): 2.3, ("extended", "full"): 1.4,
-    ("root", "partial"): 2.0, ("root", "full"): 1.15,
-}
-
 for _variant in ALL_VARIANTS:
     register(AlgorithmSpec(
         name=_variant.name,
@@ -258,12 +231,7 @@ for _variant in ALL_VARIANTS:
         supports_faults=True,
         supports_recovery=True,
         # The planner searches lt-rf as `collective`: the same solve.
-        tuning=None if _variant.name == "lt-rf" else TuningEntry(
-            edge_collectives=_LT_EDGE_COLLECTIVES[_variant.connect]
-            + (2.0 if _variant.alter else 0.0),
-            jump_rounds=1.0 if _variant.shortcut == "partial" else 2.0,
-            round_factor=_LT_ROUND_FACTOR[(_variant.connect, _variant.shortcut)],
-        ),
+        searched=_variant.name != "lt-rf",
     ))
 
 
@@ -282,7 +250,7 @@ register(AlgorithmSpec(
         ),
     supports_faults=True,
     supports_recovery=True,
-    tuning=TuningEntry(),
+    searched=True,
 ))
 
 register(AlgorithmSpec(

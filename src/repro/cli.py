@@ -8,7 +8,7 @@ Commands
 ``bfs``       breadth-first search distances from a source
 ``info``      show machine presets, calibration, and any cached tuning plan
 ``figures``   run paper-figure reproductions and print their tables
-``tune``      run the autotuner and print its predicted-vs-measured table
+``tune``      run the autotuner and print its measured plan table
 ``soak``      chaos campaign through a live service: quota pressure, faults,
               crash-restart, report in ``BENCH_service_soak.json``
 ``serve``     run the multi-tenant graph-analytics service (JSON over HTTP:
@@ -16,10 +16,6 @@ Commands
               graceful degradation, crash-safe job journal)
 ``loadtest``  drive a running service with an open-loop arrival process at
               several offered rates, report in ``BENCH_service.json``
-
-``tune`` accepts ``--workers N`` (or ``auto``) to fan its independent
-probe solves across a process pool; the plan is identical for any
-worker count.
 
 Every solve prints the result summary, the modeled time, the Fig. 5
 category breakdown, and the communication counters.  All inputs are
@@ -495,22 +491,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _plan_table(plan, limit: int = 12) -> str:
-    """Predicted-vs-measured table of a plan's top entries (all probed
-    entries first, then the best analytic-only rows up to ``limit``)."""
-    probed = plan.probed()
-    rest = [e for e in plan.entries if e.probed_ms is None][: max(0, limit - len(probed))]
-    rows = []
-    for e in probed + rest:
-        rows.append(
-            [
-                e.impl,
-                e.opts_key,
-                e.tprime,
-                f"{e.predicted_ms:.3f}",
-                "-" if e.probed_ms is None else f"{e.probed_ms:.3f}",
-            ]
-        )
-    return format_table(["impl", "flags", "t'", "predicted ms", "measured ms"], rows)
+    """The ``limit`` best measured entries of a plan, ranked."""
+    rows = [
+        [e.impl, e.opts_key, e.tprime, f"{e.ms:.3f}"] for e in plan.entries[:limit]
+    ]
+    return format_table(["impl", "flags", "t'", "measured ms"], rows)
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -522,15 +507,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     cache = PlanCache()
     workload = Workload(kind=args.algo, n=args.n, m=m, graph_kind=args.kind)
-    plan = autotune(
-        workload, machine, cache=cache, use_cache=not args.fresh, workers=args.workers
-    )
+    plan = autotune(workload, machine, cache=cache, use_cache=not args.fresh)
     print(f"plan cache: {cache.path}")
-    print(f"searched {plan.lattice_size} configurations;"
-          f" {len(plan.probed())} probe-measured at n={plan.probe_n:,}")
+    print(f"measured {plan.lattice_size} configurations"
+          f" from {len({e.impl for e in plan.entries})} probe solves at n={plan.probe_n:,}")
     print(_plan_table(plan))
     sel = plan.selected
-    print(f"\nselected: {sel.config_label()} ({sel.best_ms:.3f} ms modeled at n={args.n:,})")
+    print(f"\nselected: {sel.config_label()} ({sel.ms:.3f} ms modeled at n={args.n:,})")
 
     # Demonstrate the pick against the paper's default on the real input.
     g = _build_graph(args, weighted=args.algo == "mst")
@@ -670,10 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--algo", choices=("cc", "mst"), default="cc")
     p_tune.add_argument(
         "--fresh", action="store_true", help="ignore any cached plan and re-search"
-    )
-    p_tune.add_argument(
-        "--workers", default=None,
-        help="process-pool workers for probe solves: an int or 'auto' (default: serial)",
     )
     p_tune.set_defaults(func=_cmd_tune)
 

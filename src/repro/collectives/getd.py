@@ -43,7 +43,7 @@ from ..runtime.partitioned import PartitionedArray
 from ..runtime.runtime import PGASRuntime
 from ..runtime.shared_array import SharedArray
 from ..runtime.trace import Category
-from ..scheduling.virtual_threads import charge_local_serve
+from ..scheduling.virtual_threads import charge_local_serve, charge_serve
 from .alltoall import charge_setup
 from .base import CollectiveContext, charge_target_ids, check_requests, offload_hits
 
@@ -222,19 +222,11 @@ def charge_shared_memory_serve(
     hotspot — this is the "shared-memory versions of GetD and SetD" of
     the paper's Fig. 4 experiment.
     """
-    sizes = sizes.astype(np.float64)
     bytes_per = array.nbytes_per_elem
-    total_bytes = float(array.size * bytes_per)
-    if tprime > 1:
-        rt.charge(Category.SORT, rt.cost.virtual_scan_time(sizes, tprime, bytes_per))
-        rt.counters.add(sorted_elements=int(sizes.sum()))
-    distinct = distinct.astype(np.float64)
-    ws = rt.cost.distinct_working_set(distinct, total_bytes, rt.s * tprime)
-    rt.charge(
+    charge_serve(
+        rt, sizes, distinct, float(array.size * bytes_per), rt.s, bytes_per, False, tprime,
         category,
-        rt.cost.gather_time(sizes, distinct, ws, bytes_per, mlp=rt.cost.GATHER_MLP),
     )
-    rt.counters.add(local_random_accesses=int(sizes.sum()))
 
 
 def getd(

@@ -47,11 +47,12 @@ def _resolve_auto(kind, graph, machine, impl, opts, tprime, graph_kind, adapt):
 
     Returns ``(impl, opts, tprime, adapter)``.  A :class:`~repro.tuning.
     TuningPlan` (cached, or built with probe solves on first use) feeds
-    every ``"auto"`` argument; explicit arguments always win over the
-    plan.  When the plan's impl is one of the adaptive collective
-    solvers, an :class:`~repro.tuning.OnlineAdapter` rides along
-    (``adapt=False`` disables it; ``offload`` adaptation is CC-only —
-    the MST solver's D[0] invariant forbids it).
+    every ``"auto"`` argument from its best entry consistent with the
+    explicit ones (:meth:`~repro.tuning.TuningPlan.choose`).  When the
+    plan's impl is one of the adaptive collective solvers, an
+    :class:`~repro.tuning.OnlineAdapter` rides along (``adapt=False``
+    disables it; ``offload`` adaptation is CC-only — the MST solver's
+    D[0] invariant forbids it).
     """
     auto_plan = impl == "auto" or opts == "auto"
     adapter = None
@@ -67,14 +68,10 @@ def _resolve_auto(kind, graph, machine, impl, opts, tprime, graph_kind, adapt):
 
         m = machine if machine is not None else hps_cluster()
         workload = Workload(kind=kind, n=graph.n, m=graph.m, graph_kind=graph_kind)
-        plan = autotune(workload, m)
-        selected = plan.selected
-        if impl == "auto":
-            impl = selected.impl
-        if opts == "auto":
-            opts = selected.opts()
-        if tprime == "auto":
-            tprime = selected.tprime
+        entry = autotune(workload, m).choose(impl, tprime)
+        impl = entry.impl if impl == "auto" else impl
+        opts = entry.opts() if opts == "auto" else opts
+        tprime = entry.tprime if tprime == "auto" else tprime
         if adapt and impl == "collective":
             adapter = OnlineAdapter(m, graph.n, allow_offload=kind == "cc")
     tprime = resolve_tprime(tprime, machine, graph.n)

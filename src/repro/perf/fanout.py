@@ -1,7 +1,7 @@
 """Deterministic process-pool fan-out for embarrassingly-parallel runs.
 
-Tuner probe solves and benchmark scenario grids share the same shape:
-a list of independent work items, each fully determined by its
+Benchmark scenario grids share one shape: a list of independent work
+items, each fully determined by its
 arguments (seeds included), whose results are aggregated afterwards.
 :func:`fanout_map` runs such a list across a process pool while
 preserving the serial contract exactly:
@@ -104,7 +104,7 @@ def fanout_map(
 
     Results come back in item order.  ``fn`` and every item must be
     picklable when ``workers > 1`` (module-level functions and plain
-    data — the tuner and benchmark workers are written that way).
+    data — the benchmark workers are written that way).
     """
     items = list(items)
     nworkers = resolve_workers(workers)

@@ -14,16 +14,116 @@ to clocks through the runtime.  Synchronization semantics:
   barrier cost (lock-step collectives).
 
 The reported execution time of a run is the maximum clock.
+
+A :class:`ClockTape` records those operations for one solve (inside a
+:func:`recording` block) and replays them at other ``t'``.
 """
 
 from __future__ import annotations
+
+from typing import Callable, List
 
 import numpy as np
 
 from ..errors import ConfigError
 from .machine import MachineConfig
 
-__all__ = ["ThreadClocks"]
+__all__ = ["ClockTape", "ThreadClocks", "current_tape", "recording"]
+
+_ADD, _THREAD, _BARRIER, _SERVE = range(4)
+
+
+class ClockTape:
+    """Every clock operation of one solve, in order, replayable at any ``t'``.
+
+    ``t'`` never changes what a solve computes: it reaches the model only
+    in the two local-serve charges
+    (:func:`~repro.scheduling.virtual_threads.charge_local_serve` and
+    :func:`~repro.collectives.getd.charge_shared_memory_serve`).  So at
+    fixed flags on one machine, one solve fixes the whole sequence of
+    clock operations.  The tape keeps each added vector, each single-thread
+    charge and each barrier cost as charged, and at the two serve sites the
+    ``t'``-free pricing closure instead of its ``t'``-specific vectors.
+    :meth:`replay` drives a ``(k, s)`` clock matrix through the same
+    operations in the same order, one row per ``t'``, so row ``i``'s max
+    is, bit for bit, the ``sim_time`` a full solve at ``tprimes[i]`` reports.
+
+    A replay is only exact when nothing read the clocks mid-solve to
+    decide what to charge: fault timing, the online adapter and the
+    redundancy and integrity layers do, so :meth:`bind` refuses a runtime
+    that carries any of them, or the phase profiler the adapter reads.
+    """
+
+    def __init__(self) -> None:
+        self.ops: List[tuple] = []
+        self._clocks: "ThreadClocks | None" = None
+
+    def bind(self, clocks: "ThreadClocks", refused: "List[str]") -> None:
+        """Start recording ``clocks``; ``refused`` names the layers of the
+        runtime that read the clocks mid-solve (each makes a replay wrong)."""
+        if refused:
+            raise ConfigError(
+                f"a clock tape cannot record a run with {', '.join(refused)}:"
+                " those layers read the clocks mid-solve, so a replay would differ"
+            )
+        if self._clocks is not None:
+            raise ConfigError("a clock tape records exactly one runtime")
+        self._clocks = clocks
+        clocks.tape = self
+
+    def serve(self, price: Callable) -> None:
+        """Record a local serve phase as its pricing closure: ``price(t')``
+        returns the per-thread amounts the phase adds, in charge order."""
+        self.ops.append((_SERVE, price))
+
+    def replay(self, tprimes) -> np.ndarray:
+        """The recorded solve's ``sim_time`` (seconds) at each ``t'`` in
+        ``tprimes``."""
+        if self._clocks is None:
+            raise ConfigError("the clock tape recorded no runtime")
+        column = np.asarray(tprimes, dtype=np.int64).reshape(-1, 1)
+        times = np.zeros((column.shape[0], self._clocks.s), dtype=np.float64)
+        for kind, arg in self.ops:
+            if kind == _ADD:
+                times += arg
+            elif kind == _BARRIER:
+                times[:] = times.max(axis=1, keepdims=True) + arg
+            elif kind == _THREAD:
+                times[:, arg[0]] += arg[1]
+            else:
+                for amounts in arg(column):
+                    times += amounts
+        return times.max(axis=1, initial=0.0)
+
+
+_ACTIVE_TAPES: List[ClockTape] = []
+
+
+def current_tape() -> "ClockTape | None":
+    """The innermost active :func:`recording` tape, if any."""
+    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+
+
+class recording:
+    """Context manager that tapes the clocks of the solve run inside it::
+
+        with recording() as tape:
+            repro.connected_components(g, machine, tprime=1)
+        sim_times = tape.replay([1, 2, 4])
+
+    The :class:`~repro.runtime.runtime.PGASRuntime` constructed while the
+    block is active binds the tape; a second one raises.
+    """
+
+    def __enter__(self) -> ClockTape:
+        self.tape = ClockTape()
+        _ACTIVE_TAPES.append(self.tape)
+        return self.tape
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE_TAPES.remove(self.tape)
+        if self.tape._clocks is not None:
+            self.tape._clocks.tape = None
 
 
 class ThreadClocks:
@@ -40,6 +140,8 @@ class ThreadClocks:
         self.last_hot_thread = 0
         #: thread -> node map (node-major layout, matching UPC blocked THREADS)
         self.node_of = np.arange(self.s, dtype=np.int64) // machine.threads_per_node
+        #: the :class:`ClockTape` recording these clocks, if any
+        self.tape: "ClockTape | None" = None
 
     # -- charging -----------------------------------------------------------
 
@@ -60,6 +162,8 @@ class ThreadClocks:
         """
         arr = self._amounts(amount)
         self.times += arr
+        if self.tape is not None:
+            self.tape.ops.append((_ADD, arr.copy()))
         return arr
 
     def charge_thread(self, thread: int, amount: float) -> None:
@@ -69,6 +173,8 @@ class ThreadClocks:
         if amount < 0:
             raise ConfigError("cannot charge negative time")
         self.times[thread] += amount
+        if self.tape is not None:
+            self.tape.ops.append((_THREAD, (thread, amount)))
 
     def node_serialize(self, amount) -> np.ndarray:
         """Charge per-thread communication amounts serialized through each
@@ -80,6 +186,8 @@ class ThreadClocks:
         node_sum = np.bincount(self.node_of, weights=arr, minlength=self.machine.nodes)
         per_thread = node_sum[self.node_of]
         self.times += per_thread
+        if self.tape is not None:
+            self.tape.ops.append((_ADD, per_thread))
         return per_thread
 
     # -- synchronization ----------------------------------------------------
@@ -95,6 +203,8 @@ class ThreadClocks:
         self.last_hot_thread = int(np.argmax(self.times))
         now = float(self.times.max()) + cost
         self.times[:] = now
+        if self.tape is not None:
+            self.tape.ops.append((_BARRIER, cost))
         return now
 
     def skew(self) -> float:

@@ -229,15 +229,16 @@ class CostModel:
         self,
         distinct: ArrayLike,
         ceiling_bytes: ArrayLike,
-        divisor: float = 1.0,
+        divisor: ArrayLike = 1.0,
     ) -> np.ndarray:
         """Effective working set of an index vector with ``distinct``
         unique targets: one cache line per distinct element, capped by
         the traversed region (``ceiling_bytes``), divided by the number
-        of block passes the access schedule splits it into."""
+        of block passes the access schedule splits it into (a ``(k, 1)``
+        column of divisors prices ``k`` schedules at once)."""
         line = float(self.machine.cache.line_bytes)
         ws = np.minimum(_as_array(distinct) * line, _as_array(ceiling_bytes))
-        return np.maximum(ws / max(divisor, 1.0), line)
+        return np.maximum(ws / np.maximum(divisor, 1.0), line)
 
     #: Memory-level parallelism of a *grouped, independent* gather: the
     #: loop's next addresses are known, so several misses overlap in the
@@ -288,16 +289,17 @@ class CostModel:
     #: vectorizes, so it moves ~a quarter of the bytes a copy would.
     VSCAN_PASS_WEIGHT = 0.45
 
-    def virtual_scan_time(self, nelems: ArrayLike, tprime: int, bytes_per: int = ELEM_BYTES) -> np.ndarray:
+    def virtual_scan_time(
+        self, nelems: ArrayLike, tprime: ArrayLike, bytes_per: int = ELEM_BYTES
+    ) -> np.ndarray:
         """Grouping cost of simulating ``t'`` virtual threads: each
         virtual thread sweeps the received request buffer selecting its
         sub-block's requests — ``t'`` (cheap, SIMD-friendly) passes over
         ``nelems`` elements.  This is the overhead that bends Fig. 4's
-        curve back up past the optimal ``t'``."""
-        if tprime <= 1:
-            return np.zeros_like(_as_array(nelems))
+        curve back up past the optimal ``t'``.  ``tprime`` may be a
+        ``(k, 1)`` column: row ``i`` prices ``tprime[i]``."""
         per_pass = self.seq_access_time(_as_array(nelems), bytes_per) * self.VSCAN_PASS_WEIGHT
-        return tprime * per_pass
+        return np.where(np.asarray(tprime) > 1, tprime * per_pass, 0.0)
 
     def random_access_time(
         self,

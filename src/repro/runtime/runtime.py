@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import CollectiveError, FaultError, ThreadCrash, UnrecoverableLossError
-from .clocks import ThreadClocks
+from .clocks import ThreadClocks, current_tape
 from .cost import CostModel
 from .machine import MachineConfig
 from .partitioned import PartitionedArray
@@ -94,6 +94,13 @@ class PGASRuntime:
     the session's recovery protocol instead of killing the run.  With no
     session, a permanent loss raises
     :class:`~repro.errors.UnrecoverableLossError` — loud, never a hang.
+
+    Constructed inside a :func:`repro.runtime.clocks.recording` block,
+    the runtime's clocks record onto that block's
+    :class:`~repro.runtime.clocks.ClockTape` (refused, with a
+    :class:`~repro.errors.ConfigError`, for a runtime with faults,
+    integrity, resilience or ``profile=True``) and join no
+    :func:`~repro.runtime.profiling.profiled` session.
     """
 
     def __init__(
@@ -146,7 +153,10 @@ class PGASRuntime:
         self.profiler = None
         from .profiling import PhaseProfiler, current_profile_session
 
-        session = current_profile_session()
+        # A taped solve (a tuning probe) is not the solve a profile
+        # session observes, so it joins none.
+        tape = current_tape()
+        session = current_profile_session() if tape is None else None
         if profile or session is not None:
             self.profiler = PhaseProfiler()
             if session is not None:
@@ -163,6 +173,11 @@ class PGASRuntime:
             self.analyzer.attach(machine)
             if analysis is not None:
                 analysis.add(self.analyzer)
+        if tape is not None:
+            tape.bind(self.clocks, [
+                layer for layer in ("faults", "integrity", "resilience", "profiler")
+                if getattr(self, layer) is not None
+            ])
 
     def phase_start(self) -> "tuple[np.ndarray, int] | None":
         """Snapshot clocks and retry count if profiling; collectives call

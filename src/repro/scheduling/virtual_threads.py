@@ -12,10 +12,13 @@ but every extra virtual thread adds grouping work.
 :func:`virtual_gather` is the executable primitive (used in tests and in
 the ablation bench with the exact cache simulator);
 :func:`charge_local_serve` is the cost hook GetD/SetD call to account
-for a local serve phase under a given ``t'``.
+for a local serve phase under a given ``t'``, and :func:`serve_times`
+its one pricing formula, which a clock-tape replay also evaluates.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +28,9 @@ from ..runtime.runtime import PGASRuntime
 from ..runtime.trace import Category
 from .countsort import group_by_key
 
-__all__ = ["virtual_gather", "charge_local_serve", "sub_block_elems"]
+__all__ = [
+    "virtual_gather", "charge_local_serve", "charge_serve", "serve_times", "sub_block_elems",
+]
 
 
 def sub_block_elems(block_elems, tprime: int):
@@ -65,6 +70,58 @@ def virtual_gather(
     return out, trace
 
 
+def serve_times(cost, nreq, distinct, ceiling_bytes, passes, bytes_per, deref, tprime):
+    """Per-thread ``(grouping, serve)`` seconds of one local serve phase
+    under ``t'`` virtual threads — the one formula both a live charge
+    (scalar ``tprime``) and a clock-tape replay (a ``(k, 1)`` column of
+    ``t'``, every term elementwise) evaluate.
+
+    ``nreq`` requests with ``distinct`` targets are served out of a
+    region of ``ceiling_bytes``, visited in ``passes * t'`` block passes;
+    ``deref`` adds the UPC shared-pointer dereference every access pays
+    when the compiler does not recognize it as local.
+    """
+    scan = cost.virtual_scan_time(nreq, tprime, bytes_per)
+    ws_bytes = cost.distinct_working_set(distinct, ceiling_bytes, passes * tprime)
+    serve = cost.gather_time(nreq, distinct, ws_bytes, bytes_per, mlp=cost.GATHER_MLP)
+    if deref:
+        serve = serve + cost.op_time(nreq * cost.machine.cpu.upc_deref_factor)
+    return scan, serve
+
+
+def charge_serve(
+    rt: PGASRuntime, nreq, distinct, ceiling_bytes, passes: int, bytes_per: int,
+    deref: bool, tprime: int, category: str,
+) -> None:
+    """Charge a local serve phase priced by :func:`serve_times`.
+
+    ``tprime > 1`` adds the virtual-thread grouping passes (each
+    simulated virtual thread streams the received buffer to pick out its
+    sub-block's requests).  A recording
+    :class:`~repro.runtime.clocks.ClockTape` keeps the phase's
+    ``t'``-free inputs instead of the two charged vectors.
+    """
+    if tprime < 1:
+        raise ConfigError(f"t' must be >= 1, got {tprime}")
+    nreq = np.array(nreq, dtype=np.float64)
+    price = partial(
+        serve_times, rt.cost, nreq, np.array(distinct, dtype=np.float64),
+        ceiling_bytes, passes, bytes_per, deref,
+    )
+    scan, serve = price(tprime)
+    # A tape keeps this phase as ``price``, not as the vectors charged here.
+    tape = rt.clocks.tape
+    rt.clocks.tape = None
+    if tprime > 1:
+        rt.charge(Category.SORT, scan)
+        rt.counters.add(sorted_elements=int(nreq.sum()))
+    rt.charge(category, serve)
+    rt.counters.add(local_random_accesses=int(nreq.sum()))
+    if tape is not None:
+        rt.clocks.tape = tape
+        tape.serve(price)
+
+
 def charge_local_serve(
     rt: PGASRuntime,
     nreq,
@@ -87,20 +144,8 @@ def charge_local_serve(
       dereference overhead the compiler emits for unrecognized-local
       accesses.
     """
-    if tprime < 1:
-        raise ConfigError(f"t' must be >= 1, got {tprime}")
-    nreq = np.asarray(nreq, dtype=np.float64)
     block_bytes = np.asarray(block_elems, dtype=np.float64) * bytes_per
-    if tprime > 1:
-        # Each simulated virtual thread streams the received buffer to
-        # pick out its sub-block's requests: t' grouping passes.
-        rt.charge(Category.SORT, rt.cost.virtual_scan_time(nreq, tprime, bytes_per))
-        rt.counters.add(sorted_elements=int(nreq.sum()))
-    if distinct is None:
-        distinct = nreq
-    ws_bytes = rt.cost.distinct_working_set(distinct, block_bytes, tprime)
-    serve = rt.cost.gather_time(nreq, distinct, ws_bytes, bytes_per, mlp=rt.cost.GATHER_MLP)
-    if not localcpy:
-        serve = serve + rt.cost.op_time(nreq * rt.machine.cpu.upc_deref_factor)
-    rt.charge(category, serve)
-    rt.counters.add(local_random_accesses=int(nreq.sum()))
+    charge_serve(
+        rt, nreq, nreq if distinct is None else distinct, block_bytes, 1, bytes_per,
+        not localcpy, tprime, category,
+    )

@@ -7,7 +7,7 @@ The queue's fill fraction drives a three-mode ladder::
                                          asking for "auto" use cached
                                          plans (exact hit, then nearest
                                          graph-fingerprint neighbour),
-                                         else the analytic-only plan
+                                         else the default configuration
     overload  occupancy >= overload_at   additionally, *low*-priority
                                          submissions are refused at
                                          admission (429 + Retry-After)
@@ -72,7 +72,8 @@ class DegradationPolicy:
 
     def allow_probes(self, mode: str) -> bool:
         """Probe solves (the expensive tuning stage) only run in normal
-        mode; degraded plans come from the cache or the analytic model."""
+        mode; degraded plans come from the cache, else the default
+        configuration."""
         return mode == ServiceMode.NORMAL
 
     def count(self, decision: str) -> None:

@@ -22,7 +22,7 @@ AdmissionQueue` and drives one job at a time through:
 Graphs are cached per fingerprint (``kind × n × m × seed``) so repeated
 queries against the same input skip regeneration; tuning plans resolve
 through the :class:`~repro.tuning.PlanCache` with provenance recorded
-in the result (``cache`` / ``tuned`` / ``nearest-cache`` / ``analytic``
+in the result (``cache`` / ``tuned`` / ``nearest-cache`` / ``default``
 / ``explicit``).
 """
 
@@ -324,7 +324,6 @@ class JobExecutor:
                 "tprime": spec.tprime,
             }
         from ..tuning import PlanCache, Workload, autotune
-        from ..tuning.planner import build_plan
 
         cache = self.plan_cache if self.plan_cache is not None else PlanCache()
         self.plan_cache = cache
@@ -341,13 +340,21 @@ class JobExecutor:
                 if plan is not None:
                     self.policy.count("plan_nearest_reused")
                     source = "nearest-cache"
-                else:
-                    plan = build_plan(workload, machine, probe=False)
-                    source = "analytic"
-        selected = plan.selected
-        impl = selected.impl if impl_req == "auto" else impl_req
-        opts = selected.opts() if opts_req == "auto" else opts_req
-        tprime = selected.tprime if spec.tprime == "auto" else spec.tprime
+        if plan is None:
+            # No measurement to go by: the paper's configuration.
+            from ..core.pipeline import resolve_tprime
+            from ..tuning.planner import optimized_flags
+
+            source, probe_n = "default", None
+            impl = "collective" if impl_req == "auto" else impl_req
+            opts = optimized_flags(spec.algo) if opts_req == "auto" else opts_req
+            tprime = resolve_tprime(spec.tprime, machine, spec.n)
+        else:
+            entry = plan.choose(impl_req, spec.tprime)
+            probe_n = plan.probe_n
+            impl = entry.impl if impl_req == "auto" else impl_req
+            opts = entry.opts() if opts_req == "auto" else opts_req
+            tprime = entry.tprime if spec.tprime == "auto" else spec.tprime
         # The protections asked for constrain the impl family (the
         # registry's capability flags); if the plan picked an impl that
         # cannot honour them, fall back to the collective solver rather
@@ -357,9 +364,9 @@ class JobExecutor:
         if not get_algorithm(spec.algo, impl).supports(**_protections(spec)):
             impl = "collective"
         return impl, opts, tprime, {
-            "source": source, "impl": impl, "opts": selected.opts_key
-            if opts_req == "auto" else spec.opts, "tprime": tprime,
-            "probe_n": plan.probe_n,
+            "source": source, "impl": impl,
+            "opts": opts.key() if opts_req == "auto" else spec.opts, "tprime": tprime,
+            "probe_n": probe_n,
         }
 
     # -- solving -------------------------------------------------------------

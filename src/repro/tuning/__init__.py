@@ -5,9 +5,10 @@ chosen so a sub-block fits L2 — for one machine and one input family.
 This package automates that judgment for *any* simulated machine × input
 pair, in two layers:
 
-* :mod:`~repro.tuning.planner` searches impl × ``t'`` at the paper's
-  "Optimized" flags analytically, then probe-solves the short-list on a
-  scaled replica, producing a ranked :class:`TuningPlan`;
+* :mod:`~repro.tuning.planner` measures impl × ``t'`` at the paper's
+  "Optimized" flags — one taped probe solve per impl on a scaled
+  replica, replayed over the ``t'`` grid — producing a ranked
+  :class:`TuningPlan`;
 * :mod:`~repro.tuning.adapter` watches the phase profiler during the
   real solve and revises ``offload``/``t'`` between rounds when the plan
   diverges, recording every decision in the trace.
@@ -17,8 +18,8 @@ Plans persist in a deterministic JSON :class:`PlanCache`, keyed by
 per (machine, workload).
 
 Entry points: ``--impl auto`` / ``--opts auto`` / ``--tprime auto`` on
-the CLI, ``python -m repro tune`` for the predicted-vs-measured report,
-and :func:`autotune` from code.
+the CLI, ``python -m repro tune`` for the measured plan table, and
+:func:`autotune` from code.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .planner import (
     TuningPlan,
     Workload,
     build_plan,
-    expected_rounds,
-    predict_config_ms,
 )
 
 __all__ = [
@@ -51,9 +50,7 @@ __all__ = [
     "autotune",
     "build_plan",
     "default_cache_path",
-    "expected_rounds",
     "machine_fingerprint",
-    "predict_config_ms",
 ]
 
 
@@ -62,25 +59,21 @@ def autotune(
     machine: MachineConfig,
     cache: Optional[PlanCache] = None,
     use_cache: bool = True,
-    probe: bool = True,
-    workers=None,
 ) -> TuningPlan:
     """Plan for ``workload`` on ``machine``, via the persistent cache.
 
     Cache hit: the stored plan comes back untouched (no probes run).
     Miss: a plan is built, stored, and the cache saved.  Pass
     ``use_cache=False`` to force a fresh search without touching disk.
-    ``workers`` fans probe solves across processes (plan identical for
-    any worker count).
     """
     if not use_cache:
-        return build_plan(workload, machine, probe=probe, workers=workers)
+        return build_plan(workload, machine)
     if cache is None:
         cache = PlanCache()
     plan = cache.get(machine, workload)
     if plan is not None:
         return plan
-    plan = build_plan(workload, machine, probe=probe, workers=workers)
+    plan = build_plan(workload, machine)
     cache.put(machine, workload, plan)
     cache.save()
     return plan

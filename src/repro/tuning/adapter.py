@@ -1,6 +1,6 @@
 """Online adaptation: revise (flags, t') between rounds of a live solve.
 
-The plan is a prediction; the solve is evidence.  After every grafting /
+The plan is measured on a small replica; the solve is evidence.  After every grafting /
 Borůvka round the adapter reads the :class:`~repro.runtime.profiling.
 RoundWindow` the phase profiler collected and applies two rules, in the
 spirit of DASH's runtime re-tuning:

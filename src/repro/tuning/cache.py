@@ -1,7 +1,7 @@
 """Persistent tuning-plan cache.
 
-Plans are expensive relative to a solve at small n (a probe stage is a
-dozen small solves), and a plan is a pure function of (machine
+Plans are expensive relative to a solve at small n (a plan is one small
+probe solve per searched impl), and a plan is a pure function of (machine
 parameters, workload), so the obvious move is a cache keyed on exactly
 that: ``machine fingerprint × kind × graph family × n × m``.  One JSON
 file, default ``.tune_cache.json`` at the repository root (override with
@@ -33,7 +33,9 @@ from .planner import TuningPlan, Workload
 
 __all__ = ["PlanCache", "default_cache_path", "machine_fingerprint"]
 
-_SCHEMA_VERSION = 1
+#: 2: entries carry one measured ``ms`` (schema 1 held analytic
+#: predictions beside probe measurements; such files regenerate).
+_SCHEMA_VERSION = 2
 _ENV_VAR = "REPRO_TUNE_CACHE"
 
 
@@ -114,7 +116,7 @@ class PlanCache:
         must lie within a factor of ``within`` on both axes (the
         calibrated-scaling invariance keeps rankings stable across that
         range); beyond it, ``None`` — a stale plan is worse than the
-        analytic default.
+        default configuration.
         """
         fingerprint = machine_fingerprint(machine)
         best: Optional[TuningPlan] = None

@@ -223,19 +223,6 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="integrity"):
             connected_components(g, MACHINE, impl="cgm", integrity=True)
 
-    def test_tuning_hints_never_underprice_lt(self):
-        # The analytic stage must rank an LT variant at or above the
-        # grafting solver at identical flags, so adding variants cannot
-        # silently shift the probe set of existing cached plans.
-        from repro.core import OptimizationFlags
-        from repro.tuning.planner import Workload, predict_config_ms
-
-        w = Workload(kind="cc", n=20000, m=80000)
-        for tp in (1, 2, 4):
-            base = predict_config_ms(w, MACHINE, "collective", OptimizationFlags.all(), tp)
-            for name in LT_VARIANT_NAMES:
-                assert predict_config_ms(w, MACHINE, name, OptimizationFlags.all(), tp) >= base
-
 
 class TestCollectiveIsRootFull:
     """The paper's CC (``collective``) is the lattice's root/full point:

@@ -811,7 +811,7 @@ class TestExecutorContracts:
 
     def test_degraded_mode_skips_probe_solves(self, tmp_path, monkeypatch):
         """In degraded mode an auto job must not pay for probe solves:
-        with an empty cache it falls back to the analytic-only plan."""
+        with an empty cache it falls back to the default configuration."""
         monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "cache.json"))
         svc = _service(degraded_at=0.01, queue_capacity=64,
                        quota_rate=1000.0, quota_burst=1000.0)
@@ -822,8 +822,37 @@ class TestExecutorContracts:
         job = svc.jobs[body["job_id"]]
         svc.executor.execute(svc.queue.take(0))
         assert job.state == JobState.DONE
-        assert job.result["plan"]["source"] == "analytic"
+        assert job.result["plan"]["source"] == "default"
         assert svc.policy.snapshot()["plan_probe_skipped"] == 1
+
+    @pytest.mark.parametrize("fields", [
+        {"impl": "auto", "tprime": 2}, {"impl": "collective", "tprime": "auto"},
+    ], ids=["auto-impl", "auto-tprime"])
+    def test_mixed_auto_job_takes_the_best_entry_consistent_with_it(
+        self, fields, tmp_path, monkeypatch
+    ):
+        """An explicit t' with ``impl: auto`` runs the impl measured best
+        at that t'; an explicit impl with ``tprime: auto`` runs that impl's
+        best t' — not the fields of the plan's overall winner."""
+        from repro.service.executor import parse_service_machine
+        from repro.tuning import Workload
+
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "cache.json"))
+        svc = _service()
+        _, body, _ = svc.submit(dict(fields, n=256, machine="2x2"))
+        job = svc.jobs[body["job_id"]]
+        svc.executor.execute(svc.queue.take(0))
+        assert job.state == JobState.DONE, job.error
+        spec = job.spec
+        plan = svc.executor.plan_cache.get(
+            parse_service_machine("2x2", 256),
+            Workload(kind="cc", n=256, m=spec.m, graph_kind=spec.kind),
+        )
+        entry = plan.choose(fields["impl"], fields["tprime"])
+        assert (job.result["plan"]["impl"], job.result["plan"]["tprime"]) == (
+            entry.impl, entry.tprime,
+        )
+        assert job.result["plan"]["source"] == "tuned"
 
 
 # ---------------------------------------------------------------------------

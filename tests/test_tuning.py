@@ -1,4 +1,4 @@
-"""Tests for the repro.tuning autotuner: planner, cache, adapter.
+"""Tests for the repro.tuning autotuner: planner, clock tape, cache, adapter.
 
 The headline acceptance test mirrors the paper's Fig. 5/6 setting
 (random and hybrid inputs, the 16x8 machine): the ``auto`` plan's
@@ -10,6 +10,7 @@ minimum, so the planner searches only impl × t'.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 
@@ -19,13 +20,18 @@ import pytest
 from repro.cc.collective import solve_cc_collective
 from repro.algorithms import REGISTRY
 from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connected_components
+from repro.core.pipeline import minimum_spanning_forest
 from repro.errors import ConfigError
+from repro.faults import FaultPlan
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import hybrid_graph, random_graph, with_random_weights
 from repro.mst.collective import solve_mst_collective
+from repro.runtime import PGASRuntime
+from repro.runtime.clocks import recording
 from repro.runtime.cost import CostModel
 from repro.runtime.profiling import RoundWindow
 from repro.scheduling.cache_model import best_tprime, tprime_candidates
+from repro.service.executor import parse_service_machine
 from repro.tuning import (
     AdapterConfig,
     OnlineAdapter,
@@ -35,9 +41,13 @@ from repro.tuning import (
     autotune,
     build_plan,
     machine_fingerprint,
-    predict_config_ms,
 )
-from repro.tuning.planner import probe_machine_for
+from repro.tuning.planner import (
+    PlanEntry,
+    _probe_graph,
+    optimized_flags,
+    probe_machine_for,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +161,7 @@ class TestParseOptsKey:
 
 
 class TestAnalyticModel:
-    def test_naive_predicted_slowest(self):
-        machine = cluster_for_input(20_000, 16, 8)
-        w = Workload(kind="cc", n=20_000, m=80_000)
-        naive = predict_config_ms(w, machine, "naive", OptimizationFlags.none(), 1)
-        coll = predict_config_ms(w, machine, "collective", OptimizationFlags.all(), 2)
-        assert naive > 5 * coll
-
-    def test_prediction_grows_with_n(self):
-        machine = cluster_for_input(20_000, 16, 8)
-        small = predict_config_ms(
-            Workload(kind="cc", n=10_000, m=40_000), machine, "collective",
-            OptimizationFlags.all(), 2,
-        )
-        large = predict_config_ms(
-            Workload(kind="cc", n=80_000, m=320_000), machine, "collective",
-            OptimizationFlags.all(), 2,
-        )
-        assert large > small > 0
+    """Scaling of the probe replica's machine."""
 
     def test_probe_machine_preserves_calibration(self):
         machine = cluster_for_input(20_000, 4, 2)
@@ -178,21 +171,19 @@ class TestAnalyticModel:
         assert scaled.per_call_scale == pytest.approx(machine.per_call_scale * 0.25)
 
 
+def _searched(kind):
+    return [name for (k, name), spec in REGISTRY.items() if k == kind and spec.searched]
+
+
 class TestBuildPlan:
     def test_probed_entries_ranked_first(self):
+        """Every entry is measured, and the plan ranks them by it."""
         machine = cluster_for_input(1200, 4, 2)
         plan = build_plan(Workload(kind="cc", n=1200, m=4800), machine)
-        probed = plan.probed()
-        assert probed and probed[0] is plan.entries[0]
-        ms = [e.probed_ms for e in probed]
+        ms = [e.ms for e in plan.entries]
+        assert all(v > 0 for v in ms)
         assert ms == sorted(ms)
-        assert plan.selected.probed_ms is not None
-
-    def test_analytic_only_plan(self):
-        machine = cluster_for_input(1200, 4, 2)
-        plan = build_plan(Workload(kind="cc", n=1200, m=4800), machine, probe=False)
-        assert plan.probed() == []
-        assert plan.selected.predicted_ms > 0
+        assert plan.selected is plan.entries[0]
 
     @pytest.mark.parametrize("kind", ["cc", "mst"])
     def test_plan_searches_impl_by_tprime_at_optimized_flags(self, kind):
@@ -202,28 +193,150 @@ class TestBuildPlan:
         if kind == "mst":
             optimized = optimized.with_(offload=False)
         machine = cluster_for_input(1200, 4, 2)
-        plan = build_plan(Workload(kind=kind, n=1200, m=4800), machine, probe=False)
-        impls = [
-            name for (k, name), spec in REGISTRY.items() if k == kind and spec.tuning is not None
-        ]
+        plan = build_plan(Workload(kind=kind, n=1200, m=4800), machine)
+        impls = _searched(kind)
         tprimes = tprime_candidates(max(1, 1200 // machine.total_threads), CostModel(machine))
-        assert plan.lattice_size == len(impls) * len(tprimes) + 1
-        searched = [e for e in plan.entries if e.impl != "naive"]
-        assert {e.opts_key for e in searched} == {optimized.key()}
-        assert sorted((e.impl, e.tprime) for e in searched) == sorted(
+        assert plan.lattice_size == len(impls) * len(tprimes) == len(plan.entries)
+        assert {e.opts_key for e in plan.entries} == {optimized.key()}
+        assert sorted((e.impl, e.tprime) for e in plan.entries) == sorted(
             itertools.product(impls, tprimes)
         )
-        # The one extra row is the naive translation, priced for the report.
-        (naive,) = [e for e in plan.entries if e.impl == "naive"]
-        assert naive.opts_key == "base"
 
-    def test_plan_identical_for_any_worker_count(self):
-        """The probe solves fan out across processes; the plan must not
-        depend on how many (the ``--workers`` contract)."""
-        machine, workload = _small_setup()
-        assert build_plan(workload, machine, workers=2) == build_plan(
-            workload, machine, workers=1
+
+class TestChoose:
+    """:meth:`TuningPlan.choose`, the one rule that turns a plan into a
+    configuration for the pipeline and the service alike."""
+
+    PLAN = TuningPlan(
+        machine_key="m", workload=Workload(kind="cc", n=100, m=400), probe_n=100,
+        entries=tuple(
+            PlanEntry(impl, "all", tp, ms)
+            for impl, tp, ms in (
+                ("lt-pf", 1, 1.0), ("collective", 2, 2.0), ("lt-pf", 2, 3.0),
+                ("collective", 1, 4.0),
+            )
+        ),
+        lattice_size=4,
+    )
+
+    def test_all_auto_is_the_selected_entry(self):
+        assert self.PLAN.choose() is self.PLAN.selected
+
+    def test_auto_impl_with_explicit_tprime_takes_the_winner_at_that_tprime(self):
+        entry = self.PLAN.choose(impl="auto", tprime=2)
+        assert (entry.impl, entry.tprime) == ("collective", 2)
+
+    def test_explicit_impl_with_auto_tprime_takes_that_impls_best_tprime(self):
+        entry = self.PLAN.choose(impl="collective", tprime="auto")
+        assert (entry.impl, entry.tprime) == ("collective", 2)
+
+    def test_unmeasured_explicit_values_constrain_nothing(self):
+        assert self.PLAN.choose(impl="naive", tprime="auto") is self.PLAN.selected
+        entry = self.PLAN.choose(impl="collective", tprime=7)
+        assert (entry.impl, entry.tprime) == ("collective", 2)
+
+    @pytest.mark.parametrize("impl, tprime", [("auto", 2), ("collective", "auto")])
+    def test_pipeline_resolves_mixed_auto_through_choose(
+        self, impl, tprime, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "cache.json"))
+        machine = cluster_for_input(800, 4, 2)
+        g = random_graph(800, 3200, seed=4)
+        # opts="auto" consults the plan (a lone tprime="auto" takes the
+        # cache-fit t' without one); the adapter would revise t' mid-solve.
+        result = connected_components(
+            g, machine, impl=impl, opts="auto", tprime=tprime, adapt=False
         )
+        entry = autotune(Workload(kind="cc", n=800, m=3200), machine).choose(impl, tprime)
+        expected = connected_components(
+            g, machine, impl=entry.impl, opts=OptimizationFlags.all(), tprime=entry.tprime
+        )
+        assert result.info.sim_time.hex() == expected.info.sim_time.hex()
+        if tprime != "auto":
+            assert entry.tprime == tprime
+        if impl != "auto":
+            assert entry.impl == impl
+
+
+# ---------------------------------------------------------------------------
+# The clock tape: one taped solve prices every t' exactly
+# ---------------------------------------------------------------------------
+
+TAPE_N = 500
+#: The service's own machine, a one-node machine (the shared-memory serve
+#: path) and the paper's calibrated cluster.
+TAPE_SHAPES = ("4x2", "1x8", "16x8")
+TAPE_INPUTS = (("cc", "random"), ("cc", "hybrid"), ("mst", "hybrid"))
+
+
+@functools.lru_cache(maxsize=None)
+def _full_solve_grid(shape, kind, family):
+    """``{(impl, t'): sim_time}`` of a full solve of every searched impl at
+    every ``tprime_candidates`` point, on the planner's own replica."""
+    machine = parse_service_machine(shape, TAPE_N)
+    workload = Workload(kind=kind, n=TAPE_N, m=4 * TAPE_N, graph_kind=family)
+    graph = _probe_graph(workload, TAPE_N)
+    solve = connected_components if kind == "cc" else minimum_spanning_forest
+    tprimes = tprime_candidates(TAPE_N // machine.total_threads, CostModel(machine))
+    return machine, graph, solve, tprimes, {
+        (impl, tp): solve(
+            graph, machine, impl=impl, opts=optimized_flags(kind), tprime=tp
+        ).info.sim_time
+        for impl in _searched(kind)
+        for tp in tprimes
+    }
+
+
+class TestClockTape:
+    @pytest.mark.parametrize("shape", TAPE_SHAPES)
+    @pytest.mark.parametrize("kind, family", TAPE_INPUTS)
+    def test_replay_equals_a_full_solve_bit_for_bit(self, shape, kind, family):
+        machine, graph, solve, tprimes, full = _full_solve_grid(shape, kind, family)
+        for impl in _searched(kind):
+            with recording() as tape:
+                solve(graph, machine, impl=impl, opts=optimized_flags(kind), tprime=tprimes[-1])
+            replayed = [float(t).hex() for t in tape.replay(tprimes)]
+            assert replayed == [full[impl, tp].hex() for tp in tprimes], impl
+
+    @pytest.mark.parametrize("layer", [
+        {"faults": FaultPlan(seed=1, loss=1e-3)},
+        {"integrity": True},
+        {"resilience": True},
+        {"profile": True},
+    ], ids=["faults", "integrity", "resilience", "profiler"])
+    def test_recording_refuses_layers_that_read_the_clocks(self, layer):
+        with recording(), pytest.raises(ConfigError, match="clock tape"):
+            PGASRuntime(parse_service_machine("4x2", TAPE_N), **layer)
+
+    def test_probes_inside_a_profile_session_stay_out_of_it(self, tmp_path, monkeypatch):
+        """A cold ``auto`` plan built inside :func:`repro.profiled` neither
+        trips the tape's profiler refusal nor adds probe phases."""
+        from repro.runtime.profiling import profiled
+
+        monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "cache.json"))
+        machine = parse_service_machine("4x2", TAPE_N)
+        g = random_graph(TAPE_N, 4 * TAPE_N, seed=5)
+        with profiled() as session:
+            connected_components(g, machine, impl="auto", tprime=1, adapt=False)
+        assert len(session.profilers) == 1
+
+    def test_one_runtime_per_tape(self):
+        machine = parse_service_machine("4x2", TAPE_N)
+        with recording(), pytest.raises(ConfigError, match="exactly one runtime"):
+            PGASRuntime(machine)
+            PGASRuntime(machine)
+
+    def test_plan_selects_the_argmin_of_full_solves(self):
+        machine, _, _, tprimes, full = _full_solve_grid("4x2", "cc", "random")
+        plan = build_plan(Workload(kind="cc", n=TAPE_N, m=4 * TAPE_N), machine)
+        assert plan.lattice_size == len(_searched("cc")) * len(tprimes) == len(plan.entries)
+        # The replica is the full input here (n <= PROBE_N_CAP): every
+        # entry is a full solve's modeled time, exactly.
+        assert {(e.impl, e.tprime): e.ms for e in plan.entries} == {
+            key: t * 1e3 for key, t in full.items()
+        }
+        best = min(full, key=lambda key: (full[key], key))
+        assert (plan.selected.impl, plan.selected.tprime) == best
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +373,7 @@ class TestPlanCache:
 
     def test_round_trip(self, tmp_path):
         machine, workload = _small_setup()
-        plan = build_plan(workload, machine, probe=False)
+        plan = build_plan(workload, machine)
         cache = PlanCache(tmp_path / "c.json")
         cache.put(machine, workload, plan)
         cache.save()
@@ -277,8 +390,8 @@ class TestPlanCache:
         cache = PlanCache(tmp_path / "c.json")
         near = Workload(kind="cc", n=1000, m=4000)
         far = Workload(kind="cc", n=100_000, m=400_000)
-        cache.put(machine, near, build_plan(near, machine, probe=False))
-        cache.put(machine, far, build_plan(far, machine, probe=False))
+        cache.put(machine, near, build_plan(near, machine))
+        cache.put(machine, far, build_plan(far, machine))
 
         target = Workload(kind="cc", n=800, m=3200)
         assert cache.get(machine, target) is None  # exact key misses
@@ -293,7 +406,7 @@ class TestPlanCache:
         hybrid = Workload(kind="cc", n=800, m=3200, graph_kind="hybrid")
         huge = Workload(kind="cc", n=800_000, m=3_200_000)
         for w in (mst, hybrid, huge):
-            cache.put(machine, w, build_plan(w, machine, probe=False))
+            cache.put(machine, w, build_plan(w, machine))
 
         target = Workload(kind="cc", n=800, m=3200)
         # Same n/m but wrong algo or graph family; same family but >8x away.
@@ -315,10 +428,22 @@ class TestPlanCache:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"schema": 999, "plans": {"x": {}}}))
         assert len(PlanCache(path)) == 0
+        # A schema-1 file holds analytic predictions beside measurements:
+        # it must regenerate, not load.
+        machine, workload = _small_setup()
+        plan = build_plan(workload, machine).to_dict()
+        plan["entries"] = [
+            {"impl": e["impl"], "opts": e["opts"], "tprime": e["tprime"],
+             "predicted_ms": e["ms"], "probed_ms": None, "ms": e["ms"]}
+            for e in plan["entries"]
+        ]
+        key = f"{machine_fingerprint(machine)}|{workload.key()}"
+        path.write_text(json.dumps({"schema": 1, "plans": {key: plan}}))
+        assert len(PlanCache(path)) == 0
 
     def test_bad_record_does_not_poison_the_rest(self, tmp_path):
         machine, workload = _small_setup()
-        plan = build_plan(workload, machine, probe=False)
+        plan = build_plan(workload, machine)
         cache = PlanCache(tmp_path / "c.json")
         cache.put(machine, workload, plan)
         path = cache.save()
@@ -331,7 +456,7 @@ class TestPlanCache:
 
     def test_hand_edited_key_mismatch_rejected(self, tmp_path):
         machine, workload = _small_setup()
-        plan = build_plan(workload, machine, probe=False)
+        plan = build_plan(workload, machine)
         cache = PlanCache(tmp_path / "c.json")
         cache.put(machine, workload, plan)
         path = cache.save()
