@@ -21,6 +21,7 @@ A :class:`ClockTape` records those operations for one solve (inside a
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List
 
 import numpy as np
@@ -96,12 +97,23 @@ class ClockTape:
         return times.max(axis=1, initial=0.0)
 
 
-_ACTIVE_TAPES: List[ClockTape] = []
+#: Per-thread stack of active :func:`recording` tapes: a recording on one
+#: thread (a planner's probe solve) never reaches a runtime another
+#: thread builds for its own solve.
+_ACTIVE = threading.local()
+
+
+def _active_tapes() -> List[ClockTape]:
+    tapes = getattr(_ACTIVE, "tapes", None)
+    if tapes is None:
+        tapes = _ACTIVE.tapes = []
+    return tapes
 
 
 def current_tape() -> "ClockTape | None":
-    """The innermost active :func:`recording` tape, if any."""
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+    """The innermost :func:`recording` tape active on this thread, if any."""
+    tapes = _active_tapes()
+    return tapes[-1] if tapes else None
 
 
 class recording:
@@ -111,17 +123,18 @@ class recording:
             repro.connected_components(g, machine, tprime=1)
         sim_times = tape.replay([1, 2, 4])
 
-    The :class:`~repro.runtime.runtime.PGASRuntime` constructed while the
-    block is active binds the tape; a second one raises.
+    The :class:`~repro.runtime.runtime.PGASRuntime` constructed on this
+    thread while the block is active binds the tape; a second one raises.
+    Runtimes built on other threads do not see it.
     """
 
     def __enter__(self) -> ClockTape:
         self.tape = ClockTape()
-        _ACTIVE_TAPES.append(self.tape)
+        _active_tapes().append(self.tape)
         return self.tape
 
     def __exit__(self, *exc) -> None:
-        _ACTIVE_TAPES.remove(self.tape)
+        _active_tapes().remove(self.tape)
         if self.tape._clocks is not None:
             self.tape._clocks.tape = None
 

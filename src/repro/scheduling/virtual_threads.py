@@ -110,15 +110,16 @@ def charge_serve(
     )
     scan, serve = price(tprime)
     # A tape keeps this phase as ``price``, not as the vectors charged here.
-    tape = rt.clocks.tape
-    rt.clocks.tape = None
-    if tprime > 1:
-        rt.charge(Category.SORT, scan)
-        rt.counters.add(sorted_elements=int(nreq.sum()))
-    rt.charge(category, serve)
-    rt.counters.add(local_random_accesses=int(nreq.sum()))
-    if tape is not None:
+    tape, rt.clocks.tape = rt.clocks.tape, None
+    try:
+        if tprime > 1:
+            rt.charge(Category.SORT, scan)
+            rt.counters.add(sorted_elements=int(nreq.sum()))
+        rt.charge(category, serve)
+        rt.counters.add(local_random_accesses=int(nreq.sum()))
+    finally:
         rt.clocks.tape = tape
+    if tape is not None:
         tape.serve(price)
 
 

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from repro.runtime import PGASRuntime
 from repro.runtime.clocks import recording
 from repro.runtime.cost import CostModel
 from repro.runtime.profiling import RoundWindow
+from repro.runtime.trace import Category
 from repro.scheduling.cache_model import best_tprime, tprime_candidates
+from repro.scheduling.virtual_threads import charge_serve
 from repro.service.executor import parse_service_machine
 from repro.tuning import (
     AdapterConfig,
@@ -325,6 +328,42 @@ class TestClockTape:
         with recording(), pytest.raises(ConfigError, match="exactly one runtime"):
             PGASRuntime(machine)
             PGASRuntime(machine)
+
+    def test_a_recording_stays_on_its_own_thread(self):
+        """A probe recording on one service worker leaves a runtime that
+        another worker builds for its own (integrity-checked) job alone."""
+        machine = parse_service_machine("4x2", TAPE_N)
+        built = {}
+
+        def other_worker():
+            try:
+                built["rt"] = PGASRuntime(machine, integrity=True)
+            except ConfigError as exc:  # pragma: no cover - the failure reported below
+                built["error"] = exc
+
+        with recording() as tape:
+            worker = threading.Thread(target=other_worker)
+            worker.start()
+            worker.join()
+            probe = PGASRuntime(machine)
+        assert "error" not in built, built.get("error")
+        assert built["rt"].clocks.tape is None
+        assert tape._clocks is probe.clocks
+
+    def test_a_failed_serve_charge_reattaches_the_tape(self, monkeypatch):
+        machine = parse_service_machine("4x2", TAPE_N)
+        with recording() as tape:
+            rt = PGASRuntime(machine)
+
+            def refuse(*args, **kwargs):
+                raise ConfigError("cannot charge negative time")
+
+            monkeypatch.setattr(rt, "charge", refuse)
+            with pytest.raises(ConfigError, match="negative"):
+                charge_serve(
+                    rt, np.ones(rt.s), np.ones(rt.s), 1024.0, 1, 8, False, 2, Category.IRREGULAR
+                )
+            assert rt.clocks.tape is tape
 
     def test_plan_selects_the_argmin_of_full_solves(self):
         machine, _, _, tprimes, full = _full_solve_grid("4x2", "cc", "random")
