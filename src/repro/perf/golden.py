@@ -27,7 +27,8 @@ answers.
 buddy and parity modes, with and without transient faults, but with
 **no node loss firing** — replication and round-commit charges are part
 of the modeled time, so they are pinned too.  ``DATA_PLANE_SCENARIOS``
-pins the collective paths neither matrix reaches.
+pins the collective paths neither matrix reaches, and
+``SV_SCENARIOS`` pins the Shiloach–Vishkin solve.
 ``RECOVERY_SCENARIOS`` pins the recovery arms themselves: every fault
 class at once (:data:`CHAOS_PLAN` — a crash, a node loss, silent and
 in-flight corruption) on each checkpointing solver, the online adapter
@@ -53,8 +54,8 @@ import numpy as np
 from ..errors import ReproError
 
 __all__ = [
-    "Scenario", "SCENARIOS", "REDUNDANCY_SCENARIOS", "DATA_PLANE_SCENARIOS", "RECOVERY_SCENARIOS",
-    "scenario_fingerprint",
+    "Scenario", "SCENARIOS", "REDUNDANCY_SCENARIOS", "DATA_PLANE_SCENARIOS", "SV_SCENARIOS",
+    "RECOVERY_SCENARIOS", "scenario_fingerprint",
 ]
 
 
@@ -127,6 +128,14 @@ REDUNDANCY_SCENARIOS = tuple(
 DATA_PLANE_SCENARIOS = (
     Scenario(algo="cc", faults=False, analyze=False, integrity=False, nodes=1, threads=8),
     Scenario(algo="cc", faults=True, analyze=False, integrity=True, impl="lt-ps", seed=8),
+)
+
+#: Shiloach–Vishkin, the paper's Fig. 3 baseline: plain, under the race
+#: analyzer, and on the shared-memory GetD path with ``offload`` (1x8).
+SV_SCENARIOS = (
+    Scenario(algo="cc", faults=False, analyze=False, integrity=False, impl="sv"),
+    Scenario(algo="cc", faults=False, analyze=True, integrity=False, impl="sv"),
+    Scenario(algo="cc", faults=False, analyze=False, integrity=False, impl="sv", nodes=1, threads=8),
 )
 
 
@@ -305,7 +314,9 @@ if __name__ == "__main__":
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    pinned = SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + RECOVERY_SCENARIOS
+    pinned = (
+        SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + SV_SCENARIOS + RECOVERY_SCENARIOS
+    )
     fingerprints = {s.name: scenario_fingerprint(s) for s in pinned}
     json.dump({"header": header, "fingerprints": fingerprints}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

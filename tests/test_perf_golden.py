@@ -29,6 +29,7 @@ from repro.perf.golden import (
     RECOVERY_SCENARIOS,
     REDUNDANCY_SCENARIOS,
     SCENARIOS,
+    SV_SCENARIOS,
     Scenario,
     scenario_fingerprint,
 )
@@ -80,7 +81,9 @@ def test_matrix_spans_the_contract():
 
 def test_file_pins_exactly_the_scenarios():
     """No stale entry, no missing one."""
-    pinned = SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + RECOVERY_SCENARIOS
+    pinned = (
+        SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + SV_SCENARIOS + RECOVERY_SCENARIOS
+    )
     assert set(GOLDEN) == {s.name for s in pinned}
 
 
@@ -131,6 +134,14 @@ def test_data_plane_paths_are_bit_identical(scenario):
     live = _assert_matches_file(scenario)
     if scenario.faults:
         assert live["counters"]["corruptions_injected"] > 0
+
+
+@pytest.mark.parametrize("scenario", SV_SCENARIOS, ids=_scenario_id)
+def test_sv_paths_are_bit_identical(scenario):
+    """Shiloach–Vishkin's charges, counters and labels, plain, analyzed
+    and on the shared-memory offload path."""
+    live = _assert_matches_file(scenario)
+    assert live["counters"]["iterations"] >= 2
 
 
 @pytest.mark.parametrize("scenario", RECOVERY_SCENARIOS, ids=_scenario_id)
