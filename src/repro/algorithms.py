@@ -174,7 +174,12 @@ register(AlgorithmSpec(
     kind="cc",
     description="Shiloach-Vishkin with collectives (star detection + stagnant-star hook)",
     solve=lambda graph, machine, opts, tprime, sort_method, faults, adapter, integrity, resilience:
-        solve_cc_sv(graph, machine, opts, tprime, sort_method),
+        solve_cc_sv(
+            graph, machine, opts, tprime, sort_method,
+            faults=faults, integrity=integrity, resilience=resilience,
+        ),
+    supports_faults=True,
+    supports_recovery=True,
     searched=True,
 ))
 

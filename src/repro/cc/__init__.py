@@ -4,7 +4,8 @@
 * :func:`solve_cc_smp` — single-node SMP baseline (CC-SMP);
 * :func:`solve_cc_collective` — the GetD/SetD rewrite with all Section V
   optimizations (the paper's "Optimized");
-* :func:`solve_cc_sv` — Shiloach-Vishkin rewritten with collectives;
+* :func:`solve_cc_sv` — Shiloach-Vishkin rewritten with collectives, a
+  round step on the Liu–Tarjan solve shell;
 * :func:`solve_cc_sequential` — best sequential baseline (union-find);
 * :func:`solve_cc_cgm` — the round-minimizing CGM comparison point the
   paper's thesis argues against.

@@ -8,11 +8,17 @@ level of pointer-jumping is applied in SV ... SV allows grafting rooted
 stars to other components when the normal grafting condition does not
 occur."
 
-Per iteration: conditional graft (same rule as CC), star detection, the
-stagnant-star hook, and a *single* pointer-jump round.  SV issues ~12
-collective calls per iteration vs CC's ~5 plus jump rounds — the paper's
-Fig. 3 observation "SV is slower than CC due to more collective calls in
-one iteration" falls straight out.
+SV is a round step on the Liu–Tarjan solve shell
+(:func:`repro.lt.solver.solve_lattice`), so it takes every fault class
+and protection the lattice does.  Per round: the ``lt-rs`` connect phase
+(the conditional graft, same rule as CC), star detection, the
+stagnant-star hook, and a *single* pointer-jump round — 17 GetD/SetD
+calls against CC's 5 plus its jump rounds, so the paper's Fig. 3
+observation "SV is slower than CC due to more collective calls in one
+iteration" falls straight out.  A hook raises labels, so neither
+``D[v] <= v`` nor all-stars holds at a round top: there is no round
+invariant to verify, and the block digests and payload checksums are
+what detect corruption.
 
 Determinism notes (legal arbitrary-CRCW adjudications, documented in
 DESIGN.md):
@@ -21,32 +27,124 @@ DESIGN.md):
 * the stagnant-star hook resolves by *minimum proposal, plain store*
   (a star root's label may legitimately rise); hooks are restricted to
   raising targets (``value > target``) — the shrinking direction is
-  already covered by the conditional graft — which makes hook chains
-  acyclic, and hooks never target vertex 0 so the ``offload`` invariant
+  already covered by the conditional graft — which makes one round's
+  hook chains acyclic, and hooks never target vertex 0 so the ``offload`` invariant
   ``D[0] == 0`` is preserved (component 0 is absorbed by conditional
   grafts instead, since its label is globally minimal).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..collectives.base import CollectiveContext
 from ..collectives.getd import getd
 from ..collectives.setd import setd
 from ..core.optimizations import OptimizationFlags
-from ..core.results import CCResult, SolveInfo
-from ..graph.distribute import distribute_edges
+from ..core.results import CCResult
 from ..graph.edgelist import EdgeList
-from ..runtime.machine import MachineConfig, hps_cluster
+from ..lt.solver import _connect_phase, _verify_stars, solve_lattice
+from ..runtime.machine import MachineConfig
 from ..runtime.partitioned import PartitionedArray
-from ..runtime.runtime import PGASRuntime
-from ..runtime.shared_array import id_dtype
-from .common import check_converged, graft_proposals
+from .common import iteration_bound
 
 __all__ = ["solve_cc_sv"]
+
+
+def _sv_scratch(st) -> None:
+    """Allocate the per-run arrays on ``st.rt``.  The star, change and
+    stagnant flags are rewritten whole every round, so they are never
+    checkpointed, only re-allocated after a membership change."""
+    rt, n = st.rt, st.d.size
+    st.star = rt.shared_array(np.ones(n, dtype=np.int64))
+    st.ch = rt.shared_array(np.zeros(n, dtype=np.int64))
+    st.stag = rt.shared_array(np.zeros(n, dtype=np.int64))
+    st.sizes_local = st.d.local_sizes().astype(np.float64)
+    st.vert_offsets = np.zeros(rt.s + 1, dtype=np.int64)
+    np.cumsum(st.d.local_sizes(), out=st.vert_offsets[1:])
+
+
+def _label_partition(st) -> PartitionedArray:
+    """Every vertex's label, as a request list partitioned by owner."""
+    return PartitionedArray(st.rt.owner_block_read(st.d, counts=st.sizes_local), st.vert_offsets)
+
+
+def _sv_round(st) -> bool:
+    """One SV round; ``True`` once nothing moved.  Round buffers are
+    bound on ``st`` (see run_rounds: heap trimming)."""
+    st.before = before = st.d.data.copy()
+
+    # 1. Conditional grafting: the lt-rs connect phase.
+    changed_graft = _connect_phase(st)
+    rt, d, ctx = st.rt, st.d, st.ctx
+    opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
+    star, ch, stag, sizes_local = st.star, st.ch, st.stag, st.sizes_local
+    u_part, v_part = st.u_part, st.v_part
+    hot = 0 if opts.offload else None
+
+    # 2. Change flags, owner-local.
+    rt.owner_block_write(ch, (d.data != before).astype(np.int64), counts=sizes_local)
+
+    # 3. Star detection (classic three-step check).
+    st.idxp = idxp = _label_partition(st)
+    st.grand = grand = getd(rt, d, idxp, opts, None, None, tprime, sort_method, hot_value=hot)
+    rt.owner_block_write(star, 1, counts=sizes_local)
+    st.non_star = non_star = grand != d.data
+    # star[i] = false, owner-local
+    rt.owner_masked_write(star, non_star, 0, charge="ops", counts=sizes_local)
+    # star[D[D[i]]] = false for the same i — remote scatter.
+    gp = PartitionedArray(grand, st.vert_offsets).filter(non_star)
+    setd(rt, star, gp, np.zeros(gp.total, dtype=np.int64), opts, None, None, tprime, sort_method)
+    # star[i] = star[D[i]] — remote gather of the parent's flag.
+    st.star_at_parent = star_at_parent = getd(rt, star, idxp, opts, None, None, tprime, sort_method)
+    rt.owner_block_write(star, star_at_parent, counts=sizes_local)
+
+    # 4. Stagnant stars: in a star whose root's label did not change.
+    st.ch_at_root = ch_at_root = getd(rt, ch, idxp, opts, None, None, tprime, sort_method)
+    rt.owner_block_write(stag, star.data & (ch_at_root == 0), charge="ops", counts=sizes_local)
+
+    # 5. Hook stagnant stars onto (larger-labeled) neighbours.
+    #
+    # The hook must be computed from *post-graft* roots: the same
+    # round's conditional graft may already have moved the other
+    # endpoint's root (e.g. D[9] <- 5), and hooking against the stale
+    # pre-graft label would re-raise it (D[5] <- 9), creating a 2-cycle
+    # the pointer jumping can never resolve.  Four more collectives
+    # fetch fresh labels and their parents — part of why "SV is slower
+    # than CC due to more collective calls".
+    st.fdu = fdu = getd(rt, d, u_part, opts, None, None, tprime, sort_method, hot_value=hot)
+    st.fdv = fdv = getd(rt, d, v_part, opts, None, None, tprime, sort_method, hot_value=hot)
+    st.gdu = gdu = getd(
+        rt, d, u_part.with_data(fdu), opts, None, None, tprime, sort_method, hot_value=hot
+    )
+    st.gdv = gdv = getd(
+        rt, d, v_part.with_data(fdv), opts, None, None, tprime, sort_method, hot_value=hot
+    )
+    st.stag_u = stag_u = getd(rt, stag, u_part, opts, ctx, "edges.u", tprime, sort_method)
+    st.stag_v = stag_v = getd(rt, stag, v_part, opts, ctx, "edges.v", tprime, sort_method)
+    rt.local_ops(4.0 * u_part.sizes().astype(np.float64))
+    st.hook_u = hook_u = (stag_u == 1) & (gdv > gdu) & (gdu != 0)
+    st.hook_v = hook_v = (stag_v == 1) & (gdu > gdv) & (gdv != 0)
+    t_u = u_part.filter(hook_u).with_data(gdu[hook_u])
+    t_v = v_part.filter(hook_v).with_data(gdv[hook_v])
+    hook_targets = PartitionedArray.concat_pairwise(t_u, t_v)
+    hook_values = PartitionedArray.concat_pairwise(
+        u_part.filter(hook_u).with_data(gdv[hook_u]),
+        v_part.filter(hook_v).with_data(gdu[hook_v]),
+    )
+    changed_hook = setd(
+        rt, d, hook_targets, hook_values.data, opts, None, None, tprime, sort_method,
+        combine="store_min",
+    )
+
+    # 6. One pointer-jump round.
+    st.idxp2 = idxp2 = _label_partition(st)
+    st.grand2 = grand2 = getd(rt, d, idxp2, opts, None, None, tprime, sort_method, hot_value=None)
+    moved = grand2 != d.data
+    rt.owner_block_write(d, grand2, counts=sizes_local)
+    changed_jump = int(np.count_nonzero(moved))
+
+    total_changed = changed_graft + changed_hook + changed_jump
+    return not rt.allreduce_flag(np.full(rt.s, total_changed > 0))
 
 
 def solve_cc_sv(
@@ -55,123 +153,19 @@ def solve_cc_sv(
     opts: OptimizationFlags = OptimizationFlags.all(),
     tprime: int = 1,
     sort_method: str = "count",
+    faults=None,
+    integrity=None,
+    resilience=None,
 ) -> CCResult:
-    """Collective-based Shiloach-Vishkin connected components."""
-    machine = machine if machine is not None else hps_cluster()
-    wall_start = time.perf_counter()
-    rt = PGASRuntime(machine)
-    n = graph.n
-    if n == 0:
-        info = SolveInfo(machine, "cc-sv", 0.0, time.perf_counter() - wall_start, 0, rt.trace)
-        return CCResult(np.empty(0, dtype=np.int64), info)
+    """Collective-based Shiloach-Vishkin connected components.
 
-    ep = distribute_edges(graph, rt.s)
-    u_part, v_part = ep.u, ep.v
-    d = rt.shared_array(np.arange(n, dtype=id_dtype(n)))
-    star = rt.shared_array(np.ones(n, dtype=np.int64))
-    ch = rt.shared_array(np.zeros(n, dtype=np.int64))
-    stag = rt.shared_array(np.zeros(n, dtype=np.int64))
-    sizes_local = d.local_sizes().astype(np.float64)
-    vert_offsets = np.zeros(rt.s + 1, dtype=np.int64)
-    np.cumsum(d.local_sizes(), out=vert_offsets[1:])
-    ctx = CollectiveContext()
-    hot = 0 if opts.offload else None
-
-    def label_partition() -> PartitionedArray:
-        return PartitionedArray(rt.owner_block_read(d, counts=sizes_local), vert_offsets)
-
-    iteration = 0
-    while True:
-        iteration += 1
-        check_converged(iteration, n, "cc-sv")
-        rt.counters.add(iterations=1)
-
-        # 1. Conditional grafting (identical rule to CC).
-        du = getd(rt, d, u_part, opts, ctx, "edges.u", tprime, sort_method, hot_value=hot)
-        dv = getd(rt, d, v_part, opts, ctx, "edges.v", tprime, sort_method, hot_value=hot)
-        if opts.compact:
-            keep = du != dv
-            rt.local_ops(u_part.sizes().astype(np.float64))
-            if not keep.all():
-                u_part = u_part.filter(keep)
-                v_part = v_part.filter(keep)
-                du, dv = du[keep], dv[keep]
-                ctx.invalidate()
-        ddu = getd(rt, d, u_part.with_data(du), opts, None, None, tprime, sort_method, hot_value=hot)
-        ddv = getd(rt, d, v_part.with_data(dv), opts, None, None, tprime, sort_method, hot_value=hot)
-        rt.local_ops(6.0 * u_part.sizes().astype(np.float64))
-        before = d.data.copy()
-        step = graft_proposals(du, dv, ddu, ddv)
-        graft_targets = u_part.take_sorted(step.sel).with_data(step.targets)
-        changed_graft = setd(
-            rt, d, graft_targets, step.values, opts, None, None, tprime, sort_method,
-            drop_hot=True, hot_index=0,
-        )
-
-        # 2. Change flags, owner-local.
-        rt.owner_block_write(ch, (d.data != before).astype(np.int64), counts=sizes_local)
-
-        # 3. Star detection (classic three-step check).
-        idxp = label_partition()
-        grand = getd(rt, d, idxp, opts, None, None, tprime, sort_method, hot_value=hot)
-        rt.owner_block_write(star, 1, counts=sizes_local)
-        non_star = grand != d.data
-        # star[i] = false, owner-local
-        rt.owner_masked_write(star, non_star, 0, charge="ops", counts=sizes_local)
-        # star[D[D[i]]] = false for the same i — remote scatter.
-        gp = PartitionedArray(grand, vert_offsets).filter(non_star)
-        setd(rt, star, gp, np.zeros(gp.total, dtype=np.int64), opts, None, None, tprime, sort_method)
-        # star[i] = star[D[i]] — remote gather of the parent's flag.
-        star_at_parent = getd(rt, star, idxp, opts, None, None, tprime, sort_method)
-        rt.owner_block_write(star, star_at_parent, counts=sizes_local)
-
-        # 4. Stagnant stars: in a star whose root's label did not change.
-        ch_at_root = getd(rt, ch, idxp, opts, None, None, tprime, sort_method)
-        rt.owner_block_write(stag, star.data & (ch_at_root == 0), charge="ops", counts=sizes_local)
-
-        # 5. Hook stagnant stars onto (larger-labeled) neighbours.
-        #
-        # The hook must be computed from *post-graft* roots: the same
-        # iteration's conditional graft may already have moved the other
-        # endpoint's root (e.g. D[9] <- 5), and hooking against the stale
-        # pre-graft label would re-raise it (D[5] <- 9), creating a
-        # 2-cycle the pointer jumping can never resolve.  Four more
-        # collectives fetch fresh labels and their parents — part of why
-        # "SV is slower than CC due to more collective calls".
-        fdu = getd(rt, d, u_part, opts, None, None, tprime, sort_method, hot_value=hot)
-        fdv = getd(rt, d, v_part, opts, None, None, tprime, sort_method, hot_value=hot)
-        gdu = getd(rt, d, u_part.with_data(fdu), opts, None, None, tprime, sort_method, hot_value=hot)
-        gdv = getd(rt, d, v_part.with_data(fdv), opts, None, None, tprime, sort_method, hot_value=hot)
-        stag_u = getd(rt, stag, u_part, opts, ctx, "edges.u", tprime, sort_method)
-        stag_v = getd(rt, stag, v_part, opts, ctx, "edges.v", tprime, sort_method)
-        rt.local_ops(4.0 * u_part.sizes().astype(np.float64))
-        hook_u = (stag_u == 1) & (gdv > gdu) & (gdu != 0)
-        hook_v = (stag_v == 1) & (gdu > gdv) & (gdv != 0)
-        t_u = u_part.filter(hook_u).with_data(gdu[hook_u])
-        t_v = v_part.filter(hook_v).with_data(gdv[hook_v])
-        hook_targets = PartitionedArray.concat_pairwise(t_u, t_v)
-        hook_values = PartitionedArray.concat_pairwise(
-            u_part.filter(hook_u).with_data(gdv[hook_u]),
-            v_part.filter(hook_v).with_data(gdu[hook_v]),
-        )
-        changed_hook = setd(
-            rt, d, hook_targets, hook_values.data, opts, None, None, tprime, sort_method,
-            combine="store_min",
-        )
-
-        # 6. One pointer-jump round.
-        idxp2 = label_partition()
-        grand2 = getd(rt, d, idxp2, opts, None, None, tprime, sort_method, hot_value=None)
-        moved = grand2 != d.data
-        rt.owner_block_write(d, grand2, counts=sizes_local)
-        changed_jump = int(np.count_nonzero(moved))
-
-        total_changed = changed_graft + changed_hook + changed_jump
-        if not rt.allreduce_flag(np.full(rt.s, total_changed > 0)):
-            break
-
-    labels = d.data.astype(np.int64)
-    info = SolveInfo(
-        machine, "cc-sv", rt.elapsed, time.perf_counter() - wall_start, iteration, rt.trace
+    ``faults``, ``integrity`` and ``resilience`` behave as in
+    :func:`~repro.cc.collective.solve_cc_collective`; under integrity
+    only the converged labels are checked to be stars."""
+    return solve_lattice(
+        graph, machine, opts, tprime, sort_method, "lt-rs",
+        name="cc-sv", array="sv.d", bound=iteration_bound(graph.n),
+        verify=None, final=_verify_stars, faults=faults,
+        integrity=integrity, resilience=resilience,
+        step=_sv_round, scratch=_sv_scratch,
     )
-    return CCResult(labels, info)

@@ -38,6 +38,9 @@ restored labels become the next round's monotonicity baseline.
 The paper's CC is the ``lt-rf`` point: :func:`~repro.cc.collective.
 solve_cc_collective` runs it through :func:`solve_lattice` too, handing
 in its own name, iteration bound, integrity hook and the online adapter.
+Shiloach–Vishkin (:func:`~repro.cc.sv.solve_cc_sv`) hands in its own
+round step as well: :func:`_connect_phase` with ``lt-rs``, then star
+detection, the stagnant-star hook and one pointer jump.
 """
 
 from __future__ import annotations
@@ -144,17 +147,20 @@ def _restored_baseline(st) -> None:
     st.prev = st.d.data.copy()
 
 
-def _lattice_round(st) -> bool:
-    """One connect / shortcut / alter round; ``True`` once nothing moved."""
+def _connect_phase(st) -> int:
+    """Compact the live edges, then apply ``st.variant``'s connect rule
+    with one min-adjudicated SetD; return the number of labels it moved.
+
+    The compacted partitions are left on ``st`` for the rest of the
+    round.  Round buffers are bound on ``st`` too, so that each lives
+    until the next round replaces it (see run_rounds: heap trimming).
+    """
     rt, d, ctx, variant = st.rt, st.d, st.ctx, st.variant
     opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
     u_part, v_part = st.u_part, st.v_part
     # Recomputed per round: the adapter may have flipped `offload`.
     hot = 0 if opts.offload else None
 
-    # -- connect phase --------------------------------------------
-    # Round buffers are bound on `st` too, so that each lives until the
-    # next round replaces it (see run_rounds: heap trimming).
     st.du = du = getd(rt, d, u_part, opts, ctx, "edges.u", tprime, sort_method, hot_value=hot)
     st.dv = dv = getd(rt, d, v_part, opts, ctx, "edges.v", tprime, sort_method, hot_value=hot)
     if opts.compact:
@@ -168,6 +174,7 @@ def _lattice_round(st) -> bool:
             st.du = du = du.take(sel)
             st.dv = dv = dv.take(sel)
             ctx.invalidate()
+    st.u_part, st.v_part = u_part, v_part
     ddu = ddv = None
     if variant.connect == "root":
         st.ddu = ddu = getd(
@@ -181,11 +188,18 @@ def _lattice_round(st) -> bool:
     st.targets, st.values = targets, values = _connect_proposals(
         variant, rt, u_part, v_part, du, dv, ddu, ddv
     )
-    changed = setd(
+    return setd(
         rt, d, targets, values, opts, ctx=None, cache_key=None,
         tprime=tprime, sort_method=sort_method,
         drop_hot=True, hot_index=0,
     )
+
+
+def _lattice_round(st) -> bool:
+    """One connect / shortcut / alter round; ``True`` once nothing moved."""
+    changed = _connect_phase(st)
+    rt, d, ctx, variant = st.rt, st.d, st.ctx, st.variant
+    opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
 
     # -- shortcut phase -------------------------------------------
     if variant.shortcut == "full":
@@ -195,13 +209,13 @@ def _lattice_round(st) -> bool:
 
     # -- alter phase ----------------------------------------------
     if variant.alter:
-        fu = getd(rt, d, u_part, opts, None, None, tprime, sort_method, hot_value=hot)
-        fv = getd(rt, d, v_part, opts, None, None, tprime, sort_method, hot_value=hot)
-        u_part = u_part.with_data(fu)
-        v_part = v_part.with_data(fv)
+        hot = 0 if opts.offload else None
+        fu = getd(rt, d, st.u_part, opts, None, None, tprime, sort_method, hot_value=hot)
+        fv = getd(rt, d, st.v_part, opts, None, None, tprime, sort_method, hot_value=hot)
+        st.u_part = st.u_part.with_data(fu)
+        st.v_part = st.v_part.with_data(fv)
         # The cached id buffers describe the old request lists.
         ctx.invalidate()
-    st.u_part, st.v_part = u_part, v_part
 
     done = not rt.allreduce_flag(np.full(rt.s, changed + moved > 0))
     if st.adapter is not None and not done:
@@ -232,13 +246,17 @@ def solve_lattice(
     adapter=None,
     integrity=None,
     resilience=None,
+    step=_lattice_round,
+    scratch=None,
 ) -> CCResult:
     """The solve shell of every lattice point: runtime, label array
-    ``array``, edge partitions, then :func:`_lattice_round` under
+    ``array``, edge partitions, then ``step`` (:func:`_lattice_round`
+    unless a composition brings its own) under
     :func:`~repro.faults.rounds.run_rounds` with ``name``, ``bound`` and
-    the integrity hooks ``verify``/``replay``/``final``.  ``adapter``
-    revises ``opts``/``tprime`` after each round; profiling is forced on
-    so it has phase records to read."""
+    the integrity hooks ``verify``/``replay``/``final``.  ``scratch(st)``
+    allocates the step's per-run arrays, again on the new runtime after
+    a node loss.  ``adapter`` revises ``opts``/``tprime`` after each
+    round; profiling is forced on so it has phase records to read."""
     variant = parse_variant(variant)
     machine = machine if machine is not None else hps_cluster()
     wall_start = time.perf_counter()
@@ -265,9 +283,11 @@ def solve_lattice(
         rt=rt, d=d, ctx=CollectiveContext(), u_part=ep.u, v_part=ep.v, prev=None,
         opts=opts, tprime=tprime, sort_method=sort_method, variant=variant, adapter=adapter,
     )
+    if scratch is not None:
+        scratch(st)
     iterations = run_rounds(
-        st, _lattice_round, name=name, bound=bound, refs=("u_part", "v_part"),
-        verify=verify, replay=replay, final=final, adapter=adapter,
+        st, step, name=name, bound=bound, refs=("u_part", "v_part"),
+        verify=verify, replay=replay, final=final, rebuild=scratch, adapter=adapter,
     )
     rt = st.rt
     info = SolveInfo(

@@ -10,7 +10,8 @@ the contract and ``docs/performance.md`` for the inventory).
 * :mod:`~repro.perf.derived` — memoized pure derived artifacts
   (schedules, level splits, t' grids, distribution offsets);
 * :mod:`~repro.perf.fanout` — deterministic process-pool fan-out for
-  benchmark grids;
+  benchmark grids, as wide as ``REPRO_BENCH_WORKERS`` asks (serial by
+  default);
 * :mod:`~repro.perf.golden` — pinned-scenario fingerprints and the
   writer of the golden file.
 """

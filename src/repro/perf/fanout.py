@@ -46,15 +46,12 @@ def available_cpus() -> int:
 
 
 def resolve_workers(workers, source: "str | None" = None) -> int:
-    """Normalize a ``--workers`` value to a concrete positive count.
+    """Normalize a worker-count value to a concrete positive count.
 
-    ``None`` means serial (1), unless ``REPRO_PERF_WORKERS`` is set in
-    the environment, which lets harnesses opt whole test runs into
-    fan-out without plumbing flags.  *String* values — CLI flags and
-    environment variables (``REPRO_PERF_WORKERS``,
-    ``REPRO_BENCH_WORKERS``) — are validated strictly: ``"auto"`` (one
-    worker per available CPU) or a positive integer; anything else
-    (non-integer, zero, negative) raises a clear
+    ``None`` means serial (1).  *String* values, as read from the
+    ``REPRO_BENCH_WORKERS`` environment variable, are validated
+    strictly: ``"auto"`` (one worker per available CPU) or a positive
+    integer; anything else (non-integer, zero, negative) raises a clear
     :class:`~repro.errors.UsageError` up front instead of crashing or
     silently misbehaving mid-fanout.  ``source`` names the flag or
     variable the value came from so the error says where to fix it.
@@ -63,12 +60,7 @@ def resolve_workers(workers, source: "str | None" = None) -> int:
     ``0`` means serial, a negative count means auto.
     """
     if workers is None:
-        env = os.environ.get("REPRO_PERF_WORKERS", "").strip()
-        if env:
-            workers = env
-            source = source or "REPRO_PERF_WORKERS"
-        else:
-            return 1
+        return 1
     if isinstance(workers, str):
         where = f" (from {source})" if source else ""
         text = workers.strip()

@@ -131,11 +131,18 @@ DATA_PLANE_SCENARIOS = (
 )
 
 #: Shiloach–Vishkin, the paper's Fig. 3 baseline: plain, under the race
-#: analyzer, and on the shared-memory GetD path with ``offload`` (1x8).
+#: analyzer, and on the shared-memory GetD path with ``offload`` (1x8);
+#: then under the light transient plan, bare, with integrity (its payload
+#: flips are caught) and with each redundancy mode.
 SV_SCENARIOS = (
     Scenario(algo="cc", faults=False, analyze=False, integrity=False, impl="sv"),
     Scenario(algo="cc", faults=False, analyze=True, integrity=False, impl="sv"),
     Scenario(algo="cc", faults=False, analyze=False, integrity=False, impl="sv", nodes=1, threads=8),
+    Scenario(algo="cc", faults=True, analyze=False, integrity=False, impl="sv"),
+    Scenario(algo="cc", faults=True, analyze=False, integrity=True, impl="sv"),
+) + tuple(
+    Scenario(algo="cc", faults=True, analyze=False, integrity=False, impl="sv", redundancy=mode)
+    for mode in ("buddy", "parity")
 )
 
 

@@ -219,7 +219,7 @@ class TestRegistry:
     def test_capability_gates_in_pipeline(self):
         g = random_graph(64, 128, seed=0)
         with pytest.raises(ConfigError, match="fault injection"):
-            connected_components(g, MACHINE, impl="sv", faults=FaultPlan(seed=1, loss=1e-3))
+            connected_components(g, MACHINE, impl="cgm", faults=FaultPlan(seed=1, loss=1e-3))
         with pytest.raises(ConfigError, match="integrity"):
             connected_components(g, MACHINE, impl="cgm", integrity=True)
 

@@ -147,14 +147,6 @@ class TestFanout:
         with pytest.raises(ConfigError):
             resolve_workers("bogus")
 
-    def test_resolve_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERF_WORKERS", "2")
-        assert resolve_workers(None) == 2
-        monkeypatch.setenv("REPRO_PERF_WORKERS", "auto")
-        assert resolve_workers(None) == available_cpus()
-        # An explicit value beats the environment.
-        assert resolve_workers(1) == 1
-
     @pytest.mark.parametrize("value", ["0", "-2", "1.5", "many", ""])
     def test_strings_are_validated_strictly(self, value):
         """String inputs come from env vars and CLI flags, where silent
@@ -166,12 +158,11 @@ class TestFanout:
             resolve_workers(value)
 
     @pytest.mark.parametrize("value", ["0", "-3", "2.5", "lots"])
-    def test_env_values_are_validated_with_source(self, value, monkeypatch):
+    def test_env_values_are_validated_with_source(self, value):
         from repro.errors import UsageError
 
-        monkeypatch.setenv("REPRO_PERF_WORKERS", value)
-        with pytest.raises(UsageError, match="REPRO_PERF_WORKERS"):
-            resolve_workers(None)
+        with pytest.raises(UsageError, match="REPRO_BENCH_WORKERS"):
+            resolve_workers(value, source="REPRO_BENCH_WORKERS")
 
     def test_usage_error_is_a_config_error(self):
         """UsageError subclasses ConfigError, so callers pinning the old

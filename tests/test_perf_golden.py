@@ -138,10 +138,19 @@ def test_data_plane_paths_are_bit_identical(scenario):
 
 @pytest.mark.parametrize("scenario", SV_SCENARIOS, ids=_scenario_id)
 def test_sv_paths_are_bit_identical(scenario):
-    """Shiloach–Vishkin's charges, counters and labels, plain, analyzed
-    and on the shared-memory offload path."""
+    """Shiloach–Vishkin's charges, counters and labels, plain, analyzed,
+    on the shared-memory offload path, and on its recovery paths: the
+    faulted runs really retry, catch every flip under integrity and
+    commit replicas under redundancy."""
     live = _assert_matches_file(scenario)
-    assert live["counters"]["iterations"] >= 2
+    counters = live["counters"]
+    assert counters["iterations"] >= 2
+    if scenario.faults:
+        assert counters["retries"] > 0 and counters["corruptions_injected"] > 0
+    if scenario.integrity:
+        assert counters["corruptions_detected"] == counters["corruptions_injected"]
+    if scenario.redundancy:
+        assert counters["replicas_written"] > 0
 
 
 @pytest.mark.parametrize("scenario", RECOVERY_SCENARIOS, ids=_scenario_id)

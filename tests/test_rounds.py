@@ -12,9 +12,10 @@ Two halves:
   supports, and holds the one fault contract: the reference answer or a
   loud error — never a wrong answer, never a dropped event — with every
   checkpoint restore accounted for by a crash, a repair or an epoch;
-* three composed chaos campaigns are pinned as deterministic cases:
-  every protected solve verifies by certificate, detects every
-  corruption injected into it and fires every scheduled event.
+* Shiloach–Vishkin's recovery arms and three composed chaos campaigns
+  are pinned as deterministic cases: every protected solve verifies
+  (by reference labels or by certificate), detects every corruption
+  injected into it and fires every scheduled event.
 """
 
 from __future__ import annotations
@@ -329,6 +330,44 @@ def test_recovery_is_exact_or_loud(spec):
         assert c.epoch_changes <= 1 and c.crashes <= 1
 
     check()
+
+
+#: Shiloach–Vishkin's recovery arms, one deterministic plan each:
+#: (plan, integrity, redundancy config, expected (crashes, node losses)).
+#: SV models ~2 ms per round on 4x2 here, so every event lands mid-solve.
+SV_RECOVERIES = {
+    "crash": (FaultPlan(seed=1, crashes=(CrashEvent(thread=3, at_time=3e-3),)), None, None, (1, 0)),
+    "corruption": (FaultPlan(seed=2, corruption=1.0, payload_corruption=1e-4), True, None, (0, 0)),
+    "node-loss-buddy": (
+        FaultPlan(seed=3, node_losses=(NodeLossEvent(node=1, at_time=4e-3),)),
+        None, RedundancyConfig(mode="buddy"), (0, 1),
+    ),
+    "node-loss-parity-spare-crash": (
+        FaultPlan(
+            seed=4,
+            crashes=(CrashEvent(thread=5, at_time=2e-3),),
+            node_losses=(NodeLossEvent(node=2, at_time=6e-3),),
+        ),
+        None, RedundancyConfig(mode="parity", group=2, spares=1), (1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SV_RECOVERIES))
+def test_sv_recovers_on_the_round_driver(name):
+    """SV replays lost rounds like every lattice point: the reference
+    labels, and exactly the scheduled events, each restore accounted for."""
+    plan, integrity, resilience, (crashes, losses) = SV_RECOVERIES[name]
+    res = connected_components(
+        GRAPH, MACHINE, impl="sv", faults=plan, integrity=integrity, resilience=resilience
+    )
+    np.testing.assert_array_equal(res.labels, LABELS)
+    c = res.info.trace.counters
+    assert (c.crashes, c.node_losses, c.epoch_changes) == (crashes, losses, losses)
+    assert c.corruptions_detected == c.corruptions_injected
+    if plan.has_corruption:
+        assert c.repairs >= 1
+    assert c.checkpoint_restores == c.crashes + c.repairs + c.epoch_changes
 
 
 # -- composed campaigns, pinned ------------------------------------------------

@@ -518,7 +518,7 @@ class TestVariantField:
         assert job.result["plan"]["impl"] == "lt-pfa"
 
     def test_faults_with_unsupporting_impl_rejected_via_registry(self):
-        spec = JobSpec.from_payload({"algo": "cc", "impl": "sv", "loss": 0.01})
+        spec = JobSpec.from_payload({"algo": "cc", "impl": "cgm", "loss": 0.01})
         with pytest.raises(UsageError, match="fault injection"):
             validate_spec_impl(spec)
 
@@ -560,7 +560,7 @@ class TestAdmissionFlows:
         assert "algo" in body["error"]
 
     @pytest.mark.parametrize("request_body, named", [
-        ({"algo": "cc", "impl": "sv", "redundancy": "buddy"}, "node-loss resilience"),
+        ({"algo": "cc", "impl": "naive", "redundancy": "buddy"}, "node-loss resilience"),
         ({"algo": "mst", "impl": "kruskal", "redundancy": "parity"}, "node-loss resilience"),
         ({"machine": "banana"}, "machine"),
         ({"opts": "warp"}, "opts"),
