@@ -18,7 +18,10 @@ observation "SV is slower than CC due to more collective calls in one
 iteration" falls straight out.  A hook raises labels, so neither
 ``D[v] <= v`` nor all-stars holds at a round top: there is no round
 invariant to verify, and the block digests and payload checksums are
-what detect corruption.
+what detect corruption.  At termination the labels are stars, and that
+is all that is checked: a component without vertex 0 may converge on a
+label above its minimum vertex's id (the minimum's stagnant star hooks
+upward), so ``D[v] <= v`` need not hold even then.
 
 Determinism notes (legal arbitrary-CRCW adjudications, documented in
 DESIGN.md):
@@ -42,7 +45,7 @@ from ..collectives.setd import setd
 from ..core.optimizations import OptimizationFlags
 from ..core.results import CCResult
 from ..graph.edgelist import EdgeList
-from ..lt.solver import _connect_phase, _verify_stars, solve_lattice
+from ..lt.solver import connect_phase, solve_lattice
 from ..runtime.machine import MachineConfig
 from ..runtime.partitioned import PartitionedArray
 from .common import iteration_bound
@@ -68,18 +71,22 @@ def _label_partition(st) -> PartitionedArray:
     return PartitionedArray(st.rt.owner_block_read(st.d, counts=st.sizes_local), st.vert_offsets)
 
 
+def _verify_stars(st) -> None:
+    """Termination contract: the converged labels are stars."""
+    st.rt.integrity.verify_star_round(st.d)
+
+
 def _sv_round(st) -> bool:
     """One SV round; ``True`` once nothing moved.  Round buffers are
     bound on ``st`` (see run_rounds: heap trimming)."""
     st.before = before = st.d.data.copy()
 
     # 1. Conditional grafting: the lt-rs connect phase.
-    changed_graft = _connect_phase(st)
-    rt, d, ctx = st.rt, st.d, st.ctx
+    changed_graft = connect_phase(st)
+    rt, d, ctx, hot = st.rt, st.d, st.ctx, st.hot
     opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
     star, ch, stag, sizes_local = st.star, st.ch, st.stag, st.sizes_local
     u_part, v_part = st.u_part, st.v_part
-    hot = 0 if opts.offload else None
 
     # 2. Change flags, owner-local.
     rt.owner_block_write(ch, (d.data != before).astype(np.int64), counts=sizes_local)
@@ -161,7 +168,7 @@ def solve_cc_sv(
 
     ``faults``, ``integrity`` and ``resilience`` behave as in
     :func:`~repro.cc.collective.solve_cc_collective`; under integrity
-    only the converged labels are checked to be stars."""
+    the converged labels are checked to be stars, and nothing more."""
     return solve_lattice(
         graph, machine, opts, tprime, sort_method, "lt-rs",
         name="cc-sv", array="sv.d", bound=iteration_bound(graph.n),

@@ -181,13 +181,15 @@ class IntegrityMonitor:
             self._invariant_failure("lt round invariant", msg)
 
     def verify_star_round(self, d) -> None:
-        """MST round-top invariant: valid labels forming all stars."""
+        """Star invariant of solvers that guarantee only stars: valid
+        labels forming all stars (MST at every round top, SV at
+        termination)."""
         if not self.config.invariants:
             return
         self._charge_digest(2.0 * d.local_sizes(), d.nbytes_per_elem)
         msg = star_invariant_violation(d.data)
         if msg is not None:
-            self._invariant_failure("mst round invariant", msg)
+            self._invariant_failure("star invariant", msg)
 
     def verify_mst_selection(self, minedge, roots, positions, du_c, dv_c, w_c) -> None:
         """Cut-property spot check on a sample of this round's winners

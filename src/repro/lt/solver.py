@@ -39,7 +39,7 @@ The paper's CC is the ``lt-rf`` point: :func:`~repro.cc.collective.
 solve_cc_collective` runs it through :func:`solve_lattice` too, handing
 in its own name, iteration bound, integrity hook and the online adapter.
 Shiloach–Vishkin (:func:`~repro.cc.sv.solve_cc_sv`) hands in its own
-round step as well: :func:`_connect_phase` with ``lt-rs``, then star
+round step as well: :func:`connect_phase` with ``lt-rs``, then star
 detection, the stagnant-star hook and one pointer jump.
 """
 
@@ -147,19 +147,20 @@ def _restored_baseline(st) -> None:
     st.prev = st.d.data.copy()
 
 
-def _connect_phase(st) -> int:
+def connect_phase(st) -> int:
     """Compact the live edges, then apply ``st.variant``'s connect rule
     with one min-adjudicated SetD; return the number of labels it moved.
 
-    The compacted partitions are left on ``st`` for the rest of the
-    round.  Round buffers are bound on ``st`` too, so that each lives
+    The compacted partitions and the round's hot value ``st.hot`` (the
+    ``offload`` short-circuit's ``0``, else ``None``) are left on ``st``
+    for the rest of the round.  Round buffers are bound on ``st`` too, so that each lives
     until the next round replaces it (see run_rounds: heap trimming).
     """
     rt, d, ctx, variant = st.rt, st.d, st.ctx, st.variant
     opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
     u_part, v_part = st.u_part, st.v_part
     # Recomputed per round: the adapter may have flipped `offload`.
-    hot = 0 if opts.offload else None
+    st.hot = hot = 0 if opts.offload else None
 
     st.du = du = getd(rt, d, u_part, opts, ctx, "edges.u", tprime, sort_method, hot_value=hot)
     st.dv = dv = getd(rt, d, v_part, opts, ctx, "edges.v", tprime, sort_method, hot_value=hot)
@@ -197,7 +198,7 @@ def _connect_phase(st) -> int:
 
 def _lattice_round(st) -> bool:
     """One connect / shortcut / alter round; ``True`` once nothing moved."""
-    changed = _connect_phase(st)
+    changed = connect_phase(st)
     rt, d, ctx, variant = st.rt, st.d, st.ctx, st.variant
     opts, tprime, sort_method = st.opts, st.tprime, st.sort_method
 
@@ -209,9 +210,8 @@ def _lattice_round(st) -> bool:
 
     # -- alter phase ----------------------------------------------
     if variant.alter:
-        hot = 0 if opts.offload else None
-        fu = getd(rt, d, st.u_part, opts, None, None, tprime, sort_method, hot_value=hot)
-        fv = getd(rt, d, st.v_part, opts, None, None, tprime, sort_method, hot_value=hot)
+        fu = getd(rt, d, st.u_part, opts, None, None, tprime, sort_method, hot_value=st.hot)
+        fv = getd(rt, d, st.v_part, opts, None, None, tprime, sort_method, hot_value=st.hot)
         st.u_part = st.u_part.with_data(fu)
         st.v_part = st.v_part.with_data(fv)
         # The cached id buffers describe the old request lists.
