@@ -149,9 +149,8 @@ def main() -> int:
         "\n## Ablations beyond the paper\n\n"
         "`bench_ablation_schedule_depth.py` (Algorithm 1 depth 0-3: each level\n"
         "cuts exactly-simulated cache misses), `bench_ablation_sort.py`\n"
-        "(count sort vs quicksort end-to-end), `bench_ablation_circular.py`\n"
-        "(linear-order incast in isolation), and `bench_micro_collectives.py`\n"
-        "(wall-clock throughput of the simulator itself).\n"
+        "(count sort vs quicksort end-to-end) and `bench_ablation_circular.py`\n"
+        "(linear-order incast in isolation).\n"
     )
     out = ROOT / "EXPERIMENTS.md"
     out.write_text("".join(parts))

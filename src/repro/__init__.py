@@ -32,9 +32,10 @@ Packages
 ``repro.core``         high-level API, optimization flags, analysis
 ``repro.analysis``     sanitizer suite: epoch race detector + static verifier
 ``repro.faults``       fault plans/injection: loss, stragglers, crashes, flips
-``repro.integrity``    silent-fault detection, verify-and-repair, service chaos campaign
+``repro.integrity``    silent-fault detection and verify-and-repair
 ``repro.resilience``   permanent-loss survival: redundancy, epochs, recovery
 ``repro.tuning``       autotuner: plan (impl × t') → adapt
+``repro.service``      HTTP graph service, its loadtest and its chaos soak
 ``repro.bench``        experiment harness used by ``benchmarks/``
 """
 

@@ -59,10 +59,12 @@ from .runtime import (
 __all__ = ["main", "build_parser"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_problem(parser: argparse.ArgumentParser, graph: bool = True) -> None:
+    """The input (a graph with ``graph``, else a list) and the machine."""
     parser.add_argument("--n", type=int, default=50_000, help="vertex count")
-    parser.add_argument("--density", type=float, default=4.0, help="edges per vertex (m/n)")
-    parser.add_argument("--kind", choices=FAMILIES, default="random", help="input family")
+    if graph:
+        parser.add_argument("--density", type=float, default=4.0, help="edges per vertex (m/n)")
+        parser.add_argument("--kind", choices=FAMILIES, default="random", help="input family")
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
     parser.add_argument("--machine", default="16x8", help=f"machine: {MACHINE_SPECS}")
     parser.add_argument(
@@ -70,6 +72,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip input-size calibration of cache/per-call costs",
     )
+
+
+def _add_schedule(parser: argparse.ArgumentParser) -> None:
+    """The options of one solve's schedule: t', flags, race detection."""
     parser.add_argument(
         "--tprime",
         type=_parse_tprime,
@@ -84,38 +90,46 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         " by ',' or '+' (e.g. compact,circular; all,hierarchical adds the"
         " future-work hierarchical collectives)",
     )
-    parser.add_argument("--validate", action="store_true", help="self-check the answer")
+    parser.add_argument(
+        "--analyze",
+        action="store_true",
+        help="run the epoch race detector on this solve (exit 3 if races found)",
+    )
+
+
+def _add_faults(parser: argparse.ArgumentParser) -> None:
+    """Fault injection and the protections against it (cc / mst)."""
     parser.add_argument(
         "--fault-loss",
         type=float,
         default=0.0,
-        help="uniform per-message loss probability (e.g. 1e-3); cc/mst only",
+        help="uniform per-message loss probability (e.g. 1e-3)",
     )
     parser.add_argument(
         "--fault-stragglers",
         type=int,
         default=0,
-        help="number of straggler threads (4x slowdown); cc/mst only",
+        help="number of straggler threads (4x slowdown)",
     )
     parser.add_argument(
         "--fault-corruption",
         type=float,
         default=0.0,
         help="silent bit-flip rate in owner blocks (flips per element per"
-        " modeled second, e.g. 2e-2); cc/mst only",
+        " modeled second, e.g. 2e-2)",
     )
     parser.add_argument(
         "--fault-payload-corruption",
         type=float,
         default=0.0,
         help="per-record probability of an in-flight collective payload"
-        " flip (e.g. 1e-4); cc/mst only",
+        " flip (e.g. 1e-4)",
     )
     parser.add_argument(
         "--fault-node-loss", type=float, default=0.0, metavar="AT",
         help="permanently lose a node at this modeled time in seconds"
-        " (e.g. 2e-4); cc/mst collective only — pair with --redundancy"
-        " or the run aborts with UnrecoverableLossError",
+        " (e.g. 2e-4) — pair with --redundancy or the run aborts with"
+        " UnrecoverableLossError",
     )
     parser.add_argument(
         "--fault-loss-node", type=int, default=1, metavar="N",
@@ -124,7 +138,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--redundancy", choices=("buddy", "parity"), default=None,
         help="owner-block redundancy mode: replicate protected arrays so"
-        " a permanent node loss is survivable (cc/mst collective + LT variants)",
+        " a permanent node loss is survivable",
     )
     parser.add_argument(
         "--spares", type=int, default=0,
@@ -137,12 +151,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--integrity",
         action="store_true",
         help="enable silent-fault detection and verify-and-repair"
-        " (checksummed blocks/payloads + invariant checks); cc/mst collective only",
-    )
-    parser.add_argument(
-        "--analyze",
-        action="store_true",
-        help="run the epoch race detector on this solve (exit 3 if races found)",
+        " (checksummed blocks/payloads + invariant checks)",
     )
 
 
@@ -175,7 +184,7 @@ def _machine(args: argparse.Namespace):
         base = parse_machine(args.machine)
     except ReproError as err:
         raise SystemExit(f"bad --machine: {err}")
-    return base if getattr(args, "no_calibrate", False) else machine_for_input(base, args.n)
+    return base if args.no_calibrate else machine_for_input(base, args.n)
 
 
 def _build_graph(args: argparse.Namespace, weighted: bool):
@@ -193,41 +202,24 @@ def _fault_plan(args: argparse.Namespace, machine):
         total_threads=machine.total_threads,
         corruption=args.fault_corruption,
         payload_corruption=args.fault_payload_corruption,
-        node_loss_at=getattr(args, "fault_node_loss", 0.0),
-        node_loss_node=getattr(args, "fault_loss_node", 1),
+        node_loss_at=args.fault_node_loss,
+        node_loss_node=args.fault_loss_node,
     )
 
 
 def _resilience_config(args: argparse.Namespace):
     """The RedundancyConfig behind ``--redundancy`` (None when unused)."""
-    if getattr(args, "redundancy", None) is None:
+    if args.redundancy is None:
         return None
     from .resilience import RedundancyConfig
 
     return RedundancyConfig(mode=args.redundancy, spares=args.spares)
 
 
-def _reject_fault_flags(args: argparse.Namespace, command: str) -> None:
-    from .errors import ConfigError
-
-    if (
-        getattr(args, "fault_loss", 0.0)
-        or getattr(args, "fault_stragglers", 0)
-        or getattr(args, "fault_corruption", 0.0)
-        or getattr(args, "fault_payload_corruption", 0.0)
-        or getattr(args, "fault_node_loss", 0.0)
-    ):
-        raise ConfigError(f"fault injection is only supported for cc/mst, not {command}")
-    if getattr(args, "integrity", False):
-        raise ConfigError(f"integrity protection is only supported for cc/mst, not {command}")
-    if getattr(args, "redundancy", None) is not None:
-        raise ConfigError(f"redundancy is only supported for cc/mst, not {command}")
-
-
 @contextlib.contextmanager
 def _maybe_analyzed(args: argparse.Namespace):
     """Run the body under the epoch race detector when ``--analyze``."""
-    if not getattr(args, "analyze", False):
+    if not args.analyze:
         yield None
         return
     from .analysis import analyzed
@@ -310,7 +302,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_listrank(args: argparse.Namespace) -> int:
     from .listrank import random_list, solve_ranks_cgm, solve_ranks_sequential, solve_ranks_wyllie
 
-    _reject_fault_flags(args, "listrank")
     lst = random_list(args.n, args.seed)
     machine = _machine(args)
     print(banner(f"list ranking — n={args.n:,}"))
@@ -327,7 +318,6 @@ def _cmd_listrank(args: argparse.Namespace) -> int:
 
 
 def _cmd_bfs(args: argparse.Namespace) -> int:
-    _reject_fault_flags(args, "bfs")
     g = _build_graph(args, weighted=False)
     machine = _machine(args)
     print(banner(f"BFS from {args.source} — {args.kind} n={g.n:,} m={g.m:,}"))
@@ -342,7 +332,7 @@ def _cmd_bfs(args: argparse.Namespace) -> int:
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     """``soak``: the chaos campaign, routed through a live HTTP service."""
-    from .integrity import ServiceSoakConfig, run_service_soak
+    from .service import ServiceSoakConfig, run_service_soak
 
     config = ServiceSoakConfig(
         jobs=args.iterations,
@@ -586,24 +576,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cc = sub.add_parser("cc", help="connected components")
-    _add_common(p_cc)
-    p_cc.add_argument("--impl", choices=CC_IMPLS, default="collective")
-    p_cc.set_defaults(func=_cmd_solve)
-
-    p_mst = sub.add_parser("mst", help="minimum spanning forest")
-    _add_common(p_mst)
-    p_mst.add_argument("--impl", choices=MST_IMPLS, default="collective")
-    p_mst.set_defaults(func=_cmd_solve)
+    for command, title, impls in (
+        ("cc", "connected components", CC_IMPLS),
+        ("mst", "minimum spanning forest", MST_IMPLS),
+    ):
+        p_solve = sub.add_parser(command, help=title)
+        _add_problem(p_solve)
+        _add_schedule(p_solve)
+        p_solve.add_argument("--validate", action="store_true", help="self-check the answer")
+        _add_faults(p_solve)
+        p_solve.add_argument("--impl", choices=impls, default="collective")
+        p_solve.set_defaults(func=_cmd_solve)
 
     p_bfs = sub.add_parser("bfs", help="breadth-first search")
-    _add_common(p_bfs)
+    _add_problem(p_bfs)
+    _add_schedule(p_bfs)
     p_bfs.add_argument("--impl", choices=BFS_IMPLS, default="collective")
     p_bfs.add_argument("--source", type=int, default=0)
     p_bfs.set_defaults(func=_cmd_bfs)
 
     p_lr = sub.add_parser("listrank", help="list ranking")
-    _add_common(p_lr)
+    _add_problem(p_lr, graph=False)
+    _add_schedule(p_lr)
     p_lr.add_argument("--impl", choices=("wyllie", "cgm", "sequential"), default="wyllie")
     p_lr.set_defaults(func=_cmd_listrank)
 
@@ -644,12 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--density", type=float, default=4.0, help="edges per vertex (m/n)")
     p_info.add_argument("--kind", choices=FAMILIES, default="random", help="input family")
     p_info.add_argument("--machine", default="16x8", help=f"machine: {MACHINE_SPECS}")
-    p_info.set_defaults(func=_cmd_info)
+    p_info.set_defaults(func=_cmd_info, no_calibrate=False)
 
     p_tune = sub.add_parser(
         "tune", help="search impl x t', print the plan"
     )
-    _add_common(p_tune)
+    _add_problem(p_tune)
     p_tune.add_argument("--algo", choices=("cc", "mst"), default="cc")
     p_tune.add_argument(
         "--fresh", action="store_true", help="ignore any cached plan and re-search"

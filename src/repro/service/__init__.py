@@ -27,14 +27,17 @@ built around a robustness core rather than a routing core:
 
 ``python -m repro serve`` runs the server; ``python -m repro loadtest``
 drives it with an open-loop arrival process and writes
-``BENCH_service.json``.  See ``docs/service.md``.
+``BENCH_service.json``; ``python -m repro soak`` runs a chaos campaign
+through an in-process server and writes ``BENCH_service_soak.json``.
+Both campaigns are :mod:`repro.service.loadtest`.  See
+``docs/service.md``.
 """
 
 from .degradation import DegradationPolicy, ServiceMode
 from .deadlines import BackoffPolicy, CancelToken, CircuitBreaker, cancel_scope
 from .jobs import Job, JobSpec, JobState, PRIORITIES
 from .journal import JobJournal
-from .loadtest import LoadtestConfig, run_loadtest
+from .loadtest import LoadtestConfig, ServiceSoakConfig, run_loadtest, run_service_soak
 from .queue import AdmissionQueue
 from .quotas import QuotaTable, TokenBucket
 from .server import GraphService, ServiceConfig, ServiceServer
@@ -56,7 +59,9 @@ __all__ = [
     "ServiceConfig",
     "ServiceMode",
     "ServiceServer",
+    "ServiceSoakConfig",
     "TokenBucket",
     "cancel_scope",
     "run_loadtest",
+    "run_service_soak",
 ]

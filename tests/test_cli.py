@@ -164,13 +164,29 @@ class TestCommands:
         second = capsys.readouterr().out
         assert modeled_lines(first) == modeled_lines(second)
 
+    @staticmethod
+    def assert_unrecognized(capsys, argv, flag):
+        """Fault and protection flags exist only on cc/mst: elsewhere
+        argparse refuses them (exit 2, naming the flag)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_fault_flags_rejected_for_bfs(self, capsys):
-        assert main(["bfs", "--n", "1000", "--machine", "4x2", "--fault-loss", "1e-3"]) == 2
-        err = capsys.readouterr().err
-        assert "only supported for cc/mst" in err
+        self.assert_unrecognized(
+            capsys, ["bfs", "--n", "1000", "--machine", "4x2", "--fault-loss", "1e-3"],
+            "--fault-loss",
+        )
 
     def test_fault_flags_rejected_for_listrank(self, capsys):
-        assert main(["listrank", "--n", "500", "--machine", "4x2", "--fault-stragglers", "1"]) == 2
+        self.assert_unrecognized(
+            capsys, ["listrank", "--n", "500", "--machine", "4x2", "--fault-stragglers", "1"],
+            "--fault-stragglers",
+        )
+
+    def test_fault_flags_rejected_for_tune(self, capsys):
+        self.assert_unrecognized(capsys, ["tune", "--fault-loss", "0.1"], "--fault-loss")
 
     def test_cc_with_corruption_and_integrity(self, capsys):
         assert main([
@@ -183,14 +199,15 @@ class TestCommands:
         assert "detected" in out
 
     def test_integrity_rejected_for_bfs(self, capsys):
-        assert main(["bfs", "--n", "1000", "--machine", "4x2", "--integrity"]) == 2
-        err = capsys.readouterr().err
-        assert "only supported for cc/mst" in err
+        self.assert_unrecognized(
+            capsys, ["bfs", "--n", "1000", "--machine", "4x2", "--integrity"], "--integrity"
+        )
 
     def test_corruption_rejected_for_listrank(self, capsys):
-        assert main([
-            "listrank", "--n", "500", "--machine", "4x2", "--fault-corruption", "0.1",
-        ]) == 2
+        self.assert_unrecognized(
+            capsys, ["listrank", "--n", "500", "--machine", "4x2", "--fault-corruption", "0.1"],
+            "--fault-corruption",
+        )
 
     def test_node_loss_refused_by_an_impl_that_cannot_fire_it(self, capsys):
         """``naive`` polls no barrier, so a node loss would be dropped
@@ -358,9 +375,9 @@ class TestServiceCommands:
         assert "positive" in capsys.readouterr().err
 
     def test_service_soak_exit_4_on_contract_violation(self, capsys, monkeypatch, tmp_path):
-        import repro.integrity as integrity
+        import repro.service as service
 
-        def fake_service_soak(config, out_dir=None, **kw):
+        def fake_service_soak(config, out_dir=None):
             return {
                 "summary": {
                     "submitted": 3, "accepted": 3, "rejected_429": 0,
@@ -371,7 +388,7 @@ class TestServiceCommands:
                 "path": str(tmp_path / "BENCH_service_soak.json"),
             }
 
-        monkeypatch.setattr(integrity, "run_service_soak", fake_service_soak)
+        monkeypatch.setattr(service, "run_service_soak", fake_service_soak)
         assert main(["soak", "--iterations", "3"]) == 4
         assert "violation" in capsys.readouterr().err
 

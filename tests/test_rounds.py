@@ -38,6 +38,7 @@ from repro import (
     canonical_labels,
     connected_components,
     minimum_spanning_forest,
+    powerlaw_graph,
     random_graph,
     with_random_weights,
 )
@@ -391,6 +392,19 @@ def test_sv_integrity_accepts_labels_above_vertex_ids(graph):
     np.testing.assert_array_equal(canonical_labels(res.labels), _component_labels(graph))
     c = res.info.trace.counters
     assert c.corruptions_detected == 0 and c.repairs == 0
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+    "a stagnant-star hook raises a root above members of its old star and a"
+    " later conditional graft closes a cycle through it"
+))
+def test_sv_converges_where_its_hook_closes_a_cycle():
+    """SV never converges on this input: every configuration hits the
+    iteration bound.  A fix of the hook/graft rules turns this XPASS,
+    and the strict marker then has to come off."""
+    graph = powerlaw_graph(2500, 7000, seed=3)
+    res = connected_components(graph, MACHINE, impl="sv")
+    np.testing.assert_array_equal(canonical_labels(res.labels), _component_labels(graph))
 
 
 # -- composed campaigns, pinned ------------------------------------------------

@@ -34,12 +34,16 @@ from repro.service import (
     JobJournal,
     JobSpec,
     JobState,
+    LoadtestConfig,
     QuotaTable,
     ServiceConfig,
     ServiceMode,
     ServiceServer,
+    ServiceSoakConfig,
     TokenBucket,
     cancel_scope,
+    run_loadtest,
+    run_service_soak,
 )
 from repro.service.executor import validate_spec_impl
 from repro.service.jobs import TERMINAL_STATES
@@ -1011,10 +1015,39 @@ class TestKillAndRestartRecovery:
             server.httpd.server_close()
 
 
+class TestLoadtest:
+    """``run_loadtest`` against an in-process server, one small level."""
+
+    @staticmethod
+    def _run(**service) -> dict:
+        server = ServiceServer(ServiceConfig(port=0, **service)).start_background()
+        try:
+            return run_loadtest(LoadtestConfig(
+                base_url=server.url, rates_per_s=(20.0,), jobs_per_level=4, n=128,
+            ))
+        finally:
+            server.stop()
+
+    def test_small_level_holds_contract(self):
+        report = self._run()
+        level = report["levels"][0]
+        assert report["ok"] and report["contract_violations"] == []
+        assert level["offered"] == 4 and level["completed"] > 0
+        assert level["latency_p50_s"] is not None
+
+    def test_unverified_results_are_violations(self):
+        report = self._run(verify=False)
+        level = report["levels"][0]
+        assert not report["ok"]
+        assert level["completed"] > 0
+        unverified = [
+            v for v in report["contract_violations"] if "verify status 'unverified'" in v
+        ]
+        assert len(unverified) == level["completed"]
+
+
 class TestServiceSoak:
     def test_small_campaign_holds_contract(self, tmp_path):
-        from repro.integrity import ServiceSoakConfig, run_service_soak
-
         report = run_service_soak(
             ServiceSoakConfig(jobs=6, n=128, restart=True, poll_timeout_s=120.0),
             out_dir=tmp_path,
