@@ -25,8 +25,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from ..core.results import CCResult, SolveInfo
 from ..graph.edgelist import EdgeList
@@ -44,6 +42,9 @@ EDGE_BYTES = 16
 
 def _spanning_forest(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spanning forest (as endpoint arrays) of the given edge set."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     keep = u != v
     u, v = u[keep], v[keep]
     if u.size == 0:
@@ -124,6 +125,9 @@ def solve_cc_cgm(graph: EdgeList, machine: MachineConfig | None = None) -> CCRes
     fu, fv = forests[root]
     _charge_union_find(rt, first_thread_of[root], int(fu.size) + n, n)
     if fu.size:
+        from scipy import sparse
+        from scipy.sparse import csgraph
+
         mat = sparse.coo_matrix((np.ones(fu.size), (fu, fv)), shape=(n, n)).tocsr()
         _, comp = csgraph.connected_components(mat + mat.T, directed=False)
         mins = np.full(int(comp.max()) + 1, np.iinfo(np.int64).max, dtype=np.int64)

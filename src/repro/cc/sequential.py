@@ -23,7 +23,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ..core.results import CCResult, SolveInfo
 from ..graph.edgelist import EdgeList
@@ -62,6 +61,8 @@ def solve_cc_sequential(graph: EdgeList, machine: MachineConfig | None = None) -
     if m == 0:
         labels = np.arange(n, dtype=np.int64)
     else:
+        from scipy.sparse import csgraph
+
         _, comp = csgraph.connected_components(graph.to_scipy(), directed=False)
         # Convert scipy's component ids to min-vertex-label convention.
         mins = np.full(int(comp.max()) + 1, np.iinfo(np.int64).max, dtype=np.int64)

@@ -15,13 +15,16 @@ shift does not change which forests are minimum).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from ..errors import VerificationError
 from ..graph.edgelist import EdgeList
 from ..graph.validation import count_components_reference
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy import sparse
 
 __all__ = ["scipy_msf", "msf_reference", "check_spanning_forest"]
 
@@ -31,6 +34,8 @@ def _shifted_matrix(graph: EdgeList) -> tuple[sparse.csr_matrix, np.ndarray]:
     shifted by +1; also returns the kept global edge positions."""
     if graph.w is None:
         raise VerificationError("MST verification needs a weighted graph")
+    from scipy import sparse
+
     keep = graph.dedup_min_weight_index()
     u, v, w = graph.u[keep], graph.v[keep], graph.w[keep]
     mat = sparse.coo_matrix(
@@ -48,6 +53,8 @@ def scipy_msf(graph: EdgeList) -> tuple[np.ndarray, int]:
     """
     if graph.n == 0 or graph.m == 0:
         return np.empty(0, dtype=np.int64), 0
+    from scipy.sparse import csgraph
+
     mat, keep = _shifted_matrix(graph)
     tree = csgraph.minimum_spanning_tree(mat).tocoo()
     if tree.nnz == 0:

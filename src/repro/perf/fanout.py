@@ -26,7 +26,6 @@ output therefore cannot depend on ``workers``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Sequence, TypeVar
 
 from ..errors import ConfigError, UsageError
@@ -103,6 +102,8 @@ def fanout_map(
     if nworkers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     nworkers = min(nworkers, len(items))
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             return list(pool.map(fn, items, chunksize=max(1, chunksize)))
