@@ -25,7 +25,23 @@ if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
     from scipy import sparse
 
-__all__ = ["EdgeList"]
+__all__ = ["EdgeList", "first_occurrences"]
+
+
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of each distinct key's first occurrence in
+    ``keys`` — ``np.sort(np.unique(keys, return_index=True)[1])``
+    without the stable sort: an unstable argsort groups equal keys, and
+    the minimum position within each group is its first occurrence."""
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return np.empty(0, dtype=np.intp)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    first = np.zeros(keys.size, dtype=bool)
+    first[np.minimum.reduceat(order, starts)] = True
+    return np.flatnonzero(first)
 
 
 def _integer_ids(a) -> np.ndarray:
@@ -113,9 +129,7 @@ class EdgeList:
     def deduplicated(self) -> "EdgeList":
         """Remove duplicate undirected edges (keeping the first
         occurrence, which for weighted graphs keeps that edge's weight)."""
-        keys = self.canonical_pairs()
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
+        first = first_occurrences(self.canonical_pairs())
         w = self.w[first] if self.w is not None else None
         return EdgeList(self.n, self.u[first], self.v[first], w)
 
@@ -205,9 +219,7 @@ class EdgeList:
             return np.empty(0, dtype=np.int64)
         keys = self.canonical_pairs()
         if self.w is None:
-            _, first = np.unique(keys, return_index=True)
-            first.sort()
-            return first.astype(np.int64)
+            return first_occurrences(keys).astype(np.int64)
         order = np.lexsort((np.arange(self.m), self.w, keys))
         keys_sorted = keys[order]
         first = np.ones(self.m, dtype=bool)

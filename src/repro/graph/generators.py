@@ -28,7 +28,7 @@ import zlib
 import numpy as np
 
 from ..errors import GraphError
-from .edgelist import EdgeList
+from .edgelist import EdgeList, first_occurrences
 from .rmat import DEFAULT_RMAT_PROBS, rmat_edges
 
 __all__ = [
@@ -68,6 +68,18 @@ def _max_simple_edges(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _fresh_first(keys: np.ndarray, keys_seen: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each key of
+    ``keys`` that is not in ``keys_seen``.
+
+    These are the first occurrences in ``keys_seen`` followed by
+    ``keys`` that lie past ``keys_seen``: one sort answers both the
+    within-batch dedup and the membership test.
+    """
+    first = first_occurrences(np.concatenate([keys_seen, keys]))
+    return first[np.searchsorted(first, keys_seen.size) :] - keys_seen.size
+
+
 def _sample_unique_edges(
     n: int,
     m: int,
@@ -101,12 +113,9 @@ def _sample_unique_edges(
         lo = np.minimum(uu, vv)
         hi = np.maximum(uu, vv)
         keys = lo * np.int64(n) + hi
-        # Unique within the batch (keep first occurrences, preserving draw order).
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        uu, vv, keys = uu[first], vv[first], keys[first]
-        # Drop keys already chosen in earlier rounds / pre-existing edges.
-        fresh = ~np.isin(keys, keys_seen, assume_unique=False)
+        # First occurrences within the batch (draw order preserved) of keys
+        # not chosen in earlier rounds and not pre-existing.
+        fresh = _fresh_first(keys, keys_seen)
         uu, vv, keys = uu[fresh], vv[fresh], keys[fresh]
         if uu.size > remaining:
             uu, vv, keys = uu[:remaining], vv[:remaining], keys[:remaining]
@@ -169,15 +178,14 @@ def hybrid_graph(
     cu, cv = cu[keep], cv[keep]
     lo, hi = np.minimum(cu, cv), np.maximum(cu, cv)
     keys = lo * np.int64(n) + hi
-    uniq_keys, first = np.unique(keys, return_index=True)
-    first.sort()
+    first = first_occurrences(keys)
     cu, cv = cu[first], cv[first]
 
     fill = m - cu.size
     if fill < 0:  # pragma: no cover - defensive; dedup only shrinks the core
         cu, cv = cu[:m], cv[:m]
         fill = 0
-    fu, fv = _sample_unique_edges(n, fill, rng, existing_keys=np.sort(keys[first]))
+    fu, fv = _sample_unique_edges(n, fill, rng, existing_keys=keys[first])
     u = np.concatenate([cu, fu])
     v = np.concatenate([cv, fv])
     # Shuffle edge order so the core is not clustered at the front of the
@@ -232,10 +240,7 @@ def powerlaw_graph(n: int, m: int, seed: int = 0, exponent: float = 2.5) -> Edge
         uu, vv = uu[ok], vv[ok]
         lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
         keys = lo * np.int64(n) + hi
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        uu, vv, keys = uu[first], vv[first], keys[first]
-        fresh = ~np.isin(keys, keys_seen, assume_unique=False)
+        fresh = _fresh_first(keys, keys_seen)
         uu, vv, keys = uu[fresh], vv[fresh], keys[fresh]
         if uu.size == 0:
             stalls += 1
@@ -248,7 +253,7 @@ def powerlaw_graph(n: int, m: int, seed: int = 0, exponent: float = 2.5) -> Edge
         keys_seen = np.concatenate([keys_seen, keys])
         remaining -= uu.size
     if remaining > 0:
-        fu, fv = _sample_unique_edges(n, remaining, rng, existing_keys=np.sort(keys_seen))
+        fu, fv = _sample_unique_edges(n, remaining, rng, existing_keys=keys_seen)
         out_u.append(fu)
         out_v.append(fv)
     u = np.concatenate(out_u)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import GraphError
 from repro.graph import EdgeList
+from repro.graph.edgelist import first_occurrences
 
 
 def make(n, pairs, w=None):
@@ -155,3 +159,38 @@ class TestInterop:
     def test_iter_edges(self):
         g = make(4, [(0, 1), (2, 3)])
         assert list(g.iter_edges()) == [(0, 1), (2, 3)]
+
+
+def _unique_first(keys):
+    return np.sort(np.unique(keys, return_index=True)[1])
+
+
+_KEYS = st.sampled_from([np.int32, np.int64]).flatmap(
+    lambda dt: arrays(
+        dt,
+        st.integers(0, 300),
+        elements=st.one_of(
+            st.integers(-4, 4),
+            st.integers(np.iinfo(dt).min, np.iinfo(dt).max),
+        ),
+    )
+)
+
+
+class TestFirstOccurrences:
+    @given(_KEYS)
+    @example(np.empty(0, dtype=np.int64))
+    @example(np.empty(0, dtype=np.int32))
+    @example(np.array([7], dtype=np.int64))
+    @example(np.full(50, -3, dtype=np.int32))
+    @example(np.full(50, np.iinfo(np.int64).max, dtype=np.int64))
+    def test_equals_sorted_unique_index(self, keys):
+        got = first_occurrences(keys)
+        want = _unique_first(keys)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_packed_edge_keys(self):
+        rng = np.random.default_rng(7)
+        keys = rng.integers(0, 5000, 20_000) * np.int64(150_000) + rng.integers(0, 5000, 20_000)
+        assert np.array_equal(first_occurrences(keys), _unique_first(keys))

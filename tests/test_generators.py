@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import GraphError
 from repro.graph import (
@@ -25,6 +26,7 @@ from repro.graph import (
     star_graph,
     with_random_weights,
 )
+from repro.graph.generators import _fresh_first
 
 
 class TestRandomGraph:
@@ -288,3 +290,24 @@ class TestRmat:
             rmat_edges(-1, 10, np.random.default_rng(0))
         with pytest.raises(GraphError):
             rmat_edges(41, 10, np.random.default_rng(0))
+
+
+class TestFreshFirst:
+    """The rejection loops' dedup-and-membership step equals the two
+    steps it replaces: first occurrences within the batch, then
+    ``np.isin`` against the keys already chosen."""
+
+    @given(
+        arrays(np.int64, st.integers(0, 200), elements=st.integers(0, 60)),
+        st.lists(st.integers(0, 80), max_size=40, unique=True),
+    )
+    @example(np.empty(0, dtype=np.int64), [])
+    @example(np.empty(0, dtype=np.int64), [3, 1])
+    @example(np.array([5, 5, 2, 5], dtype=np.int64), [])
+    @example(np.array([5, 5, 2, 5], dtype=np.int64), [5])
+    @example(np.array([5, 5, 2, 5], dtype=np.int64), [2, 5])
+    def test_equals_unique_then_isin(self, keys, seen):
+        keys_seen = np.array(seen, dtype=np.int64)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        want = first[~np.isin(keys[first], keys_seen)]
+        assert np.array_equal(_fresh_first(keys, keys_seen), want)
