@@ -33,7 +33,6 @@ def first_occurrences(keys: np.ndarray) -> np.ndarray:
     ``keys`` — ``np.sort(np.unique(keys, return_index=True)[1])``
     without the stable sort: an unstable argsort groups equal keys, and
     the minimum position within each group is its first occurrence."""
-    keys = np.asarray(keys)
     if keys.size == 0:
         return np.empty(0, dtype=np.intp)
     order = np.argsort(keys)
