@@ -161,10 +161,6 @@ class TestInterop:
         assert list(g.iter_edges()) == [(0, 1), (2, 3)]
 
 
-def _unique_first(keys):
-    return np.sort(np.unique(keys, return_index=True)[1])
-
-
 _KEYS = st.sampled_from([np.int32, np.int64]).flatmap(
     lambda dt: arrays(
         dt,
@@ -186,11 +182,6 @@ class TestFirstOccurrences:
     @example(np.full(50, np.iinfo(np.int64).max, dtype=np.int64))
     def test_equals_sorted_unique_index(self, keys):
         got = first_occurrences(keys)
-        want = _unique_first(keys)
+        want = np.sort(np.unique(keys, return_index=True)[1])
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-
-    def test_packed_edge_keys(self):
-        rng = np.random.default_rng(7)
-        keys = rng.integers(0, 5000, 20_000) * np.int64(150_000) + rng.integers(0, 5000, 20_000)
-        assert np.array_equal(first_occurrences(keys), _unique_first(keys))
