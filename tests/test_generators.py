@@ -293,9 +293,9 @@ class TestRmat:
 
 
 class TestFreshFirst:
-    """The rejection loops' dedup-and-membership step equals the two
-    steps it replaces: first occurrences within the batch, then
-    ``np.isin`` against the keys already chosen."""
+    """The rejection loops' dedup-and-membership step equals first
+    occurrences within the batch filtered by ``np.isin`` against the
+    keys already chosen."""
 
     @given(
         arrays(np.int64, st.integers(0, 200), elements=st.integers(0, 60)),
