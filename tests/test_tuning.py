@@ -22,7 +22,7 @@ from repro.cc.collective import solve_cc_collective
 from repro.algorithms import REGISTRY
 from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connected_components
 from repro.core.pipeline import minimum_spanning_forest
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ConvergenceError
 from repro.faults import FaultPlan
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import hybrid_graph, random_graph, with_random_weights
@@ -204,6 +204,15 @@ class TestBuildPlan:
         assert sorted((e.impl, e.tprime) for e in plan.entries) == sorted(
             itertools.product(impls, tprimes)
         )
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+        "the cc-sv probe hits SV's cross-round hook cycle on this replica"
+    ))
+    def test_plan_returned_where_a_probe_once_failed(self):
+        """A reproduced input whose cold CC plan failed in a probe: the
+        planner must return a plan for it."""
+        plan = build_plan(Workload("cc", 2750, 11000, "hybrid"), cluster_for_input(2750, 4, 2))
+        assert plan.entries and plan.selected.ms > 0
 
 
 class TestChoose:
