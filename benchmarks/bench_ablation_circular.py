@@ -5,13 +5,14 @@ with circular" in isolation (all other optimizations held at their
 optimized settings).
 """
 
-from repro.bench import bench_graph, format_table
+from repro.bench import format_table
 from repro.core import OptimizationFlags, cluster_for_input, connected_components
+from repro.graph import generate
 
 
 def test_circular_ablation(benchmark, repro_scale):
     n = max(2048, int(100_000 * repro_scale))
-    g = bench_graph("random", n, 4 * n, seed=31)
+    g = generate("random", n, 4 * n, seed=31)
     cluster = cluster_for_input(n, 16, 8)
     with_circ = OptimizationFlags.all()
     without = with_circ.with_(circular=False)

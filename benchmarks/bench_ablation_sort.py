@@ -5,8 +5,9 @@ times slower than count sort"; this bench regenerates the end-to-end
 impact of the grouping-sort choice on optimized CC.
 """
 
-from repro.bench import bench_graph, format_table
+from repro.bench import format_table
 from repro.core import OptimizationFlags, cluster_for_input, connected_components
+from repro.graph import generate
 
 
 def test_sort_method_ablation(benchmark, repro_scale):
@@ -14,7 +15,7 @@ def test_sort_method_ablation(benchmark, repro_scale):
     # linear passes beat quicksort (tiny inputs flip the comparison, as
     # they would on real hardware too).
     n = max(100_000, int(200_000 * repro_scale))
-    g = bench_graph("random", n, 4 * n, seed=30)
+    g = generate("random", n, 4 * n, seed=30)
     cluster = cluster_for_input(n, 16, 8)
 
     def run():

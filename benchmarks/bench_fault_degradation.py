@@ -15,9 +15,9 @@ pytest-benchmark like the figure benches.
 """
 
 from repro import FaultPlan, connected_components, minimum_spanning_forest
-from repro.bench import bench_graph, format_table
+from repro.bench import format_table
 from repro.core import cluster_for_input
-from repro.graph import with_random_weights
+from repro.graph import generate, with_random_weights
 
 LOSS_RATES = (0.0, 1e-4, 1e-3, 1e-2)
 STRAGGLERS = (1, 2)
@@ -32,7 +32,7 @@ def _solve(problem, g, machine, impl, plan):
 def run_degradation(scale: float = 0.5):
     """Sweep the fault grid; returns (rows, headline) and asserts shape."""
     n = max(2_000, int(8_000 * scale))
-    g = bench_graph("random", n, 4 * n, seed=30)
+    g = generate("random", n, 4 * n, seed=30)
     gw = with_random_weights(g, seed=31)
     machine = cluster_for_input(n, 4, 2)
 

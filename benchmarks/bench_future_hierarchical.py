@@ -14,13 +14,14 @@ collapse disappearing — the configuration the paper had to avoid becomes
 the fastest one.
 """
 
-from repro.bench import bench_graph, format_table
+from repro.bench import format_table
 from repro.core import OptimizationFlags, cluster_for_input, connected_components
+from repro.graph import generate
 
 
 def test_hierarchical_fixes_the_collapse(benchmark, repro_scale):
     n = max(4096, int(100_000 * repro_scale))
-    g = bench_graph("random", n, 4 * n, seed=50)
+    g = generate("random", n, 4 * n, seed=50)
     flat = OptimizationFlags.all()
     hier = flat.with_(hierarchical=True)
 

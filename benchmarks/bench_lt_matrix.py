@@ -20,8 +20,9 @@ differ across presets (the payload records whether they did).
 import networkx as nx
 import numpy as np
 
-from repro.bench import bench_graph, format_table, write_bench_json
+from repro.bench import format_table, write_bench_json
 from repro.core import connected_components, machine_for_input
+from repro.graph import generate
 from repro.lt import LT_VARIANT_NAMES
 from repro.perf.fanout import fanout_map
 from repro.runtime import hps_cluster, infiniband_cluster, smp_node
@@ -53,7 +54,7 @@ def _cell_task(task):
     """One (preset, kind) row: solve every impl, verify each against the
     networkx oracle computed once for the row."""
     preset, kind, n = task
-    g = bench_graph(kind, n, 4 * n, seed=23)
+    g = generate(kind, n, 4 * n, seed=23)
     machine = machine_for_input(PRESETS[preset](), n)
     want = _oracle(g)
     out = []

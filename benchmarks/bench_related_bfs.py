@@ -8,15 +8,15 @@ low-diameter random graph and a maximal-diameter path: CC's rounds stay
 flat while BFS's track the diameter.
 """
 
-from repro.bench import bench_graph, format_table
+from repro.bench import format_table
 from repro.bfs import solve_bfs_collective
 from repro.core import cluster_for_input, connected_components
-from repro.graph import path_graph
+from repro.graph import generate, path_graph
 
 
 def test_bfs_vs_cc_rounds(benchmark, repro_scale):
     n = max(4096, int(50_000 * repro_scale))
-    rnd = bench_graph("random", n, 4 * n, seed=60)
+    rnd = generate("random", n, 4 * n, seed=60)
     path = path_graph(n)
     cluster = cluster_for_input(n, 16, 8)
 

@@ -29,9 +29,9 @@ from repro import (
     connected_components,
     minimum_spanning_forest,
 )
-from repro.bench import bench_graph, format_table, write_bench_json
+from repro.bench import format_table, write_bench_json
 from repro.core import cluster_for_input
-from repro.graph import with_random_weights
+from repro.graph import generate, with_random_weights
 
 MODES = ("buddy", "parity")
 LOSS_AT = 3.0e-4  # modeled seconds; early enough to fire in every run
@@ -50,7 +50,7 @@ def run_resilience(scale: float = 0.5):
     """Measure overhead and recovery for the mode matrix; returns
     (rows, report) and asserts the economics hold."""
     n = max(2_000, int(8_000 * scale))
-    g = bench_graph("random", n, 4 * n, seed=33)
+    g = generate("random", n, 4 * n, seed=33)
     gw = with_random_weights(g, seed=34)
     machine = cluster_for_input(n, 4, 2)
     loss_plan = FaultPlan(

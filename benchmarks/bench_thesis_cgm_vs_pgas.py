@@ -13,18 +13,19 @@ ranking (the paper's Section I example) with Wyllie-with-collectives vs
 the CGM contract/sequential/broadcast scheme.
 """
 
-from repro.bench import bench_graph, format_table
+from repro.bench import format_table
 from repro.core import (
     cluster_for_input,
     connected_components,
     sequential_for_input,
 )
+from repro.graph import generate
 from repro.listrank import random_list, solve_ranks_cgm, solve_ranks_sequential, solve_ranks_wyllie
 
 
 def test_thesis_cc_cgm_vs_collective(benchmark, repro_scale):
     n = max(4096, int(100_000 * repro_scale))
-    g = bench_graph("random", n, 4 * n, seed=40)
+    g = generate("random", n, 4 * n, seed=40)
     cluster = cluster_for_input(n, 16, 8)
 
     def run():

@@ -19,8 +19,9 @@ per configuration) for CI to archive.
 
 import itertools
 
-from repro.bench import bench_graph, format_table, write_bench_json
+from repro.bench import format_table, write_bench_json
 from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connected_components
+from repro.graph import generate
 from repro.perf.fanout import fanout_map
 from repro.runtime.cost import CostModel
 from repro.scheduling.cache_model import tprime_candidates
@@ -43,7 +44,7 @@ def _sweep_chunk(task):
     """Solve one chunk of sweep points (rebuilds the deterministic
     graph locally so worker processes need only the point list)."""
     kind, n, points = task
-    g = bench_graph(kind, n, 4 * n, seed=11)
+    g = generate(kind, n, 4 * n, seed=11)
     cluster = cluster_for_input(n, 16, 8)
     out = []
     for opts_key, tp in points:
@@ -77,7 +78,7 @@ def test_tuning_auto_vs_exhaustive(benchmark, repro_scale, repro_workers, tmp_pa
     def run():
         out = {}
         for kind in ("random", "hybrid"):
-            g = bench_graph(kind, n, 4 * n, seed=11)
+            g = generate(kind, n, 4 * n, seed=11)
             cluster = cluster_for_input(n, 16, 8)
             measured = _sweep(kind, n, workers=repro_workers)
             auto = connected_components(

@@ -1,4 +1,4 @@
-"""Experiment harness: cached inputs, figure drivers, report rendering."""
+"""Experiment harness: figure drivers, report rendering."""
 
 from .figures import (
     ALL_FIGURES,
@@ -14,15 +14,13 @@ from .figures import (
     sec3_analysis,
     sec6_hybrid_summary,
 )
-from .harness import FigureResult, bench_cache_dir, bench_graph, speedup, write_bench_json
+from .harness import FigureResult, speedup, write_bench_json
 from .report import banner, format_kv, format_ratio, format_table
 
 __all__ = [
     "ALL_FIGURES",
     "FigureResult",
     "banner",
-    "bench_cache_dir",
-    "bench_graph",
     "fig10_mst_scaling_dense",
     "fig2_naive_vs_smp",
     "fig3_coalescing",

@@ -30,7 +30,8 @@ from ..core.optimizations import OptimizationFlags
 from ..core.pipeline import connected_components, minimum_spanning_forest
 from ..runtime.machine import infiniband_cluster, smp_node
 from ..runtime.trace import Category
-from .harness import FigureResult, bench_graph, speedup
+from ..graph.generators import generate
+from .harness import FigureResult, speedup
 
 __all__ = [
     "fig2_naive_vs_smp",
@@ -75,7 +76,7 @@ def fig2_naive_vs_smp(scale: float = 1.0) -> FigureResult:
     ]
     worst_norm = 0.0
     for i, (n, density) in enumerate(inputs):
-        g = bench_graph("random", n, n * density, seed=i)
+        g = generate("random", n, n * density, seed=i)
         cluster = cluster_for_input(n, 16, 16, paper_n=PAPER_N_FIG3)
         smp = machine_for_input(smp_node(16), n, paper_n=PAPER_N_FIG3)
         upc = connected_components(g, cluster, impl="naive")
@@ -106,7 +107,7 @@ def fig3_coalescing(scale: float = 1.0) -> FigureResult:
     """
     n = _scaled(10_000, scale)
     m = 4 * n
-    g = bench_graph("random", n, m, seed=3)
+    g = generate("random", n, m, seed=3)
     cluster = cluster_for_input(n, 16, 1, paper_n=PAPER_N_FIG3)
     fig = FigureResult(
         figure="Fig. 3",
@@ -159,7 +160,7 @@ def fig4_tprime_sweep(
     )
     best_tprime, best_speedup, t1_beats = 0, 0.0, True
     for label, n, density in inputs:
-        g = bench_graph("random", n, n * density, seed=4)
+        g = generate("random", n, n * density, seed=4)
         machine = smp_for_input(n, 16)
         base = connected_components(g, machine, impl="smp")
         for tp in tprimes:
@@ -181,7 +182,7 @@ def fig4_tprime_sweep(
 def _breakdown_figure(kind: str, figure: str, scale: float) -> FigureResult:
     n = _scaled(100_000, scale)
     m = 4 * n
-    g = bench_graph(kind, n, m, seed=5)
+    g = generate(kind, n, m, seed=5)
     cluster = cluster_for_input(n, 16, 8)
     fig = FigureResult(
         figure=figure,
@@ -237,7 +238,7 @@ def fig6_optimization_breakdown_hybrid(scale: float = 1.0) -> FigureResult:
 def _cc_scaling_figure(figure: str, density: int, scale: float) -> FigureResult:
     n = _scaled(100_000, scale)
     m = density * n
-    g = bench_graph("random", n, m, seed=6)
+    g = generate("random", n, m, seed=6)
     fig = FigureResult(
         figure=figure,
         title=f"optimized CC vs threads/node, random n={n} m={m}, 16 nodes",
@@ -298,7 +299,7 @@ def fig8_cc_scaling_dense(scale: float = 1.0) -> FigureResult:
 def _mst_scaling_figure(figure: str, density: int, scale: float) -> FigureResult:
     n = _scaled(100_000, scale)
     m = density * n
-    g = bench_graph("random", n, m, seed=7, weighted=True)
+    g = generate("random", n, m, seed=7, weighted=True)
     fig = FigureResult(
         figure=figure,
         title=f"optimized MST vs threads/node, random n={n} m={m}, 16 nodes",
@@ -365,7 +366,7 @@ def sec3_analysis(scale: float = 1.0) -> FigureResult:
     for row in section3_table(10_000_000, 40_000_000, infiniband_cluster()):
         fig.add(quantity=row.quantity, value=row.value, unit=row.unit)
     # Measured: naive vs smp per-access time ratio on the simulator.
-    g = bench_graph("random", n, m, seed=8)
+    g = generate("random", n, m, seed=8)
     cluster = cluster_for_input(n, 16, 16, paper_n=PAPER_N_FIG3)
     smp = machine_for_input(smp_node(16), n, paper_n=PAPER_N_FIG3)
     upc = connected_components(g, cluster, impl="naive")
@@ -404,7 +405,7 @@ def sec6_hybrid_summary(scale: float = 1.0) -> FigureResult:
     n = _scaled(100_000, scale)
     cluster = cluster_for_input(n, 16, 8)
     for density in (4, 10):
-        g = bench_graph("hybrid", n, density * n, seed=9)
+        g = generate("hybrid", n, density * n, seed=9)
         smp = connected_components(g, smp_for_input(n, 16), impl="smp")
         seq = connected_components(g, sequential_for_input(n), impl="sequential")
         res = connected_components(g, cluster, impl="collective", tprime=2)
@@ -413,7 +414,7 @@ def sec6_hybrid_summary(scale: float = 1.0) -> FigureResult:
                 "vs sequential": speedup(seq.info.sim_time, res.info.sim_time)})
         fig.headline[f"CC vs SMP (m/n={density})"] = speedup(smp.info.sim_time, res.info.sim_time)
 
-        gw = bench_graph("hybrid", n, density * n, seed=9, weighted=True)
+        gw = generate("hybrid", n, density * n, seed=9, weighted=True)
         msmp = minimum_spanning_forest(gw, smp_for_input(n, 16), impl="smp")
         mseq = minimum_spanning_forest(gw, sequential_for_input(n), impl="kruskal")
         mres = minimum_spanning_forest(gw, cluster, impl="collective", tprime=2)

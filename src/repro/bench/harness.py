@@ -1,42 +1,20 @@
-"""Benchmark harness: cached inputs, figure-result containers, speedups.
+"""Benchmark harness: figure-result containers, speedups, result files.
 
-Generated graphs are cached on disk (``REPRO_BENCH_CACHE`` overrides the
-location) because input generation would otherwise dominate benchmark
-wall time — mirroring the paper's own remark about generation cost.
+Inputs are not handled here: a benchmark builds its graph with
+:func:`repro.graph.generate`, which is deterministic per seed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 from ..atomicio import atomic_write_text
-from ..graph.edgelist import EdgeList
-from ..graph.generators import generate
-from ..graph.io import cached_graph
 from .report import format_table
 
-__all__ = ["bench_cache_dir", "bench_graph", "write_bench_json", "FigureResult", "speedup"]
-
-
-def bench_cache_dir() -> Path:
-    """Directory for cached benchmark inputs."""
-    env = os.environ.get("REPRO_BENCH_CACHE")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".bench_cache"
-
-
-def bench_graph(
-    kind: str, n: int, m: int, seed: int = 0, weighted: bool = False
-) -> EdgeList:
-    """Deterministic benchmark input of a :data:`~repro.graph.FAMILIES`
-    family, cached on disk."""
-    tag = f"{kind}_n{n}_m{m}_s{seed}{'_w' if weighted else ''}.npz"
-    return cached_graph(bench_cache_dir() / tag, lambda: generate(kind, n, m, seed, weighted))
+__all__ = ["write_bench_json", "FigureResult", "speedup"]
 
 
 def write_bench_json(name: str, payload: dict, directory: "Path | None" = None) -> Path:

@@ -25,7 +25,7 @@ from .generators import (
     star_graph,
     with_random_weights,
 )
-from .io import cached_graph, load_edgelist, save_edgelist
+from .io import load_edgelist, save_edgelist
 from .permutation import (
     block_cyclic_permutation,
     identity_permutation,
@@ -51,7 +51,6 @@ __all__ = [
     "FAMILIES",
     "MAX_WEIGHT",
     "block_cyclic_permutation",
-    "cached_graph",
     "check_bfs_levels",
     "check_connected_counts",
     "check_simple",

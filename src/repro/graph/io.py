@@ -1,37 +1,32 @@
 """Persistence for edge lists.
 
-Benchmarks cache generated graphs on disk (generating the paper's larger
-inputs dominates run time otherwise, mirroring the paper's remark that
-"generating large scale-free graphs is very time consuming").  Format:
-NumPy ``.npz`` with ``n``, ``u``, ``v`` and optionally ``w``.
+Public I/O for graphs built outside this package or kept between runs.
+The generated inputs of the benchmarks are never stored: the generators
+are deterministic and cheap, so every run builds its own.  Format: NumPy
+``.npz`` with ``n``, ``u``, ``v`` and optionally ``w``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import tempfile
-import zipfile
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from ..errors import GraphError
 from .edgelist import EdgeList
 
-logger = logging.getLogger(__name__)
-
-__all__ = ["save_edgelist", "load_edgelist", "cached_graph"]
+__all__ = ["save_edgelist", "load_edgelist"]
 
 
 def save_edgelist(graph: EdgeList, path: str | os.PathLike) -> None:
     """Write ``graph`` to ``path`` (.npz, compressed).
 
-    The write is atomic with a *unique* temp name, so concurrent bench
-    or service workers caching the same graph never interleave on a
-    shared temp file; last rename wins with identical bytes.
+    The write is atomic with a *unique* temp name, so concurrent writers
+    of the same path never interleave on a shared temp file and a reader
+    never sees a torn file; the last rename wins.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -58,20 +53,3 @@ def load_edgelist(path: str | os.PathLike) -> EdgeList:
         w = data["w"] if "w" in data.files else None
         return EdgeList(int(data["n"]), data["u"], data["v"], w)
 
-
-def cached_graph(path: str | os.PathLike, builder: Callable[[], EdgeList]) -> EdgeList:
-    """Load ``path`` if it exists, else build, save, and return.
-
-    A corrupt or truncated cache file (interrupted write, disk trouble)
-    is not fatal: it is logged, discarded, and regenerated.
-    """
-    path = Path(path)
-    if path.exists():
-        try:
-            return load_edgelist(path)
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, GraphError) as err:
-            logger.warning("corrupt graph cache %s (%s); regenerating", path, err)
-            path.unlink(missing_ok=True)
-    graph = builder()
-    save_edgelist(graph, path)
-    return graph

@@ -1,11 +1,10 @@
 """Concurrent-writer atomicity for shared on-disk state (repro.atomicio).
 
-The plan cache, the bench graph cache, and the BENCH_*.json reports are
-written by concurrent soak/tune/service workers.  The regression these
-tests pin: writes must go through a *unique* temp file + ``os.replace``
-— a fixed ``.tmp`` name lets writer B truncate writer A's temp mid-write
-and rename a torn file into place, which is exactly the corruption a
-reader then loads.
+The plan cache and the BENCH_*.json reports are written by concurrent
+soak/tune/service workers.  The regression these tests pin: writes must
+go through a *unique* temp file + ``os.replace`` — a fixed ``.tmp`` name
+lets writer B truncate writer A's temp mid-write and rename a torn file
+into place, which is exactly the corruption a reader then loads.
 """
 
 from __future__ import annotations

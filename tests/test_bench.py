@@ -1,12 +1,10 @@
 """Tests for the benchmark harness (repro.bench)."""
 
-import numpy as np
 import pytest
 
 from repro.bench import (
     FigureResult,
     banner,
-    bench_graph,
     format_kv,
     format_ratio,
     format_table,
@@ -56,24 +54,6 @@ class TestSpeedup:
             speedup(1.0, 0.0)
 
 
-class TestBenchGraph:
-    def test_cached_deterministic(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
-        a = bench_graph("random", 100, 300, seed=1)
-        b = bench_graph("random", 100, 300, seed=1)
-        assert np.array_equal(a.u, b.u)
-        assert (tmp_path / "random_n100_m300_s1.npz").exists()
-
-    def test_weighted_variant(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
-        g = bench_graph("hybrid", 256, 700, seed=2, weighted=True)
-        assert g.weighted and g.m == 700
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            bench_graph("smallworld", 100, 300)
-
-
 class TestFigureResult:
     def test_table_and_render(self):
         fig = FigureResult(
@@ -104,10 +84,6 @@ class TestFigureResult:
 class TestFigureDriversSmoke:
     """Each figure driver runs end-to-end at a tiny scale and produces
     rows plus every promised headline metric."""
-
-    @pytest.fixture(autouse=True)
-    def _cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
 
     def test_fig2(self):
         from repro.bench import fig2_naive_vs_smp

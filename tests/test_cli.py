@@ -105,14 +105,12 @@ class TestCommands:
         assert "hps_cluster" in out
         assert "per-call scale" in out
 
-    def test_figures_subset(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
+    def test_figures_subset(self, capsys):
         assert main(["figures", "--scale", "0.05", "--only", "sec3"]) == 0
         out = capsys.readouterr().out
         assert "Sec. III" in out
 
-    def test_figures_unknown_key(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path))
+    def test_figures_unknown_key(self):
         with pytest.raises(SystemExit):
             main(["figures", "--only", "fig99"])
 
@@ -400,7 +398,6 @@ class TestServiceCommands:
         cache_path = tmp_path / "tune_cache.json"
         cache_path.write_text('{"plans": [{"truncated...')
         monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache_path))
-        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path / "bench"))
         assert main(["tune", "--n", "2000", "--machine", "4x2"]) == 0
         assert "selected:" in capsys.readouterr().out
         json.loads(cache_path.read_text())  # rewritten, valid again
@@ -412,7 +409,6 @@ class TestAutoMode:
     @pytest.fixture(autouse=True)
     def scratch_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune_cache.json"))
-        monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path / "bench"))
 
     def test_cc_full_auto(self, capsys):
         assert main([

@@ -24,7 +24,6 @@ from repro.graph import (
     save_edgelist,
     with_random_weights,
 )
-from repro.graph.io import cached_graph
 
 
 class TestPermutations:
@@ -141,42 +140,6 @@ class TestIO:
         np.savez(path, n=np.int64(3), u=np.array([0]))
         with pytest.raises(GraphError):
             load_edgelist(path)
-
-    def test_cached_graph_builds_once(self, tmp_path):
-        calls = []
-
-        def build():
-            calls.append(1)
-            return random_graph(20, 30, 1)
-
-        path = tmp_path / "c.npz"
-        a = cached_graph(path, build)
-        b = cached_graph(path, build)
-        assert len(calls) == 1
-        assert np.array_equal(a.u, b.u)
-
-    def test_cached_graph_regenerates_truncated_file(self, tmp_path, caplog):
-        g = random_graph(20, 30, 1)
-        path = tmp_path / "c.npz"
-        save_edgelist(g, path)
-        # Truncate the cache mid-file, as an interrupted write would.
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-
-        with caplog.at_level("WARNING", logger="repro.graph.io"):
-            back = cached_graph(path, lambda: g)
-        assert any("regenerating" in rec.message for rec in caplog.records)
-        assert np.array_equal(back.u, g.u)
-        # The cache was rewritten and now loads cleanly.
-        assert np.array_equal(load_edgelist(path).v, g.v)
-
-    def test_cached_graph_regenerates_garbage_file(self, tmp_path):
-        g = random_graph(15, 25, 1)
-        path = tmp_path / "c.npz"
-        path.write_bytes(b"this is not an npz archive")
-        back = cached_graph(path, lambda: g)
-        assert np.array_equal(back.u, g.u)
-        assert np.array_equal(load_edgelist(path).u, g.u)
 
 
 class TestValidation:
