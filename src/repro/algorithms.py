@@ -180,7 +180,8 @@ register(AlgorithmSpec(
         ),
     supports_faults=True,
     supports_recovery=True,
-    searched=True,
+    # Runnable by name, not probed: it never won a measured CC plan, and
+    # its cross-round hook cycle can fail a probe.
 ))
 
 register(AlgorithmSpec(

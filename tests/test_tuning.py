@@ -22,7 +22,7 @@ from repro.cc.collective import solve_cc_collective
 from repro.algorithms import REGISTRY
 from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connected_components
 from repro.core.pipeline import minimum_spanning_forest
-from repro.errors import ConfigError, ConvergenceError
+from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import hybrid_graph, random_graph, with_random_weights
@@ -205,9 +205,6 @@ class TestBuildPlan:
             itertools.product(impls, tprimes)
         )
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
-        "the cc-sv probe hits SV's cross-round hook cycle on this replica"
-    ))
     def test_plan_returned_where_a_probe_once_failed(self):
         """A reproduced input whose cold CC plan failed in a probe: the
         planner must return a plan for it."""
