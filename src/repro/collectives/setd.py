@@ -134,6 +134,11 @@ def _scatter_collective(
         changed = array.scatter_store_min(indices.data, values)
     else:
         raise CollectiveError(f"unknown combine mode {combine!r}; use 'min' or 'store_min'")
+    # Digests only, not the redundancy mark (MST's cycle-break stores do
+    # the same): marking would ship replica deltas these rounds never
+    # shipped and move pinned modeled numbers.  Replicas stay complete
+    # because every round then rewrites ``d`` in full by pointer jumping
+    # (tests/test_resilience.py holds that after every commit).
     if rt.integrity is not None:
         rt.integrity.note_write(array, indices.data)
     return changed

@@ -161,7 +161,8 @@ def _boruvka_round(st) -> bool:
     break_hook_cycles(d.data, roots)
     rt.local_ops(float(roots.size))
     if rt.integrity is not None:
-        # Fold the in-place cycle-break stores into d's digests.
+        # Fold the in-place cycle-break stores into d's digests (only:
+        # see the note at the end of repro.collectives.setd).
         rt.integrity.note_write(d, roots)
 
     pointer_jump_to_stars(rt, d, opts.with_(offload=False), tprime, sort_method)

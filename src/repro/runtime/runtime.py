@@ -308,67 +308,62 @@ class PGASRuntime:
         self.charge(Category.RETRY, penalty)
         self.counters.add(retries=total, remote_messages=total)
 
-    def _poll_crash(self) -> None:
-        """Fire a due crash event: the crashed thread pays its recovery
-        time, every other thread waits at the barrier, and the enclosing
-        round is signalled to replay via :class:`ThreadCrash`."""
-        event = self.faults.poll_crash(self.clocks.times)
-        if event is None:
-            return
-        self.counters.add(crashes=1)
-        self.charge_thread(Category.FAULT, event.thread, event.recovery)
-        self.clocks.barrier(0.0)
-        raise ThreadCrash(event.thread, event.at_time, event.recovery)
-
-    def _poll_node_loss(self) -> None:
-        """Fire a due permanent node loss.  With a resilience session the
-        session runs loss detection (and raises
-        :class:`~repro.errors.NodeLoss` into the solver's recovery
-        scope); without one the run fails loudly — survivors would block
-        on the dead node's barrier arrivals forever, and a hang or a
-        silently-wrong answer are the two outcomes this layer exists to
-        rule out."""
-        event = self.faults.poll_node_loss(self.clocks.times)
-        if event is None:
-            return
-        self.counters.add(node_losses=1)
-        if self.resilience is None:
-            raise UnrecoverableLossError(
-                event.node,
-                event.at_time,
-                "no redundancy is configured (run with repro.resilience to survive)",
-            )
-        self.resilience.on_loss(event)
-
-    def _poll_corruption(self) -> None:
-        """Fire due silent bit-flip events against the registered arrays
-        (Poisson process on the virtual clock; each event fires once)."""
-        flips = self.faults.poll_corruption(self.clocks.times)
-        if flips:
-            self.counters.add(corruptions_injected=flips)
-
-    def barrier(self) -> None:
-        """Full barrier across all simulated threads."""
-        if _SYNC_POLL is not None:
-            _SYNC_POLL()
-        self.clocks.barrier(self.cost.barrier_time())
+    def _after_sync(self) -> None:
+        """The tail of every synchronization point (barrier, allreduce):
+        count the barrier, close the detector epoch, fire due faults,
+        then check digests."""
         self.counters.add(barriers=1)
         # Close the detector epoch BEFORE crash polling: a ThreadCrash
         # replays the round in fresh epochs, so the replay cannot
         # conflict with the aborted attempt (no phantom reports).
         if self.analyzer is not None:
             self.analyzer.on_barrier()
-        if self.faults is not None:
+        faults = self.faults
+        if faults is not None:
             # Permanent losses outrank transient crashes: a node that is
             # gone for good must open a new epoch, not a round replay.
-            self._poll_node_loss()
-            self._poll_crash()
-            self._poll_corruption()
+            loss = faults.poll_node_loss(self.clocks.times)
+            if loss is not None:
+                self.counters.add(node_losses=1)
+                # With a resilience session the session runs loss
+                # detection (and raises NodeLoss into the solver's
+                # recovery scope); without one the run fails loudly —
+                # survivors would block on the dead node's barrier
+                # arrivals forever, and a hang or a silently-wrong answer
+                # are the two outcomes this layer exists to rule out.
+                if self.resilience is None:
+                    raise UnrecoverableLossError(
+                        loss.node,
+                        loss.at_time,
+                        "no redundancy is configured (run with repro.resilience to survive)",
+                    )
+                self.resilience.on_loss(loss)
+            # A due crash: the crashed thread pays its recovery time,
+            # every other thread waits at the barrier, and the enclosing
+            # round is signalled to replay via ThreadCrash.
+            crash = faults.poll_crash(self.clocks.times)
+            if crash is not None:
+                self.counters.add(crashes=1)
+                self.charge_thread(Category.FAULT, crash.thread, crash.recovery)
+                self.clocks.barrier(0.0)
+                raise ThreadCrash(crash.thread, crash.at_time, crash.recovery)
+            # Due silent bit flips against the registered arrays (Poisson
+            # process on the virtual clock; each event fires once).
+            flips = faults.poll_corruption(self.clocks.times)
+            if flips:
+                self.counters.add(corruptions_injected=flips)
         # Digest verification runs at every sync point, right after the
         # corruption poll: a flip must be caught before the next charged
         # write could launder it into a refreshed digest.
         if self.integrity is not None:
             self.integrity.on_barrier()
+
+    def barrier(self) -> None:
+        """Full barrier across all simulated threads."""
+        if _SYNC_POLL is not None:
+            _SYNC_POLL()
+        self.clocks.barrier(self.cost.barrier_time())
+        self._after_sync()
 
     def allreduce_flag(self, flags: np.ndarray) -> bool:
         """Logical-OR allreduce used for termination detection.
@@ -389,15 +384,7 @@ class PGASRuntime:
         self.charge(Category.SETUP, self.cost.allreduce_time())
         if self.machine.nodes > 1:
             self.counters.add(remote_messages=rounds * self.s)
-        self.counters.add(barriers=1)
-        if self.analyzer is not None:
-            self.analyzer.on_barrier()
-        if self.faults is not None:
-            self._poll_node_loss()
-            self._poll_crash()
-            self._poll_corruption()
-        if self.integrity is not None:
-            self.integrity.on_barrier()
+        self._after_sync()
         return bool(flags.any())
 
     # -- fine-grained shared access (the naive discipline) ---------------------
@@ -510,11 +497,17 @@ class PGASRuntime:
             changed = int(np.count_nonzero(arr.data[indices.data] != before))
         else:
             raise CollectiveError(f"unknown combine mode {combine!r}")
-        if self.integrity is not None:
-            self.integrity.note_write(arr, indices.data)
-        if self.resilience is not None:
-            self.resilience.mark_write(arr, indices.data)
+        self._note_write(arr, indices.data)
         return changed
+
+    def _note_write(self, arr: SharedArray, where=None) -> None:
+        """Fold a charged store into ``arr``'s digests and mark it for the
+        next replica commit; ``where`` is indices, a boolean mask, or
+        ``None`` for the whole array."""
+        if self.integrity is not None:
+            self.integrity.note_write(arr, where)
+        if self.resilience is not None:
+            self.resilience.mark_write(arr, where)
 
     # -- local (per-thread) modeled work ---------------------------------------
 
@@ -589,10 +582,7 @@ class PGASRuntime:
         self._owner_charge(arr, charge, counts, category)
         if self.analyzer is not None:
             self.analyzer.record_block(arr, "w", phase="owner-block-write")
-        if self.integrity is not None:
-            self.integrity.note_write(arr)
-        if self.resilience is not None:
-            self.resilience.mark_write(arr)
+        self._note_write(arr)
 
     def owner_masked_write(
         self,
@@ -611,10 +601,7 @@ class PGASRuntime:
             self.analyzer.record_owner_write(
                 arr, np.flatnonzero(mask), phase="owner-masked-write"
             )
-        if self.integrity is not None:
-            self.integrity.note_write(arr, mask)
-        if self.resilience is not None:
-            self.resilience.mark_write(arr, mask)
+        self._note_write(arr, mask)
 
     def owner_indexed_write(
         self, arr: SharedArray, indices: np.ndarray, values, *, category: str = Category.WORK
@@ -626,7 +613,4 @@ class PGASRuntime:
         self.local_stream(writes.astype(np.float64), category)
         if self.analyzer is not None:
             self.analyzer.record_owner_write(arr, indices, phase="owner-indexed-write")
-        if self.integrity is not None:
-            self.integrity.note_write(arr, indices)
-        if self.resilience is not None:
-            self.resilience.mark_write(arr, indices)
+        self._note_write(arr, indices)
