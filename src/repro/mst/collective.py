@@ -161,8 +161,8 @@ def _boruvka_round(st) -> bool:
     break_hook_cycles(d.data, roots)
     rt.local_ops(float(roots.size))
     if rt.integrity is not None:
-        # Fold the in-place cycle-break stores into d's digests (only:
-        # see the note at the end of repro.collectives.setd).
+        # Fold the in-place cycle-break stores into d's digests only;
+        # the comment on SetD's note_write (collectives/setd.py) says why.
         rt.integrity.note_write(d, roots)
 
     pointer_jump_to_stars(rt, d, opts.with_(offload=False), tprime, sort_method)
