@@ -25,7 +25,7 @@ from repro.core.pipeline import minimum_spanning_forest
 from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.graph.edgelist import EdgeList
-from repro.graph.generators import hybrid_graph, random_graph, with_random_weights
+from repro.graph.generators import generate, hybrid_graph, random_graph, with_random_weights
 from repro.mst.collective import solve_mst_collective
 from repro.runtime import PGASRuntime
 from repro.runtime.clocks import recording
@@ -48,6 +48,7 @@ from repro.tuning import (
 from repro.tuning.planner import (
     PlanEntry,
     _probe_graph,
+    _probe_sim_times,
     optimized_flags,
     probe_machine_for,
 )
@@ -276,12 +277,24 @@ TAPE_N = 500
 #: path) and the paper's calibrated cluster.
 TAPE_SHAPES = ("4x2", "1x8", "16x8")
 TAPE_INPUTS = (("cc", "random"), ("cc", "hybrid"), ("mst", "hybrid"))
+#: The impls these gates solve, whatever ``AlgorithmSpec.searched`` says:
+#: every CC impl the planner once probed (``lt-rf`` is the same solve as
+#: ``collective``) and MST's one.  Narrowing the planner's probes must
+#: not narrow the tape's bit-exactness gate or the containment gate.
+TAPE_IMPLS = {
+    "cc": (
+        "collective", "lt-ps", "lt-psa", "lt-pf", "lt-pfa", "lt-es", "lt-esa",
+        "lt-ef", "lt-efa", "lt-rs", "lt-rsa", "lt-rfa",
+    ),
+    "mst": ("collective",),
+}
 
 
 @functools.lru_cache(maxsize=None)
 def _full_solve_grid(shape, kind, family):
-    """``{(impl, t'): sim_time}`` of a full solve of every searched impl at
-    every ``tprime_candidates`` point, on the planner's own replica."""
+    """``{(impl, t'): sim_time}`` of a full solve of every ``TAPE_IMPLS``
+    impl at every ``tprime_candidates`` point, on the planner's own
+    replica."""
     machine = parse_service_machine(shape, TAPE_N)
     workload = Workload(kind=kind, n=TAPE_N, m=4 * TAPE_N, graph_kind=family)
     graph = _probe_graph(workload, TAPE_N)
@@ -291,7 +304,7 @@ def _full_solve_grid(shape, kind, family):
         (impl, tp): solve(
             graph, machine, impl=impl, opts=optimized_flags(kind), tprime=tp
         ).info.sim_time
-        for impl in _searched(kind)
+        for impl in TAPE_IMPLS[kind]
         for tp in tprimes
     }
 
@@ -301,7 +314,7 @@ class TestClockTape:
     @pytest.mark.parametrize("kind, family", TAPE_INPUTS)
     def test_replay_equals_a_full_solve_bit_for_bit(self, shape, kind, family):
         machine, graph, solve, tprimes, full = _full_solve_grid(shape, kind, family)
-        for impl in _searched(kind):
+        for impl in TAPE_IMPLS[kind]:
             with recording() as tape:
                 solve(graph, machine, impl=impl, opts=optimized_flags(kind), tprime=tprimes[-1])
             replayed = [float(t).hex() for t in tape.replay(tprimes)]
@@ -377,11 +390,52 @@ class TestClockTape:
         assert plan.lattice_size == len(_searched("cc")) * len(tprimes) == len(plan.entries)
         # The replica is the full input here (n <= PROBE_N_CAP): every
         # entry is a full solve's modeled time, exactly.
+        searched = {key: t for key, t in full.items() if key[0] in _searched("cc")}
         assert {(e.impl, e.tprime): e.ms for e in plan.entries} == {
-            key: t * 1e3 for key, t in full.items()
+            key: t * 1e3 for key, t in searched.items()
         }
-        best = min(full, key=lambda key: (full[key], key))
+        best = min(searched, key=lambda key: (searched[key], key))
         assert (plan.selected.impl, plan.selected.tprime) == best
+
+
+# ---------------------------------------------------------------------------
+# Containment: the searched impls hold the full-size argmin
+# ---------------------------------------------------------------------------
+
+#: (family, n, m/n, machine shape): the three families at a planner-sized
+#: and a denser, larger input, on the service's machine, a one-node
+#: machine and the paper's cluster.
+CONTAINMENT_GRID = [
+    (family, n, density, shape)
+    for family in ("random", "hybrid", "powerlaw")
+    for n, density in ((3000, 4), (6000, 10))
+    for shape in TAPE_SHAPES
+]
+
+
+@pytest.mark.parametrize(
+    "family, n, density, shape", CONTAINMENT_GRID,
+    ids=[f"{f}-n{n}-d{d}-{s}" for f, n, d, s in CONTAINMENT_GRID],
+)
+def test_searched_impls_contain_the_full_size_argmin(family, n, density, shape):
+    """Every ``TAPE_IMPLS`` CC impl is solved once at full size under a
+    clock tape and replayed over the ``t'`` grid.  The best configuration
+    among the impls the planner searches must be the best of them all:
+    an impl it leaves out never wins here."""
+    machine = parse_service_machine(shape, n)
+    graph = generate(family, n, density * n, seed=7)
+    workload = Workload(kind="cc", n=n, m=graph.m, graph_kind=family)
+    tprimes = tprime_candidates(max(1, n // machine.total_threads), CostModel(machine))
+    best = {
+        impl: min(_probe_sim_times(workload, graph, machine, impl, optimized_flags("cc"), tprimes))
+        for impl in TAPE_IMPLS["cc"]
+    }
+    kept = min(best[impl] for impl in _searched("cc"))
+    winner = min(best, key=best.get)
+    assert kept == best[winner], (
+        f"{winner} wins at {best[winner] * 1e3:.4f} ms; the searched impls' best is"
+        f" {kept * 1e3:.4f} ms (x{kept / best[winner]:.4f})"
+    )
 
 
 # ---------------------------------------------------------------------------
