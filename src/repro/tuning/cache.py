@@ -33,9 +33,11 @@ from .planner import TuningPlan, Workload
 
 __all__ = ["PlanCache", "default_cache_path", "machine_fingerprint"]
 
-#: 2: entries carry one measured ``ms`` (schema 1 held analytic
-#: predictions beside probe measurements; such files regenerate).
-_SCHEMA_VERSION = 2
+#: 3: a CC plan measures four impls.  A schema-2 plan also held the eight
+#: others, so ``choose`` would answer an explicit one of them with its own
+#: ``t'`` where a fresh plan answers with the best entry's; such files,
+#: like schema 1's (analytic predictions beside measurements), regenerate.
+_SCHEMA_VERSION = 3
 _ENV_VAR = "REPRO_TUNE_CACHE"
 
 

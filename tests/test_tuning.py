@@ -206,6 +206,13 @@ class TestBuildPlan:
             itertools.product(impls, tprimes)
         )
 
+    def test_cc_plans_probe_only_the_impls_that_can_win(self):
+        """The containment gate below licenses this set.  An explicit impl
+        outside it constrains nothing: its ``t'`` is the best entry's."""
+        plan = build_plan(Workload(kind="cc", n=1200, m=4800), cluster_for_input(1200, 4, 2))
+        assert {e.impl for e in plan.entries} == {"collective", "lt-ps", "lt-pf", "lt-es"}
+        assert plan.choose(impl="lt-rs", tprime="auto") is plan.selected
+
     def test_plan_returned_where_a_probe_once_failed(self):
         """A reproduced input whose cold CC plan failed in a probe: the
         planner must return a plan for it."""
@@ -538,6 +545,11 @@ class TestPlanCache:
         ]
         key = f"{machine_fingerprint(machine)}|{workload.key()}"
         path.write_text(json.dumps({"schema": 1, "plans": {key: plan}}))
+        assert len(PlanCache(path)) == 0
+        # A schema-2 CC plan measured impls no plan searches now, and
+        # ``choose`` answers an explicit one of them differently.
+        fresh = build_plan(workload, machine).to_dict()
+        path.write_text(json.dumps({"schema": 2, "plans": {key: fresh}}))
         assert len(PlanCache(path)) == 0
 
     def test_bad_record_does_not_poison_the_rest(self, tmp_path):
