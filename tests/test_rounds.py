@@ -62,6 +62,7 @@ from repro.mst.verify import check_spanning_forest, msf_reference
 from repro.runtime import PGASRuntime, hps_cluster, smp_node
 from repro.runtime.partitioned import PartitionedArray
 from repro.runtime.trace import Category
+from tests.test_resilience import CHAOS_PLAN
 
 MACHINE = hps_cluster(4, 2)
 
@@ -405,6 +406,23 @@ def test_sv_converges_where_its_hook_closes_a_cycle():
     graph = powerlaw_graph(2500, 7000, seed=3)
     res = connected_components(graph, MACHINE, impl="sv")
     np.testing.assert_array_equal(canonical_labels(res.labels), _component_labels(graph))
+
+
+@pytest.mark.xfail(strict=True, raises=FaultError, reason=(
+    "SV's replays keep meeting a new flip until it gives up after its repair bound"
+))
+@pytest.mark.parametrize("mode", ["buddy", "parity"])
+def test_sv_finishes_the_chaos_plan_under_redundancy(mode):
+    """Under the composed chaos plan, with integrity and either redundancy
+    mode, SV raises ``FaultError: cc-sv gave up after 105 integrity
+    repairs``; ``collective`` (14 flips, 8 repairs) and ``lt-ps`` (6, 4)
+    finish the same solve.  A fix turns this XPASS, and the strict marker
+    then has to come off."""
+    res = connected_components(
+        GRAPH, MACHINE, impl="sv", faults=CHAOS_PLAN, integrity=IntegrityConfig(),
+        resilience=RedundancyConfig(mode=mode),
+    )
+    np.testing.assert_array_equal(canonical_labels(res.labels), LABELS)
 
 
 # -- composed campaigns, pinned ------------------------------------------------
