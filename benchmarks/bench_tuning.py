@@ -13,12 +13,20 @@ acceptance criteria of the tuning subsystem:
 * it is never slower than the paper's own hand-picked default (all
   flags, t'=2).
 
+A second check holds the planner's candidate set at scale: on 48k-vertex
+random and hybrid inputs (scaled by ``REPRO_BENCH_SCALE``) every
+distributed CC impl is solved once under a clock tape and replayed over
+the t' grid, and the best configuration among the impls the planner
+searches must be the best of them all.
+
 Results also land in ``BENCH_tuning.json`` (machine-readable modeled ms
-per configuration) for CI to archive.
+per configuration, and the containment check's kept/all ratios) for CI
+to archive.
 """
 
 import itertools
 
+from repro.algorithms import REGISTRY, lt_variant_names
 from repro.bench import format_table, write_bench_json
 from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connected_components
 from repro.graph import generate
@@ -26,7 +34,11 @@ from repro.perf.fanout import fanout_map
 from repro.runtime.cost import CostModel
 from repro.scheduling.cache_model import tprime_candidates
 from repro.tuning import Workload, build_plan
+from repro.tuning.planner import _probe_sim_times, optimized_flags
 
+
+#: ``BENCH_tuning.json``: each test fills its own sections, then rewrites it.
+REPORT = {}
 
 #: The paper's six measured flags (``hierarchical`` is its future-work
 #: proposal, not a measured knob).
@@ -136,7 +148,56 @@ def test_tuning_auto_vs_exhaustive(benchmark, repro_scale, repro_workers, tmp_pa
             rows,
         )
     )
-    path = write_bench_json("tuning", payload)
+    REPORT.update(payload)
+    path = write_bench_json("tuning", REPORT)
+    print(f"wrote {path}")
+
+
+def test_tuning_containment_at_scale(benchmark, repro_scale):
+    """The impls the planner leaves out never win at scale: the best
+    searched configuration is the best over every distributed CC impl
+    (``lt-rf`` is the same solve as ``collective``)."""
+    n = max(3000, int(48_000 * repro_scale))
+    impls = ("collective",) + tuple(v for v in lt_variant_names() if v != "lt-rf")
+    searched = {name for (k, name), spec in REGISTRY.items() if k == "cc" and spec.searched}
+    machine = cluster_for_input(n, 16, 8)
+    tprimes = tprime_candidates(max(1, n // machine.total_threads), CostModel(machine))
+
+    def run():
+        out = {}
+        for kind, density in itertools.product(("random", "hybrid"), (4, 10)):
+            g = generate(kind, n, density * n, seed=7)
+            workload = Workload(kind="cc", n=n, m=g.m, graph_kind=kind)
+            out[kind, density] = {
+                impl: min(_probe_sim_times(
+                    workload, g, machine, impl, optimized_flags("cc"), tprimes
+                )) * 1e3
+                for impl in impls
+            }
+        return out
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    cases, rows = {}, []
+    for (kind, density), best in results.items():
+        winner = min(best, key=best.get)
+        kept = min(best[impl] for impl in searched)
+        ratio = kept / best[winner]
+        cases[f"{kind}-m/n{density}"] = {
+            "winner": winner, "best_ms": best[winner], "kept_best_ms": kept,
+            "kept_over_all": round(ratio, 6),
+        }
+        rows.append([kind, density, winner, f"{best[winner]:.3f}", f"{ratio:.4f}"])
+        assert kept == best[winner], (
+            f"{kind} m/n {density}: {winner} wins at {best[winner]:.4f} ms, the searched"
+            f" impls' best is {kept:.4f} ms (x{ratio:.4f})"
+        )
+    print()
+    print(format_table(["kind", "m/n", "winner", "best ms", "kept/all"], rows))
+    REPORT["containment"] = {
+        "n": n, "machine": "16x8", "impls": list(impls), "searched": sorted(searched),
+        "cases": cases,
+    }
+    path = write_bench_json("tuning", REPORT)
     print(f"wrote {path}")
 
 
