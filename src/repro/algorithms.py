@@ -221,10 +221,10 @@ register(AlgorithmSpec(
 ))
 
 
-#: The Liu–Tarjan variants the planner probes.  Over 137 measured CC plans
-#: and 48 full-size inputs solved by every variant, the best configuration
-#: was always one of these three, and no other variant came within 5 %.
-_SEARCHED_LT = ("lt-ps", "lt-pf", "lt-es")
+#: The Liu–Tarjan variants the planner probes: the only ones that ever won
+#: a measured CC plan or a full-size solve.  ``lt-psa`` wins on one-node
+#: machines of two to four threads, the other three everywhere else.
+_SEARCHED_LT = ("lt-ps", "lt-psa", "lt-pf", "lt-es")
 
 
 def _lt_solve(variant):
@@ -244,8 +244,8 @@ for _variant in ALL_VARIANTS:
         solve=_lt_solve(_variant),
         supports_faults=True,
         supports_recovery=True,
-        # Only these three ever won a measured CC plan (lt-rf is searched
-        # as `collective`, the same solve); the rest stay runnable by name.
+        # lt-rf is searched as `collective`, the same solve; the variants
+        # outside _SEARCHED_LT stay runnable by name.
         searched=_variant.name in _SEARCHED_LT,
     ))
 

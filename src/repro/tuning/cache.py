@@ -33,7 +33,7 @@ from .planner import TuningPlan, Workload
 
 __all__ = ["PlanCache", "default_cache_path", "machine_fingerprint"]
 
-#: 3: a CC plan measures four impls.  A schema-2 plan also held the eight
+#: 3: a CC plan measures five impls.  A schema-2 plan also held seven
 #: others, so ``choose`` would answer an explicit one of them with its own
 #: ``t'`` where a fresh plan answers with the best entry's; such files,
 #: like schema 1's (analytic predictions beside measurements), regenerate.

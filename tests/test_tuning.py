@@ -210,7 +210,9 @@ class TestBuildPlan:
         """The containment gate below licenses this set.  An explicit impl
         outside it constrains nothing: its ``t'`` is the best entry's."""
         plan = build_plan(Workload(kind="cc", n=1200, m=4800), cluster_for_input(1200, 4, 2))
-        assert {e.impl for e in plan.entries} == {"collective", "lt-ps", "lt-pf", "lt-es"}
+        assert {e.impl for e in plan.entries} == {
+            "collective", "lt-ps", "lt-psa", "lt-pf", "lt-es"
+        }
         assert plan.choose(impl="lt-rs", tprime="auto") is plan.selected
 
     def test_plan_returned_where_a_probe_once_failed(self):
@@ -410,13 +412,13 @@ class TestClockTape:
 # ---------------------------------------------------------------------------
 
 #: (family, n, m/n, machine shape): the three families at a planner-sized
-#: and a denser, larger input, on the service's machine, a one-node
-#: machine and the paper's cluster.
+#: and a denser, larger input, on the tape gate's machines and a one-node
+#: machine of four threads, where ``lt-psa`` wins.
 CONTAINMENT_GRID = [
     (family, n, density, shape)
     for family in ("random", "hybrid", "powerlaw")
     for n, density in ((3000, 4), (6000, 10))
-    for shape in TAPE_SHAPES
+    for shape in TAPE_SHAPES + ("1x4",)
 ]
 
 
