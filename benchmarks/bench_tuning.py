@@ -26,6 +26,8 @@ to archive.
 
 import itertools
 
+import pytest
+
 from repro.algorithms import REGISTRY, lt_variant_names
 from repro.bench import format_table, write_bench_json
 from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connected_components
@@ -37,12 +39,16 @@ from repro.tuning import Workload, build_plan
 from repro.tuning.planner import _probe_sim_times, optimized_flags
 
 
-#: ``BENCH_tuning.json``: each test fills its own sections, then rewrites it.
-REPORT = {}
-
 #: The paper's six measured flags (``hierarchical`` is its future-work
 #: proposal, not a measured knob).
 SWEEP_FLAGS = FIG5_ORDER + ("rdma",)
+
+
+@pytest.fixture(scope="module")
+def report():
+    """``BENCH_tuning.json``'s payload: each test fills its own sections,
+    then rewrites the file."""
+    return {}
 
 
 def _flag_subsets():
@@ -81,7 +87,9 @@ def _sweep(kind, n, workers=1):
     return {(key, tp): ms for chunk in results for key, tp, ms in chunk}
 
 
-def test_tuning_auto_vs_exhaustive(benchmark, repro_scale, repro_workers, tmp_path, monkeypatch):
+def test_tuning_auto_vs_exhaustive(
+    benchmark, report, repro_scale, repro_workers, tmp_path, monkeypatch
+):
     monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune_cache.json"))
     n = max(1500, int(6000 * repro_scale))
     payload = {"n": n, "kinds": {}}
@@ -148,12 +156,12 @@ def test_tuning_auto_vs_exhaustive(benchmark, repro_scale, repro_workers, tmp_pa
             rows,
         )
     )
-    REPORT.update(payload)
-    path = write_bench_json("tuning", REPORT)
+    report.update(payload)
+    path = write_bench_json("tuning", report)
     print(f"wrote {path}")
 
 
-def test_tuning_containment_at_scale(benchmark, repro_scale):
+def test_tuning_containment_at_scale(benchmark, report, repro_scale):
     """The impls the planner leaves out never win at scale: the best
     searched configuration is the best over every distributed CC impl
     (``lt-rf`` is the same solve as ``collective``)."""
@@ -193,11 +201,11 @@ def test_tuning_containment_at_scale(benchmark, repro_scale):
         )
     print()
     print(format_table(["kind", "m/n", "winner", "best ms", "kept/all"], rows))
-    REPORT["containment"] = {
+    report["containment"] = {
         "n": n, "machine": "16x8", "impls": list(impls), "searched": sorted(searched),
         "cases": cases,
     }
-    path = write_bench_json("tuning", REPORT)
+    path = write_bench_json("tuning", report)
     print(f"wrote {path}")
 
 
