@@ -167,8 +167,10 @@ def test_tuning_containment_at_scale(benchmark, report, repro_scale):
     (``lt-rf`` is the same solve as ``collective``)."""
     n = max(3000, int(48_000 * repro_scale))
     impls = ("collective",) + tuple(v for v in lt_variant_names() if v != "lt-rf")
-    searched = {name for (k, name), spec in REGISTRY.items() if k == "cc" and spec.searched}
     machine = cluster_for_input(n, 16, 8)
+    searched = {
+        name for (k, name), spec in REGISTRY.items() if k == "cc" and spec.searched_on(machine)
+    }
     tprimes = tprime_candidates(max(1, n // machine.total_threads), CostModel(machine))
 
     def run():

@@ -238,10 +238,13 @@ def _probe_sim_times(
     return tape.replay(tprimes)
 
 
-def _impl_candidates(kind: str) -> tuple:
+def _impl_candidates(kind: str, machine: MachineConfig) -> tuple:
     # The registry is the source of truth: registering a new variant
     # with ``searched=True`` makes the planner measure it.
-    return tuple(name for (k, name), spec in REGISTRY.items() if k == kind and spec.searched)
+    return tuple(
+        name for (k, name), spec in REGISTRY.items()
+        if k == kind and spec.searched_on(machine)
+    )
 
 
 def optimized_flags(kind: str) -> OptimizationFlags:
@@ -269,7 +272,7 @@ def build_plan(workload: Workload, machine: MachineConfig) -> TuningPlan:
     graph = _probe_graph(workload, probe_n)
     pmachine = _probe_machine(machine, f)
     entries: List[PlanEntry] = []
-    for impl in _impl_candidates(workload.kind):
+    for impl in _impl_candidates(workload.kind, machine):
         sim_times = _probe_sim_times(workload, graph, pmachine, impl, opts, tprimes)
         entries.extend(
             PlanEntry(impl=impl, opts_key=opts.key(), tprime=tp, ms=float(t) * 1e3 / f)

@@ -175,8 +175,10 @@ class TestAnalyticModel:
         assert scaled.per_call_scale == pytest.approx(machine.per_call_scale * 0.25)
 
 
-def _searched(kind):
-    return [name for (k, name), spec in REGISTRY.items() if k == kind and spec.searched]
+def _searched(kind, machine):
+    return [
+        name for (k, name), spec in REGISTRY.items() if k == kind and spec.searched_on(machine)
+    ]
 
 
 class TestBuildPlan:
@@ -198,7 +200,7 @@ class TestBuildPlan:
             optimized = optimized.with_(offload=False)
         machine = cluster_for_input(1200, 4, 2)
         plan = build_plan(Workload(kind=kind, n=1200, m=4800), machine)
-        impls = _searched(kind)
+        impls = _searched(kind, machine)
         tprimes = tprime_candidates(max(1, 1200 // machine.total_threads), CostModel(machine))
         assert plan.lattice_size == len(impls) * len(tprimes) == len(plan.entries)
         assert {e.opts_key for e in plan.entries} == {optimized.key()}
@@ -206,13 +208,15 @@ class TestBuildPlan:
             itertools.product(impls, tprimes)
         )
 
-    def test_cc_plans_probe_only_the_impls_that_can_win(self):
-        """The containment gate below licenses this set.  An explicit impl
-        outside it constrains nothing: its ``t'`` is the best entry's."""
-        plan = build_plan(Workload(kind="cc", n=1200, m=4800), cluster_for_input(1200, 4, 2))
-        assert {e.impl for e in plan.entries} == {
-            "collective", "lt-ps", "lt-psa", "lt-pf", "lt-es"
-        }
+    @pytest.mark.parametrize("shape, one_node", [("4x2", False), ("1x4", True)])
+    def test_cc_plans_probe_only_the_impls_that_can_win(self, shape, one_node):
+        """The containment gate below licenses this set: ``lt-psa`` wins
+        only on one node.  An explicit impl outside the set constrains
+        nothing: its ``t'`` is the best entry's."""
+        machine = parse_service_machine(shape, 1200)
+        plan = build_plan(Workload(kind="cc", n=1200, m=4800), machine)
+        expected = {"collective", "lt-ps", "lt-pf", "lt-es"} | ({"lt-psa"} if one_node else set())
+        assert {e.impl for e in plan.entries} == expected
         assert plan.choose(impl="lt-rs", tprime="auto") is plan.selected
 
     def test_plan_returned_where_a_probe_once_failed(self):
@@ -396,10 +400,11 @@ class TestClockTape:
     def test_plan_selects_the_argmin_of_full_solves(self):
         machine, _, _, tprimes, full = _full_solve_grid("4x2", "cc", "random")
         plan = build_plan(Workload(kind="cc", n=TAPE_N, m=4 * TAPE_N), machine)
-        assert plan.lattice_size == len(_searched("cc")) * len(tprimes) == len(plan.entries)
+        impls = _searched("cc", machine)
+        assert plan.lattice_size == len(impls) * len(tprimes) == len(plan.entries)
         # The replica is the full input here (n <= PROBE_N_CAP): every
         # entry is a full solve's modeled time, exactly.
-        searched = {key: t for key, t in full.items() if key[0] in _searched("cc")}
+        searched = {key: t for key, t in full.items() if key[0] in impls}
         assert {(e.impl, e.tprime): e.ms for e in plan.entries} == {
             key: t * 1e3 for key, t in searched.items()
         }
@@ -439,7 +444,7 @@ def test_searched_impls_contain_the_full_size_argmin(family, n, density, shape):
         impl: min(_probe_sim_times(workload, graph, machine, impl, optimized_flags("cc"), tprimes))
         for impl in TAPE_IMPLS["cc"]
     }
-    kept = min(best[impl] for impl in _searched("cc"))
+    kept = min(best[impl] for impl in _searched("cc", machine))
     winner = min(best, key=best.get)
     assert kept == best[winner], (
         f"{winner} wins at {best[winner] * 1e3:.4f} ms; the searched impls' best is"
