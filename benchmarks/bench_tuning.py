@@ -28,7 +28,7 @@ import itertools
 
 import pytest
 
-from repro.algorithms import REGISTRY, lt_variant_names
+from repro.algorithms import REGISTRY
 from repro.bench import format_table, write_bench_json
 from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connected_components
 from repro.graph import generate
@@ -36,7 +36,7 @@ from repro.perf.fanout import fanout_map
 from repro.runtime.cost import CostModel
 from repro.scheduling.cache_model import tprime_candidates
 from repro.tuning import Workload, build_plan
-from repro.tuning.planner import _probe_sim_times, optimized_flags
+from repro.tuning.planner import best_times, taped_impls
 
 
 #: The paper's six measured flags (``hierarchical`` is its future-work
@@ -163,15 +163,13 @@ def test_tuning_auto_vs_exhaustive(
 
 def test_tuning_containment_at_scale(benchmark, report, repro_scale):
     """The impls the planner leaves out never win at scale: the best
-    searched configuration is the best over every distributed CC impl
-    (``lt-rf`` is the same solve as ``collective``)."""
+    searched configuration is the best over every CC impl a probe can
+    measure (``taped_impls``, the list the tier-1 containment gate
+    solves)."""
     n = max(3000, int(48_000 * repro_scale))
-    impls = ("collective",) + tuple(v for v in lt_variant_names() if v != "lt-rf")
+    impls = taped_impls("cc")
     machine = cluster_for_input(n, 16, 8)
-    searched = {
-        name for (k, name), spec in REGISTRY.items() if k == "cc" and spec.searched_on(machine)
-    }
-    tprimes = tprime_candidates(max(1, n // machine.total_threads), CostModel(machine))
+    searched = {name for (k, name), spec in REGISTRY.items() if k == "cc" and spec.searched}
 
     def run():
         out = {}
@@ -179,10 +177,7 @@ def test_tuning_containment_at_scale(benchmark, report, repro_scale):
             g = generate(kind, n, density * n, seed=7)
             workload = Workload(kind="cc", n=n, m=g.m, graph_kind=kind)
             out[kind, density] = {
-                impl: min(_probe_sim_times(
-                    workload, g, machine, impl, optimized_flags("cc"), tprimes
-                )) * 1e3
-                for impl in impls
+                impl: t * 1e3 for impl, t in best_times(workload, g, machine, impls).items()
             }
         return out
 

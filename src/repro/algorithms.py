@@ -64,10 +64,8 @@ class AlgorithmSpec:
     #: barriers poll the injector: crash, node-loss and corruption
     #: events fire, and integrity and node-loss redundancy recover them.
     supports_recovery: bool = False
-    #: The tuning planner measures this impl at every ``t'`` candidate:
-    #: ``True``, or a predicate of the machine for an impl that wins only
-    #: on some machines (see :meth:`searched_on`).
-    searched: "bool | Callable" = False
+    #: The tuning planner measures this impl at every ``t'`` candidate.
+    searched: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -96,10 +94,6 @@ class AlgorithmSpec:
             if wanted and not getattr(self, capability):
                 return label, capability
         return None
-
-    def searched_on(self, machine) -> bool:
-        """Whether the tuning planner measures this impl on ``machine``."""
-        return self.searched(machine) if callable(self.searched) else self.searched
 
     def supports(self, faults=None, integrity=False, resilience=False) -> bool:
         """Whether this impl can run ``faults`` with every protection asked for."""
@@ -227,14 +221,10 @@ register(AlgorithmSpec(
 ))
 
 
-def _one_node(machine) -> bool:
-    return machine.nodes == 1
-
-
-#: The Liu–Tarjan variants the planner probes, and where: the only ones
-#: that ever won a measured CC plan or a full-size solve.  ``lt-psa`` won
-#: only on one-node machines, the other three on every shape.
-_SEARCHED_LT = {"lt-ps": True, "lt-psa": _one_node, "lt-pf": True, "lt-es": True}
+#: The Liu–Tarjan variants the planner probes: the only ones that ever
+#: won a measured CC plan or a full-size solve (``lt-psa`` only on
+#: one-node machines).
+_SEARCHED_LT = frozenset({"lt-ps", "lt-psa", "lt-pf", "lt-es"})
 
 
 def _lt_solve(variant):
@@ -256,7 +246,7 @@ for _variant in ALL_VARIANTS:
         supports_recovery=True,
         # lt-rf is searched as `collective`, the same solve; the variants
         # outside _SEARCHED_LT stay runnable by name.
-        searched=_SEARCHED_LT.get(_variant.name, False),
+        searched=_variant.name in _SEARCHED_LT,
     ))
 
 

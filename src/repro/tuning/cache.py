@@ -33,11 +33,10 @@ from .planner import TuningPlan, Workload
 
 __all__ = ["PlanCache", "default_cache_path", "machine_fingerprint"]
 
-#: 3: a CC plan measures four impls (five on one node).  A schema-2 plan
-#: held twelve, so ``choose`` would answer an explicit unsearched one with
-#: its own ``t'`` where a fresh plan answers with the best entry's; such
-#: files, like schema 1's (analytic predictions beside measurements),
-#: regenerate.
+#: 3: a CC plan measures five impls.  A schema-2 plan held twelve, so
+#: ``choose`` would answer an explicit unsearched one with its own ``t'``
+#: where a fresh plan answers with the best entry's; such files, like
+#: schema 1's (analytic predictions beside measurements), regenerate.
 _SCHEMA_VERSION = 3
 _ENV_VAR = "REPRO_TUNE_CACHE"
 

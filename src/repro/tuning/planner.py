@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..algorithms import REGISTRY
+from ..algorithms import REGISTRY, lt_variant_names
 from ..core.optimizations import OptimizationFlags
 from ..errors import ConfigError
 from ..graph.edgelist import EdgeList
@@ -238,13 +238,32 @@ def _probe_sim_times(
     return tape.replay(tprimes)
 
 
-def _impl_candidates(kind: str, machine: MachineConfig) -> tuple:
+def _impl_candidates(kind: str) -> tuple:
     # The registry is the source of truth: registering a new variant
     # with ``searched=True`` makes the planner measure it.
-    return tuple(
-        name for (k, name), spec in REGISTRY.items()
-        if k == kind and spec.searched_on(machine)
-    )
+    return tuple(name for (k, name), spec in REGISTRY.items() if k == kind and spec.searched)
+
+
+def taped_impls(kind: str) -> tuple:
+    """Every impl of ``kind`` a probe can measure, searched or not: MST's
+    ``collective``; CC's ``collective`` and each Liu–Tarjan variant but
+    ``lt-rf`` (the same solve as ``collective``).  The checks that the
+    searched subset loses nothing solve all of them."""
+    if kind == "mst":
+        return ("collective",)
+    return ("collective",) + tuple(n for n in lt_variant_names() if n != "lt-rf")
+
+
+def best_times(workload: Workload, graph: EdgeList, machine: MachineConfig, impls) -> dict:
+    """``{impl: its least modeled seconds over the t' grid}`` for ``graph``
+    on ``machine`` at the optimized flags: one taped solve per impl,
+    replayed over :func:`tprime_candidates`."""
+    tprimes = tprime_candidates(max(1, workload.n // machine.total_threads), CostModel(machine))
+    opts = optimized_flags(workload.kind)
+    return {
+        impl: float(min(_probe_sim_times(workload, graph, machine, impl, opts, tprimes)))
+        for impl in impls
+    }
 
 
 def optimized_flags(kind: str) -> OptimizationFlags:
@@ -272,7 +291,7 @@ def build_plan(workload: Workload, machine: MachineConfig) -> TuningPlan:
     graph = _probe_graph(workload, probe_n)
     pmachine = _probe_machine(machine, f)
     entries: List[PlanEntry] = []
-    for impl in _impl_candidates(workload.kind, machine):
+    for impl in _impl_candidates(workload.kind):
         sim_times = _probe_sim_times(workload, graph, pmachine, impl, opts, tprimes)
         entries.extend(
             PlanEntry(impl=impl, opts_key=opts.key(), tprime=tp, ms=float(t) * 1e3 / f)

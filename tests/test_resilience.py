@@ -15,15 +15,12 @@ The contract under test (``repro.resilience``):
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import networkx as nx
 import pytest
 
 import repro
 from repro import (
-    CrashEvent,
     FaultPlan,
     NodeLossEvent,
     RedundancyConfig,
@@ -38,6 +35,7 @@ from repro.errors import ConfigError
 from repro.graph import EdgeList
 from repro.mst.verify import msf_reference
 from repro.resilience import ResilientSession
+from tests.fault_plans import CHAOS_PLAN, REPLICA_PLAN
 from repro.runtime.machine import hps_cluster
 
 
@@ -143,20 +141,6 @@ class TestUnsupportedImpl:
             )
 
 
-# One fixed plan composing every fault class the injector knows: message
-# loss, silent corruption, a transient thread crash, and a permanent
-# node loss.  Integrity protection absorbs the transients; resilience
-# absorbs the loss.
-CHAOS_PLAN = FaultPlan(
-    seed=11,
-    loss=1e-3,
-    corruption=5.0,
-    payload_corruption=1e-4,
-    crashes=(CrashEvent(thread=5, at_time=1e-4),),
-    node_losses=(NodeLossEvent(node=1, at_time=4e-4),),
-)
-
-
 class TestCounterPins:
     """Exact counter values under the composed chaos plan.  These pins
     are the replay contract: any drift in when replicas ship, how many
@@ -193,9 +177,6 @@ class TestCounterPins:
 
 
 RECOVERY_SPECS = [spec for spec in REGISTRY.values() if spec.supports_recovery]
-# CHAOS_PLAN at a lower flip rate: at 5 flips/s SV's rounds meet a new
-# flip on nearly every replay and give up after their repair bound.
-REPLICA_PLAN = dataclasses.replace(CHAOS_PLAN, corruption=2.0)
 
 
 @pytest.mark.parametrize("mode", ["buddy", "parity"])

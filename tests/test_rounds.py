@@ -62,7 +62,7 @@ from repro.mst.verify import check_spanning_forest, msf_reference
 from repro.runtime import PGASRuntime, hps_cluster, smp_node
 from repro.runtime.partitioned import PartitionedArray
 from repro.runtime.trace import Category
-from tests.test_resilience import CHAOS_PLAN
+from tests.fault_plans import CHAOS_PLAN
 
 MACHINE = hps_cluster(4, 2)
 

@@ -48,9 +48,10 @@ from repro.tuning import (
 from repro.tuning.planner import (
     PlanEntry,
     _probe_graph,
-    _probe_sim_times,
+    best_times,
     optimized_flags,
     probe_machine_for,
+    taped_impls,
 )
 
 
@@ -175,10 +176,8 @@ class TestAnalyticModel:
         assert scaled.per_call_scale == pytest.approx(machine.per_call_scale * 0.25)
 
 
-def _searched(kind, machine):
-    return [
-        name for (k, name), spec in REGISTRY.items() if k == kind and spec.searched_on(machine)
-    ]
+def _searched(kind):
+    return [name for (k, name), spec in REGISTRY.items() if k == kind and spec.searched]
 
 
 class TestBuildPlan:
@@ -200,7 +199,7 @@ class TestBuildPlan:
             optimized = optimized.with_(offload=False)
         machine = cluster_for_input(1200, 4, 2)
         plan = build_plan(Workload(kind=kind, n=1200, m=4800), machine)
-        impls = _searched(kind, machine)
+        impls = _searched(kind)
         tprimes = tprime_candidates(max(1, 1200 // machine.total_threads), CostModel(machine))
         assert plan.lattice_size == len(impls) * len(tprimes) == len(plan.entries)
         assert {e.opts_key for e in plan.entries} == {optimized.key()}
@@ -208,15 +207,12 @@ class TestBuildPlan:
             itertools.product(impls, tprimes)
         )
 
-    @pytest.mark.parametrize("shape, one_node", [("4x2", False), ("1x4", True)])
-    def test_cc_plans_probe_only_the_impls_that_can_win(self, shape, one_node):
-        """The containment gate below licenses this set: ``lt-psa`` wins
-        only on one node.  An explicit impl outside the set constrains
-        nothing: its ``t'`` is the best entry's."""
-        machine = parse_service_machine(shape, 1200)
+    def test_cc_plans_probe_only_the_impls_that_can_win(self):
+        """The containment gate below licenses this set.  An explicit impl
+        outside it constrains nothing: its ``t'`` is the best entry's."""
+        machine = parse_service_machine("4x2", 1200)
         plan = build_plan(Workload(kind="cc", n=1200, m=4800), machine)
-        expected = {"collective", "lt-ps", "lt-pf", "lt-es"} | ({"lt-psa"} if one_node else set())
-        assert {e.impl for e in plan.entries} == expected
+        assert {e.impl for e in plan.entries} == {"collective", "lt-ps", "lt-psa", "lt-pf", "lt-es"}
         assert plan.choose(impl="lt-rs", tprime="auto") is plan.selected
 
     def test_plan_returned_where_a_probe_once_failed(self):
@@ -290,17 +286,11 @@ TAPE_N = 500
 #: path) and the paper's calibrated cluster.
 TAPE_SHAPES = ("4x2", "1x8", "16x8")
 TAPE_INPUTS = (("cc", "random"), ("cc", "hybrid"), ("mst", "hybrid"))
-#: The impls these gates solve, whatever ``AlgorithmSpec.searched`` says:
-#: every CC impl the planner once probed (``lt-rf`` is the same solve as
-#: ``collective``) and MST's one.  Narrowing the planner's probes must
-#: not narrow the tape's bit-exactness gate or the containment gate.
-TAPE_IMPLS = {
-    "cc": (
-        "collective", "lt-ps", "lt-psa", "lt-pf", "lt-pfa", "lt-es", "lt-esa",
-        "lt-ef", "lt-efa", "lt-rs", "lt-rsa", "lt-rfa",
-    ),
-    "mst": ("collective",),
-}
+#: The impls these gates solve, whatever ``AlgorithmSpec.searched`` says
+#: (the 12 CC impls and MST's one; ``bench_tuning.py``'s containment check
+#: solves the same list).  Narrowing the planner's probes must not narrow
+#: the tape's bit-exactness gate or the containment gate.
+TAPE_IMPLS = {kind: taped_impls(kind) for kind in ("cc", "mst")}
 
 
 @functools.lru_cache(maxsize=None)
@@ -400,7 +390,7 @@ class TestClockTape:
     def test_plan_selects_the_argmin_of_full_solves(self):
         machine, _, _, tprimes, full = _full_solve_grid("4x2", "cc", "random")
         plan = build_plan(Workload(kind="cc", n=TAPE_N, m=4 * TAPE_N), machine)
-        impls = _searched("cc", machine)
+        impls = _searched("cc")
         assert plan.lattice_size == len(impls) * len(tprimes) == len(plan.entries)
         # The replica is the full input here (n <= PROBE_N_CAP): every
         # entry is a full solve's modeled time, exactly.
@@ -439,12 +429,8 @@ def test_searched_impls_contain_the_full_size_argmin(family, n, density, shape):
     machine = parse_service_machine(shape, n)
     graph = generate(family, n, density * n, seed=7)
     workload = Workload(kind="cc", n=n, m=graph.m, graph_kind=family)
-    tprimes = tprime_candidates(max(1, n // machine.total_threads), CostModel(machine))
-    best = {
-        impl: min(_probe_sim_times(workload, graph, machine, impl, optimized_flags("cc"), tprimes))
-        for impl in TAPE_IMPLS["cc"]
-    }
-    kept = min(best[impl] for impl in _searched("cc", machine))
+    best = best_times(workload, graph, machine, TAPE_IMPLS["cc"])
+    kept = min(best[impl] for impl in _searched("cc"))
     winner = min(best, key=best.get)
     assert kept == best[winner], (
         f"{winner} wins at {best[winner] * 1e3:.4f} ms; the searched impls' best is"
