@@ -8,7 +8,8 @@ The public API a downstream user calls:
 >>> result.num_components, result.info.sim_time_ms
 
 ``impl`` selects the implementation (the paper's configurations);
-``validate=True`` self-checks the answer against the scipy oracle before
+``validate=True`` self-checks the answer by certificate
+(:mod:`repro.graph.validation`, :mod:`repro.mst.verify`) before
 returning.
 """
 
@@ -142,7 +143,7 @@ def connected_components(
         (plain ``tprime='auto'`` without any other auto argument uses
         the cache-fit prediction directly — no probe solves).
     validate:
-        Check the labeling against the scipy oracle before returning.
+        Check the labeling by certificate before returning.
     faults:
         Optional :class:`~repro.faults.FaultPlan` injected into the run.
         :meth:`AlgorithmSpec.supports <repro.algorithms.AlgorithmSpec.supports>`

@@ -6,6 +6,11 @@ examples; the certificates (:func:`check_connected_counts`,
 is *the* answer, for ``validate=True``, the tests and the service.  Each raises
 :class:`~repro.errors.GraphError` with a specific message, or returns a
 boolean when called through :func:`is_simple` / :func:`has_self_loops`.
+
+What the CC and MST certificates compare against, the component count
+and the minimum spanning forest's weight, comes from
+:func:`forest_roots` (here and in :mod:`repro.mst.verify`): a few NumPy
+passes, so no verification loads SciPy.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "check_bfs_levels",
     "count_components_reference",
     "component_sizes",
+    "forest_roots",
 ]
 
 
@@ -48,17 +54,40 @@ def check_simple(graph: EdgeList) -> None:
         raise GraphError("graph contains duplicate undirected edges")
 
 
-def count_components_reference(graph: EdgeList) -> int:
-    """Component count via scipy: what :func:`check_connected_counts`
-    compares a labeling against, in tests and in the service alike."""
-    from scipy import sparse
-    from scipy.sparse import csgraph
+def forest_roots(n: int, u, v) -> np.ndarray:
+    """Each vertex's root under the edges ``(u[i], v[i])``: the smallest
+    vertex of its component.
 
-    if graph.n == 0:
-        return 0
-    # Structure only: weights as matrix data would drop zero-weight edges.
-    adjacency = sparse.coo_matrix((np.ones(graph.m), (graph.u, graph.v)), shape=(graph.n,) * 2)
-    return int(csgraph.connected_components(adjacency, directed=False, return_labels=False))
+    Repeats two steps until no edge joins two roots.  Every root hooks
+    under the smallest root it shares a live edge with (``np.minimum.at``
+    onto the larger root of each edge), then pointer jumping runs until
+    every tree is a star.  Labels only decrease, so the parent pointers
+    never close a cycle, and the root left in each component is its
+    smallest vertex.  Edges inside one tree are dropped as they appear.
+    """
+    parent = np.arange(n, dtype=np.intp)
+    u, v = np.asarray(u), np.asarray(v)
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        if not live.any():
+            break
+        u, v = ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return parent
+
+
+def count_components_reference(graph: EdgeList) -> int:
+    """The component count :func:`check_connected_counts` compares a
+    labeling against, in tests and in the service alike: the number of
+    roots :func:`forest_roots` leaves."""
+    roots = forest_roots(graph.n, graph.u, graph.v)
+    return int(np.count_nonzero(roots == np.arange(graph.n)))
 
 
 def component_sizes(labels: np.ndarray) -> np.ndarray:

@@ -5,12 +5,16 @@ forest itself is not (equal-weight edges), so verification compares:
 
 * structural validity — the chosen edges exist, are distinct, form a
   forest (no cycles), and span exactly the graph's components;
-* optimality — total weight equals the scipy reference.
+* optimality — total weight equals :func:`msf_reference`'s.
 
-Zero weights are legal inputs (the paper draws weights from
-``[0, 2^31)``), but scipy's sparse MST drops explicit zeros; the
-reference therefore runs on ``w + 1`` and shifts back (an affine weight
-shift does not change which forests are minimum).
+:func:`msf_reference` is Borůvka in NumPy over edges ranked once by
+``(weight, edge id)``, merging each round's components with
+:func:`~repro.graph.validation.forest_roots`; the acyclicity count uses
+the same code, so verification never loads SciPy.  :func:`scipy_msf`
+serves the sequential baseline (:mod:`repro.mst.sequential`), which
+needs the forest's edges: scipy's sparse MST drops explicit zeros, so
+it runs on ``w + 1`` and shifts back (an affine weight shift does not
+change which forests are minimum).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from ..errors import VerificationError
 from ..graph.edgelist import EdgeList
-from ..graph.validation import count_components_reference
+from ..graph.validation import count_components_reference, forest_roots
 
 if TYPE_CHECKING:  # pragma: no cover
     from scipy import sparse
@@ -74,12 +78,35 @@ def scipy_msf(graph: EdgeList) -> tuple[np.ndarray, int]:
 
 
 def msf_reference(graph: EdgeList) -> tuple[int, int]:
-    """``(components, weight)`` of the graph's minimum spanning forests,
-    from one scipy solve (a spanning forest has ``n - components``
-    edges): all :func:`check_spanning_forest` needs beyond the graph, so
-    a caller checking many forests of one graph computes it once."""
-    edge_ids, weight = scipy_msf(graph)
-    return graph.n - int(edge_ids.size), weight
+    """``(components, weight)`` of the graph's minimum spanning forests:
+    all :func:`check_spanning_forest` needs beyond the graph, so a caller
+    checking many forests of one graph computes it once.
+
+    Borůvka over ranks: the edges are sorted once by ``(weight, edge
+    id)``, so keys are distinct and any weight range works.  Each round
+    every component picks its least-ranked live edge, the picks are
+    added to the forest, and :func:`forest_roots` merges the components
+    they join (a spanning forest has ``n - components`` edges)."""
+    if graph.w is None:
+        raise VerificationError("MST verification needs a weighted graph")
+    order = np.argsort(graph.w, kind="stable")
+    weights = graph.w[order]
+    u, v = graph.u[order], graph.v[order]
+    rank = np.arange(graph.m)
+    edges = weight = 0
+    while True:
+        live = u != v
+        u, v, rank = u[live], v[live], rank[live]
+        if not rank.size:
+            return graph.n - edges, weight
+        best = np.full(graph.n, graph.m)  # m: above every rank
+        np.minimum.at(best, u, rank)
+        np.minimum.at(best, v, rank)
+        picked = (best[u] == rank) | (best[v] == rank)
+        edges += int(np.count_nonzero(picked))
+        weight += int(weights[rank[picked]].sum())
+        roots = forest_roots(graph.n, u[picked], v[picked])
+        u, v = roots[u], roots[v]
 
 
 def check_spanning_forest(graph: EdgeList, edge_ids, reference: tuple | None = None) -> None:

@@ -1,11 +1,12 @@
 """Cold start: what importing the package loads.
 
 ``import repro`` (and the CLI and service entry points) must load NumPy
-and the package only.  SciPy serves the reference solvers and
-verification, and ``concurrent.futures`` / ``multiprocessing`` serve the
-process fan-out; each is imported inside the function that uses it, so
+and the package only.  SciPy serves the sequential baselines alone (the
+answer certificates compute their references with NumPy), and
+``concurrent.futures`` / ``multiprocessing`` serve the process fan-out;
+each is imported inside the function that uses it, so
 every CLI run, ledger child and service restart skips their import time
-and resident memory.  Both checks run in a fresh interpreter, because
+and resident memory.  The checks run in a fresh interpreter, because
 this test process has long since imported everything.
 """
 
@@ -68,3 +69,28 @@ def test_reference_solvers_work_on_first_call():
     assert fresh["sequential"] == solve_cc_sequential(g).labels.tolist()
     assert fresh["cgm"] == solve_cc_cgm(g).labels.tolist()
     assert fresh["msf"] == list(msf_reference(w))
+
+
+_CERTIFICATES = """
+import json, sys
+from repro.bfs.solvers import UNREACHED, solve_bfs_collective
+from repro.core import connected_components, minimum_spanning_forest
+from repro.graph import check_bfs_levels, check_connected_counts, generate
+from repro.mst import check_spanning_forest
+from repro.runtime import hps_cluster
+
+machine = hps_cluster(2, 2)
+g = generate("random", 300, 600, seed=4)
+w = generate("hybrid", 300, 900, seed=4, weighted=True)
+check_connected_counts(connected_components(g, machine).labels, g)
+check_spanning_forest(w, minimum_spanning_forest(w, machine).edge_ids)
+dist, _ = solve_bfs_collective(g, 0, machine)
+check_bfs_levels(dist, g, 0, UNREACHED)
+print(json.dumps([m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]))
+"""
+
+
+def test_certificates_never_load_scipy():
+    """The three answer certificates, each given its reference to
+    compute, in a fresh process: SciPy is never imported."""
+    assert json.loads(_run(_CERTIFICATES)) == []

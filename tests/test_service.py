@@ -750,7 +750,8 @@ class TestExecutorContracts:
 
     def test_service_path_never_imports_networkx(self):
         """One verified cc, mst and bfs job in a fresh interpreter: the
-        service solves and verifies without networkx loaded."""
+        service solves and verifies with neither networkx nor SciPy
+        loaded (the certificates' references are NumPy)."""
         script = (
             "import sys\n"
             "from repro.service import GraphService, ServiceConfig\n"
@@ -761,6 +762,7 @@ class TestExecutorContracts:
             "    verify = svc.jobs[body['job_id']].result['verify']\n"
             "    assert verify == {'status': 'verified', 'oracle': 'certificate'}, verify\n"
             "assert 'networkx' not in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
