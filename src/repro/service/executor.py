@@ -8,6 +8,7 @@ AdmissionQueue` and drives one job at a time through:
 2. **solve with cooperative cancellation** — the attempt runs inside a
    :func:`~repro.service.deadlines.cancel_scope`, so the simulator
    aborts at the next sync point once the deadline passes mid-solve;
+   one solve runs at a time across the workers (see ``_solve_lock``);
 3. **retry with exponential backoff** — attempts that die to a
    :class:`~repro.errors.ReproError` (exhausted retry budgets under
    injected faults, integrity gives-up, ...) are retried up to the
@@ -228,6 +229,11 @@ class JobExecutor:
         self.graphs = _GraphCache()
         self._machines: Dict[Tuple[str, int], object] = {}
         self._machine_lock = threading.Lock()
+        # One solve at a time: the solvers are GIL-bound NumPy, and two
+        # interleaved solves take 1.5-2x the wall time of the same two
+        # run back to back.  Admission, planning, verification, journal
+        # fsyncs and backoff sleeps still overlap across workers.
+        self._solve_lock = threading.Lock()
         self._threads: list = []
         self._stopping = threading.Event()
 
@@ -478,7 +484,7 @@ class JobExecutor:
             job.attempts = attempt + 1
             token = CancelToken(job.job_id, deadline_at=job.deadline_at)
             try:
-                with cancel_scope(token):
+                with cancel_scope(token), self._solve_lock:
                     payload = self._solve(spec, machine, impl, opts, tprime, faults)
             except JobCancelled as err:
                 job.transition(

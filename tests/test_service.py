@@ -771,6 +771,37 @@ class TestExecutorContracts:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_workers_never_solve_at_once(self, monkeypatch):
+        """Two workers, two jobs: the solves run one after the other.
+        Each recorded solve sleeps, so two that overlapped would show."""
+        from repro.service.executor import JobExecutor
+
+        spans, real = [], JobExecutor._solve
+
+        def solve(executor, *args):
+            start = time.perf_counter()
+            time.sleep(0.05)
+            try:
+                return real(executor, *args)
+            finally:
+                spans.append((start, time.perf_counter()))
+
+        monkeypatch.setattr(JobExecutor, "_solve", solve)
+        svc = GraphService(ServiceConfig(workers=2, journal_path=None, default_deadline_s=30.0))
+        ids = [svc.submit({"n": 64, "machine": "2x2", "seed": seed})[1]["job_id"]
+               for seed in (1, 2)]
+        svc.start()
+        try:
+            deadline = time.monotonic() + 60
+            while (any(svc.jobs[i].state not in TERMINAL_STATES for i in ids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        finally:
+            svc.stop()
+        assert [svc.jobs[i].state for i in ids] == [JobState.DONE] * 2
+        (_, first_end), (second_start, _) = sorted(spans)
+        assert first_end <= second_start
+
     def test_verified_result_has_contract_blocks(self):
         svc = _service()
         _, body, _ = svc.submit({"n": 64, "machine": "2x2", "algo": "mst"})
