@@ -32,7 +32,6 @@ from repro.algorithms import REGISTRY
 from repro.bench import format_table, write_bench_json
 from repro.core import FIG5_ORDER, OptimizationFlags, cluster_for_input, connected_components
 from repro.graph import generate
-from repro.perf.fanout import fanout_map
 from repro.runtime.cost import CostModel
 from repro.scheduling.cache_model import tprime_candidates
 from repro.tuning import Workload, build_plan
@@ -58,38 +57,16 @@ def _flag_subsets():
             yield OptimizationFlags.only(*names)
 
 
-def _sweep_chunk(task):
-    """Solve one chunk of sweep points (rebuilds the deterministic
-    graph locally so worker processes need only the point list)."""
-    kind, n, points = task
-    g = generate(kind, n, 4 * n, seed=11)
-    cluster = cluster_for_input(n, 16, 8)
-    out = []
-    for opts_key, tp in points:
-        res = connected_components(g, cluster, opts=OptimizationFlags.parse(opts_key), tprime=tp)
-        out.append((opts_key, tp, res.info.sim_time_ms))
-    return out
-
-
-def _sweep(kind, n, workers=1):
-    """Modeled ms for every sweep point; identical for any ``workers``
-    (points are independent and times are simulated, so the strided
-    partition only changes which process computes which entry)."""
-    cluster = cluster_for_input(n, 16, 8)
-    cands = tprime_candidates(max(1, n // cluster.total_threads), CostModel(cluster))
-    points = [
-        (opts.key(), tp)
+def _sweep(g, cluster):
+    """Modeled ms of every flag subset at every t' of the grid."""
+    cands = tprime_candidates(max(1, g.n // cluster.total_threads), CostModel(cluster))
+    return {
+        (opts.key(), tp): connected_components(g, cluster, opts=opts, tprime=tp).info.sim_time_ms
         for opts, tp in itertools.product(_flag_subsets(), cands)
-    ]
-    nchunks = max(1, min(int(workers), len(points)))
-    chunks = [points[i::nchunks] for i in range(nchunks)]
-    results = fanout_map(_sweep_chunk, [(kind, n, c) for c in chunks], workers=nchunks)
-    return {(key, tp): ms for chunk in results for key, tp, ms in chunk}
+    }
 
 
-def test_tuning_auto_vs_exhaustive(
-    benchmark, report, repro_scale, repro_workers, tmp_path, monkeypatch
-):
+def test_tuning_auto_vs_exhaustive(benchmark, report, repro_scale, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune_cache.json"))
     n = max(1500, int(6000 * repro_scale))
     payload = {"n": n, "kinds": {}}
@@ -100,7 +77,7 @@ def test_tuning_auto_vs_exhaustive(
         for kind in ("random", "hybrid"):
             g = generate(kind, n, 4 * n, seed=11)
             cluster = cluster_for_input(n, 16, 8)
-            measured = _sweep(kind, n, workers=repro_workers)
+            measured = _sweep(g, cluster)
             auto = connected_components(
                 g, cluster, impl="auto", opts="auto", tprime="auto", graph_kind=kind
             )

@@ -4,17 +4,6 @@ Scale: ``REPRO_BENCH_SCALE`` (default 0.5) multiplies the already
 ~1000x-shrunk default inputs; machines are recalibrated automatically.
 Each benchmark prints its figure table (run with ``-s`` to see it live)
 and writes it under ``benchmarks/results/`` for EXPERIMENTS.md.
-
-Sanitizer: ``REPRO_BENCH_ANALYZE=1`` runs every figure under the epoch
-race detector and prints the report (report-only — the naive-UPC figures
-race *by design*; that is the point of the comparison, so the bench
-never fails on it).  The detector is observation-only, so the printed
-modeled times are unchanged.
-
-Fan-out: ``REPRO_BENCH_WORKERS`` (int or ``auto``) spreads benchmarks
-with independent sweep points (e.g. the tuning lattice) across a
-process pool via :mod:`repro.perf.fanout`; tables are identical for
-any worker count because all reported times are modeled.
 """
 
 from __future__ import annotations
@@ -32,36 +21,15 @@ def repro_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 
 
-@pytest.fixture(scope="session")
-def repro_workers() -> int:
-    """Fan-out width for benchmarks with independent sweep points:
-    ``REPRO_BENCH_WORKERS`` (int or ``auto``; default serial).  Every
-    consumer must produce the identical table for any worker count —
-    modeled times come from the simulator, not from wall-clock."""
-    from repro.perf.fanout import resolve_workers
-
-    return resolve_workers(os.environ.get("REPRO_BENCH_WORKERS"), source="REPRO_BENCH_WORKERS")
-
-
 @pytest.fixture
 def figure_runner(benchmark, repro_scale):
     """Run a figure driver once under pytest-benchmark, print and persist
     its table, and surface its headline metrics as extra_info."""
 
     def run(driver, **kwargs):
-        if os.environ.get("REPRO_BENCH_ANALYZE"):
-            from repro.analysis import analyzed
-
-            with analyzed() as session:
-                fig = benchmark.pedantic(
-                    driver, kwargs={"scale": repro_scale, **kwargs}, rounds=1, iterations=1
-                )
-            print()
-            print("[REPRO_BENCH_ANALYZE] " + session.render().replace("\n", "\n  "))
-        else:
-            fig = benchmark.pedantic(
-                driver, kwargs={"scale": repro_scale, **kwargs}, rounds=1, iterations=1
-            )
+        fig = benchmark.pedantic(
+            driver, kwargs={"scale": repro_scale, **kwargs}, rounds=1, iterations=1
+        )
         text = fig.render()
         print()
         print(text)

@@ -9,9 +9,13 @@ Three implementations of distance-to-tail ranking:
   scheme with O(log p)-ish communication rounds but one busy node (the
   communication-efficient school the paper argues against).
 
-The benchmark ``bench_thesis_listranking.py`` regenerates the paper's
-Section I argument: on large inputs with deep memory hierarchies, the
-coordinated-parallel approach beats the round-minimizing one.
+The model does not bear out the paper's Section I argument for list
+ranking: on ``cluster_for_input(n, 16, 8)`` at t' = 2, CGM finishes in
+about a third of Wyllie's modeled time (1.48 / 2.45 / 4.03 ms against
+3.97 / 6.79 / 12.38 ms at n = 50k / 100k / 200k).  CGM's contraction is
+not Theta(n) serial work per round, as its CC merge is.
+``benchmarks/bench_thesis_cgm_vs_pgas.py`` asserts only that Wyllie
+beats the sequential walk; its CC half is where CGM loses.
 """
 
 from .cgm import solve_ranks_cgm

@@ -6,9 +6,10 @@ explicitly marked phase) with the phase's duration, the mean thread
 time, and the skew — the max/mean ratio that exposes hotspots like the
 label-concentrated serves the ``offload`` optimization targets.
 
-Enable per-runtime (``PGASRuntime(machine, profile=True)``) or per-solve
-through the pipeline's ``profile=True``; records land in
-``runtime.phases`` / ``SolveInfo.phases`` and render with
+Enable per-runtime (``PGASRuntime(machine, profile=True)``), and the
+records land in ``rt.profiler.records``; or wrap any solves in
+:func:`profiled`, and every runtime built inside the block appends its
+records to the session (``session.records``).  Either list renders with
 :func:`render_phases`.
 """
 

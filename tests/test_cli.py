@@ -218,6 +218,29 @@ class TestCommands:
         assert err.startswith("error: node-loss injection is not supported for CC impl 'naive'")
 
 
+class TestSurviveALoss:
+    """A node lost mid-solve: with ``--redundancy`` the run rebuilds the
+    lost blocks and still validates; without it, it stops with a one-line
+    error and exit 2, never a hang or a wrong answer."""
+
+    LOSS = ["--n", "3000", "--machine", "4x2", "--fault-node-loss", "2e-4"]
+
+    def test_cc_survives_with_buddy(self, capsys):
+        assert main(["cc", *self.LOSS, "--redundancy", "buddy", "--validate"]) == 0
+        assert "1 node loss(es) / 1 epoch change(s)" in capsys.readouterr().out
+
+    def test_mst_survives_with_parity_and_a_spare(self, capsys):
+        assert main([
+            "mst", *self.LOSS, "--redundancy", "parity", "--spares", "1", "--validate",
+        ]) == 0
+        assert "1 node loss(es) / 1 epoch change(s)" in capsys.readouterr().out
+
+    def test_unprotected_loss_fails_loudly(self, capsys):
+        assert main(["cc", *self.LOSS]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot recover" in err
+
+
 class TestFailurePaths:
     """``python -m repro`` must fail *cleanly*: nonzero exit, a one-line
     ``error:`` message on stderr, and no traceback."""

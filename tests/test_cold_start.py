@@ -2,12 +2,12 @@
 
 ``import repro`` (and the CLI and service entry points) must load NumPy
 and the package only.  SciPy serves the sequential baselines alone (the
-answer certificates compute their references with NumPy), and
-``concurrent.futures`` / ``multiprocessing`` serve the process fan-out;
-each is imported inside the function that uses it, so
-every CLI run, ledger child and service restart skips their import time
-and resident memory.  The checks run in a fresh interpreter, because
-this test process has long since imported everything.
+answer certificates compute their references with NumPy) and is
+imported inside the function that uses it; nothing in the package needs
+``concurrent.futures`` or ``multiprocessing``.  So every CLI run, ledger
+child and service restart skips their import time and resident memory.
+The checks run in a fresh interpreter, because this test process has
+long since imported everything.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from repro.errors import (
     GraphError,
     ReproError,
     ThreadCrash,
+    UsageError,
     VerificationError,
 )
 
@@ -39,6 +40,10 @@ class TestErrorHierarchy:
 
     def test_config_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
+
+    def test_usage_error_is_a_config_error(self):
+        """Callers that catch ConfigError also catch a bad request field."""
+        assert issubclass(UsageError, ConfigError)
 
     def test_verification_is_assertion(self):
         assert issubclass(VerificationError, AssertionError)

@@ -1,10 +1,9 @@
 """Unit tests for the wall-clock perf layer (repro.perf).
 
 Covers the buffer arena, the derived-artifact memoization (including
-the standalone schedule/plan caches), the deterministic process fan-out,
-and the Trace event cap.  End-to-end determinism of a fanned-out run is
-the planner's (``tests/test_tuning.py``).  The bit-identity contract itself lives in
-``test_perf_golden.py``; this file tests the machinery.
+the standalone schedule/plan caches) and the Trace event cap.  The
+bit-identity contract itself lives in ``test_perf_golden.py``; this file
+tests the machinery.
 """
 
 from __future__ import annotations
@@ -14,15 +13,9 @@ import pytest
 
 from repro.collectives import schedule
 from repro.collectives.schedule import circular_schedule, linear_schedule
-from repro.perf import (
-    clear_derived_caches,
-    derived_cache_stats,
-    fanout_map,
-    resolve_workers,
-)
+from repro.perf import clear_derived_caches, derived_cache_stats
 from repro.perf.arena import BufferArena, _size_class
 from repro.perf.derived import freeze, memoized
-from repro.perf.fanout import available_cpus
 from repro.runtime import PGASRuntime, hps_cluster
 from repro.runtime.trace import DEFAULT_EVENT_CAP, Category, Trace
 from repro.scheduling import access_schedule
@@ -130,62 +123,6 @@ class TestScheduleMemoization:
 
         with pytest.raises(ReproError):
             circular_schedule(0)
-
-
-class TestFanout:
-    def test_resolve_workers(self):
-        assert resolve_workers(None) == 1
-        assert resolve_workers(0) == 1
-        assert resolve_workers(3) == 3
-        assert resolve_workers("4") == 4
-        assert resolve_workers("auto") == available_cpus()
-        assert resolve_workers(-1) == available_cpus()
-
-    def test_resolve_workers_rejects_garbage(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            resolve_workers("bogus")
-
-    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "many", ""])
-    def test_strings_are_validated_strictly(self, value):
-        """String inputs come from env vars and CLI flags, where silent
-        coercion hides typos: anything but 'auto' or an int >= 1 is a
-        UsageError naming the value."""
-        from repro.errors import UsageError
-
-        with pytest.raises(UsageError, match="auto"):
-            resolve_workers(value)
-
-    @pytest.mark.parametrize("value", ["0", "-3", "2.5", "lots"])
-    def test_env_values_are_validated_with_source(self, value):
-        from repro.errors import UsageError
-
-        with pytest.raises(UsageError, match="REPRO_BENCH_WORKERS"):
-            resolve_workers(value, source="REPRO_BENCH_WORKERS")
-
-    def test_usage_error_is_a_config_error(self):
-        """UsageError subclasses ConfigError, so callers pinning the old
-        contract (ConfigError on garbage) keep working."""
-        from repro.errors import ConfigError, UsageError
-
-        assert issubclass(UsageError, ConfigError)
-
-    def test_serial_map_preserves_order(self):
-        assert fanout_map(_square, [3, 1, 2], workers=1) == [9, 1, 4]
-
-    def test_parallel_map_matches_serial(self):
-        items = list(range(12))
-        serial = fanout_map(_square, items, workers=1)
-        parallel = fanout_map(_square, items, workers=2)
-        assert parallel == serial
-
-    def test_single_item_never_spawns(self):
-        assert fanout_map(_square, [5], workers=8) == [25]
-
-
-def _square(x):
-    return x * x
 
 
 class TestTraceEventCap:

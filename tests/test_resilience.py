@@ -8,18 +8,22 @@ The contract under test (``repro.resilience``):
   spare) — and still returns the networkx/scipy-verified answer;
 * an unprotected run fails loudly with ``UnrecoverableLossError`` —
   never a hang, never a silently wrong result;
-* every recovery action is counted, and the counters replay exactly:
-  the pinned values below are part of the determinism contract, like
-  the golden fingerprints in ``test_perf_golden``.
+* protection has a price: redundancy adds modeled time to every
+  solve, and a survived loss adds more on top.
+
+Every recovery action is counted, and the counters replay exactly: the
+golden file's recovery scenarios (``test_perf_golden``) pin them bit
+for bit, e.g. ``cc-FI!chaos+buddy`` for CC under the chaos plan.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import networkx as nx
 import pytest
 
-import repro
 from repro import (
     FaultPlan,
     NodeLossEvent,
@@ -31,11 +35,12 @@ from repro import (
     with_random_weights,
 )
 from repro.algorithms import REGISTRY
+from repro.core import cluster_for_input
 from repro.errors import ConfigError
-from repro.graph import EdgeList
+from repro.graph import EdgeList, generate
 from repro.mst.verify import msf_reference
 from repro.resilience import ResilientSession
-from tests.fault_plans import CHAOS_PLAN, REPLICA_PLAN
+from tests.fault_plans import REPLICA_PLAN
 from repro.runtime.machine import hps_cluster
 
 
@@ -141,39 +146,51 @@ class TestUnsupportedImpl:
             )
 
 
-class TestCounterPins:
-    """Exact counter values under the composed chaos plan.  These pins
-    are the replay contract: any drift in when replicas ship, how many
-    blocks rebuild, or how epochs advance shows up here first."""
+ECONOMICS_N = 2000
+ECONOMICS_MACHINE = cluster_for_input(ECONOMICS_N, 4, 2)
+ECONOMICS_LOSS = FaultPlan(seed=7, node_losses=(NodeLossEvent(node=1, at_time=3e-4),))
 
-    @staticmethod
-    def _run():
-        g = random_graph(384, 1536, seed=7)
-        return connected_components(
-            g, MACHINE, impl="collective", faults=CHAOS_PLAN,
-            integrity=True, resilience=_config("buddy", 0), validate=True,
-        )
 
-    def test_resilience_counters_are_pinned(self):
-        c = self._run().info.trace.counters
-        assert c.node_losses == 1
-        assert c.epoch_changes == 1
-        assert c.blocks_reconstructed == 2
-        assert c.replicas_written == 1920
-        assert c.crashes == 1
-        assert c.corruptions_injected == c.corruptions_detected == 14
-        assert c.checkpoint_restores == 10
-        assert c.retries == 4
+@functools.lru_cache(maxsize=None)
+def _economics_input(problem: str):
+    g = generate("random", ECONOMICS_N, 4 * ECONOMICS_N, seed=33)
+    if problem == "cc":
+        return g, connected_components
+    return with_random_weights(g, seed=34), minimum_spanning_forest
 
-    def test_chaos_run_replays_bit_identically(self):
-        first = self._run()
-        second = self._run()
-        np.testing.assert_array_equal(first.labels, second.labels)
-        assert first.info.sim_time == second.info.sim_time
-        assert (
-            first.info.trace.counters.as_dict()
-            == second.info.trace.counters.as_dict()
-        )
+
+@functools.lru_cache(maxsize=None)
+def _unprotected(problem: str):
+    graph, solve = _economics_input(problem)
+    return solve(graph, ECONOMICS_MACHINE, impl="collective", validate=True).info
+
+
+@pytest.mark.parametrize("mode", ["buddy", "parity"])
+@pytest.mark.parametrize("problem", ["cc", "mst"])
+def test_redundancy_costs_a_premium_and_a_loss_costs_more(problem, mode):
+    """The economics of protection: redundancy charges every round (its
+    replica traffic is real communication, on top of the checkpoint it
+    turns on), and a survived node loss costs more on top
+    (reconstruction and replay are not free), while both runs still
+    verify."""
+    graph, solve = _economics_input(problem)
+    config = RedundancyConfig(mode=mode, group=2)
+    quiet = solve(
+        graph, ECONOMICS_MACHINE, impl="collective", resilience=config, validate=True
+    ).info
+    lossy = solve(
+        graph, ECONOMICS_MACHINE, impl="collective", faults=ECONOMICS_LOSS,
+        resilience=config, validate=True,
+    ).info
+    base = _unprotected(problem)
+    assert quiet.sim_time / base.sim_time > 1.0
+    comm = quiet.trace.category_seconds["Comm"] - base.trace.category_seconds["Comm"]
+    assert comm > 0.0, "replica traffic added no communication time"
+    assert lossy.sim_time - quiet.sim_time > 0.0
+    c = lossy.trace.counters
+    assert c.replicas_written > 0
+    assert c.node_losses == 1 and c.epoch_changes == 1
+    assert c.blocks_reconstructed > 0
 
 
 RECOVERY_SPECS = [spec for spec in REGISTRY.values() if spec.supports_recovery]
