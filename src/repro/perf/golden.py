@@ -33,6 +33,8 @@ pins the collective paths neither matrix reaches, and
 class at once (:data:`CHAOS_PLAN` — a crash, a node loss, silent and
 in-flight corruption) on each checkpointing solver, the online adapter
 across a membership change, and the repair bound giving up.
+``BASELINE_SCENARIOS`` pins the sequential and CGM baselines the
+paper's speedups are measured against: their modeled time and answers.
 
 This module is the file's only writer::
 
@@ -55,7 +57,7 @@ from ..errors import ReproError
 
 __all__ = [
     "Scenario", "SCENARIOS", "REDUNDANCY_SCENARIOS", "DATA_PLANE_SCENARIOS", "SV_SCENARIOS",
-    "RECOVERY_SCENARIOS", "scenario_fingerprint",
+    "RECOVERY_SCENARIOS", "BASELINE_SCENARIOS", "PINNED", "scenario_fingerprint",
 ]
 
 
@@ -190,6 +192,24 @@ RECOVERY_SCENARIOS = tuple(
 )
 
 
+#: The baselines: sequential union-find and CGM CC, and the three
+#: sequential MSTs.  The generated weights are distinct, so each MST pin
+#: holds one forest whatever the engine.
+BASELINE_SCENARIOS = tuple(
+    Scenario(algo=algo, faults=False, analyze=False, integrity=False, impl=impl)
+    for algo, impl in (
+        ("cc", "sequential"), ("cc", "cgm"),
+        ("mst", "kruskal"), ("mst", "prim"), ("mst", "boruvka"),
+    )
+)
+
+#: Every scenario ``tests/golden/fingerprints.json`` pins.
+PINNED = (
+    SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + SV_SCENARIOS + RECOVERY_SCENARIOS
+    + BASELINE_SCENARIOS
+)
+
+
 def _hex(x: float) -> str:
     return float(x).hex()
 
@@ -321,9 +341,6 @@ if __name__ == "__main__":
         "python": platform.python_version(),
         "machine": platform.machine(),
     }
-    pinned = (
-        SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + SV_SCENARIOS + RECOVERY_SCENARIOS
-    )
-    fingerprints = {s.name: scenario_fingerprint(s) for s in pinned}
+    fingerprints = {s.name: scenario_fingerprint(s) for s in PINNED}
     json.dump({"header": header, "fingerprints": fingerprints}, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -25,7 +25,9 @@ from pathlib import Path
 import pytest
 
 from repro.perf.golden import (
+    BASELINE_SCENARIOS,
     DATA_PLANE_SCENARIOS,
+    PINNED,
     RECOVERY_SCENARIOS,
     REDUNDANCY_SCENARIOS,
     SCENARIOS,
@@ -81,10 +83,7 @@ def test_matrix_spans_the_contract():
 
 def test_file_pins_exactly_the_scenarios():
     """No stale entry, no missing one."""
-    pinned = (
-        SCENARIOS + REDUNDANCY_SCENARIOS + DATA_PLANE_SCENARIOS + SV_SCENARIOS + RECOVERY_SCENARIOS
-    )
-    assert set(GOLDEN) == {s.name for s in pinned}
+    assert set(GOLDEN) == {s.name for s in PINNED}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=_scenario_id)
@@ -175,6 +174,13 @@ def test_recovery_paths_are_bit_identical(scenario):
         decisions = live["adapter"]
         assert decisions[0].startswith("membership change")
         assert len(decisions) == counters["tuning_adaptations"] >= 2
+
+
+@pytest.mark.parametrize("scenario", BASELINE_SCENARIOS, ids=_scenario_id)
+def test_baselines_are_bit_identical(scenario):
+    """The baselines the paper's speedups divide by: their modeled time,
+    counters and answers, whatever engine computes the answers."""
+    _assert_matches_file(scenario)
 
 
 def test_redundancy_never_changes_answers_without_a_loss():
