@@ -586,7 +586,7 @@ class _FunctionAnalyzer:
             return arg_flags | recv_flags
 
         # Call-graph resolution is for *bare-name* calls only: an
-        # attribute call (`scipy.csgraph.connected_components(...)`)
+        # attribute call (`np.random.permutation(...)`)
         # must not resolve to an unrelated module-level function that
         # happens to share the name.
         summary = self._resolve(name) if isinstance(node.func, ast.Name) else None

@@ -5,7 +5,8 @@ vertices and their CSR adjacency rows.  Per level, owners enumerate the
 neighbors of their frontier vertices, and the discovered targets are
 written into the distance array with a priority (minimum) write —
 ``SetD`` in the collective version, per-element blocking writes in the
-naive one.
+naive one.  The sequential baseline charges a queue BFS by formula and
+computes its distances with a NumPy level loop over the same CSR rows.
 
 Unreached vertices keep distance :data:`UNREACHED`.
 """
@@ -141,9 +142,8 @@ def solve_bfs_sequential(
     source: int = 0,
     machine: MachineConfig | None = None,
 ) -> tuple[np.ndarray, SolveInfo]:
-    """Queue-based sequential BFS (cost-modeled; scipy-executed)."""
-    from scipy.sparse import csgraph
-
+    """Queue-based sequential BFS, cost-modeled; a NumPy level loop over
+    the CSR adjacency computes the distances."""
     _check_source(graph, source)
     machine = machine if machine is not None else sequential_machine()
     wall = time.perf_counter()
@@ -154,16 +154,19 @@ def solve_bfs_sequential(
     rt.local_random_access(float(2 * m), n * 8.0, Category.IRREGULAR)
     rt.counters.add(iterations=1)
 
-    if m:
-        dist_f = csgraph.shortest_path(
-            graph.to_scipy() != 0, method="D", unweighted=True, indices=source
-        )
-        dist = np.full(n, UNREACHED, dtype=np.int64)
-        reached = ~np.isinf(dist_f)
-        dist[reached] = dist_f[reached].astype(np.int64)
-    else:
-        dist = np.full(n, UNREACHED, dtype=np.int64)
-        dist[source] = 0
+    adj = CSRAdjacency.from_edgelist(graph)
+    dist = np.full(n, UNREACHED, dtype=np.int64)
+    slot = np.empty(n, dtype=np.intp)
+    frontier, level = np.array([source]), 0
+    while frontier.size:
+        dist[frontier] = level
+        found = adj.neighbors_of(frontier)
+        found = found[dist[found] == UNREACHED]
+        # Keep one copy of each vertex found twice: the one whose
+        # position its slot holds after the scatter (no sort).
+        pos = np.arange(found.size)
+        slot[found] = pos
+        frontier, level = found[slot[found] == pos], level + 1
     info = SolveInfo(machine, "bfs-seq", rt.elapsed, time.perf_counter() - wall, 1, rt.trace)
     return dist, info
 

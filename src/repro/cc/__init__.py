@@ -20,7 +20,6 @@ from .collective import pointer_jump_to_stars, solve_cc_collective
 from .common import graft_proposals, is_all_stars, iteration_bound
 from .fine_grained import solve_cc_fine_grained
 from .naive_upc import solve_cc_naive_upc
-from .reference import reference_cc_labels, reference_union_find_labels
 from .sequential import solve_cc_sequential
 from .smp import solve_cc_smp
 from .sv import solve_cc_sv
@@ -31,8 +30,6 @@ __all__ = [
     "is_all_stars",
     "iteration_bound",
     "pointer_jump_to_stars",
-    "reference_cc_labels",
-    "reference_union_find_labels",
     "solve_cc_collective",
     "solve_cc_fine_grained",
     "solve_cc_naive_upc",

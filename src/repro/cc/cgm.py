@@ -18,6 +18,10 @@ while the other nodes idle, so on deep memory hierarchies the total time
 is bounded below by ``log p`` sequential union-finds no matter how many
 processors exist.  ``benchmarks/bench_thesis_cgm_vs_pgas.py`` regenerates
 the comparison that motivates the paper's whole approach.
+
+The union-find passes are charged by formula; NumPy executes them:
+:func:`~repro.graph.validation.forest_roots` gives each pass's forest
+(every vertex joined to its component's root) and the final labels.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 
 from ..core.results import CCResult, SolveInfo
 from ..graph.edgelist import EdgeList
+from ..graph.validation import forest_roots
 from ..runtime.machine import MachineConfig, hps_cluster
 from ..runtime.partitioned import even_offsets
 from ..runtime.runtime import PGASRuntime
@@ -41,17 +46,12 @@ EDGE_BYTES = 16
 
 
 def _spanning_forest(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spanning forest (as endpoint arrays) of the given edge set."""
-    from scipy import sparse
-    from scipy.sparse import csgraph
-
-    keep = u != v
-    u, v = u[keep], v[keep]
-    if u.size == 0:
-        return u, v
-    mat = sparse.coo_matrix((np.ones(u.size), (u, v)), shape=(n, n)).tocsr()
-    tree = csgraph.minimum_spanning_tree(mat + mat.T).tocoo()
-    return tree.row.astype(np.int64), tree.col.astype(np.int64)
+    """Spanning forest (as endpoint arrays) of the given edge set: every
+    non-root vertex joined to its component's root, ``n - components``
+    edges, as many as any spanning forest of the set has."""
+    root = forest_roots(n, u, v)
+    child = np.flatnonzero(root != np.arange(n))
+    return child, root[child]
 
 
 def _charge_union_find(rt: PGASRuntime, thread: int, m_edges: int, n: int) -> None:
@@ -124,17 +124,7 @@ def solve_cc_cgm(graph: EdgeList, machine: MachineConfig | None = None) -> CCRes
     root = active[0]
     fu, fv = forests[root]
     _charge_union_find(rt, first_thread_of[root], int(fu.size) + n, n)
-    if fu.size:
-        from scipy import sparse
-        from scipy.sparse import csgraph
-
-        mat = sparse.coo_matrix((np.ones(fu.size), (fu, fv)), shape=(n, n)).tocsr()
-        _, comp = csgraph.connected_components(mat + mat.T, directed=False)
-        mins = np.full(int(comp.max()) + 1, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(mins, comp, np.arange(n, dtype=np.int64))
-        labels = mins[comp]
-    else:
-        labels = np.arange(n, dtype=np.int64)
+    labels = forest_roots(n, fu, fv).astype(np.int64, copy=False)
     # Broadcast: one label-array message per peer node.
     bcast = float(rt.cost.remote_message_time(n * 8))
     rt.charge_thread(Category.COMM, first_thread_of[root], bcast * max(p - 1, 0))

@@ -4,10 +4,11 @@ The paper's sequential CC baseline is a single-thread union-find /
 traversal implementation; speedups "up to 10.1 ... compared with the
 best sequential implementation" are measured against it.
 
-Execution engine: ``scipy.sparse.csgraph.connected_components`` computes
-the labels (C speed, needed because the benchmarks call this baseline on
-million-edge inputs); a pure-Python union-find with identical semantics
-lives in :mod:`repro.cc.reference` and pins correctness in tests.
+Execution engine: :func:`~repro.graph.validation.forest_roots` (min-label
+hooking plus pointer jumping in NumPy, the certificates' reference)
+computes the labels, each vertex's smallest component member; the
+benchmarks call this baseline on million-edge inputs, so it must run at
+array speed, not per edge in Python.
 
 Cost accounting: the modeled time charges the union-find access pattern
 — for every edge, two finds whose path-halving steps are irregular reads
@@ -26,6 +27,7 @@ import numpy as np
 
 from ..core.results import CCResult, SolveInfo
 from ..graph.edgelist import EdgeList
+from ..graph.validation import forest_roots
 from ..runtime.machine import MachineConfig, sequential_machine
 from ..runtime.runtime import PGASRuntime
 from ..runtime.trace import Category
@@ -37,7 +39,7 @@ FIND_PATH_ACCESSES = 2.5
 
 
 def solve_cc_sequential(graph: EdgeList, machine: MachineConfig | None = None) -> CCResult:
-    """Sequential union-find CC with modeled cost, scipy-executed labels."""
+    """Sequential union-find CC with modeled cost; NumPy computes the labels."""
     machine = machine if machine is not None else sequential_machine()
     wall_start = time.perf_counter()
     rt = PGASRuntime(machine)
@@ -57,18 +59,7 @@ def solve_cc_sequential(graph: EdgeList, machine: MachineConfig | None = None) -
     rt.local_ops(4.0 * m)
     rt.counters.add(iterations=1)
 
-    # --- execution: scipy (verified against reference_union_find_labels) ---
-    if m == 0:
-        labels = np.arange(n, dtype=np.int64)
-    else:
-        from scipy.sparse import csgraph
-
-        _, comp = csgraph.connected_components(graph.to_scipy(), directed=False)
-        # Convert scipy's component ids to min-vertex-label convention.
-        mins = np.full(int(comp.max()) + 1, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(mins, comp, np.arange(n, dtype=np.int64))
-        labels = mins[comp]
-
+    labels = forest_roots(n, graph.u, graph.v).astype(np.int64, copy=False)
     info = SolveInfo(
         machine, "cc-seq", rt.elapsed, time.perf_counter() - wall_start, 1, rt.trace
     )

@@ -14,16 +14,12 @@ simulated SPMD implementations operate on NumPy slices of it directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from ..errors import GraphError
 from ..runtime.shared_array import id_dtype
-
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
-    from scipy import sparse
 
 __all__ = ["EdgeList", "first_occurrences"]
 
@@ -176,61 +172,6 @@ class EdgeList:
 
     def max_degree(self) -> int:
         return int(self.degrees().max(initial=0))
-
-    # -- interop ---------------------------------------------------------------
-
-    def to_networkx(self) -> "nx.Graph":
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        if self.w is not None:
-            g.add_weighted_edges_from(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
-        else:
-            g.add_edges_from(zip(self.u.tolist(), self.v.tolist()))
-        return g
-
-    def to_scipy(self) -> "sparse.csr_matrix":
-        """Symmetric CSR adjacency (weights if present, else 1s).
-
-        For weighted graphs, parallel edges keep the *minimum* weight so
-        downstream MST totals are well defined.
-        """
-        from scipy import sparse
-
-        if self.w is not None:
-            # scipy's coo duplicate handling sums; dedup to min first.
-            dedup = self.deduplicated_min_weight()
-            data = dedup.w.astype(np.float64)
-            mat = sparse.coo_matrix((data, (dedup.u, dedup.v)), shape=(self.n, self.n))
-        else:
-            mat = sparse.coo_matrix(
-                (np.ones(self.m), (self.u, self.v)), shape=(self.n, self.n)
-            )
-        upper = mat.tocsr()
-        return upper + upper.T
-
-    def dedup_min_weight_index(self) -> np.ndarray:
-        """Edge positions to keep so each undirected pair appears once
-        with its minimum weight (ties broken toward the earliest edge);
-        sorted ascending."""
-        if self.m == 0:
-            return np.empty(0, dtype=np.int64)
-        keys = self.canonical_pairs()
-        if self.w is None:
-            return first_occurrences(keys).astype(np.int64)
-        order = np.lexsort((np.arange(self.m), self.w, keys))
-        keys_sorted = keys[order]
-        first = np.ones(self.m, dtype=bool)
-        first[1:] = keys_sorted[1:] != keys_sorted[:-1]
-        return np.sort(order[first]).astype(np.int64)
-
-    def deduplicated_min_weight(self) -> "EdgeList":
-        """Collapse parallel undirected edges keeping the minimum weight
-        (ties broken toward the earliest edge)."""
-        keep = self.dedup_min_weight_index()
-        w = self.w[keep] if self.w is not None else None
-        return EdgeList(self.n, self.u[keep], self.v[keep], w)
 
     def iter_edges(self) -> Iterator[Tuple[int, int]]:
         """Python-level edge iterator (tests/small inputs only)."""

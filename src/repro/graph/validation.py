@@ -10,7 +10,8 @@ boolean when called through :func:`is_simple` / :func:`has_self_loops`.
 What the CC and MST certificates compare against, the component count
 and the minimum spanning forest's weight, comes from
 :func:`forest_roots` (here and in :mod:`repro.mst.verify`): a few NumPy
-passes, so no verification loads SciPy.
+passes.  The sequential and CGM baselines compute their answers with
+the same function.
 """
 
 from __future__ import annotations

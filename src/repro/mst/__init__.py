@@ -6,11 +6,11 @@
 * :func:`solve_mst_naive_upc` — the literal cluster port (aborted in the
   paper; finite modeled time here);
 * :func:`solve_mst_sequential` — Kruskal (default) / Prim / Borůvka cost
-  models over a scipy execution engine.
+  models over the NumPy Borůvka of :mod:`repro.mst.verify`.
 
 All parallel implementations use the same packed (weight, edge-id)
 tie-break, so the chosen forest is identical across machines and thread
-counts and — on tie-free inputs — equals the reference Kruskal forest.
+counts and — on tie-free inputs — equals the sequential baselines' forest.
 """
 
 from .collective import partition_by_owner, solve_mst_collective
@@ -24,10 +24,9 @@ from .common import (
 )
 from .fine_grained import solve_mst_fine_grained
 from .naive_upc import solve_mst_naive_upc
-from .reference import reference_kruskal, reference_prim_weight
 from .sequential import SEQUENTIAL_ALGORITHMS, solve_mst_sequential
 from .smp import solve_mst_smp
-from .verify import check_spanning_forest, msf_reference, scipy_msf
+from .verify import check_spanning_forest, msf_reference
 
 __all__ = [
     "NO_EDGE",
@@ -38,9 +37,6 @@ __all__ = [
     "msf_reference",
     "pack_candidates",
     "partition_by_owner",
-    "reference_kruskal",
-    "reference_prim_weight",
-    "scipy_msf",
     "solve_mst_collective",
     "solve_mst_fine_grained",
     "solve_mst_naive_upc",

@@ -7,10 +7,11 @@ implementing Kruskal's algorithm."  All three cost models are provided
 so the benchmarks can reproduce that ranking; :func:`solve_mst_sequential`
 defaults to Kruskal.
 
-Execution engine: ``scipy.sparse.csgraph.minimum_spanning_tree`` (see
-:mod:`repro.mst.verify` for the zero-weight shift and the edge-id
-recovery); a pure-Python Kruskal with the library's exact (weight, edge
-id) tie-break lives in :mod:`repro.mst.reference` for small-input tests.
+Execution engine: :func:`repro.mst.verify.msf_edge_ids`, the NumPy
+Borůvka the certificates use, over edges ranked by ``(weight, edge id)``
+— the library's tie-break, so the forest is the one Kruskal with that
+order picks.  The labels are :func:`~repro.graph.validation.forest_roots`
+over the forest's edges.
 
 Cost models (single thread, cache-modeled memory):
 
@@ -32,10 +33,11 @@ import numpy as np
 from ..core.results import MSTResult, SolveInfo
 from ..errors import ConfigError, GraphError
 from ..graph.edgelist import EdgeList
+from ..graph.validation import forest_roots
 from ..runtime.machine import MachineConfig, sequential_machine
 from ..runtime.runtime import PGASRuntime
 from .sequential_costs import charge_boruvka, charge_kruskal, charge_prim
-from .verify import scipy_msf
+from .verify import msf_edge_ids
 
 __all__ = ["solve_mst_sequential", "SEQUENTIAL_ALGORITHMS"]
 
@@ -67,25 +69,11 @@ def solve_mst_sequential(
         charge_boruvka(rt, n, m)
     rt.counters.add(iterations=1)
 
-    edge_ids, total = scipy_msf(graph)
-    labels = _labels_from_forest(graph, edge_ids)
+    edge_ids = msf_edge_ids(graph)
+    total = int(graph.w[edge_ids].sum())
+    labels = forest_roots(n, graph.u[edge_ids], graph.v[edge_ids]).astype(np.int64, copy=False)
     info = SolveInfo(
         machine, f"mst-seq-{algorithm}", rt.elapsed, time.perf_counter() - wall_start, 1, rt.trace
     )
     return MSTResult(edge_ids, total, labels, info)
 
-
-def _labels_from_forest(graph: EdgeList, edge_ids: np.ndarray) -> np.ndarray:
-    """Component labels induced by the forest (min-vertex convention)."""
-    from scipy.sparse import coo_matrix, csgraph
-
-    if graph.n == 0:
-        return np.empty(0, dtype=np.int64)
-    if edge_ids.size == 0:
-        return np.arange(graph.n, dtype=np.int64)
-    u, v = graph.u[edge_ids], graph.v[edge_ids]
-    mat = coo_matrix((np.ones(edge_ids.size), (u, v)), shape=(graph.n, graph.n)).tocsr()
-    _, comp = csgraph.connected_components(mat + mat.T, directed=False)
-    mins = np.full(int(comp.max()) + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(mins, comp, np.arange(graph.n, dtype=np.int64))
-    return mins[comp]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.graph import (
+    EdgeList,
     cycle_graph,
     disjoint_components_graph,
     empty_graph,
@@ -89,6 +90,13 @@ def g_weighted():
     return with_random_weights(random_graph(150, 400, seed=5), seed=9)
 
 
+def _multigraph() -> EdgeList:
+    """80 random edges on vertices 0..33, the first ten again reversed
+    (parallel edges), two self-loops on 3, and 34..39 isolated."""
+    u, v = np.random.default_rng(6).integers(0, 34, size=(2, 80))
+    return EdgeList(40, np.concatenate([u, v[:10], [3, 3]]), np.concatenate([v, u[:10], [3, 3]]))
+
+
 GRAPH_FAMILY = {
     "empty": lambda: empty_graph(12),
     "single": lambda: empty_graph(1),
@@ -99,6 +107,7 @@ GRAPH_FAMILY = {
     "random": lambda: random_graph(200, 500, seed=7),
     "dense": lambda: random_graph(60, 800, seed=8),
     "hybrid": lambda: hybrid_graph(256, 800, seed=3),
+    "multigraph": _multigraph,
 }
 
 

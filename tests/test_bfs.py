@@ -12,10 +12,11 @@ from repro.errors import GraphError
 from repro.graph import EdgeList, path_graph, random_graph, star_graph
 from repro.graph.csr import CSRAdjacency
 from repro.runtime import hps_cluster, smp_node
+from tests.oracles import to_networkx
 
 
 def oracle(graph, source):
-    lengths = nx.single_source_shortest_path_length(graph.to_networkx(), source)
+    lengths = nx.single_source_shortest_path_length(to_networkx(graph), source)
     out = np.full(graph.n, UNREACHED, dtype=np.int64)
     for v, d in lengths.items():
         out[v] = d
@@ -65,10 +66,18 @@ class TestCSR:
         m = min(3 * n, n * (n - 1) // 2)
         g = random_graph(n, m, seed)
         adj = CSRAdjacency.from_edgelist(g)
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         for v in range(n):
             got = sorted(adj.neighbors_of(np.array([v])).tolist())
             assert got == sorted(nxg.neighbors(v))
+
+
+def _all_solvers(g, source):
+    return [
+        solve_bfs_collective(g, source, hps_cluster(2, 2))[0],
+        solve_bfs_naive_upc(g, source, hps_cluster(2, 2))[0],
+        solve_bfs_sequential(g, source)[0],
+    ]
 
 
 class TestBFS:
@@ -76,19 +85,22 @@ class TestBFS:
     def test_all_solvers_match_oracle(self, source):
         g = random_graph(200, 500, seed=3)
         expected = oracle(g, source)
-        d1, _ = solve_bfs_collective(g, source, hps_cluster(2, 2))
-        d2, _ = solve_bfs_naive_upc(g, source, hps_cluster(2, 2))
-        d3, _ = solve_bfs_sequential(g, source)
-        assert np.array_equal(d1, expected)
-        assert np.array_equal(d2, expected)
-        assert np.array_equal(d3, expected)
+        for dist in _all_solvers(g, source):
+            assert np.array_equal(dist, expected)
+
+    def test_all_solvers_match_oracle_2000_levels_deep(self):
+        g = path_graph(2000)
+        expected = oracle(g, 0)
+        assert expected[-1] == 1999
+        for dist in _all_solvers(g, 0):
+            assert np.array_equal(dist, expected)
 
     def test_family(self, any_graph):
         if any_graph.n == 0:
             return
         expected = oracle(any_graph, 0)
-        d, _ = solve_bfs_collective(any_graph, 0, hps_cluster(2, 2))
-        assert np.array_equal(d, expected)
+        for dist in _all_solvers(any_graph, 0):
+            assert np.array_equal(dist, expected)
 
     def test_unreachable_marked(self):
         from repro.graph import disjoint_components_graph

@@ -1,5 +1,5 @@
-"""Correctness of every CC implementation against the scipy/networkx
-oracle, across the structural graph family and machine shapes."""
+"""Correctness of every CC implementation against the networkx oracle,
+across the structural graph family and machine shapes."""
 
 import networkx as nx
 import numpy as np
@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cc import (
-    reference_cc_labels,
-    reference_union_find_labels,
     solve_cc_collective,
     solve_cc_naive_upc,
     solve_cc_sequential,
@@ -19,11 +17,12 @@ from repro.cc import (
 from repro.core import OptimizationFlags, canonical_labels
 from repro.graph import EdgeList, random_graph
 from repro.runtime import hps_cluster, smp_node
+from tests.oracles import reference_cc_labels, reference_union_find_labels, to_networkx
 
 
 def oracle(graph: EdgeList) -> np.ndarray:
     labels = np.arange(graph.n, dtype=np.int64)
-    for comp in nx.connected_components(graph.to_networkx()):
+    for comp in nx.connected_components(to_networkx(graph)):
         root = min(comp)
         for vtx in comp:
             labels[vtx] = root

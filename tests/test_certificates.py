@@ -31,6 +31,7 @@ from repro.graph import (
     random_graph,
 )
 from repro.mst import check_spanning_forest, msf_reference
+from tests.oracles import to_networkx
 
 # ---------------------------------------------------------------------------
 # The graph zoo
@@ -86,14 +87,14 @@ graphs = st.builds(
 
 def nx_labels(g: EdgeList) -> np.ndarray:
     labels = np.zeros(g.n, dtype=np.int64)
-    for comp in nx.connected_components(g.to_networkx()):
+    for comp in nx.connected_components(to_networkx(g)):
         labels[list(comp)] = min(comp)
     return labels
 
 
 def nx_accepts_labels(g: EdgeList, labels: np.ndarray) -> bool:
     seen = set()
-    for comp in nx.connected_components(g.to_networkx()):
+    for comp in nx.connected_components(to_networkx(g)):
         found = {int(labels[v]) for v in comp}
         if len(found) != 1 or found & seen:
             return False
@@ -121,14 +122,14 @@ def nx_accepts_forest(g: EdgeList, ids: np.ndarray) -> bool:
     chosen = _multigraph(g, ids)
     if g.n and not nx.is_forest(chosen):
         return False
-    if nx.number_connected_components(chosen) != nx.number_connected_components(g.to_networkx()):
+    if nx.number_connected_components(chosen) != nx.number_connected_components(to_networkx(g)):
         return False
     return sum(int(g.w[e]) for e in ids) == sum(int(g.w[e]) for e in nx_forest(g))
 
 
 def nx_levels(g: EdgeList, source: int, unreached=UNREACHED) -> np.ndarray:
     dist = np.full(g.n, unreached, dtype=np.int64)
-    for vertex, level in nx.single_source_shortest_path_length(g.to_networkx(), source).items():
+    for vertex, level in nx.single_source_shortest_path_length(to_networkx(g), source).items():
         dist[vertex] = level
     return dist
 
@@ -285,7 +286,7 @@ def _cc_case(g, labels) -> bool:
     """One labelling through the certificate, without and with the
     reference; returns the (agreed) verdict."""
     verdict = accepts(check_connected_counts, labels, g)
-    held = nx.number_connected_components(g.to_networkx())
+    held = nx.number_connected_components(to_networkx(g))
     assert accepts(check_connected_counts, labels, g, held) == verdict
     assert verdict == nx_accepts_labels(g, labels)
     return verdict
@@ -293,7 +294,7 @@ def _cc_case(g, labels) -> bool:
 
 def _mst_case(g, ids) -> bool:
     verdict = accepts(check_spanning_forest, g, ids)
-    held = (nx.number_connected_components(g.to_networkx()), int(g.w[nx_forest(g)].sum()))
+    held = (nx.number_connected_components(to_networkx(g)), int(g.w[nx_forest(g)].sum()))
     assert accepts(check_spanning_forest, g, ids, held) == verdict
     assert verdict == nx_accepts_forest(g, ids)
     return verdict
@@ -493,7 +494,7 @@ class TestBFSClauses:
 @given(graphs, st.sampled_from(sorted(WEIGHTS)), st.integers(0, 10_000))
 def test_reference_equals_networkx(g, weights, seed):
     g = _weighted(g, weights, seed)
-    components = nx.number_connected_components(g.to_networkx())
+    components = nx.number_connected_components(to_networkx(g))
     assert count_components_reference(g) == components
     assert msf_reference(g) == (components, int(g.w[nx_forest(g)].sum()))
 

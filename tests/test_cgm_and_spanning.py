@@ -11,6 +11,7 @@ from repro.core import canonical_labels, cluster_for_input, sequential_for_input
 from repro.graph import disjoint_components_graph, path_graph, random_graph
 from repro.mst import check_spanning_forest
 from repro.runtime import hps_cluster, smp_node
+from tests.oracles import reference_kruskal
 
 
 class TestCgmCorrectness:
@@ -108,8 +109,6 @@ class TestSpanningForest:
     def test_earliest_id_forest(self):
         # With unit weights the tie-break is pure edge id, matching the
         # reference Kruskal on unit weights.
-        from repro.mst import reference_kruskal
-
         g = random_graph(100, 300, 9)
         unit = g.with_weights(np.ones(g.m, dtype=np.int64))
         ref_ids, _ = reference_kruskal(unit)

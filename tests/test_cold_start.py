@@ -1,13 +1,13 @@
 """Cold start: what importing the package loads.
 
 ``import repro`` (and the CLI and service entry points) must load NumPy
-and the package only.  SciPy serves the sequential baselines alone (the
-answer certificates compute their references with NumPy) and is
-imported inside the function that uses it; nothing in the package needs
+and the package only.  NumPy is the package's one runtime dependency:
+SciPy and networkx are test oracles, and nothing in the package needs
 ``concurrent.futures`` or ``multiprocessing``.  So every CLI run, ledger
-child and service restart skips their import time and resident memory.
-The checks run in a fresh interpreter, because this test process has
-long since imported everything.
+child and service restart skips their import time and resident memory,
+and the first call of every baseline and certificate loads neither
+oracle either.  The checks run in a fresh interpreter, because this
+test process has long since imported everything.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.bfs import solve_bfs_sequential
 from repro.cc import solve_cc_cgm, solve_cc_sequential
 from repro.graph import generate
-from repro.mst import msf_reference
+from repro.mst import SEQUENTIAL_ALGORITHMS, msf_reference, solve_mst_sequential
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
-DEFERRED = ("scipy", "concurrent.futures", "multiprocessing")
+DEFERRED = ("scipy", "networkx", "concurrent.futures", "multiprocessing")
+ORACLES = ("scipy", "networkx")
 
 
 def _run(code: str) -> str:
@@ -46,29 +48,41 @@ def test_import_loads_no_deferred_module():
     assert json.loads(out) == []
 
 
-_FIRST_CALLS = """
-import json
+_FIRST_CALLS = f"""
+import json, sys
+from repro.bfs import solve_bfs_sequential
 from repro.cc import solve_cc_cgm, solve_cc_sequential
 from repro.graph import generate
-from repro.mst import msf_reference
+from repro.mst import SEQUENTIAL_ALGORITHMS, msf_reference, solve_mst_sequential
 
 g = generate("random", 300, 600, seed=4)
 w = generate("hybrid", 300, 900, seed=4, weighted=True)
-print(json.dumps({
+print(json.dumps({{
     "sequential": solve_cc_sequential(g).labels.tolist(),
     "cgm": solve_cc_cgm(g).labels.tolist(),
     "msf": list(msf_reference(w)),
-}))
+    "mst": [solve_mst_sequential(w, algorithm=a).edge_ids.tolist()
+            for a in SEQUENTIAL_ALGORITHMS],
+    "bfs": solve_bfs_sequential(g, 0)[0].tolist(),
+    "loaded": [m for m in {ORACLES!r} if m in sys.modules],
+}}))
 """
 
 
 def test_reference_solvers_work_on_first_call():
+    """Every baseline and the MSF reference, first called in a fresh
+    process: same answers as here, and neither oracle loaded."""
     fresh = json.loads(_run(_FIRST_CALLS))
     g = generate("random", 300, 600, seed=4)
     w = generate("hybrid", 300, 900, seed=4, weighted=True)
     assert fresh["sequential"] == solve_cc_sequential(g).labels.tolist()
     assert fresh["cgm"] == solve_cc_cgm(g).labels.tolist()
     assert fresh["msf"] == list(msf_reference(w))
+    assert fresh["mst"] == [
+        solve_mst_sequential(w, algorithm=a).edge_ids.tolist() for a in SEQUENTIAL_ALGORITHMS
+    ]
+    assert fresh["bfs"] == solve_bfs_sequential(g, 0)[0].tolist()
+    assert fresh["loaded"] == []
 
 
 _CERTIFICATES = """

@@ -1,4 +1,5 @@
-"""Tests for EdgeList (repro.graph.edgelist)."""
+"""Tests for EdgeList (repro.graph.edgelist) and the test oracles' min-weight
+dedup and conversions (tests/oracles.py)."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from repro.errors import GraphError
 from repro.graph import EdgeList
 from repro.graph.edgelist import first_occurrences
+from tests.oracles import dedup_min_weight_index, to_networkx, to_scipy
 
 
 def make(n, pairs, w=None):
@@ -63,18 +65,18 @@ class TestTransforms:
 
     def test_dedup_min_weight(self):
         g = make(10, [(0, 1), (1, 0), (2, 3)], w=[5, 3, 7])
-        d = g.deduplicated_min_weight()
+        d = g.take(dedup_min_weight_index(g))
         assert d.m == 2
         assert d.w[d.canonical_pairs() == g.canonical_pairs()[0]][0] == 3
 
     def test_dedup_min_weight_index_sorted(self):
         g = make(10, [(0, 1), (1, 0), (2, 3)], w=[5, 3, 7])
-        keep = g.dedup_min_weight_index()
+        keep = dedup_min_weight_index(g)
         assert keep.tolist() == [1, 2]
 
     def test_dedup_min_weight_tie_keeps_earliest(self):
         g = make(10, [(0, 1), (1, 0)], w=[4, 4])
-        keep = g.dedup_min_weight_index()
+        keep = dedup_min_weight_index(g)
         assert keep.tolist() == [0]
 
     def test_without_self_loops(self):
@@ -135,25 +137,27 @@ class TestStructure:
 
 
 class TestInterop:
+    """The test oracles' conversions (``tests/oracles.py``)."""
+
     def test_to_networkx(self):
         g = make(4, [(0, 1), (2, 3)])
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         assert nxg.number_of_nodes() == 4
         assert nxg.number_of_edges() == 2
 
     def test_to_networkx_weighted(self):
         g = make(3, [(0, 1)], w=[7])
-        nxg = g.to_networkx()
+        nxg = to_networkx(g)
         assert nxg[0][1]["weight"] == 7
 
     def test_to_scipy_symmetric(self):
         g = make(3, [(0, 1)])
-        mat = g.to_scipy()
+        mat = to_scipy(g)
         assert mat[0, 1] == 1 and mat[1, 0] == 1
 
     def test_to_scipy_weighted_min_dedup(self):
         g = make(3, [(0, 1), (1, 0)], w=[9, 4])
-        mat = g.to_scipy()
+        mat = to_scipy(g)
         assert mat[0, 1] == 4
 
     def test_iter_edges(self):

@@ -10,8 +10,9 @@ must reproduce exactly.
 Cases: the three families at the benchmark workloads' sizes (150 000 /
 600 000, 28 000 / 280 000, 20 000 / 80 000) and at 2048 / 8192, a random
 input near capacity (many rejection rounds), a powerlaw input whose stub
-sampling saturates into the uniform filler, and the two dedup transforms
-of ``EdgeList`` on a list with parallel edges and weight ties.
+sampling saturates into the uniform filler, ``EdgeList.deduplicated``
+and the SciPy oracle's min-weight dedup (``tests/oracles.py``) on a list
+with parallel edges and weight ties.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.graph import EdgeList, generate, powerlaw_graph, random_graph
+from tests.oracles import dedup_min_weight_index
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -142,5 +144,5 @@ def test_dedup_bytes_pinned(case):
     if case.startswith("deduplicated"):
         got = _graph_digest(g.deduplicated())
     else:
-        got = _digest(g.dedup_min_weight_index())
+        got = _digest(dedup_min_weight_index(g))
     assert got == DEDUP_PINS[case]

@@ -13,10 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
-from repro.cc import reference_union_find_labels
 from repro.graph import EdgeList
 from repro.mst import check_spanning_forest
 from repro.runtime import PGASRuntime, hps_cluster
+from tests.oracles import reference_union_find_labels
 
 
 def solve_pair(graph, machine):

@@ -47,6 +47,7 @@ from repro.lt import (
     parse_variant,
     solve_cc_lt,
 )
+from tests.oracles import to_networkx
 
 MACHINE = hps_cluster(2, 2)
 
@@ -61,7 +62,7 @@ COMPOSED_PLAN = FaultPlan(
 
 def oracle(graph: EdgeList) -> np.ndarray:
     labels = np.arange(graph.n, dtype=np.int64)
-    for comp in nx.connected_components(graph.to_networkx()):
+    for comp in nx.connected_components(to_networkx(graph)):
         root = min(comp)
         for vtx in comp:
             labels[vtx] = root

@@ -1,5 +1,7 @@
 """Correctness of every MST implementation against reference Kruskal,
-scipy, and Prim across graph families and adversarial weight patterns."""
+SciPy, and Prim across graph families and adversarial weight patterns:
+ties, zero weights, self-loops, parallel edges, isolated vertices and
+empty graphs."""
 
 import numpy as np
 import pytest
@@ -20,15 +22,18 @@ from repro.graph import (
 from repro.mst import (
     check_spanning_forest,
     msf_reference,
-    reference_kruskal,
-    reference_prim_weight,
-    scipy_msf,
     solve_mst_collective,
     solve_mst_naive_upc,
     solve_mst_sequential,
     solve_mst_smp,
 )
 from repro.runtime import hps_cluster, smp_node
+from tests.oracles import (
+    reference_kruskal,
+    reference_prim_weight,
+    reference_union_find_labels,
+    scipy_msf,
+)
 
 
 def weighted(graph, seed=1, max_weight=None):
@@ -46,6 +51,13 @@ WEIGHTED_FAMILY = {
     "ties": lambda: weighted(random_graph(120, 350, seed=9), max_weight=3),
     "zero-weights": lambda: weighted(random_graph(80, 200, seed=10), max_weight=1),
     "isolated": lambda: weighted(disjoint_components_graph(2, 8, seed=3)),
+    # Self-loops, parallel edges in both orientations, weights 0..2 (so
+    # ties and zeros), and vertices 40..44 isolated.
+    "multigraph": lambda: EdgeList(
+        45, *np.random.default_rng(5).integers(0, [[40], [40], [3]], size=(3, 200))
+    ),
+    "edgeless": lambda: EdgeList(5, [], [], []),
+    "empty": lambda: EdgeList(0, [], [], []),
 }
 
 SOLVERS = {
@@ -72,9 +84,15 @@ def test_valid_minimum_forest(wgraph, solver):
 
 
 def test_references_agree(wgraph):
+    """The oracles agree, and the sequential baselines' forest is
+    reference Kruskal's under the ``(weight, edge id)`` order."""
     ids, total = reference_kruskal(wgraph)
     assert total == reference_prim_weight(wgraph)
     assert total == scipy_msf(wgraph)[1]
+    res = solve_mst_sequential(wgraph)
+    np.testing.assert_array_equal(res.edge_ids, ids)
+    assert res.total_weight == total
+    np.testing.assert_array_equal(res.labels, reference_union_find_labels(wgraph))
 
 
 class TestEdgeCases:

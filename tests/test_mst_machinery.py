@@ -12,7 +12,6 @@ from repro.mst import (
     check_spanning_forest,
     extract_winners,
     pack_candidates,
-    reference_kruskal,
     solve_mst_collective,
     solve_mst_naive_upc,
     solve_mst_sequential,
@@ -22,6 +21,7 @@ from repro.mst import (
 )
 from repro.core import cluster_for_input, sequential_for_input, smp_for_input
 from repro.runtime import hps_cluster
+from tests.oracles import reference_kruskal
 
 
 class TestPacking:

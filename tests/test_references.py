@@ -1,13 +1,15 @@
-"""The certificates' NumPy references, differential against SciPy and networkx.
+"""The NumPy references, differential against SciPy and networkx.
 
 :func:`forest_roots`, :func:`count_components_reference` and
 :func:`msf_reference` are what every verified answer is compared with,
-in ``validate=True``, the service and the ledger, and they use NumPy
-alone.  Here they must agree with networkx (component minima, component
-count, minimum spanning forest weight) and with SciPy (component count,
-:func:`scipy_msf`) on arbitrary multigraphs: self-loops, parallel edges,
-isolated vertices, empty graphs, and weights that are all equal, zero,
-or at least ``2**31``.
+in ``validate=True``, the service and the ledger, and the sequential
+and CGM baselines compute their answers with them.  Here they, and the
+baselines, must agree with networkx (component minima, component count,
+minimum spanning forest weight), with SciPy (component count, the SciPy
+forest's weight) and with reference Kruskal (the forest's edge ids) on
+arbitrary multigraphs: self-loops, parallel edges, isolated vertices,
+empty graphs, and weights that are all equal, zero, or at least
+``2**31``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
+from repro.cc import solve_cc_cgm, solve_cc_sequential
 from repro.errors import VerificationError
 from repro.graph import EdgeList, path_graph
 from repro.graph.validation import count_components_reference, forest_roots
-from repro.mst import msf_reference, scipy_msf
+from repro.mst import msf_reference, solve_mst_sequential
+from repro.runtime import hps_cluster
+from tests.oracles import reference_kruskal, scipy_msf, to_scipy
 
 # Below 2**53, so that SciPy's float64 weights stay exact.
 BIG = 2**40
@@ -60,13 +65,22 @@ def _nx(graph: EdgeList) -> nx.MultiGraph:
 def _scipy_count(graph: EdgeList) -> int:
     if graph.n == 0:
         return 0
-    structure = graph.with_weights(None).to_scipy()  # a zero weight would drop its edge
+    structure = to_scipy(graph.with_weights(None))  # a zero weight would drop its edge
     return int(csgraph.connected_components(structure, directed=False)[0])
 
 
 def _nx_forest(graph: EdgeList) -> tuple[int, int]:
     forest = nx.minimum_spanning_tree(_nx(graph), algorithm="kruskal")
     return nx.number_connected_components(forest), int(forest.size(weight="weight"))
+
+
+def _check_sequential_msf(graph: EdgeList) -> None:
+    """The sequential baseline's forest is reference Kruskal's, edge for
+    edge, its weight is SciPy's, and its labels are the roots."""
+    res = solve_mst_sequential(graph)
+    np.testing.assert_array_equal(res.edge_ids, reference_kruskal(graph)[0])
+    assert res.total_weight == scipy_msf(graph)[1]
+    np.testing.assert_array_equal(res.labels, forest_roots(graph.n, graph.u, graph.v))
 
 
 EMPTY = EdgeList(0, [], [], [])
@@ -86,6 +100,8 @@ def test_roots_are_component_minima(graph):
         members = sorted(component)
         expected[members] = members[0]
     np.testing.assert_array_equal(forest_roots(graph.n, graph.u, graph.v), expected)
+    np.testing.assert_array_equal(solve_cc_sequential(graph).labels, expected)
+    np.testing.assert_array_equal(solve_cc_cgm(graph, hps_cluster(4, 1)).labels, expected)
 
 
 @given(multigraphs())
@@ -107,6 +123,7 @@ def test_forest_reference_matches_scipy_and_networkx(kind, data):
     edge_ids, weight = scipy_msf(graph)
     assert reference == (graph.n - edge_ids.size, weight)
     assert reference == _nx_forest(graph)
+    _check_sequential_msf(graph)
 
 
 @pytest.mark.parametrize("weight", [None, 0, 7, 2**31 + 5])
@@ -118,6 +135,7 @@ def test_forest_reference_on_edge_case_graphs(weight):
             graph = graph.with_weights(np.full(graph.m, weight, dtype=np.int64))
         edge_ids, total = scipy_msf(graph)
         assert msf_reference(graph) == (graph.n - edge_ids.size, total) == _nx_forest(graph)
+        _check_sequential_msf(graph)
 
 
 def test_long_path_with_shuffled_ids():
@@ -131,6 +149,10 @@ def test_long_path_with_shuffled_ids():
     assert not forest_roots(n, graph.u, graph.v).any()
     assert count_components_reference(graph) == 1 == _scipy_count(graph)
     assert msf_reference(graph) == (1, int(graph.w.sum())) == _nx_forest(graph)
+    assert not solve_cc_sequential(graph).labels.any()
+    assert not solve_cc_cgm(graph, hps_cluster(4, 1)).labels.any()
+    res = solve_mst_sequential(graph)
+    np.testing.assert_array_equal(res.edge_ids, np.arange(n - 1))
 
 
 def test_forest_reference_needs_weights():

@@ -42,11 +42,12 @@ from repro.mst.verify import msf_reference
 from repro.resilience import ResilientSession
 from tests.fault_plans import REPLICA_PLAN
 from repro.runtime.machine import hps_cluster
+from tests.oracles import to_networkx
 
 
 def cc_oracle(graph: EdgeList) -> np.ndarray:
     labels = np.arange(graph.n, dtype=np.int64)
-    for comp in nx.connected_components(graph.to_networkx()):
+    for comp in nx.connected_components(to_networkx(graph)):
         root = min(comp)
         for vtx in comp:
             labels[vtx] = root

@@ -63,6 +63,7 @@ from repro.runtime import PGASRuntime, hps_cluster, smp_node
 from repro.runtime.partitioned import PartitionedArray
 from repro.runtime.trace import Category
 from tests.fault_plans import CHAOS_PLAN
+from tests.oracles import to_networkx
 
 MACHINE = hps_cluster(4, 2)
 
@@ -201,7 +202,7 @@ FOREST_WEIGHT = msf_reference(WEIGHTED)[1]
 
 def _component_labels(graph) -> np.ndarray:
     labels = np.arange(graph.n, dtype=np.int64)
-    for comp in nx.connected_components(graph.to_networkx()):
+    for comp in nx.connected_components(to_networkx(graph)):
         labels[list(comp)] = min(comp)
     return labels
 
