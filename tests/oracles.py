@@ -20,13 +20,6 @@ from scipy.sparse import csgraph
 from repro.cc.common import check_converged
 from repro.graph import EdgeList
 
-__all__ = [
-    "dedup_min_weight_index", "reference_cc_labels", "reference_kruskal",
-    "reference_prim_weight", "reference_union_find_labels", "scipy_msf", "to_networkx",
-    "to_scipy",
-]
-
-
 # -- conversions ---------------------------------------------------------------
 
 
