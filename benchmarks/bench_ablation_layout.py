@@ -9,8 +9,6 @@ block-cyclic relabeling destroys the locality and multiplies the
 communicated bytes — same graph, same algorithm, different layout.
 """
 
-import numpy as np
-
 from repro.bench import format_table
 from repro.core import canonical_labels, cluster_for_input, connected_components
 from repro.graph import block_cyclic_permutation, grid_graph, random_permutation

@@ -40,7 +40,6 @@ from .core import (
     CC_IMPLS,
     MST_IMPLS,
     OptimizationFlags,
-    cluster_for_input,
     connected_components,
     machine_for_input,
     minimum_spanning_forest,

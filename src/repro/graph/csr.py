@@ -17,6 +17,17 @@ from .edgelist import EdgeList
 __all__ = ["CSRAdjacency"]
 
 
+def _stable_order(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in ``[0, n)``, as LSD
+    radix passes over 16-bit digits: NumPy radix-sorts keys of 16 bits
+    or less, and would merge-sort the ids themselves."""
+    order = np.argsort(ids.astype(np.uint16), kind="stable")
+    for shift in range(16, max(n - 1, 0).bit_length(), 16):
+        digit = (ids >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
 @dataclass
 class CSRAdjacency:
     """Adjacency of an undirected graph: ``indices[indptr[v]:indptr[v+1]]``
@@ -31,8 +42,7 @@ class CSRAdjacency:
         keep = graph.u != graph.v
         u = np.concatenate([graph.u[keep], graph.v[keep]])
         v = np.concatenate([graph.v[keep], graph.u[keep]])
-        order = np.argsort(u, kind="stable")
-        indices = v[order]
+        indices = v[_stable_order(u, graph.n)]
         counts = np.bincount(u, minlength=graph.n)
         indptr = np.zeros(graph.n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

@@ -21,22 +21,60 @@ import numpy as np
 from ..errors import GraphError
 from ..runtime.shared_array import id_dtype
 
-__all__ = ["EdgeList", "first_occurrences"]
+__all__ = ["EdgeList", "canonical_keys", "first_occurrences"]
+
+#: Width cap of :func:`first_occurrences`' filter table: one or two
+#: one-byte slots per key, and at most ``2**18`` (256 KiB).
+_FILTER_BITS = 18
 
 
 def first_occurrences(keys: np.ndarray) -> np.ndarray:
     """Ascending positions of each distinct key's first occurrence in
     ``keys`` — ``np.sort(np.unique(keys, return_index=True)[1])``
-    without the stable sort: an unstable argsort groups equal keys, and
-    the minimum position within each group is its first occurrence."""
+    without sorting positions along with the keys.
+
+    Equal keys agree in their low 32 bits, so a value sort of those
+    (``np.sort`` of uint32, no permutation) finds every low half that
+    repeats: each repeated key's, plus a few that collide.  Generated
+    edge keys repeat rarely, so only the positions holding one of these
+    need resolving.  A boolean table indexed by the low halves' low
+    bits, sized to the batch, passes all of them and a few false
+    positives.  An argsort of the full keys of just those candidates
+    groups them: every candidate but its group's smallest position is a
+    later occurrence, and dropping the later occurrences leaves the
+    answer.  Nothing here depends on the keys' width or sign; keys that
+    share their low bits only make more candidates.
+    """
     if keys.size == 0:
         return np.empty(0, dtype=np.intp)
-    order = np.argsort(keys)
-    ranked = keys[order]
+    low = keys.astype(np.uint32)
+    ranked = np.sort(low)
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    if repeated.size == 0:
+        return np.arange(keys.size, dtype=np.intp)
+    mask = np.uint32((1 << min(_FILTER_BITS, keys.size.bit_length())) - 1)
+    table = np.zeros(int(mask) + 1, dtype=bool)
+    table[repeated & mask] = True
+    low &= mask
+    candidates = np.flatnonzero(table[low])
+    sub = keys[candidates]
+    order = np.argsort(sub)
+    ranked = sub[order]
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-    first = np.zeros(keys.size, dtype=bool)
-    first[np.minimum.reduceat(order, starts)] = True
-    return np.flatnonzero(first)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[candidates] = False
+    keep[candidates[np.minimum.reduceat(order, starts)]] = True
+    return np.flatnonzero(keep)
+
+
+def canonical_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Each edge ``(u, v)`` on ``n`` vertices as the int64 key
+    ``min * n + max``, identical for both orientations.  The product is
+    the only int64 temporary; ``min`` and ``max`` stay at the ids' width.
+    """
+    keys = np.multiply(np.minimum(u, v), n, dtype=np.int64)
+    keys += np.maximum(u, v)
+    return keys
 
 
 def _integer_ids(a) -> np.ndarray:
@@ -117,9 +155,7 @@ class EdgeList:
     def canonical_pairs(self) -> np.ndarray:
         """Each edge as ``(min, max)`` packed into one int64 key —
         identical for both orientations of an undirected edge."""
-        lo = np.minimum(self.u, self.v)
-        hi = np.maximum(self.u, self.v)
-        return lo * np.int64(self.n) + hi
+        return canonical_keys(self.u, self.v, self.n)
 
     def deduplicated(self) -> "EdgeList":
         """Remove duplicate undirected edges (keeping the first

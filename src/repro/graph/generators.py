@@ -28,7 +28,8 @@ import zlib
 import numpy as np
 
 from ..errors import GraphError
-from .edgelist import EdgeList, first_occurrences
+from ..runtime.shared_array import id_dtype
+from .edgelist import EdgeList, canonical_keys, first_occurrences
 from .rmat import DEFAULT_RMAT_PROBS, rmat_edges
 
 __all__ = [
@@ -76,6 +77,8 @@ def _fresh_first(keys: np.ndarray, keys_seen: np.ndarray) -> np.ndarray:
     ``keys`` that lie past ``keys_seen``: one sort answers both the
     within-batch dedup and the membership test.
     """
+    if keys_seen.size == 0:
+        return first_occurrences(keys)
     first = first_occurrences(np.concatenate([keys_seen, keys]))
     return first[np.searchsorted(first, keys_seen.size) :] - keys_seen.size
 
@@ -90,7 +93,8 @@ def _sample_unique_edges(
     avoiding any edge whose canonical key appears in ``existing_keys``.
 
     Batched rejection sampling: draws ~1.2x the deficit per round and
-    deduplicates by canonical (min*n + max) key.
+    deduplicates by canonical (min*n + max) key.  The draws are int64
+    (that fixes the random stream) and narrowed to the id width at once.
     """
     if n < 2 and m > 0:
         raise GraphError(f"cannot place {m} edges on {n} vertices")
@@ -98,33 +102,31 @@ def _sample_unique_edges(
     if m > capacity:
         raise GraphError(f"requested {m} unique edges but only {capacity} are available (n={n})")
 
+    ids = id_dtype(n)
+    # The outputs are allocated before the round temporaries, so that
+    # freeing those leaves no holes below live data in the heap.
+    u = np.empty(m, dtype=ids)
+    v = np.empty(m, dtype=ids)
     keys_seen = (
         np.empty(0, dtype=np.int64) if existing_keys is None else existing_keys.astype(np.int64)
     )
-    out_u: list[np.ndarray] = []
-    out_v: list[np.ndarray] = []
-    remaining = m
-    while remaining > 0:
+    filled = 0
+    while filled < m:
+        remaining = m - filled
         batch = max(1024, int(remaining * 1.2))
-        uu = rng.integers(0, n, batch, dtype=np.int64)
-        vv = rng.integers(0, n, batch, dtype=np.int64)
+        uu = rng.integers(0, n, batch, dtype=np.int64).astype(ids)
+        vv = rng.integers(0, n, batch, dtype=np.int64).astype(ids)
         ok = uu != vv
         uu, vv = uu[ok], vv[ok]
-        lo = np.minimum(uu, vv)
-        hi = np.maximum(uu, vv)
-        keys = lo * np.int64(n) + hi
+        keys = canonical_keys(uu, vv, n)
         # First occurrences within the batch (draw order preserved) of keys
         # not chosen in earlier rounds and not pre-existing.
-        fresh = _fresh_first(keys, keys_seen)
-        uu, vv, keys = uu[fresh], vv[fresh], keys[fresh]
-        if uu.size > remaining:
-            uu, vv, keys = uu[:remaining], vv[:remaining], keys[:remaining]
-        out_u.append(uu)
-        out_v.append(vv)
-        keys_seen = np.concatenate([keys_seen, keys])
-        remaining -= uu.size
-    u = np.concatenate(out_u) if out_u else np.empty(0, dtype=np.int64)
-    v = np.concatenate(out_v) if out_v else np.empty(0, dtype=np.int64)
+        fresh = _fresh_first(keys, keys_seen)[:remaining]
+        np.take(uu, fresh, out=u[filled : filled + fresh.size])
+        np.take(vv, fresh, out=v[filled : filled + fresh.size])
+        filled += fresh.size
+        if filled < m:
+            keys_seen = np.concatenate([keys_seen, keys[fresh]])
     return u, v
 
 
@@ -166,7 +168,7 @@ def hybrid_graph(
     core_vertices = rng.choice(n, size=2**scale if 2**scale <= n else core_size, replace=False)
     # Pad the id table up to 2**scale by reusing core vertices: R-MAT draws
     # land on real, randomly placed vertices either way.
-    table = np.empty(2**scale, dtype=np.int64)
+    table = np.empty(2**scale, dtype=id_dtype(n))
     table[: core_vertices.size] = core_vertices
     if core_vertices.size < table.size:
         table[core_vertices.size :] = rng.choice(core_vertices, table.size - core_vertices.size)
@@ -176,8 +178,7 @@ def hybrid_graph(
     cu, cv = table[cu], table[cv]
     keep = cu != cv
     cu, cv = cu[keep], cv[keep]
-    lo, hi = np.minimum(cu, cv), np.maximum(cu, cv)
-    keys = lo * np.int64(n) + hi
+    keys = canonical_keys(cu, cv, n)
     first = first_occurrences(keys)
     cu, cv = cu[first], cv[first]
 
@@ -225,7 +226,7 @@ def powerlaw_graph(n: int, m: int, seed: int = 0, exponent: float = 2.5) -> Edge
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** (-1.0 / (exponent - 1.0))
     p = weights / weights.sum()
-    perm = rng.permutation(n)
+    perm = rng.permutation(n).astype(id_dtype(n))
 
     keys_seen = np.empty(0, dtype=np.int64)
     out_u: list[np.ndarray] = []
@@ -238,20 +239,17 @@ def powerlaw_graph(n: int, m: int, seed: int = 0, exponent: float = 2.5) -> Edge
         vv = perm[rng.choice(n, size=batch, p=p)]
         ok = uu != vv
         uu, vv = uu[ok], vv[ok]
-        lo, hi = np.minimum(uu, vv), np.maximum(uu, vv)
-        keys = lo * np.int64(n) + hi
-        fresh = _fresh_first(keys, keys_seen)
-        uu, vv, keys = uu[fresh], vv[fresh], keys[fresh]
-        if uu.size == 0:
+        keys = canonical_keys(uu, vv, n)
+        fresh = _fresh_first(keys, keys_seen)[:remaining]
+        if fresh.size == 0:
             stalls += 1
             continue
         stalls = 0
-        if uu.size > remaining:
-            uu, vv, keys = uu[:remaining], vv[:remaining], keys[:remaining]
-        out_u.append(uu)
-        out_v.append(vv)
-        keys_seen = np.concatenate([keys_seen, keys])
-        remaining -= uu.size
+        out_u.append(uu[fresh])
+        out_v.append(vv[fresh])
+        remaining -= fresh.size
+        if remaining > 0:
+            keys_seen = np.concatenate([keys_seen, keys[fresh]])
     if remaining > 0:
         fu, fv = _sample_unique_edges(n, remaining, rng, existing_keys=keys_seen)
         out_u.append(fu)

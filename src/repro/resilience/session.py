@@ -41,7 +41,7 @@ loss fires — never a hang, never a silently-wrong forest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 import numpy as np

@@ -41,7 +41,6 @@ from ..errors import (
 from ..graph.validation import check_bfs_levels, check_connected_counts, count_components_reference
 from ..mst.verify import check_spanning_forest, msf_reference
 from .deadlines import BackoffPolicy, CancelToken, CircuitBreaker, cancel_scope
-from .degradation import ServiceMode
 from .jobs import Job, JobSpec, JobState
 
 __all__ = ["JobExecutor", "ServiceMetrics", "validate_spec_impl", "parse_service_machine"]

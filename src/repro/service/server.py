@@ -36,7 +36,7 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import UsageError
 from .deadlines import BackoffPolicy, CircuitBreaker
-from .degradation import DegradationPolicy, ServiceMode
+from .degradation import DegradationPolicy
 from .executor import JobExecutor, ServiceMetrics, validate_spec_impl
 from .jobs import Job, JobSpec, JobState, TERMINAL_STATES
 from .journal import JobJournal, replay_journal

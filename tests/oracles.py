@@ -46,6 +46,19 @@ def dedup_min_weight_index(graph: EdgeList) -> np.ndarray:
     return np.sort(order[first]).astype(np.int64)
 
 
+def csr_reference(graph: EdgeList) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the symmetric adjacency without
+    self-loops, rows in the order of a stable argsort of the sources:
+    each row lists ``v``'s neighbours in edge order, the ``u -> v`` half
+    before the ``v -> u`` half."""
+    keep = graph.u != graph.v
+    u = np.concatenate([graph.u[keep], graph.v[keep]])
+    v = np.concatenate([graph.v[keep], graph.u[keep]])
+    indptr = np.zeros(graph.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=graph.n), out=indptr[1:])
+    return indptr, v[np.argsort(u, kind="stable")].astype(np.int64)
+
+
 def to_scipy(graph: EdgeList) -> sparse.csr_matrix:
     """Symmetric CSR adjacency: each undirected pair once, carrying its
     minimum weight (1 when unweighted); SciPy would sum duplicates."""

@@ -11,7 +11,7 @@ from repro.core import connected_components, minimum_spanning_forest
 from repro.faults import CrashEvent, FaultPlan
 from repro.graph import random_graph, with_random_weights
 from repro.listrank import random_list, solve_ranks_cgm, solve_ranks_wyllie
-from repro.runtime import PGASRuntime, hps_cluster
+from repro.runtime import PGASRuntime
 from repro.runtime.partitioned import PartitionedArray
 
 

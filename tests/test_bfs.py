@@ -12,7 +12,7 @@ from repro.errors import GraphError
 from repro.graph import EdgeList, path_graph, random_graph, star_graph
 from repro.graph.csr import CSRAdjacency
 from repro.runtime import hps_cluster, smp_node
-from tests.oracles import to_networkx
+from tests.oracles import csr_reference, to_networkx
 
 
 def oracle(graph, source):
@@ -60,6 +60,27 @@ class TestCSR:
         adj = CSRAdjacency.from_edgelist(path_graph(4))
         with pytest.raises(GraphError):
             adj.neighbors_of(np.array([4]))
+
+    def test_equals_stable_argsort_reference(self, any_graph):
+        adj = CSRAdjacency.from_edgelist(any_graph)
+        indptr, indices = csr_reference(any_graph)
+        assert np.array_equal(adj.indptr, indptr)
+        assert np.array_equal(adj.indices, indices)
+
+    def test_equals_reference_past_16_bit_ids(self):
+        """Ids above 2**16 make the radix order take its second digit
+        pass; parallel edges and self-loops ride along."""
+        rng = np.random.default_rng(11)
+        n = 3 * 2**16 + 5
+        u = rng.integers(0, n, 60_000)
+        v = rng.integers(0, n, 60_000)
+        # Equal low 16 bits, different high digits; repeated edges; loops.
+        u[:1_000] = (u[:1_000] & 0xFFFF) + 2**16 * rng.integers(0, 3, 1_000)
+        g = EdgeList(n, np.concatenate([u, v[:500], u[:50]]), np.concatenate([v, u[:500], u[:50]]))
+        adj = CSRAdjacency.from_edgelist(g)
+        indptr, indices = csr_reference(g)
+        assert np.array_equal(adj.indptr, indptr)
+        assert np.array_equal(adj.indices, indices)
 
     @given(n=st.integers(2, 40), seed=st.integers(0, 10))
     def test_property_neighbors_match_networkx(self, n, seed):

@@ -2,7 +2,6 @@
 must hold in the simulation (these are the invariants the benchmarks
 quantify)."""
 
-import numpy as np
 import pytest
 
 from repro.cc import solve_cc_collective, solve_cc_naive_upc, solve_cc_sequential, solve_cc_smp
@@ -13,7 +12,7 @@ from repro.core import (
     smp_for_input,
 )
 from repro.graph import random_graph
-from repro.runtime import hps_cluster, smp_node
+from repro.runtime import hps_cluster
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ import repro
 from repro.cc import solve_cc_cgm
 from repro.core import canonical_labels, cluster_for_input, sequential_for_input
 from repro.graph import disjoint_components_graph, path_graph, random_graph
-from repro.mst import check_spanning_forest
 from repro.runtime import hps_cluster, smp_node
 from tests.oracles import reference_kruskal
 

@@ -26,7 +26,7 @@ from repro.core import (
     smp_for_input,
 )
 from repro.core.calibration import PAPER_N_LARGE
-from repro.errors import ConfigError, GraphError, VerificationError
+from repro.errors import ConfigError, GraphError
 from repro.graph import random_graph, with_random_weights
 from repro.runtime import hps_cluster, infiniband_cluster, smp_node
 

@@ -165,25 +165,53 @@ class TestInterop:
         assert list(g.iter_edges()) == [(0, 1), (2, 3)]
 
 
-_KEYS = st.sampled_from([np.int32, np.int64]).flatmap(
-    lambda dt: arrays(
-        dt,
-        st.integers(0, 300),
-        elements=st.one_of(
-            st.integers(-4, 4),
-            st.integers(np.iinfo(dt).min, np.iinfo(dt).max),
-        ),
+_KEY_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint16, np.uint64]
+
+
+@st.composite
+def _keys(draw):
+    """A key vector of one of five shapes: duplicate-free, duplicate-free
+    but for a few copied keys (the generators' batches), drawn from a
+    small pool (duplicate-heavy), all equal, or drawn from a pool whose
+    values agree in their low bits — every such key passes a low-bits
+    filter, so the exact step must sort out the false positives."""
+    dt = draw(st.sampled_from(_KEY_DTYPES))
+    info = np.iinfo(dt)
+    anywhere = st.one_of(
+        st.integers(max(info.min, -4), 4),
+        st.integers(info.min, info.max),
+        st.sampled_from([info.min, info.max]),
     )
-)
+    shape = draw(st.sampled_from(["distinct", "few-copies", "pool", "equal", "low-bits"]))
+    if shape in ("distinct", "few-copies"):
+        keys = draw(st.lists(anywhere, max_size=300, unique=True))
+        if shape == "few-copies" and keys:
+            index = st.integers(0, len(keys) - 1)
+            for dst, src in draw(st.lists(st.tuples(index, index), max_size=4)):
+                keys[dst] = keys[src]
+        return np.array(keys, dtype=dt)
+    size = draw(st.integers(0, 300))
+    if shape == "equal":
+        return np.full(size, draw(anywhere), dtype=dt)
+    pool = draw(st.lists(anywhere, min_size=1, max_size=12, unique=True))
+    if shape == "low-bits":
+        bits = draw(st.integers(1, info.bits - 1))
+        low = draw(st.integers(0, 2**bits - 1))
+        pool = sorted({(value >> bits << bits) | low for value in pool})
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    return np.array([pool[i] for i in picks], dtype=dt)
 
 
 class TestFirstOccurrences:
-    @given(_KEYS)
+    @given(_keys())
     @example(np.empty(0, dtype=np.int64))
     @example(np.empty(0, dtype=np.int32))
     @example(np.array([7], dtype=np.int64))
     @example(np.full(50, -3, dtype=np.int32))
     @example(np.full(50, np.iinfo(np.int64).max, dtype=np.int64))
+    # 2**19 distinct keys and three repeats: the filter is at its 18-bit
+    # cap, and every key shares its low 18 bits with the repeated ones.
+    @example(np.arange(-3, 2**19, dtype=np.int64) % 2**19 << 18)
     def test_equals_sorted_unique_index(self, keys):
         got = first_occurrences(keys)
         want = np.sort(np.unique(keys, return_index=True)[1])

@@ -1,7 +1,5 @@
 """Tests for the graph generators (repro.graph.generators, rmat)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -310,4 +308,18 @@ class TestFreshFirst:
         keys_seen = np.array(seen, dtype=np.int64)
         first = np.sort(np.unique(keys, return_index=True)[1])
         want = first[~np.isin(keys[first], keys_seen)]
+        assert np.array_equal(_fresh_first(keys, keys_seen), want)
+
+    def test_hybrid_fill_sized(self):
+        """The hybrid fill's shape at the workload size: about 8 500 core
+        keys seen, a batch of 700 000 with a few repeats and hits on the
+        core."""
+        rng = np.random.default_rng(3)
+        keys_seen = np.unique(rng.integers(0, 150_000**2, 8_600))[:8_517]
+        keys = rng.integers(0, 150_000**2, 700_000)
+        keys[rng.integers(0, keys.size, 40)] = rng.choice(keys_seen, 40)
+        keys[rng.integers(0, keys.size, 40)] = keys[rng.integers(0, keys.size, 40)]
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        want = first[~np.isin(keys[first], keys_seen)]
+        assert want.size < keys.size - 40
         assert np.array_equal(_fresh_first(keys, keys_seen), want)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError, VerificationError
-from repro.graph import path_graph, random_graph, with_random_weights
+from repro.graph import random_graph, with_random_weights
 from repro.mst import (
     NO_EDGE,
     break_hook_cycles,
@@ -20,7 +20,6 @@ from repro.mst import (
     unpack_weights,
 )
 from repro.core import cluster_for_input, sequential_for_input, smp_for_input
-from repro.runtime import hps_cluster
 from tests.oracles import reference_kruskal
 
 
