@@ -119,7 +119,7 @@ def solve_cc_fine_grained(
         ddv = access.read(ep.v.with_data(dv))
         rt.local_ops(6.0 * ep.sizes().astype(np.float64))
         step = graft_proposals(du, dv, ddu, ddv)
-        targets = ep.u.take_sorted(step.sel).with_data(step.targets)
+        targets = ep.u.take_sorted(step.sel, step.targets)
         changed = access.write_min(targets, step.values)
 
         # Asynchronous shortcut: every vertex walks until its parent is a

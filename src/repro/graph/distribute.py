@@ -5,6 +5,8 @@ vertices", which is what keeps hub vertices from unbalancing the hybrid
 graphs.  :class:`EdgePartition` is the SPMD view of an edge list: the
 ``u``/``v``/``w`` arrays share one offsets vector, so thread ``i``'s
 private edge slice is ``(u.segment(i), v.segment(i), w.segment(i))``.
+The partitions are read-only views of the edge list's own arrays, so a
+solve never copies its input and cannot write through to it.
 """
 
 from __future__ import annotations
@@ -80,7 +82,14 @@ def distribute_edges(graph: EdgeList, threads: int) -> EdgePartition:
         raise DistributionError(f"need at least one thread, got {threads}")
     offsets = even_offsets(graph.m, threads)
     # One validated layout, shared: siblings reuse its thread ids and sizes.
-    u = PartitionedArray(graph.u.copy(), offsets)
-    v = u.with_data(graph.v.copy())
-    w = u.with_data(graph.w.copy()) if graph.w is not None else None
+    u = PartitionedArray(_read_only(graph.u), offsets)
+    v = u.with_data(_read_only(graph.v))
+    w = u.with_data(_read_only(graph.w)) if graph.w is not None else None
     return EdgePartition(graph.n, u, v, w)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` that raises on write; ``arr`` stays writeable."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view

@@ -65,8 +65,9 @@ class NumpyKernels:
         requester]`` counts, where ``targets`` are the requested indices
         of a blocked array of ``size`` elements (already validated to
         ``[0, size)``) and ``base[i]`` is ``s`` times the requester of
-        position ``i`` (``PartitionedArray.requester_base``).  With
-        ``block = 1`` and ``size = s`` the targets are owner ids
+        position ``i`` (``PartitionedArray.requester_base``, at any
+        integer width: the key pass widens it).  With ``block = 1`` and
+        ``size = s`` the targets are owner ids
         (``collectives.alltoall.send_matrix``)."""
         # One key pass into pooled scratch, straight from the targets:
         # the owner ids are never materialised on their own.  Keys are

@@ -19,7 +19,7 @@ from .. import kernels
 from ..errors import DistributionError
 from ..perf.derived import freeze, memoized
 
-__all__ = ["PartitionedArray", "even_offsets"]
+__all__ = ["PartitionedArray", "base_dtype", "even_offsets"]
 
 #: Presence-mask slot cap for the vectorized distinct counts; sparser
 #: payloads fall back to the ``np.unique`` path.
@@ -34,6 +34,14 @@ def _even_offsets(total: int, parts: int) -> np.ndarray:
     offsets = np.zeros(parts + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     return freeze(offsets)
+
+
+def base_dtype(parts: int) -> np.dtype:
+    """Storage dtype of :meth:`PartitionedArray.requester_base`, whose
+    entries are ``r * parts`` for ``r < parts``: uint16 while
+    ``parts <= 256`` (at most 65 280), else int32 (up to 46 340 parts,
+    far past any modeled machine)."""
+    return np.dtype(np.uint16 if parts <= 256 else np.int32)
 
 
 def even_offsets(total: int, parts: int) -> np.ndarray:
@@ -178,11 +186,12 @@ class PartitionedArray:
     def requester_base(self) -> np.ndarray:
         """For every flat position, ``parts`` times its owning thread id:
         the requester-major row offset of the SMatrix key
-        (``NumpyKernels.exchange_matrix``).  Cached per offsets object
-        like :meth:`thread_ids`, and built without it."""
+        (``NumpyKernels.exchange_matrix``), stored at
+        :func:`base_dtype`.  Cached per offsets object like
+        :meth:`thread_ids`, and built without it."""
         layout = self._layout
         if layout.base is None:
-            rows = np.arange(self.parts, dtype=np.int64) * self.parts
+            rows = np.arange(self.parts, dtype=base_dtype(self.parts)) * self.parts
             layout.base = freeze(np.repeat(rows, self.sizes()))
         return layout.base
 
@@ -197,19 +206,25 @@ class PartitionedArray:
             )
         return self._trusted(data, self.offsets, self._layout)
 
-    def take_sorted(self, sel: np.ndarray) -> "PartitionedArray":
+    def take_sorted(self, sel: np.ndarray, data: np.ndarray | None = None) -> "PartitionedArray":
         """Keep the flat positions listed in ``sel``, which must be
         strictly ascending (``np.flatnonzero`` of a mask): the selection
         behind :meth:`filter`, for callers that compact several payloads
         with one mask and derive ``sel`` once.  Siblings of the result
-        are ``result.with_data(payload.take(sel))``."""
+        are ``result.with_data(payload.take(sel))``.  ``data``, when
+        given, is the payload of the kept positions already, carried
+        instead of gathering this one's."""
+        if data is not None and len(data) != sel.size:
+            raise DistributionError(f"payload length {len(data)} != selection {sel.size}")
         if sel.size == self.total:
-            return self  # strictly ascending and complete: the identity
+            # Strictly ascending and complete: the identity layout.
+            return self if data is None else self.with_data(data)
         # sel is ascending, so the kept count before each old boundary
         # is a binary search, and the offsets are valid for the taken
         # data by construction.
         offsets = np.searchsorted(sel, self.offsets)
-        return self._trusted(self.data.take(sel), offsets, _Layout())
+        kept = self.data.take(sel) if data is None else np.asarray(data)
+        return self._trusted(kept, offsets, _Layout())
 
     def filter(self, mask: np.ndarray) -> "PartitionedArray":
         """Keep only positions where ``mask`` is True, compacting each

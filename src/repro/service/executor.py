@@ -42,6 +42,7 @@ from ..graph.validation import check_bfs_levels, check_connected_counts, count_c
 from ..mst.verify import check_spanning_forest, msf_reference
 from .deadlines import BackoffPolicy, CancelToken, CircuitBreaker, cancel_scope
 from .jobs import Job, JobSpec, JobState
+from .journal import finish
 
 __all__ = ["JobExecutor", "ServiceMetrics", "validate_spec_impl", "parse_service_machine"]
 
@@ -265,12 +266,10 @@ class JobExecutor:
             try:
                 self.execute(job)
             except Exception as err:  # never kill a worker thread
-                job.transition(
-                    JobState.FAILED, retriable=False,
+                finish(
+                    self.journal, job, JobState.FAILED, retriable=False,
                     error=f"internal: {type(err).__name__}: {err}",
-                    finished_at=time.time(),
                 )
-                self.journal.record("failed", job, retriable=False, error=job.error)
                 self.metrics.count("failed")
 
     def breaker_for(self, tenant: str) -> CircuitBreaker:
@@ -456,11 +455,10 @@ class JobExecutor:
         if job.state != JobState.QUEUED:
             return  # shed while queued
         if job.deadline_exceeded():
-            job.transition(
-                JobState.CANCELLED, retriable=True,
-                error="deadline exceeded while queued", finished_at=time.time(),
+            finish(
+                self.journal, job, JobState.CANCELLED, retriable=True,
+                error="deadline exceeded while queued",
             )
-            self.journal.record("cancelled", job, retriable=True, error=job.error)
             self.metrics.count("cancelled_deadline")
             return
         job.transition(JobState.RUNNING, started_at=time.time())
@@ -471,10 +469,7 @@ class JobExecutor:
             machine, faults = self.prepare(spec)
             impl, opts, tprime, provenance = self._resolve_plan(spec, machine, mode)
         except ReproError as err:
-            job.transition(
-                JobState.FAILED, retriable=False, error=str(err), finished_at=time.time()
-            )
-            self.journal.record("failed", job, retriable=False, error=job.error)
+            finish(self.journal, job, JobState.FAILED, retriable=False, error=str(err))
             self.metrics.count("failed")
             return
 
@@ -486,11 +481,7 @@ class JobExecutor:
                 with cancel_scope(token), self._solve_lock:
                     payload = self._solve(spec, machine, impl, opts, tprime, faults)
             except JobCancelled as err:
-                job.transition(
-                    JobState.CANCELLED, retriable=True, error=str(err),
-                    finished_at=time.time(),
-                )
-                self.journal.record("cancelled", job, retriable=True, error=job.error)
+                finish(self.journal, job, JobState.CANCELLED, retriable=True, error=str(err))
                 self.metrics.count("cancelled_deadline")
                 return
             except ReproError as err:
@@ -503,11 +494,10 @@ class JobExecutor:
                         self.metrics.count("retries")
                         time.sleep(delay)
                         continue
-                job.transition(
-                    JobState.FAILED, retriable=True,
-                    error=f"{type(err).__name__}: {err}", finished_at=time.time(),
+                finish(
+                    self.journal, job, JobState.FAILED, retriable=True,
+                    error=f"{type(err).__name__}: {err}",
                 )
-                self.journal.record("failed", job, retriable=True, error=job.error)
                 self.metrics.count("failed")
                 return
 
@@ -523,11 +513,10 @@ class JobExecutor:
                     self.metrics.count("retries")
                     time.sleep(self.backoff.delay(attempt - 1, key=job.job_id))
                     continue
-                job.transition(
-                    JobState.FAILED, retriable=True,
-                    error=f"result failed verification: {wrong}", finished_at=time.time(),
+                finish(
+                    self.journal, job, JobState.FAILED, retriable=True,
+                    error=f"result failed verification: {wrong}",
                 )
-                self.journal.record("failed", job, retriable=True, error=job.error)
                 self.metrics.count("failed")
                 return
 
@@ -537,11 +526,8 @@ class JobExecutor:
             }
             payload["plan"] = provenance
             payload["attempts"] = job.attempts
-            job.transition(
-                JobState.DONE, result=payload, finished_at=time.time(), retriable=False
-            )
+            finish(self.journal, job, JobState.DONE, result=payload, retriable=False)
             breaker.record_success()
-            self.journal.record("done", job, result=payload)
             self.metrics.count("completed")
             self.metrics.observe_latency(job.finished_at - job.submitted_at)
             return

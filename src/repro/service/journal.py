@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, TextIO
 
 from .jobs import Job, JobSpec, JobState
 
-__all__ = ["JobJournal", "replay_journal"]
+__all__ = ["JobJournal", "finish", "replay_journal"]
 
 _TERMINAL_EVENTS = {"done", "failed", "cancelled", "shed"}
 
@@ -73,6 +73,16 @@ class JobJournal:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+
+
+def finish(journal, job: Job, state: str, **fields) -> None:
+    """End ``job`` in the terminal ``state``: journal it (the event is
+    named like the state) and only then make it visible, so no client
+    is told an outcome that a ``kill -9`` could still lose.  ``fields``
+    are journaled and set on the job alike; ``finished_at`` is stamped
+    once the line is durable."""
+    journal.record(state, job, **fields)
+    job.transition(state, finished_at=time.time(), **fields)
 
 
 def replay_journal(path: "str | os.PathLike") -> "tuple[Dict[str, dict], List[Job]]":

@@ -39,7 +39,7 @@ from .deadlines import BackoffPolicy, CircuitBreaker
 from .degradation import DegradationPolicy
 from .executor import JobExecutor, ServiceMetrics, validate_spec_impl
 from .jobs import Job, JobSpec, JobState, TERMINAL_STATES
-from .journal import JobJournal, replay_journal
+from .journal import JobJournal, finish, replay_journal
 from .queue import AdmissionQueue
 from .quotas import QuotaTable
 
@@ -134,11 +134,10 @@ class GraphService:
             if outcome != "accepted":
                 # A full queue on recovery still must not lose the job:
                 # it terminates cleanly as retriable, and stays queryable.
-                job.transition(
-                    JobState.FAILED, retriable=True,
-                    error="recovery: queue full, resubmit", finished_at=time.time(),
+                finish(
+                    self.journal, job, JobState.FAILED, retriable=True,
+                    error="recovery: queue full, resubmit",
                 )
-                self.journal.record("failed", job, retriable=True, error=job.error)
             else:
                 self.recovered_jobs += 1
                 if victim is not None:

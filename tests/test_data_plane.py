@@ -44,7 +44,7 @@ from repro.faults import FaultPlan
 from repro.integrity import IntegrityConfig
 from repro.integrity.monitor import guard_payload
 from repro.runtime import PGASRuntime, hps_cluster
-from repro.runtime.partitioned import PartitionedArray
+from repro.runtime.partitioned import PartitionedArray, base_dtype
 from repro.runtime.shared_array import SharedArray, out_of_range
 from repro.runtime.trace import Category
 from repro.scheduling.virtual_threads import charge_local_serve
@@ -209,6 +209,23 @@ def test_one_selection_serves_every_payload_of_a_mask(case):
     assert sibling.offsets is lead.offsets
 
 
+@given(case=masked_partitions())
+def test_selected_layout_carries_a_payload_without_the_gather(case):
+    """``take_sorted(sel, payload)`` is ``take_sorted(sel).with_data(
+    payload)`` without gathering the partition's own data: the solvers'
+    graft proposals are laid out on the edges' selection this way."""
+    part, mask = case
+    sel = np.flatnonzero(mask)
+    payload = np.arange(sel.size, dtype=np.int32) * 7
+    got = part.take_sorted(sel, payload)
+    want = part.take_sorted(sel).with_data(payload)
+    np.testing.assert_array_equal(got.offsets, want.offsets)
+    np.testing.assert_array_equal(got.data, want.data)
+    assert got.data is payload
+    with pytest.raises(DistributionError, match="selection"):
+        part.take_sorted(sel, np.zeros(sel.size + 1, dtype=np.int32))
+
+
 def test_siblings_share_one_layout():
     part = PartitionedArray(np.arange(10), np.array([0, 4, 4, 10]))
     sibling = part.with_data(np.arange(10) * 2)
@@ -216,6 +233,7 @@ def test_siblings_share_one_layout():
     assert sibling.sizes() is part.sizes()
     assert sibling.requester_base() is part.requester_base()
     np.testing.assert_array_equal(part.requester_base(), part.thread_ids() * part.parts)
+    assert part.requester_base().dtype == np.uint16
     assert not part.thread_ids().flags.writeable
     assert not part.requester_base().flags.writeable
     assert not part.sizes().flags.writeable
@@ -547,6 +565,7 @@ class TestPacking:
         offsets = np.concatenate(([0], np.cumsum(np.bincount(requesters, minlength=s))))
         part = PartitionedArray(targets, offsets)
         np.testing.assert_array_equal(part.requester_base(), requesters * s)
+        assert part.requester_base().dtype == base_dtype(s) == np.uint16
         got = np.asarray(backend.exchange_matrix(targets, part.requester_base(), size, block, s))
         np.testing.assert_array_equal(got, naive)
         # send_matrix: owner ids are the targets of a block-1 layout.

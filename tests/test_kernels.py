@@ -14,11 +14,20 @@ import pytest
 
 from repro import kernels
 from repro.kernels.numpy_backend import NumpyKernels
+from repro.runtime.partitioned import PartitionedArray, base_dtype
 
 
 @pytest.fixture
 def backend():
     return kernels.active_backend()
+
+
+def _histogram(targets, requesters, block, s):
+    """The SMatrix by a double loop: ``[owner, requester]`` counts."""
+    naive = np.zeros((s, s), dtype=np.int64)
+    for t, r in zip(targets, requesters):
+        naive[t // block, r] += 1
+    return naive
 
 
 def test_numpy_backend_is_the_default_dispatch():
@@ -55,11 +64,26 @@ class TestOps:
         block = -(-size // s)
         requesters = rng.integers(0, s, size=300, dtype=np.int64)
         targets = rng.integers(0, size, size=300, dtype=np.int64)
-        naive = np.zeros((s, s), dtype=np.int64)
-        for t, r in zip(targets, requesters):
-            naive[t // block, r] += 1
         got = np.asarray(backend.exchange_matrix(targets, requesters * s, size, block, s))
-        np.testing.assert_array_equal(got, naive)
+        np.testing.assert_array_equal(got, _histogram(targets, requesters, block, s))
+
+    @pytest.mark.parametrize("s, width", [(256, np.uint16), (257, np.int32)])
+    def test_exchange_matrix_at_the_base_width_boundary(self, backend, rng, s, width):
+        """``requester_base`` is stored at its width: uint16 up to 256
+        threads (row offsets up to 65 280), int32 above.  The SMatrix of
+        a partition whose last requester has the largest offset matches
+        the double-loop histogram on both sides of the switch."""
+        size = 3 * s + 5
+        block = -(-size // s)
+        requesters = np.sort(rng.integers(0, s, size=2000, dtype=np.int64))
+        requesters[-1] = s - 1
+        targets = rng.integers(0, size, size=requesters.size, dtype=np.int64)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(requesters, minlength=s))))
+        base = PartitionedArray(targets, offsets).requester_base()
+        assert base.dtype == base_dtype(s) == width
+        np.testing.assert_array_equal(base, requesters * s)
+        got = np.asarray(backend.exchange_matrix(targets, base, size, block, s))
+        np.testing.assert_array_equal(got, _histogram(targets, requesters, block, s))
 
     def test_exchange_matrix_empty(self, backend):
         empty = np.empty(0, dtype=np.int64)

@@ -650,6 +650,86 @@ class TestAdmissionFlows:
         assert payload["status"]["error"] == "boom"
 
 
+class _OrderJournal:
+    """Journal stub: notes, for every event, the state the job was in
+    when the line was written (a terminal state there means a client
+    could read the outcome before it was durable)."""
+
+    def __init__(self, path=None) -> None:
+        self.path = path
+        self.seen = []
+
+    def record(self, event, job, **fields) -> None:
+        self.seen.append((event, job.state))
+
+    def close(self) -> None:
+        pass
+
+
+def _journaled(svc: GraphService) -> _OrderJournal:
+    svc.journal = svc.executor.journal = _OrderJournal(svc.journal.path)
+    return svc.journal
+
+
+class TestTerminalStatesAreJournaledFirst:
+    """ROADMAP item 9's first rule: a job is ``done`` (or failed, or
+    cancelled) to ``/status`` only once that line is in the journal."""
+
+    def _terminal(self, journal):
+        return [(event, state) for event, state in journal.seen if event in TERMINAL_STATES]
+
+    def test_done(self):
+        svc = _service()
+        journal = _journaled(svc)
+        _, body, _ = svc.submit({"n": 64, "machine": "2x2"})
+        svc.executor.execute(svc.queue.take(0))
+        assert svc.jobs[body["job_id"]].state == JobState.DONE
+        assert self._terminal(journal) == [("done", JobState.RUNNING)]
+
+    def test_failed_verification(self, monkeypatch):
+        svc = _service()
+        journal = _journaled(svc)
+        monkeypatch.setattr(type(svc.executor), "_verify", lambda self, spec, payload: "forced")
+        svc.submit({"n": 64, "machine": "2x2"})
+        svc.executor.execute(svc.queue.take(0))
+        assert self._terminal(journal) == [("failed", JobState.RUNNING)]
+
+    def test_cancelled_while_queued(self):
+        svc = _service()
+        journal = _journaled(svc)
+        svc.submit({"n": 64, "machine": "2x2", "deadline_s": 0.001})
+        time.sleep(0.01)
+        svc.executor.execute(svc.queue.take(0))
+        assert self._terminal(journal) == [("cancelled", JobState.QUEUED)]
+
+    def test_internal_error(self, monkeypatch):
+        svc = _service()
+        journal = _journaled(svc)
+
+        def boom(job):
+            svc.executor._stopping.set()  # one pass of the worker loop
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(svc.executor, "execute", boom)
+        _, body, _ = svc.submit({"n": 64, "machine": "2x2"})
+        svc.executor._loop()
+        assert svc.jobs[body["job_id"]].state == JobState.FAILED
+        assert self._terminal(journal) == [("failed", JobState.QUEUED)]
+
+    def test_recovery_into_a_full_queue(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = JobJournal(path, fsync=False)
+        for _ in range(2):
+            journal.record("submit", Job(spec=_spec()))
+        journal.close()
+        svc = _service(queue_capacity=1)
+        stub = _journaled(svc)
+        stub.path = path
+        svc._recover()
+        assert svc.recovered_jobs == 1
+        assert self._terminal(stub) == [("failed", JobState.QUEUED)]
+
+
 class TestExecutorContracts:
     def test_expired_deadline_cancels_without_solving(self):
         svc = _service()
